@@ -28,6 +28,7 @@ from .experiments import (
     ExperimentConfig,
     check_figure3,
     check_figure4,
+    check_figure5,
     parse_config_file,
     run_ccdf_dump,
     run_figure3,
@@ -194,11 +195,10 @@ def main(argv=None) -> int:
                          ("alpha", "n_files"), "gamma", "sim_gain")
             print(f"wrote {path} ({len(rows)} rows)")
             if args.validate:
-                bad = [r for r in rows if abs(r[6]) > 0.10]
-                for r in bad:
-                    print(f"VALIDATION: gamma={r[0]} n_files={r[2]}: approximation "
-                          f"off by {r[6]:+.1%}", file=sys.stderr)
-                if bad:
+                problems = check_figure5(rows)
+                for problem in problems:
+                    print(f"VALIDATION: {problem}", file=sys.stderr)
+                if problems:
                     return _VALIDATION_ERROR
         elif args.command == "validate":
             ok, report = validate(config)

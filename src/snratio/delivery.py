@@ -34,11 +34,10 @@ from .errors import (
     MomentReliabilityWarning,
     ParameterDomainError,
     QuadratureError,
-    SeriesDivergenceError,
 )
 from .mc import Estimate, substream
 from .popularity import PopularityProfile, ZipfSpec, zipf
-from .shotnoise import SeriesControl, reciprocal_gamma
+from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 
 #: Target size of the per-chunk fading matrix (samples x files).
 _FADING_CHUNK_CELLS = 4_000_000
@@ -179,12 +178,39 @@ class _RunningMean:
         return Estimate(mean, math.sqrt(var / self.n), self.n, seed)
 
 
-def _tail_integrand(h_k, g, a_k, theta, alpha):
-    """Per-sample conditional success probability given (h_k, g_k)."""
-    d = 2.0 / alpha
-    ratio = (h_k / theta) ** d * (a_k / g)
+def _arctan_tail(ratio, alpha):
+    """Shot-noise-ratio tail at the weighted density ratio ``ratio``."""
     arg = (1.0 - 2.0 / (1.0 + ratio)) * math.tan(math.pi / alpha)
     return np.arctan(arg) * (alpha / (2.0 * math.pi)) + 0.5
+
+
+def _tail_integrand(h_k, g, a_k, theta, alpha):
+    """Per-sample conditional success probability given (h_k, g_k)."""
+    return _arctan_tail((h_k / theta) ** (2.0 / alpha) * (a_k / g), alpha)
+
+
+def _alpha4_integrand(h_k, g, a_k, theta, alpha):
+    """The arctan form of :func:`_tail_integrand` at alpha = 4."""
+    return 1.0 - (2.0 / math.pi) * np.arctan((g / a_k) * np.sqrt(theta / h_k))
+
+
+def _fading_mean(scenario: Scenario, batch: FadingBatch, files: dict, integrand) -> Estimate:
+    """One pass over the fading batch: the mean of sum_k c_k * integrand_k.
+
+    ``files`` maps file index ``k`` to its coefficient ``c_k``.  The mixed
+    per-sample value is accumulated, so the standard error reflects the
+    correlation between per-file terms evaluated on common draws.
+    """
+    w = scenario.profile.weights
+    acc = _RunningMean()
+    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
+        mix = np.zeros(h.shape[0])
+        for k, c_k in files.items():
+            g = totals - weighted[:, k]
+            mix += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
+                                   scenario.alpha)
+        acc.add(mix)
+    return acc.estimate(batch.seed)
 
 
 def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
@@ -197,13 +223,7 @@ def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) ->
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
     _check_file_index(scenario.n_files, k)
-    a_k = float(scenario.profile.weights[k])
-    theta = float(scenario.thresholds[k])
-    acc = _RunningMean()
-    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        g = totals - weighted[:, k]
-        acc.add(_tail_integrand(h[:, k], g, a_k, theta, scenario.alpha))
-    return acc.estimate(batch.seed)
+    return _fading_mean(scenario, batch, {k: 1.0}, _tail_integrand)
 
 
 def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
@@ -213,14 +233,7 @@ def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBa
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
     _check_file_index(scenario.n_files, k)
-    a_k = float(scenario.profile.weights[k])
-    theta = float(scenario.thresholds[k])
-    acc = _RunningMean()
-    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        g = totals - weighted[:, k]
-        vals = 1.0 - (2.0 / math.pi) * np.arctan((g / a_k) * np.sqrt(theta / h[:, k]))
-        acc.add(vals)
-    return acc.estimate(batch.seed)
+    return _fading_mean(scenario, batch, {k: 1.0}, _alpha4_integrand)
 
 
 def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
@@ -268,46 +281,31 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     d = scenario.delta
     y = a_k / theta**d
     moments, rses = inverse_g_moments(scenario.profile, k, scenario.alpha, batch, max_terms)
-
-    total = 0.0
     var = 0.0
-    prev_mag = None
-    growth = 0
-    for m in range(1, max_terms + 1):
-        rg = reciprocal_gamma(1.0 - m * d)
-        if rg == 0.0:
-            continue
-        coef = (1.0 if m % 2 == 1 else -1.0) * rg * y**m
-        term = coef * moments[m - 1]
-        mag = abs(term)
-        if not math.isfinite(mag):
-            raise SeriesDivergenceError(
-                f"series term {m} overflowed (argument {y:g})", argument=y)
-        if rses[m - 1] > _MOMENT_RSE_LIMIT and mag >= tol:
-            warnings.warn(
-                f"inverse moment m={m} has relative standard error "
-                f"{rses[m - 1]:.1%}; series value may be unreliable",
-                MomentReliabilityWarning,
-                stacklevel=2,
-            )
-        total += term
-        var += (coef * moments[m - 1] * rses[m - 1]) ** 2
-        if mag < tol:
-            return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
-        if prev_mag is not None and mag > prev_mag:
-            growth += 1
-            if growth >= 3:
-                raise SeriesDivergenceError(
-                    "series terms grew for 3 consecutive orders: the "
-                    f"per-term convergence condition fails at argument {y:g} "
-                    f"(popularity {a_k:g} too large for threshold {theta:g})",
-                    argument=y,
+
+    def terms():
+        nonlocal var
+        for m in range(1, max_terms + 1):
+            rg = reciprocal_gamma(1.0 - m * d)
+            if rg == 0.0:
+                yield 0.0, True
+                continue
+            coef = (1.0 if m % 2 == 1 else -1.0) * rg * y**m
+            term = coef * moments[m - 1]
+            if rses[m - 1] > _MOMENT_RSE_LIMIT and tol <= abs(term) < math.inf:
+                # stacklevel 4: this generator, _series_sum, this function, its caller.
+                warnings.warn(
+                    f"inverse moment m={m} has relative standard error "
+                    f"{rses[m - 1]:.1%}; series value may be unreliable",
+                    MomentReliabilityWarning,
+                    stacklevel=4,
                 )
-        else:
-            growth = 0
-        prev_mag = mag
-    raise SeriesDivergenceError(
-        f"series did not reach tol={tol:g} within {max_terms} terms", argument=y)
+            var += (coef * moments[m - 1] * rses[m - 1]) ** 2
+            yield term, False
+
+    total = _series_sum(1, terms(), ctrl,
+                        f"delivery series (popularity {a_k:g}, threshold {theta:g})", y)
+    return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
 
 
 def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
@@ -359,9 +357,7 @@ def delivery_lower_bound(a_k: float, theta: float, alpha: float,
     while left > 0:
         m = min(left, 1_000_000)
         left -= m
-        h = rng.exponential(size=m)
-        arg = (1.0 - 2.0 / (1.0 + eta * h**d)) * math.tan(math.pi / alpha)
-        acc.add(0.5 + (alpha / (2.0 * math.pi)) * np.arctan(arg))
+        acc.add(_arctan_tail(eta * rng.exponential(size=m) ** d, alpha))
     return acc.estimate(batch.seed)
 
 
@@ -395,8 +391,10 @@ def mu_integral(theta: float, alpha: float, tol: float = 1e-8) -> float:
     """The near-field interference integral of the nearest-helper service.
 
     Integral over [1, inf) of 1 / (1 + x ** (alpha/2) / theta), evaluated by
-    adaptive quadrature to absolute tolerance ``tol``; the algebraic tail is
-    folded in by the inversion x -> 1/y, which maps the domain to (0, 1].
+    adaptive quadrature to absolute tolerance ``tol``, relative for values
+    above 1 (the integral grows like ``theta ** (2/alpha)``); the algebraic
+    tail is folded in by the inversion x -> 1/y, which maps the domain to
+    (0, 1].
     """
     if not theta > 0.0:
         raise ParameterDomainError(f"theta must be positive, got {theta}")
@@ -408,9 +406,10 @@ def mu_integral(theta: float, alpha: float, tol: float = 1e-8) -> float:
         return theta * y ** (half - 2.0) / (theta * y**half + 1.0)
 
     val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=tol / 2.0, limit=200)
-    if err > tol:
+    limit = tol * max(1.0, abs(val))
+    if err > limit:
         raise QuadratureError(
-            f"mu({theta}, {alpha}) quadrature error {err:g} exceeds {tol:g}")
+            f"mu({theta}, {alpha}) quadrature error {err:g} exceeds {limit:g}")
     return float(val)
 
 
@@ -446,29 +445,6 @@ def alignment_gain_approx(a_1: float, theta_1: float, alpha: float) -> float:
     )
 
 
-def _total_mc(scenario: Scenario, batch: FadingBatch, alpha4: bool) -> Estimate:
-    """Popularity-weighted total via the shared fading batch.
-
-    Accumulates the weighted per-sample value so the standard error reflects
-    the correlation between per-file terms evaluated on common draws.
-    """
-    w = scenario.profile.weights
-    acc = _RunningMean()
-    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        mix = np.zeros(h.shape[0])
-        for k in range(scenario.n_files):
-            g = totals - weighted[:, k]
-            theta = float(scenario.thresholds[k])
-            if alpha4:
-                vals = 1.0 - (2.0 / math.pi) * np.arctan(
-                    (g / w[k]) * np.sqrt(theta / h[:, k]))
-            else:
-                vals = _tail_integrand(h[:, k], g, w[k], theta, scenario.alpha)
-            mix += w[k] * vals
-        acc.add(mix)
-    return acc.estimate(batch.seed)
-
-
 def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
                         max_terms: int = 60) -> Estimate:
     """Popularity-weighted delivery probability under the chosen method.
@@ -487,34 +463,24 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
                                                    scenario.alpha), 0.0, 1, batch.seed)
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
 
-    if method == "expectation":
-        return _total_mc(scenario, batch, alpha4=False)
-    if method == "alpha4":
-        if scenario.alpha != 4.0:
-            raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
-        return _total_mc(scenario, batch, alpha4=True)
-    if method == "series":
+    if method == "alpha4" and scenario.alpha != 4.0:
+        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
+    if method in ("expectation", "alpha4"):
+        integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
+        return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
+    if method in ("series", "lower"):
         total = 0.0
         var = 0.0
         for k in range(n):
-            est = conditional_delivery_prob_series(k, scenario, max_terms, batch)
+            if method == "series":
+                est = conditional_delivery_prob_series(k, scenario, max_terms, batch)
+            else:
+                est = delivery_lower_bound(w[k], float(scenario.thresholds[k]),
+                                           scenario.alpha, batch)
             total += w[k] * est.mean
             var += (w[k] * est.stderr) ** 2
         return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
-    if method == "upper":
-        total = sum(w[k] * delivery_upper_bound(w[k], float(scenario.thresholds[k]),
-                                                scenario.alpha) for k in range(n))
-        return Estimate(float(total), 0.0, 1, batch.seed)
-    if method == "lower":
-        total = 0.0
-        var = 0.0
-        for k in range(n):
-            est = delivery_lower_bound(w[k], float(scenario.thresholds[k]),
-                                       scenario.alpha, batch)
-            total += w[k] * est.mean
-            var += (w[k] * est.stderr) ** 2
-        return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
-    # baseline
-    total = sum(w[k] * baseline_delivery_prob(w[k], float(scenario.thresholds[k]),
-                                              scenario.alpha) for k in range(n))
+    closed_form = delivery_upper_bound if method == "upper" else baseline_delivery_prob
+    total = sum(w[k] * closed_form(w[k], float(scenario.thresholds[k]), scenario.alpha)
+                for k in range(n))
     return Estimate(float(total), 0.0, 1, batch.seed)

@@ -67,13 +67,13 @@ class ExperimentConfig:
             raise ParameterDomainError(f"unknown sim_mode {self.sim_mode!r}")
 
     def trial_config(self, trials=None, seed=None) -> TrialConfig:
-        return TrialConfig(trials=trials or self.trials,
+        return TrialConfig(trials=self.trials if trials is None else trials,
                            seed=self.seed if seed is None else seed,
                            tail_tol=self.tail_tol,
                            partitions=self.partitions)
 
     def batch(self, samples=None, seed_offset: int = 0) -> FadingBatch:
-        return FadingBatch(sample_count=samples or self.batch_samples,
+        return FadingBatch(sample_count=self.batch_samples if samples is None else samples,
                            seed=self.seed + seed_offset)
 
     def hash(self) -> str:
@@ -225,12 +225,6 @@ def write_plot_script(path: str, csv_name: str, group_cols, x_col: str, y_col: s
 # Figure sweeps
 # ---------------------------------------------------------------------------
 
-def _weighted_bound_totals(scenario: Scenario, batch: FadingBatch):
-    upper = delivery.total_delivery_prob(scenario, "upper", batch)
-    lower = delivery.total_delivery_prob(scenario, "lower", batch)
-    return upper, lower
-
-
 def run_figure3(config: ExperimentConfig):
     """Delivery probability with and without alignment versus popularity skew.
 
@@ -253,7 +247,8 @@ def run_figure3(config: ExperimentConfig):
                 scenario, cfg, return_strata=True)
             gain = sim_a.mean / sim_b.mean if sim_b.mean > 0 else float("nan")
 
-            upper, lower = _weighted_bound_totals(scenario, batch)
+            upper = delivery.total_delivery_prob(scenario, "upper", batch)
+            lower = delivery.total_delivery_prob(scenario, "lower", batch)
             top_upper = delivery.delivery_upper_bound(a_top, config.theta, alpha)
             top_lower = delivery.delivery_lower_bound(a_top, config.theta, alpha, batch)
             top_baseline = delivery.baseline_delivery_prob(a_top, config.theta, alpha)
@@ -274,14 +269,12 @@ def run_figure3(config: ExperimentConfig):
                          0.0, float("nan")))
             if alpha == 4.0:
                 w = scenario.profile.weights
-                b_top = delivery.alpha4_bounds(a_top, config.theta)
-                tot_a = sum(w[k] * delivery.alpha4_bounds(float(w[k]), config.theta).lower_a
-                            for k in range(scenario.n_files))
-                tot_b = sum(w[k] * delivery.alpha4_bounds(float(w[k]), config.theta).lower_b
-                            for k in range(scenario.n_files))
-                rows.append((gamma, alpha, "lower_bound_a4_gamma", b_top.lower_a,
+                bounds = [delivery.alpha4_bounds(float(a_k), config.theta) for a_k in w]
+                tot_a = sum(a_k * b.lower_a for a_k, b in zip(w, bounds))
+                tot_b = sum(a_k * b.lower_b for a_k, b in zip(w, bounds))
+                rows.append((gamma, alpha, "lower_bound_a4_gamma", bounds[0].lower_a,
                              float(tot_a), 0.0, float("nan")))
-                rows.append((gamma, alpha, "lower_bound_a4_arctan", b_top.lower_b,
+                rows.append((gamma, alpha, "lower_bound_a4_arctan", bounds[0].lower_b,
                              float(tot_b), 0.0, float("nan")))
     return header, rows
 
@@ -329,6 +322,23 @@ def check_figure4(rows) -> list[str]:
     return problems
 
 
+def check_figure5(rows) -> list[str]:
+    """Gain approximations off the simulated gain in a fig5 row set.
+
+    A row is flagged when |approx - gain| exceeds the larger of 10% of the
+    gain and three standard errors of it, or when its gain is nan because a
+    model had no successes.
+    """
+    problems = []
+    for gamma, alpha, n_files, gain, gain_err, approx, rel_gap in rows:
+        if not abs(approx - gain) <= max(0.10 * gain, 3.0 * gain_err):
+            problems.append(
+                f"gamma={gamma} alpha={alpha} n_files={n_files}: approximation "
+                f"{approx:.4f} vs simulated gain {gain:.4f} +- {gain_err:.4f} "
+                f"(off by {rel_gap:+.1%})")
+    return problems
+
+
 def run_figure4(config: ExperimentConfig):
     """Effect of the database size: totals versus skew for several file counts."""
     header = ["gamma", "alpha", "n_files", "method", "p_total", "stderr"]
@@ -354,7 +364,11 @@ def run_figure4(config: ExperimentConfig):
 
 
 def run_figure5(config: ExperimentConfig):
-    """Alignment gain and its closed-form approximation versus skew."""
+    """Alignment gain and its closed-form approximation versus skew.
+
+    A point where either model has no successes gets a nan gain, stderr and
+    gap.
+    """
     header = ["gamma", "alpha", "n_files", "sim_gain", "sim_gain_stderr",
               "approx_gain", "rel_gap"]
     rows = []
@@ -366,11 +380,15 @@ def run_figure5(config: ExperimentConfig):
             cfg = config.trial_config()
             sim_a = simulate.simulate_total_aligned(scenario, cfg, mode=config.sim_mode)
             sim_b = simulate.simulate_total_baseline(scenario, cfg)
-            gain = sim_a.mean / sim_b.mean
-            rel = math.hypot(sim_a.stderr / sim_a.mean, sim_b.stderr / sim_b.mean)
+            if sim_a.mean > 0 and sim_b.mean > 0:
+                gain = sim_a.mean / sim_b.mean
+                gain_err = gain * math.hypot(sim_a.stderr / sim_a.mean,
+                                             sim_b.stderr / sim_b.mean)
+            else:
+                gain = gain_err = float("nan")
             approx = delivery.alignment_gain_approx(
                 float(scenario.profile.weights[0]), config.theta, alpha)
-            rows.append((gamma, alpha, n_files, gain, gain * rel, approx,
+            rows.append((gamma, alpha, n_files, gain, gain_err, approx,
                          (approx - gain) / gain))
     return header, rows
 

@@ -24,7 +24,7 @@ per-chunk aggregates, so estimates are bit-identical under any partitioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,11 +152,29 @@ def shot_noise_value(points: np.ndarray, alpha: float, fading_mode: str = "none"
     return float(terms.sum())
 
 
+def _disk_points(rng, mean, radius, size):
+    """Poisson point counts per cell and the points' radii on a disk.
+
+    ``mean`` (scalar, or broadcastable to ``size``) is the expected count per
+    cell.  Returns ``(counts, cell, r)``: ``cell`` maps every point to its
+    flat cell index, and ``r`` is uniform over the disk of ``radius``.
+    """
+    counts = rng.poisson(mean, size=size)
+    r = radius * np.sqrt(rng.random(int(counts.sum())))
+    cell = np.repeat(np.arange(counts.size), counts.ravel())
+    return counts, cell, r
+
+
+def _fill_regions(regions, defaults):
+    """The given regions, with ``defaults()`` filling any that are ``None``."""
+    if None not in regions:
+        return regions
+    return tuple(given or default for given, default in zip(regions, defaults()))
+
+
 def _shot_chunk(density, alpha, region, rng, n_trials, compensate) -> np.ndarray:
     """Vectorized truncated shot-noise sums for ``n_trials`` trials."""
-    counts = rng.poisson(density * region.area, size=n_trials)
-    r = region.radius * np.sqrt(rng.random(int(counts.sum())))
-    idx = np.repeat(np.arange(n_trials), counts)
+    _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
     s = np.bincount(idx, weights=r ** (-alpha), minlength=n_trials)
     if compensate:
         s += tail_mean(density, alpha, region.radius)
@@ -210,10 +228,7 @@ def ratio_samples(spec: RatioSpec, cfg: TrialConfig,
                   region1: DiskRegion | None = None,
                   region2: DiskRegion | None = None):
     """Samples of the shot-noise ratio; returns ``(values, resampled)``."""
-    if region1 is None or region2 is None:
-        d1, d2 = ratio_regions(spec, cfg)
-        region1 = region1 or d1
-        region2 = region2 or d2
+    region1, region2 = _fill_regions((region1, region2), lambda: ratio_regions(spec, cfg))
     resampled = 0
 
     def chunk(rng, n):
@@ -238,10 +253,7 @@ def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
                          region1: DiskRegion | None = None,
                          region2: DiskRegion | None = None) -> list[Estimate]:
     """Empirical CCDF at several points from one shared set of trials."""
-    if region1 is None or region2 is None:
-        d1, d2 = ratio_regions(spec, cfg)
-        region1 = region1 or d1
-        region2 = region2 or d2
+    region1, region2 = _fill_regions((region1, region2), lambda: ratio_regions(spec, cfg))
     xs = [float(x) for x in xs]
     if any(x < 0.0 for x in xs):
         raise ParameterDomainError("ccdf points must be nonnegative")
@@ -272,9 +284,7 @@ def _coupled_shot_chunk(density, alpha, region, rng, n_trials, compensate):
     only by the annulus contribution.
     """
     big = region.doubled()
-    counts = rng.poisson(density * big.area, size=n_trials)
-    r = big.radius * np.sqrt(rng.random(int(counts.sum())))
-    idx = np.repeat(np.arange(n_trials), counts)
+    _, idx, r = _disk_points(rng, density * big.area, big.radius, n_trials)
     vals = r ** (-alpha)
     s_big = np.bincount(idx, weights=vals, minlength=n_trials)
     inner = r <= region.radius
@@ -324,30 +334,28 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
 
 
 def _aligned_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
-                       mode: str, sig_region: DiskRegion, int_region: DiskRegion):
+                       sig_region: DiskRegion, int_region: DiskRegion, mode: str):
     """SIR samples for ``n`` trials with the request fixed to file ``k``.
 
     mode "complex": per-point circularly symmetric complex fading; signal
     and per-file interference powers are squared magnitudes of coherent sums.
     mode "exponential": the distributionally equivalent form with one
     unit-mean exponential weight per file and plain path-loss sums.
+    Returns ``(sir, resampled)``; this model never resamples.
     """
     alpha = scenario.alpha
     nf = scenario.n_files
     dens = decompose_densities(scenario.profile, scenario.helper_density)
 
     # Requested file's process on its own disk.
-    c_sig = rng.poisson(dens[k] * sig_region.area, size=n)
-    r_sig = sig_region.radius * np.sqrt(rng.random(int(c_sig.sum())))
-    idx_sig = np.repeat(np.arange(n), c_sig)
+    _, idx_sig, r_sig = _disk_points(rng, dens[k] * sig_region.area, sig_region.radius, n)
     tau_sig = tail_mean(dens[k], alpha, sig_region.radius) if cfg.tail_compensation else 0.0
 
     # Interfering files share the interference disk; file k contributes none.
     dens_int = dens.copy()
     dens_int[k] = 0.0
-    c_int = rng.poisson(dens_int * int_region.area, size=(n, nf))
-    r_int = int_region.radius * np.sqrt(rng.random(int(c_int.sum())))
-    key_int = np.repeat(np.arange(n * nf), c_int.ravel())
+    _, key_int, r_int = _disk_points(rng, dens_int * int_region.area, int_region.radius,
+                                     (n, nf))
     if cfg.tail_compensation:
         tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
     else:
@@ -381,8 +389,37 @@ def _aligned_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
         raise ParameterDomainError(f"unknown mode {mode!r}")
 
     if nf == 1:
-        return np.full(n, np.inf)
-    return s0 / interference
+        return np.full(n, np.inf), 0
+    return s0 / interference, 0
+
+
+def _sir_kernel(chunk, scenario: Scenario, k: int, cfg: TrialConfig,
+                regions=(None, None), **options):
+    """``(rng, n) -> (sir, resampled)`` from an SIR chunk, request fixed to file ``k``."""
+    regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
+    return lambda rng, n: chunk(rng, n, scenario, k, cfg, *regions, **options)
+
+
+def _sir_samples(cfg: TrialConfig, kernel) -> np.ndarray:
+    return gather_chunked_samples(cfg.trials, cfg.seed, lambda rng, n: kernel(rng, n)[0])
+
+
+def _sir_successes(scenario: Scenario, k: int, cfg: TrialConfig, kernel,
+                   stream_offset: int = 0) -> tuple[int, int]:
+    """``(successes, resampled)`` of SIR > theta_k over the chunk grid."""
+    theta = float(scenario.thresholds[k])
+
+    def chunk(rng, n):
+        sir, resampled = kernel(rng, n)
+        return int((sir > theta).sum()), resampled
+
+    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                               stream_offset=stream_offset)
+
+
+def _sir_estimate(scenario: Scenario, k: int, cfg: TrialConfig, kernel) -> Estimate:
+    successes, resampled = _sir_successes(scenario, k, cfg, kernel)
+    return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
 
 
 def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -391,16 +428,8 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
     _check_file_index(scenario.n_files, k)
-    if signal_region is None or interference_region is None:
-        ds, di = aligned_regions(scenario, k, cfg)
-        signal_region = signal_region or ds
-        interference_region = interference_region or di
-
-    def chunk(rng, n):
-        return _aligned_sir_chunk(rng, n, scenario, k, cfg, mode,
-                                  signal_region, interference_region)
-
-    return gather_chunked_samples(cfg.trials, cfg.seed, chunk)
+    return _sir_samples(cfg, _sir_kernel(_aligned_sir_chunk, scenario, k, cfg,
+                                         (signal_region, interference_region), mode=mode))
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -409,21 +438,8 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                          interference_region: DiskRegion | None = None) -> Estimate:
     """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``."""
     _check_file_index(scenario.n_files, k)
-    if scenario.n_files == 1:
-        return Estimate(1.0, 0.0, cfg.trials, cfg.seed)
-    if signal_region is None or interference_region is None:
-        ds, di = aligned_regions(scenario, k, cfg)
-        signal_region = signal_region or ds
-        interference_region = interference_region or di
-    theta = float(scenario.thresholds[k])
-
-    def chunk(rng, n):
-        sir = _aligned_sir_chunk(rng, n, scenario, k, cfg, mode,
-                                 signal_region, interference_region)
-        return (int((sir > theta).sum()),)
-
-    (successes,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
-    return bernoulli_estimate(successes, cfg.trials, cfg.seed)
+    return _sir_estimate(scenario, k, cfg, _sir_kernel(
+        _aligned_sir_chunk, scenario, k, cfg, (signal_region, interference_region), mode=mode))
 
 
 def _nearest_positions(trial_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -458,18 +474,13 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
         m = todo.size
         if m == 0:
             break
-        ck = rng.poisson(lam_k * sig_r.area, size=m)
+        ck, idxk, rk = _disk_points(rng, lam_k * sig_r.area, sig_r.radius, m)
         empty = ck == 0
         work = ~empty
-
-        rk = sig_r.radius * np.sqrt(rng.random(int(ck.sum())))
-        idxk = np.repeat(np.arange(m), ck)
         hk = rng.exponential(size=rk.size)
 
         if lam_o > 0.0:
-            co = rng.poisson(lam_o * int_region.area, size=m)
-            ro = int_region.radius * np.sqrt(rng.random(int(co.sum())))
-            idxo = np.repeat(np.arange(m), co)
+            _, idxo, ro = _disk_points(rng, lam_o * int_region.area, int_region.radius, m)
             ho = rng.exponential(size=ro.size)
             int_other = np.bincount(idxo, weights=ho * ro ** (-alpha), minlength=m)
             tau_other = (tail_mean(lam_o, alpha, int_region.radius)
@@ -504,26 +515,13 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
     return sir, resampled
 
 
-def baseline_regions(scenario: Scenario, k: int, cfg: TrialConfig):
-    return aligned_regions(scenario, k, cfg)
-
-
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial nearest-helper SIR samples, request fixed to file ``k``."""
     _check_file_index(scenario.n_files, k)
-    if signal_region is None or interference_region is None:
-        ds, di = baseline_regions(scenario, k, cfg)
-        signal_region = signal_region or ds
-        interference_region = interference_region or di
-
-    def chunk(rng, n):
-        sir, _ = _baseline_sir_chunk(rng, n, scenario, k, cfg,
-                                     signal_region, interference_region)
-        return sir
-
-    return gather_chunked_samples(cfg.trials, cfg.seed, chunk)
+    return _sir_samples(cfg, _sir_kernel(_baseline_sir_chunk, scenario, k, cfg,
+                                         (signal_region, interference_region)))
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -531,20 +529,8 @@ def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                           interference_region: DiskRegion | None = None) -> Estimate:
     """P(SIR > theta_k) for nearest-helper service without alignment."""
     _check_file_index(scenario.n_files, k)
-    if signal_region is None or interference_region is None:
-        ds, di = baseline_regions(scenario, k, cfg)
-        signal_region = signal_region or ds
-        interference_region = interference_region or di
-    theta = float(scenario.thresholds[k])
-
-    def chunk(rng, n):
-        sir, res = _baseline_sir_chunk(rng, n, scenario, k, cfg,
-                                       signal_region, interference_region)
-        return int((sir > theta).sum()), res
-
-    successes, resampled = run_counting_chunks(cfg.trials, cfg.seed, chunk,
-                                               cfg.partitions)
-    return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
+    return _sir_estimate(scenario, k, cfg, _sir_kernel(
+        _baseline_sir_chunk, scenario, k, cfg, (signal_region, interference_region)))
 
 
 def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
@@ -553,12 +539,12 @@ def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
     return rng.multinomial(cfg.trials, scenario.profile.weights)
 
 
-def _simulate_total(scenario: Scenario, cfg: TrialConfig, per_file, return_strata):
+def _simulate_total(scenario: Scenario, cfg: TrialConfig, chunk, return_strata, **options):
     """Popularity-mixed success probability over randomized requests.
 
     Requests are split over the files by one multinomial draw (equivalent to
-    drawing them one by one); each file's stratum then runs on its own chunk
-    grid at a disjoint stream offset.
+    drawing them one by one); each file's stratum then runs the SIR ``chunk``
+    on its own chunk grid at a disjoint stream offset.
     """
     counts = _request_counts(scenario, cfg)
     successes = 0
@@ -567,11 +553,10 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, per_file, return_strat
     for k, t_k in enumerate(counts):
         if t_k == 0:
             continue
-        sub = TrialConfig(trials=int(t_k), seed=cfg.seed, tail_tol=cfg.tail_tol,
-                          tail_compensation=cfg.tail_compensation,
-                          partitions=cfg.partitions,
-                          max_enlargements=cfg.max_enlargements)
-        succ_k, res_k = per_file(k, sub, stream_offset=(k + 1) * _STREAM_STRIDE)
+        sub = replace(cfg, trials=int(t_k))
+        succ_k, res_k = _sir_successes(scenario, k, sub,
+                                       _sir_kernel(chunk, scenario, k, sub, **options),
+                                       stream_offset=(k + 1) * _STREAM_STRIDE)
         successes += succ_k
         resampled += res_k
         strata[k] = bernoulli_estimate(succ_k, int(t_k), cfg.seed, res_k)
@@ -588,37 +573,10 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     With ``return_strata`` the per-file conditional estimates (at their
     random request counts) are returned alongside the total.
     """
-    if scenario.n_files == 1:
-        est = Estimate(1.0, 0.0, cfg.trials, cfg.seed)
-        return (est, {0: est}) if return_strata else est
-
-    def per_file(k, sub, stream_offset):
-        regions = aligned_regions(scenario, k, sub)
-        theta = float(scenario.thresholds[k])
-
-        def chunk(rng, n):
-            sir = _aligned_sir_chunk(rng, n, scenario, k, sub, mode, *regions)
-            return (int((sir > theta).sum()), 0)
-
-        return run_counting_chunks(sub.trials, sub.seed, chunk, sub.partitions,
-                                   stream_offset=stream_offset)
-
-    return _simulate_total(scenario, cfg, per_file, return_strata)
+    return _simulate_total(scenario, cfg, _aligned_sir_chunk, return_strata, mode=mode)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
-
-    def per_file(k, sub, stream_offset):
-        regions = baseline_regions(scenario, k, sub)
-        theta = float(scenario.thresholds[k])
-
-        def chunk(rng, n):
-            sir, res = _baseline_sir_chunk(rng, n, scenario, k, sub, *regions)
-            return int((sir > theta).sum()), res
-
-        return run_counting_chunks(sub.trials, sub.seed, chunk, sub.partitions,
-                                   stream_offset=stream_offset)
-
-    return _simulate_total(scenario, cfg, per_file, return_strata)
+    return _simulate_total(scenario, cfg, _baseline_sir_chunk, return_strata)

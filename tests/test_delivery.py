@@ -28,6 +28,7 @@ from snratio import (
 from snratio.errors import (
     ContractError,
     DegenerateScenarioError,
+    MomentReliabilityWarning,
     ParameterDomainError,
     SeriesDivergenceError,
 )
@@ -125,6 +126,12 @@ class TestSeriesForm:
             with pytest.warns():
                 conditional_delivery_prob_series(0, sc, 60, FadingBatch(5000, 19))
 
+    def test_moment_warning_names_the_caller(self):
+        sc = Scenario.from_zipf(10, 0.0, 5.0, 3.0)
+        with pytest.warns(MomentReliabilityWarning) as record:
+            conditional_delivery_prob_series(0, sc, 60, FadingBatch(3000, 7))
+        assert {w.filename for w in record} == {__file__}
+
 
 class TestHighSirApprox:
     def test_frozen_value(self):
@@ -219,6 +226,12 @@ class TestBaseline:
         want = math.sqrt(5.0) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(5.0)))
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(2.5720, abs=1e-4)
+
+    def test_mu_at_huge_threshold(self):
+        # The value is about 5e4 here; an absolute 1e-8 error estimate is out
+        # of reach, a relative one is not.
+        want = math.sqrt(1e9) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(1e9)))
+        assert mu_integral(1e9, 4.0) == pytest.approx(want, rel=1e-12)
 
     def test_mu_vanishes_with_threshold(self):
         assert mu_integral(1e-9, 3.0) < 1e-8

@@ -12,6 +12,7 @@ from snratio.errors import ParameterDomainError
 from snratio.experiments import (
     ExperimentConfig,
     check_figure3,
+    check_figure5,
     parse_config_file,
     read_csv,
     run_ccdf_dump,
@@ -39,6 +40,13 @@ class TestConfig:
             ExperimentConfig(alphas=(1.5,))
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(trials=0)
+
+    def test_zero_counts_are_not_replaced_by_defaults(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(ParameterDomainError):
+            cfg.trial_config(trials=0)
+        with pytest.raises(ParameterDomainError):
+            cfg.batch(samples=0)
 
     def test_hash_ignores_output_location(self):
         a = ExperimentConfig(out_dir="x")
@@ -128,6 +136,21 @@ class TestSweeps:
                                           fig5_n_files=(5,)))
         for r in rows:
             assert abs(r[6]) < 0.25  # coarse at these trial counts
+
+    def test_figure5_zero_successes_give_nan(self):
+        cfg = ExperimentConfig(theta=1e9, trials=300, fig5_n_files=(5,), gamma_grid=(0.0,))
+        _, rows = run_figure5(cfg)
+        (row,) = rows
+        assert all(np.isnan(v) for v in (row[3], row[4], row[6]))
+        assert len(check_figure5(rows)) == 1
+
+    def test_figure5_check_allows_noise_but_not_a_far_off_row(self):
+        # gamma, alpha, n_files, sim_gain, sim_gain_stderr, approx_gain, rel_gap
+        noisy = (0.0, 4.0, 500, 1.50, 0.38, 1.88, 0.253)
+        far_off = (3.0, 4.0, 500, 3.00, 0.05, 2.40, -0.2)
+        assert check_figure5([noisy]) == []
+        (problem,) = check_figure5([noisy, far_off])
+        assert "gamma=3.0" in problem
 
     def test_figure4_database_size_effect(self):
         # Fewer files help at low skew; at high skew the curves merge.

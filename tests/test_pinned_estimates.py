@@ -1,0 +1,572 @@
+"""Pinned estimates: the exact bits of small simulator and delivery runs.
+
+Every float below was recorded with ``float.hex`` and every sample array by
+the SHA-256 of its bytes.  A refactor that keeps the random-number streams
+must reproduce all of them exactly; a change that alters the streams on
+purpose records new pins and says so in CHANGES.md.
+"""
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+
+from snratio import (
+    DiskRegion,
+    FadingBatch,
+    RatioSpec,
+    Scenario,
+    TrialConfig,
+    conditional_delivery_prob,
+    conditional_delivery_prob_alpha4,
+    conditional_delivery_prob_series,
+    delivery_lower_bound,
+    empirical_ratio_ccdf,
+    inverse_g_moments,
+    ratio_ccdf_estimates,
+    ratio_laplace_estimate,
+    ratio_samples,
+    shot_noise_samples,
+    simulate_sir_aligned,
+    simulate_sir_baseline,
+    simulate_total_aligned,
+    simulate_total_baseline,
+    sir_samples_aligned,
+    sir_samples_baseline,
+    total_delivery_prob,
+)
+from snratio import delivery
+from snratio.delivery import TOTAL_METHODS
+from snratio.mc import Estimate
+from snratio.simulate import window_doubling_probe
+
+SCENARIOS = {
+    1: Scenario.from_zipf(1, 0.0, 1.0, 4.0, 0.1),
+    5: Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1),
+}
+#: Small explicit windows: many trials find the requested file's process or,
+#: without tail compensation, the ratio denominator empty at first, so the
+#: resampling paths run.
+SPEC = RatioSpec(0.02, 0.1, 3.0)
+SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
+SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
+#: Series converge at every file: without warnings at alpha = 4, with
+#: flagged inverse moments at alpha = 3.
+SERIES_SCENARIOS = {
+    "a4": Scenario.from_zipf(8, 0.0, 10.0, 4.0, 0.1),
+    "a3": Scenario.from_zipf(10, 0.0, 5.0, 3.0, 0.1),
+    "n1": Scenario.from_zipf(1, 0.0, 5.0, 4.0, 0.1),
+}
+BATCH = FadingBatch(3000, seed=7)
+
+
+def _cfg(trials, partitions=1, compensate=True):
+    return TrialConfig(trials=trials, seed=3, tail_tol=1e-2, partitions=partitions,
+                       tail_compensation=compensate)
+
+
+def _bits(result):
+    """Exact, comparable form of an estimate, an array, or a nest of them."""
+    if isinstance(result, Estimate):
+        return ("est", float(result.mean).hex(), float(result.stderr).hex(),
+                result.trials, result.seed, result.resampled)
+    if isinstance(result, np.ndarray):
+        arr = np.ascontiguousarray(result)
+        return ("arr", str(arr.dtype), arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
+    if isinstance(result, dict):
+        return tuple((k, _bits(v)) for k, v in sorted(result.items()))
+    if isinstance(result, (list, tuple)):
+        return tuple(_bits(v) for v in result)
+    if isinstance(result, (int, np.integer)):
+        return int(result)
+    raise TypeError(f"cannot pin {type(result).__name__}")
+
+
+def _simulator_cases(partitions):
+    p = partitions
+    cases = {}
+    for n in (1, 5):
+        sc = SCENARIOS[n]
+        for mode in ("exponential", "complex"):
+            cases[f"total_aligned_{mode}_N{n}"] = (
+                lambda sc=sc, mode=mode: simulate_total_aligned(
+                    sc, _cfg(6000, p), mode=mode, return_strata=True))
+            cases[f"sir_aligned_{mode}_N{n}"] = (
+                lambda sc=sc, mode=mode: simulate_sir_aligned(
+                    sc, 0, _cfg(5000, p), mode=mode))
+        cases[f"total_baseline_N{n}"] = (
+            lambda sc=sc: simulate_total_baseline(sc, _cfg(6000, p), return_strata=True))
+        cases[f"sir_baseline_N{n}"] = (
+            lambda sc=sc: simulate_sir_baseline(sc, 0, _cfg(5000, p)))
+    sc = SCENARIOS[5]
+    cases.update({
+        "sir_aligned_regions": lambda: simulate_sir_aligned(
+            sc, 2, _cfg(5000, p), "complex", DiskRegion(15.0), DiskRegion(20.0)),
+        "sir_aligned_signal_region_only": lambda: simulate_sir_aligned(
+            sc, 1, _cfg(5000, p), signal_region=DiskRegion(15.0)),
+        "sir_baseline_regions": lambda: simulate_sir_baseline(
+            sc, 3, _cfg(5000, p), *SMALL_SIR_REGIONS),
+        "sir_baseline_interference_region_only": lambda: simulate_sir_baseline(
+            sc, 1, _cfg(5000, p), interference_region=DiskRegion(12.0)),
+        "ratio_ccdf_estimates": lambda: ratio_ccdf_estimates(
+            [0.0, 0.05, 0.2, 1.0], SPEC, _cfg(9000, p)),
+        "ratio_ccdf_estimates_resampled": lambda: ratio_ccdf_estimates(
+            [0.05, 0.2, 1.0], SPEC, _cfg(9000, p, compensate=False), *SMALL_RATIO_REGIONS),
+        "empirical_ratio_ccdf": lambda: empirical_ratio_ccdf(0.2, SPEC, _cfg(5000, p)),
+        "window_doubling_probe": lambda: window_doubling_probe(
+            0.2, RatioSpec(0.02, 0.1, 3.5), _cfg(5000, p)),
+    })
+    return cases
+
+
+def _sample_cases():
+    sc = SCENARIOS[5]
+    return {
+        "shot_noise_samples": lambda: shot_noise_samples(0.1, 4.0, _cfg(5000)),
+        "ratio_samples": lambda: ratio_samples(
+            SPEC, _cfg(5000, compensate=False), *SMALL_RATIO_REGIONS),
+        "ratio_laplace_estimate": lambda: ratio_laplace_estimate(0.5, SPEC, _cfg(5000)),
+        "sir_samples_aligned_exponential": lambda: sir_samples_aligned(sc, 1, _cfg(5000)),
+        "sir_samples_aligned_complex": lambda: sir_samples_aligned(
+            sc, 1, _cfg(5000), mode="complex"),
+        "sir_samples_baseline": lambda: sir_samples_baseline(sc, 4, _cfg(5000)),
+        "sir_samples_baseline_regions": lambda: sir_samples_baseline(
+            sc, 3, _cfg(5000), *SMALL_SIR_REGIONS),
+    }
+
+
+def _delivery_cases():
+    cases = {}
+    for key, sc in SERIES_SCENARIOS.items():
+        for method in TOTAL_METHODS:
+            if method == "alpha4" and sc.alpha != 4.0:
+                continue
+            cases[f"total_{method}_{key}"] = (
+                lambda sc=sc, method=method: total_delivery_prob(sc, method, BATCH))
+    sc = SERIES_SCENARIOS["a4"]
+    a_1 = float(sc.profile.weights[1])
+    cases.update({
+        "conditional_expectation": lambda: conditional_delivery_prob(1, sc, BATCH),
+        "conditional_alpha4": lambda: conditional_delivery_prob_alpha4(1, sc, BATCH),
+        "conditional_series": lambda: conditional_delivery_prob_series(1, sc, 60, BATCH),
+        "conditional_series_n1": lambda: conditional_delivery_prob_series(
+            0, SERIES_SCENARIOS["n1"], 60, BATCH),
+        "lower_bound": lambda: delivery_lower_bound(a_1, 10.0, 4.0, BATCH),
+        "inverse_g_moments": lambda: inverse_g_moments(sc.profile, 1, 4.0, BATCH, 6),
+    })
+    return cases
+
+
+PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392p-12', 3000, 7, 0),
+        'conditional_alpha4_chunked': ('est',
+                                       '0x1.ead05ca26d5f4p-6',
+                                       '0x1.4abc855477394p-12',
+                                       3000,
+                                       7,
+                                       0),
+        'conditional_expectation': ('est',
+                                    '0x1.ead05ca26d607p-6',
+                                    '0x1.4abc855477394p-12',
+                                    3000,
+                                    7,
+                                    0),
+        'conditional_expectation_chunked': ('est',
+                                            '0x1.ead05ca26d607p-6',
+                                            '0x1.4abc855477394p-12',
+                                            3000,
+                                            7,
+                                            0),
+        'conditional_series': ('est', '0x1.e8f084c92c551p-6', '0x1.e087c749fde57p-14', 3000, 7, 0),
+        'conditional_series_chunked': ('est',
+                                       '0x1.e8f084c92c551p-6',
+                                       '0x1.e087c749fde57p-14',
+                                       3000,
+                                       7,
+                                       0),
+        'conditional_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'conditional_series_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'empirical_ratio_ccdf': ('est',
+                                 '0x1.3333333333333p-2',
+                                 '0x1.a8c3a93a60ecap-8',
+                                 5000,
+                                 3,
+                                 0),
+        'inverse_g_moments': (('arr',
+                               'float64',
+                               (6,),
+                               '82fe722a66904a01fadf8691d453d3427be937b71242d6739659ecf3f9dc7db5'),
+                              ('arr',
+                               'float64',
+                               (6,),
+                               '6eaee7de9f1c25a3c4e071dc165b14bac65d64f7ec2ab04f662a345fe01afe82')),
+        'inverse_g_moments_chunked': (('arr',
+                                       'float64',
+                                       (6,),
+                                       '82fe722a66904a01fadf8691d453d3427be937b71242d6739659ecf3f9dc7db5'),
+                                      ('arr',
+                                       'float64',
+                                       (6,),
+                                       '6eaee7de9f1c25a3c4e071dc165b14bac65d64f7ec2ab04f662a345fe01afe82')),
+        'lower_bound': ('est', '0x1.d96940ec81fd7p-6', '0x1.2174f36dbcc5fp-12', 3000, 7, 0),
+        'lower_bound_chunked': ('est',
+                                '0x1.d96940ec81fd7p-6',
+                                '0x1.2174f36dbcc5fp-12',
+                                3000,
+                                7,
+                                0),
+        'ratio_ccdf_estimates': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 9000, 3, 0),
+                                 ('est',
+                                  '0x1.4f5c28f5c28f6p-1',
+                                  '0x1.48684eb92c6f8p-8',
+                                  9000,
+                                  3,
+                                  0),
+                                 ('est',
+                                  '0x1.31440a032f8f2p-2',
+                                  '0x1.3c03897015dd4p-8',
+                                  9000,
+                                  3,
+                                  0),
+                                 ('est',
+                                  '0x1.97c790f3f086bp-4',
+                                  '0x1.9db064b9e0272p-9',
+                                  9000,
+                                  3,
+                                  0)),
+        'ratio_ccdf_estimates_resampled': (('est',
+                                            '0x1.ab596de8ca11cp-2',
+                                            '0x1.54aba0c7ea019p-8',
+                                            9000,
+                                            3,
+                                            4751),
+                                           ('est',
+                                            '0x1.e8558f966a0a7p-3',
+                                            '0x1.26648f6d294dcp-8',
+                                            9000,
+                                            3,
+                                            4751),
+                                           ('est',
+                                            '0x1.87d9c54a69217p-4',
+                                            '0x1.966748cbe2a33p-9',
+                                            9000,
+                                            3,
+                                            4751)),
+        'ratio_laplace_estimate': ('est',
+                                   '0x1.ba4c05c5f8443p-1',
+                                   '0x1.a919881d3b1c0p-9',
+                                   5000,
+                                   3,
+                                   0),
+        'ratio_samples': (('arr',
+                           'float64',
+                           (5000,),
+                           'e2da5cf75b18311289ae5d75a579f19cf653c0de132e224df98ca7aeabbee94a'),
+                          2621),
+        'shot_noise_samples': ('arr',
+                               'float64',
+                               (5000,),
+                               '39606020d9078818c35f0186312d1658511a64e5f9c55ba766bdee9301aece89'),
+        'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
+        'sir_aligned_complex_N5': ('est',
+                                   '0x1.a0f9096bb98c8p-2',
+                                   '0x1.c7674a6cc2892p-8',
+                                   5000,
+                                   3,
+                                   0),
+        'sir_aligned_exponential_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
+        'sir_aligned_exponential_N5': ('est',
+                                       '0x1.a5119ce075f70p-2',
+                                       '0x1.c81692e039413p-8',
+                                       5000,
+                                       3,
+                                       0),
+        'sir_aligned_regions': ('est', '0x1.ce075f6fd21ffp-4', '0x1.253a10594f3a4p-8', 5000, 3, 0),
+        'sir_aligned_signal_region_only': ('est',
+                                           '0x1.89a027525460bp-3',
+                                           '0x1.6d3afec4bcf6ep-8',
+                                           5000,
+                                           3,
+                                           0),
+        'sir_baseline_N1': ('est', '0x1.20f9096bb98c8p-1', '0x1.cb9874f251343p-8', 5000, 3, 0),
+        'sir_baseline_N5': ('est', '0x1.13404ea4a8c15p-2', '0x1.9aeedd3f9f36bp-8', 5000, 3, 0),
+        'sir_baseline_interference_region_only': ('est',
+                                                  '0x1.367a0f9096bbap-3',
+                                                  '0x1.4c6bbeb09b407p-8',
+                                                  5000,
+                                                  3,
+                                                  0),
+        'sir_baseline_regions': ('est',
+                                 '0x1.4c2f837b4a234p-3',
+                                 '0x1.55b0fb4f499d3p-8',
+                                 5000,
+                                 3,
+                                 7147),
+        'sir_samples_aligned_complex': ('arr',
+                                        'float64',
+                                        (5000,),
+                                        'b2d0f6d89db7bb1bf1d3e25db7a4a3139861869b38496c3201b0977a5f4ddbce'),
+        'sir_samples_aligned_exponential': ('arr',
+                                            'float64',
+                                            (5000,),
+                                            '88d4fafc38403586372dbc10c019d98a8744695243e2b3facbbbe0cc2665fb48'),
+        'sir_samples_baseline': ('arr',
+                                 'float64',
+                                 (5000,),
+                                 'daad3856f90613ab56efa0157637c4899e88bfa32a805fe09ccdf0bfc755e8aa'),
+        'sir_samples_baseline_regions': ('arr',
+                                         'float64',
+                                         (5000,),
+                                         '8c20b96f8b3f654a4d21ee01d761a9757cade9d33d65dee4238d9ef26d9c2a2e'),
+        'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
+                                     ((0,
+                                       ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
+        'total_aligned_complex_N5': (('est',
+                                      '0x1.e6bdc8057619fp-3',
+                                      '0x1.68294d81c916fp-8',
+                                      6000,
+                                      3,
+                                      0),
+                                     ((0,
+                                       ('est',
+                                        '0x1.88bc2b5565fd7p-2',
+                                        '0x1.3729f9ce4a8afp-7',
+                                        2623,
+                                        3,
+                                        0)),
+                                      (1,
+                                       ('est',
+                                        '0x1.813429bafbfcdp-3',
+                                        '0x1.669db26d196f6p-7',
+                                        1276,
+                                        3,
+                                        0)),
+                                      (2,
+                                       ('est',
+                                        '0x1.b54b9d9bc9569p-4',
+                                        '0x1.5cba0180c4de6p-7',
+                                        843,
+                                        3,
+                                        0)),
+                                      (3,
+                                       ('est',
+                                        '0x1.1fdc047f70120p-4',
+                                        '0x1.40bbd06bc7d47p-7',
+                                        683,
+                                        3,
+                                        0)),
+                                      (4,
+                                       ('est',
+                                        '0x1.2b2fa36510792p-4',
+                                        '0x1.63e38c51a1cfap-7',
+                                        575,
+                                        3,
+                                        0)))),
+        'total_aligned_exponential_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
+                                         ((0,
+                                           ('est',
+                                            '0x1.0000000000000p+0',
+                                            '0x0.0p+0',
+                                            6000,
+                                            3,
+                                            0)),)),
+        'total_aligned_exponential_N5': (('est',
+                                          '0x1.f9db22d0e5604p-3',
+                                          '0x1.6ce91c4681bfcp-8',
+                                          6000,
+                                          3,
+                                          0),
+                                         ((0,
+                                           ('est',
+                                            '0x1.a21c4db02a299p-2',
+                                            '0x1.3a8a3e03e3943p-7',
+                                            2623,
+                                            3,
+                                            0)),
+                                          (1,
+                                           ('est',
+                                            '0x1.6c56abbc96df2p-3',
+                                            '0x1.5ef31db4ab140p-7',
+                                            1276,
+                                            3,
+                                            0)),
+                                          (2,
+                                           ('est',
+                                            '0x1.c8bb10b3c6e8ap-4',
+                                            '0x1.6371a7fabeb2fp-7',
+                                            843,
+                                            3,
+                                            0)),
+                                          (3,
+                                           ('est',
+                                            '0x1.2bda84af6a12cp-4',
+                                            '0x1.46d4dce303604p-7',
+                                            683,
+                                            3,
+                                            0)),
+                                          (4,
+                                           ('est',
+                                            '0x1.1cf06ada2811dp-4',
+                                            '0x1.5bf6854a5808cp-7',
+                                            575,
+                                            3,
+                                            0)))),
+        'total_alpha4_a4': ('est', '0x1.ea7c1a2fb4b4dp-6', '0x1.a6472c4ebeb90p-17', 3000, 7, 0),
+        'total_alpha4_a4_chunked': ('est',
+                                    '0x1.ea7c1a2fb4b4dp-6',
+                                    '0x1.a6472c4ebe70bp-17',
+                                    3000,
+                                    7,
+                                    0),
+        'total_alpha4_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_alpha4_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_baseline_N1': (('est', '0x1.1c28f5c28f5c3p-1', '0x1.a4803f3cab27dp-8', 6000, 3, 0),
+                              ((0,
+                                ('est',
+                                 '0x1.1c28f5c28f5c3p-1',
+                                 '0x1.a4803f3cab27dp-8',
+                                 6000,
+                                 3,
+                                 0)),)),
+        'total_baseline_N5': (('est', '0x1.4a11bfd44f308p-3', '0x1.371c85f25f9a1p-8', 6000, 3, 0),
+                              ((0,
+                                ('est',
+                                 '0x1.fb82af1753725p-3',
+                                 '0x1.1448ab53c72eap-7',
+                                 2623,
+                                 3,
+                                 0)),
+                               (1,
+                                ('est',
+                                 '0x1.15aaef25b7c64p-3',
+                                 '0x1.3a29b78c8231cp-7',
+                                 1276,
+                                 3,
+                                 0)),
+                               (2,
+                                ('est',
+                                 '0x1.2d3f77f3da581p-4',
+                                 '0x1.26c5e235b2b59p-7',
+                                 843,
+                                 3,
+                                 0)),
+                               (3,
+                                ('est',
+                                 '0x1.25db44976d126p-4',
+                                 '0x1.43cd58f5fdd9dp-7',
+                                 683,
+                                 3,
+                                 0)),
+                               (4,
+                                ('est',
+                                 '0x1.d62649e7f5509p-5',
+                                 '0x1.3e1d2de3f5ce4p-7',
+                                 575,
+                                 3,
+                                 0)))),
+        'total_baseline_a3': ('est', '0x1.ceeb22c561209p-7', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_a3_chunked': ('est', '0x1.ceeb22c561209p-7', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_a4': ('est', '0x1.9bf87f86367d2p-6', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_a4_chunked': ('est', '0x1.9bf87f86367d2p-6', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_n1': ('est', '0x1.1eab43493f7afp-2', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_n1_chunked': ('est', '0x1.1eab43493f7afp-2', '0x0.0p+0', 1, 7, 0),
+        'total_expectation_a3': ('est',
+                                 '0x1.1840c1815328dp-6',
+                                 '0x1.7d1e9bb2f29bfp-17',
+                                 3000,
+                                 7,
+                                 0),
+        'total_expectation_a3_chunked': ('est',
+                                         '0x1.1840c1815328ep-6',
+                                         '0x1.7d1e9bb2f25fdp-17',
+                                         3000,
+                                         7,
+                                         0),
+        'total_expectation_a4': ('est',
+                                 '0x1.ea7c1a2fb4b62p-6',
+                                 '0x1.a6472c4ebddffp-17',
+                                 3000,
+                                 7,
+                                 0),
+        'total_expectation_a4_chunked': ('est',
+                                         '0x1.ea7c1a2fb4b62p-6',
+                                         '0x1.a6472c4ebe70bp-17',
+                                         3000,
+                                         7,
+                                         0),
+        'total_expectation_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_expectation_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_lower_a3': ('est', '0x1.0ad1d0ffce56ep-6', '0x1.133ac88e1d6a4p-14', 3000, 7, 0),
+        'total_lower_a3_chunked': ('est',
+                                   '0x1.0ad1d0ffce56ep-6',
+                                   '0x1.133ac88e1d6a4p-14',
+                                   3000,
+                                   7,
+                                   0),
+        'total_lower_a4': ('est', '0x1.d96940ec81fd7p-6', '0x1.995a91da58259p-14', 3000, 7, 0),
+        'total_lower_a4_chunked': ('est',
+                                   '0x1.d96940ec81fd7p-6',
+                                   '0x1.995a91da58259p-14',
+                                   3000,
+                                   7,
+                                   0),
+        'total_lower_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_lower_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_series_a3': ('est', '0x1.16ea1a25dbaefp-6', '0x1.8446b6f1ddcd3p-16', 3000, 7, 0),
+        'total_series_a3_chunked': ('est',
+                                    '0x1.16ea1a25dbaefp-6',
+                                    '0x1.8446b6f1ddcd3p-16',
+                                    3000,
+                                    7,
+                                    0),
+        'total_series_a4': ('est', '0x1.e8f367d5cedd8p-6', '0x1.547d99e584e0cp-15', 3000, 7, 0),
+        'total_series_a4_chunked': ('est',
+                                    '0x1.e8f367d5cedd8p-6',
+                                    '0x1.547d99e584e0cp-15',
+                                    3000,
+                                    7,
+                                    0),
+        'total_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_series_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_upper_a3': ('est', '0x1.2be54f6e825bcp-5', '0x0.0p+0', 1, 7, 0),
+        'total_upper_a3_chunked': ('est', '0x1.2be54f6e825bcp-5', '0x0.0p+0', 1, 7, 0),
+        'total_upper_a4': ('est', '0x1.6214c1ee2397ep-5', '0x0.0p+0', 1, 7, 0),
+        'total_upper_a4_chunked': ('est', '0x1.6214c1ee2397ep-5', '0x0.0p+0', 1, 7, 0),
+        'total_upper_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'total_upper_n1_chunked': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
+        'window_doubling_probe': (('est',
+                                   '0x1.1f559b3d07c85p-2',
+                                   '0x1.a07450e1a3c6fp-8',
+                                   5000,
+                                   3,
+                                   0),
+                                  ('est',
+                                   '0x1.1f212d77318fcp-2',
+                                   '0x1.a05d20c8c9db1p-8',
+                                   5000,
+                                   3,
+                                   0))}
+
+
+@pytest.mark.parametrize("partitions", [1, 2])
+@pytest.mark.parametrize("name", sorted(_simulator_cases(1)))
+def test_simulator_estimate_is_pinned(name, partitions):
+    assert _bits(_simulator_cases(partitions)[name]()) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_sample_cases()))
+def test_samples_are_pinned(name):
+    assert _bits(_sample_cases()[name]()) == PINS[name]
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 4000])
+@pytest.mark.parametrize("name", sorted(_delivery_cases()))
+def test_delivery_estimate_is_pinned(name, chunk_cells, monkeypatch):
+    # 4000 cells splits the fading batch into several chunks per pass; the
+    # streaming mean must then give the same bits as ever.
+    if chunk_cells is not None:
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", chunk_cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", delivery.MomentReliabilityWarning)
+        result = _delivery_cases()[name]()
+    assert _bits(result) == PINS[name if chunk_cells is None else f"{name}_chunked"]
