@@ -42,6 +42,9 @@ from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 #: Target size of the per-chunk fading matrix (samples x files).
 _FADING_CHUNK_CELLS = 4_000_000
 
+#: Default truncation tolerance of the delivery series.
+_SERIES_TOL = 1e-10
+
 #: Relative-standard-error threshold above which an empirical inverse moment
 #: is flagged as untrustworthy.
 _MOMENT_RSE_LIMIT = 0.10
@@ -236,35 +239,105 @@ def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBa
     return _fading_mean(scenario, batch, {k: 1.0}, _alpha4_integrand)
 
 
+def _competing_g(profile: PopularityProfile, alpha: float, batch: FadingBatch,
+                 files: range) -> np.ndarray:
+    """The batch's samples of g_k for each file k in ``files``, from one pass.
+
+    Row i holds g for file ``files[i]``; each row is contiguous, so a
+    reduction over it is the same whatever block of files it came in.
+    """
+    g = np.empty((len(files), batch.sample_count))
+    row = 0
+    for _, weighted, totals in _fading_chunks(profile, alpha, batch):
+        end = row + totals.size
+        np.subtract(totals, weighted[:, files.start:files.stop].T, out=g[:, row:end])
+        row = end
+    return g
+
+
+def _inverse_moment(g: np.ndarray, m: int):
+    """Empirical E[g ** -m] and its relative standard error."""
+    vals = g ** (-float(m))
+    mu = float(vals.mean())
+    sd = float(vals.std(ddof=1)) if g.size > 1 else 0.0
+    return mu, sd / (math.sqrt(g.size) * mu) if mu > 0 else np.inf
+
+
 def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
                       batch: FadingBatch, m_max: int):
     """Empirical negative moments E[g_k ** -m] for m = 1 .. m_max.
 
     Returns ``(means, rses)``; each relative standard error above 10%
     marks a moment whose Monte Carlo value should not be trusted (high
-    inverse moments can be heavy-tailed or outright infinite).
+    inverse moments can be heavy-tailed or outright infinite).  Costs one
+    pass over the fading batch; the series forms do not call this function
+    but take g_k from a pass shared by a block of files, and compute only
+    the moments their truncation loop reads.
     """
     if profile.n_files == 1:
         raise DegenerateScenarioError("no competing files to take moments over")
     _check_file_index(profile.n_files, k)
-    samples = []
-    for _, weighted, totals in _fading_chunks(profile, alpha, batch):
-        samples.append(totals - weighted[:, k])
-    g = np.concatenate(samples)
+    g = _competing_g(profile, alpha, batch, range(k, k + 1))[0]
     means = np.empty(m_max)
     rses = np.empty(m_max)
-    n = g.size
     for m in range(1, m_max + 1):
-        vals = g ** (-float(m))
-        mu = float(vals.mean())
-        sd = float(vals.std(ddof=1)) if n > 1 else 0.0
-        means[m - 1] = mu
-        rses[m - 1] = sd / (math.sqrt(n) * mu) if mu > 0 else np.inf
+        means[m - 1], rses[m - 1] = _inverse_moment(g, m)
     return means, rses
 
 
+def _series_estimate(k: int, scenario: Scenario, g: np.ndarray, ctrl: SeriesControl,
+                     batch: FadingBatch) -> Estimate:
+    """The series form for file ``k`` from its samples ``g`` of g_k."""
+    a_k = float(scenario.profile.weights[k])
+    theta = float(scenario.thresholds[k])
+    d = scenario.delta
+    y = a_k / theta**d
+    var = 0.0
+
+    def terms():
+        nonlocal var
+        for m in range(1, ctrl.max_terms + 1):
+            rg = reciprocal_gamma(1.0 - m * d)
+            if rg == 0.0:
+                yield 0.0, True
+                continue
+            moment, rse = _inverse_moment(g, m)
+            coef = (1.0 if m % 2 == 1 else -1.0) * rg * y**m
+            term = coef * moment
+            if rse > _MOMENT_RSE_LIMIT and ctrl.tol <= abs(term) < math.inf:
+                # stacklevel 6: this generator, _series_sum, _series_estimate,
+                # _series_estimates, the public entry point, its caller.
+                warnings.warn(
+                    f"inverse moment m={m} has relative standard error "
+                    f"{rse:.1%}; series value may be unreliable",
+                    MomentReliabilityWarning,
+                    stacklevel=6,
+                )
+            var += (coef * moment * rse) ** 2
+            yield term, False
+
+    total = _series_sum(1, terms(), ctrl,
+                        f"delivery series (popularity {a_k:g}, threshold {theta:g})", y)
+    return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
+
+
+def _series_estimates(scenario: Scenario, files: range, ctrl: SeriesControl,
+                      batch: FadingBatch):
+    """Yield the series Estimate of each file in ``files``, in order.
+
+    One fading pass serves a block of files sized so that their g samples
+    stay within a quarter of the fading chunk.
+    """
+    per_pass = max(1, _FADING_CHUNK_CELLS // (4 * batch.sample_count))
+    for start in range(files.start, files.stop, per_pass):
+        block = range(start, min(start + per_pass, files.stop))
+        g = _competing_g(scenario.profile, scenario.alpha, batch, block)
+        for k, g_k in zip(block, g):
+            yield _series_estimate(k, scenario, g_k, ctrl, batch)
+
+
 def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
-                                     batch: FadingBatch, tol: float = 1e-10) -> Estimate:
+                                     batch: FadingBatch, tol: float = _SERIES_TOL) -> Estimate:
     """Conditional delivery probability as a series over inverse moments.
 
     Each term couples ``(a_k / theta_k ** (2/alpha)) ** m`` with the
@@ -272,40 +345,14 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     zero.  Terms that grow for three consecutive orders raise
     :class:`SeriesDivergenceError`: the sufficient condition that the
     per-term root stays below 1 is violated at this popularity/threshold.
+    Costs one pass over the fading batch, and computes each moment only
+    when the truncation loop reads its term.
     """
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
+    _check_file_index(scenario.n_files, k)
     ctrl = SeriesControl(max_terms=max_terms, tol=tol)
-    a_k = float(scenario.profile.weights[k])
-    theta = float(scenario.thresholds[k])
-    d = scenario.delta
-    y = a_k / theta**d
-    moments, rses = inverse_g_moments(scenario.profile, k, scenario.alpha, batch, max_terms)
-    var = 0.0
-
-    def terms():
-        nonlocal var
-        for m in range(1, max_terms + 1):
-            rg = reciprocal_gamma(1.0 - m * d)
-            if rg == 0.0:
-                yield 0.0, True
-                continue
-            coef = (1.0 if m % 2 == 1 else -1.0) * rg * y**m
-            term = coef * moments[m - 1]
-            if rses[m - 1] > _MOMENT_RSE_LIMIT and tol <= abs(term) < math.inf:
-                # stacklevel 4: this generator, _series_sum, this function, its caller.
-                warnings.warn(
-                    f"inverse moment m={m} has relative standard error "
-                    f"{rses[m - 1]:.1%}; series value may be unreliable",
-                    MomentReliabilityWarning,
-                    stacklevel=4,
-                )
-            var += (coef * moments[m - 1] * rses[m - 1]) ** 2
-            yield term, False
-
-    total = _series_sum(1, terms(), ctrl,
-                        f"delivery series (popularity {a_k:g}, threshold {theta:g})", y)
-    return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
+    return next(_series_estimates(scenario, range(k, k + 1), ctrl, batch))
 
 
 def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
@@ -451,7 +498,11 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
 
     ``method`` is one of ``expectation``, ``alpha4``, ``series``, ``upper``,
     ``lower`` or ``baseline``.  Closed-form methods return zero standard
-    error; series divergence propagates to the caller.
+    error; series divergence propagates to the caller.  The series total
+    takes one pass over the fading batch per block of files (all files at
+    once when ``batch.sample_count * n_files`` fits in a quarter of the
+    fading chunk) and computes each file's inverse moments only as far as
+    its truncation loop reads them.
     """
     if method not in TOTAL_METHODS:
         raise ParameterDomainError(f"unknown method {method!r}; expected one of {TOTAL_METHODS}")
@@ -469,16 +520,17 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
         integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
         return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
     if method in ("series", "lower"):
+        if method == "series":
+            ctrl = SeriesControl(max_terms, _SERIES_TOL)
+            ests = _series_estimates(scenario, range(n), ctrl, batch)
+        else:
+            ests = (delivery_lower_bound(w[k], float(scenario.thresholds[k]), scenario.alpha,
+                                         batch) for k in range(n))
         total = 0.0
         var = 0.0
-        for k in range(n):
-            if method == "series":
-                est = conditional_delivery_prob_series(k, scenario, max_terms, batch)
-            else:
-                est = delivery_lower_bound(w[k], float(scenario.thresholds[k]),
-                                           scenario.alpha, batch)
-            total += w[k] * est.mean
-            var += (w[k] * est.stderr) ** 2
+        for w_k, est in zip(w, ests):
+            total += w_k * est.mean
+            var += (w_k * est.stderr) ** 2
         return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
     closed_form = delivery_upper_bound if method == "upper" else baseline_delivery_prob
     total = sum(w[k] * closed_form(w[k], float(scenario.thresholds[k]), scenario.alpha)

@@ -1,6 +1,7 @@
 """Delivery probabilities: expectation forms, series, bounds, baseline, gain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from snratio import (
     mu_integral,
     total_delivery_prob,
 )
+from snratio import delivery
 from snratio.errors import (
     ContractError,
     DegenerateScenarioError,
@@ -131,6 +133,88 @@ class TestSeriesForm:
         with pytest.warns(MomentReliabilityWarning) as record:
             conditional_delivery_prob_series(0, sc, 60, FadingBatch(3000, 7))
         assert {w.filename for w in record} == {__file__}
+
+    def test_total_moment_warning_names_the_caller(self):
+        sc = Scenario.from_zipf(10, 0.0, 5.0, 3.0)
+        with pytest.warns(MomentReliabilityWarning) as record:
+            total_delivery_prob(sc, "series", FadingBatch(3000, 7))
+        assert {w.filename for w in record} == {__file__}
+
+    @pytest.mark.parametrize("k", [-1, 10])
+    def test_file_index_out_of_range(self, k):
+        sc = Scenario.from_zipf(10, 0.0, 5.0, 3.0)
+        batch = FadingBatch(300, 7)
+        with pytest.raises(ParameterDomainError):
+            conditional_delivery_prob_series(k, sc, 60, batch)
+        with pytest.raises(ParameterDomainError):
+            inverse_g_moments(sc.profile, k, 3.0, batch, 4)
+
+    def test_fewer_moments_are_a_prefix(self):
+        sc = Scenario.from_zipf(10, 0.5, 5.0, 3.0)
+        batch = FadingBatch(3000, 7)
+        short = inverse_g_moments(sc.profile, 2, 3.0, batch, 3)
+        long = inverse_g_moments(sc.profile, 2, 3.0, batch, 8)
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(a, b[:3])
+
+
+class TestSeriesTotalBlocks:
+    """The series total against the file-by-file loop over the conditional form.
+
+    The fading chunk is shrunk so that 1000 samples span 3 row chunks and
+    29 files span 10 blocks of at most 3 files.
+    """
+
+    N = 29
+    BATCH = FadingBatch(1000, 11)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 12_000)
+
+    def _file_by_file(self, sc):
+        w = sc.profile.weights
+        total = 0.0
+        var = 0.0
+        for k in range(sc.n_files):
+            est = conditional_delivery_prob_series(k, sc, 60, self.BATCH)
+            total += w[k] * est.mean
+            var += (w[k] * est.stderr) ** 2
+        return total, math.sqrt(var)
+
+    @staticmethod
+    def _run(fn):
+        """``fn()`` or the divergence it raised, and the warnings it gave."""
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            try:
+                return fn(), len(record)
+            except SeriesDivergenceError as err:
+                return err, len(record)
+
+    def test_total_equals_file_by_file_loop(self, monkeypatch):
+        sc = Scenario.from_zipf(self.N, 0.5, 2.0, 3.0)
+        est, n_warned = self._run(lambda: total_delivery_prob(sc, "series", self.BATCH))
+        (mean, stderr), n_loop_warned = self._run(lambda: self._file_by_file(sc))
+        assert n_warned == n_loop_warned > 0
+        assert float(est.mean).hex() == float(mean).hex()
+        assert float(est.stderr).hex() == float(stderr).hex()
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 4_000_000)
+        with pytest.warns(MomentReliabilityWarning):
+            assert total_delivery_prob(sc, "series", self.BATCH) == est
+
+    def test_divergence_matches_file_by_file_loop(self):
+        # File 20, in the seventh block, diverges after earlier files warned.
+        thresholds = np.full(self.N, 2.0)
+        thresholds[20] = 1e-4
+        sc = Scenario(Scenario.from_zipf(self.N, 0.5, 2.0, 3.0).profile, 3.0, thresholds, 0.1)
+        err, n_warned = self._run(lambda: total_delivery_prob(sc, "series", self.BATCH))
+        loop_err, n_loop_warned = self._run(lambda: self._file_by_file(sc))
+        assert isinstance(err, SeriesDivergenceError)
+        assert isinstance(loop_err, SeriesDivergenceError)
+        assert str(err) == str(loop_err)
+        assert err.argument == loop_err.argument
+        assert n_warned == n_loop_warned > 0
 
 
 class TestHighSirApprox:
