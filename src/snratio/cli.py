@@ -69,26 +69,34 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
 
 
+#: Figure subcommands: help text, sweep, ``--validate`` check and what it
+#: flags, then the plot script's group columns, x column and y column.
+_FIGURES = {
+    "fig3": ("delivery probability with/without alignment vs skew", run_figure3,
+             check_figure3, "rows violate the bound ordering",
+             ("alpha", "method"), "gamma", "p_total"),
+    "fig4": ("effect of the number of files", run_figure4, check_figure4,
+             "the simulation is more than 3 standard errors off the expectation form",
+             ("alpha", "n_files", "method"), "gamma", "p_total"),
+    "fig5": ("alignment gain and its approximation", run_figure5, check_figure5,
+             "the approximation is off the simulated gain by more than 10%% and 3 "
+             "standard errors", ("alpha", "n_files"), "gamma", "sim_gain"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snratio",
         description="Shot-noise ratio analytics and their Monte Carlo validation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("fig3", "delivery probability with/without alignment vs skew"),
-        ("fig4", "effect of the number of files"),
-        ("fig5", "alignment gain and its approximation"),
-    ):
+    for name, (help_text, _, _, flags, group_cols, _, _) in _FIGURES.items():
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
         p.add_argument("--validate", action="store_true",
-                       help="fail (exit 1) when output rows violate the bound ordering")
-        if name == "fig4":
-            p.add_argument("--n-files-list", dest="fig4_n_files",
-                           help="comma-separated database sizes")
-        if name == "fig5":
-            p.add_argument("--n-files-list", dest="fig5_n_files",
+                       help=f"fail (exit 1) when {flags}")
+        if "n_files" in group_cols:  # the figure sweeps the database size
+            p.add_argument("--n-files-list", dest="n_files_list",
                            help="comma-separated database sizes")
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
@@ -139,10 +147,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["fig5_alpha"] = args.alpha[0]
     if args.gamma_grid:
         overrides["gamma_grid"] = _parse_number_list(args.gamma_grid)
-    if getattr(args, "fig4_n_files", None):
-        overrides["fig4_n_files"] = _parse_number_list(args.fig4_n_files, int)
-    if getattr(args, "fig5_n_files", None):
-        overrides["fig5_n_files"] = _parse_number_list(args.fig5_n_files, int)
+    if getattr(args, "n_files_list", None):
+        overrides[f"{args.command}_n_files"] = _parse_number_list(args.n_files_list, int)
     values.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentConfig)}
     values = {k: v for k, v in values.items() if k in known}
@@ -167,35 +173,13 @@ def main(argv=None) -> int:
         return _CONFIG_ERROR
 
     try:
-        if args.command == "fig3":
-            header, rows = run_figure3(config)
-            path = _emit(config, "fig3", header, rows,
-                         ("alpha", "method"), "gamma", "p_total")
+        if args.command in _FIGURES:
+            _, run, check, _, group_cols, x_col, y_col = _FIGURES[args.command]
+            header, rows = run(config)
+            path = _emit(config, args.command, header, rows, group_cols, x_col, y_col)
             print(f"wrote {path} ({len(rows)} rows)")
             if args.validate:
-                problems = check_figure3(rows)
-                for problem in problems:
-                    print(f"VALIDATION: {problem}", file=sys.stderr)
-                if problems:
-                    return _VALIDATION_ERROR
-        elif args.command == "fig4":
-            header, rows = run_figure4(config)
-            path = _emit(config, "fig4", header, rows,
-                         ("alpha", "n_files", "method"), "gamma", "p_total")
-            print(f"wrote {path} ({len(rows)} rows)")
-            if args.validate:
-                problems = check_figure4(rows)
-                for problem in problems:
-                    print(f"VALIDATION: {problem}", file=sys.stderr)
-                if problems:
-                    return _VALIDATION_ERROR
-        elif args.command == "fig5":
-            header, rows = run_figure5(config)
-            path = _emit(config, "fig5", header, rows,
-                         ("alpha", "n_files"), "gamma", "sim_gain")
-            print(f"wrote {path} ({len(rows)} rows)")
-            if args.validate:
-                problems = check_figure5(rows)
+                problems = check(rows)
                 for problem in problems:
                     print(f"VALIDATION: {problem}", file=sys.stderr)
                 if problems:

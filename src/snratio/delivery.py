@@ -277,6 +277,8 @@ def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
     if profile.n_files == 1:
         raise DegenerateScenarioError("no competing files to take moments over")
     _check_file_index(profile.n_files, k)
+    if m_max < 1:
+        raise ParameterDomainError("m_max must be at least 1")
     g = _competing_g(profile, alpha, batch, range(k, k + 1))[0]
     means = np.empty(m_max)
     rses = np.empty(m_max)

@@ -110,9 +110,7 @@ def parse_config_file(path: str) -> dict:
 def _coerce_config_value(key: str, value: str):
     defaults = ExperimentConfig()
     current = getattr(defaults, key)
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         return int(value)
     if isinstance(current, float):
         return float(value)

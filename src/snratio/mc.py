@@ -61,12 +61,12 @@ def mean_estimate(values: np.ndarray, seed: int, resampled: int = 0) -> Estimate
     return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed, resampled)
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[int]:
+def chunk_sizes(total: int) -> list[int]:
     """Split a trial count over the fixed chunk grid (last chunk may be short)."""
     if total < 1:
         raise ParameterDomainError("total trials must be at least 1")
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(total, CHUNK_TRIALS)
+    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
 def run_counting_chunks(total_trials: int, seed: int, chunk_fn,

@@ -5,7 +5,7 @@ radius for a process of density ``lam`` is the larger of two rules:
 
 * the expected shot-noise mass beyond the disk,
   ``2 pi lam R**(2-alpha) / (alpha - 2)``, stays below ``tail_tol``;
-* the expected in-disk point count stays at least ``pi * coverage**2``,
+* the expected in-disk point count stays at least ``pi * COVERAGE_FACTOR**2``,
   so the near field of the process is resolved even at low densities.
 
 With ``tail_compensation`` on (the default) the analytic mean of the
@@ -101,15 +101,14 @@ def rule_radius(density: float, alpha: float, tail_tol: float) -> float:
     return (2.0 * math.pi * density / ((alpha - 2.0) * tail_tol)) ** (1.0 / (alpha - 2.0))
 
 
-def default_region(density: float, alpha: float, tail_tol: float,
-                   coverage: float = COVERAGE_FACTOR) -> DiskRegion:
+def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
     """Default disk: the tail rule, floored so the near field is populated."""
     if not density > 0.0:
         raise ParameterDomainError(f"density must be positive, got {density}")
     if not alpha > 2.0:
         raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
     return DiskRegion(max(rule_radius(density, alpha, tail_tol),
-                          coverage / math.sqrt(density)))
+                          COVERAGE_FACTOR / math.sqrt(density)))
 
 
 def sample_ppp(density: float, region: DiskRegion, rng: np.random.Generator) -> np.ndarray:
@@ -172,6 +171,59 @@ def _fill_regions(regions, defaults):
     return tuple(given or default for given, default in zip(regions, defaults()))
 
 
+def _retry_empty(n, cfg: TrialConfig, regions, draw, what):
+    """``(values, resampled)`` for ``n`` trials, redrawing degenerate ones.
+
+    ``draw(m, *regions) -> (values, empty)`` samples ``m`` trials; the values
+    of the trials it flags ``empty`` are discarded and only those trials are
+    drawn again, on every region doubled, up to ``cfg.max_enlargements``
+    times.  ``what`` completes the error message when trials stay empty.
+    With ``tail_compensation`` on, a shot-noise sum includes the positive
+    tail mean, so a ratio denominator is never empty and nothing is redrawn:
+    an empty denominator window then gives ``s1 / tail_mean``.
+    """
+    values = np.empty(n)
+    todo = np.arange(n)
+    resampled = 0
+    for attempt in range(cfg.max_enlargements + 1):
+        vals, empty = draw(todo.size, *regions)
+        values[todo[~empty]] = vals[~empty]
+        todo = todo[empty]
+        if not todo.size:
+            break
+        if attempt == cfg.max_enlargements:
+            raise WindowEnlargementError(
+                f"{todo.size} trials {what} after {cfg.max_enlargements} window enlargements")
+        resampled += todo.size
+        regions = [r.doubled() for r in regions]
+    return values, resampled
+
+
+def _samples(cfg: TrialConfig, kernel):
+    """``(values, resampled)`` of a ``(rng, n) -> (values, resampled)`` kernel, in trial order."""
+    resampled = 0
+
+    def chunk(rng, n):
+        nonlocal resampled
+        vals, res = kernel(rng, n)
+        resampled += res
+        return vals
+
+    values = gather_chunked_samples(cfg.trials, cfg.seed, chunk)
+    return values, resampled
+
+
+def _exceedances(cfg: TrialConfig, kernel, xs, stream_offset: int = 0):
+    """``(*counts, resampled)``: per threshold in ``xs``, the trials whose value exceeds it."""
+
+    def chunk(rng, n):
+        values, resampled = kernel(rng, n)
+        return tuple(int((values > x).sum()) for x in xs) + (resampled,)
+
+    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                               stream_offset=stream_offset)
+
+
 def _shot_chunk(density, alpha, region, rng, n_trials, compensate) -> np.ndarray:
     """Vectorized truncated shot-noise sums for ``n_trials`` trials."""
     _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
@@ -186,37 +238,20 @@ def shot_noise_samples(density: float, alpha: float, cfg: TrialConfig,
     """Independent shot-noise samples, one per trial, in deterministic order."""
     if region is None:
         region = default_region(density, alpha, cfg.tail_tol)
-
-    def chunk(rng, n):
-        return _shot_chunk(density, alpha, region, rng, n, cfg.tail_compensation)
-
-    return gather_chunked_samples(cfg.trials, cfg.seed, chunk)
+    return _samples(cfg, lambda rng, n: (
+        _shot_chunk(density, alpha, region, rng, n, cfg.tail_compensation), 0))[0]
 
 
 def _ratio_chunk(rng, n, spec: RatioSpec, cfg: TrialConfig, reg1, reg2):
-    """Ratio samples for one chunk, resampling zero denominators."""
-    s1 = _shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n, cfg.tail_compensation)
-    s2 = _shot_chunk(spec.lambda2, spec.alpha, reg2, rng, n, cfg.tail_compensation)
-    resampled = 0
-    bad = s2 == 0.0
-    if bad.any():
-        r1, r2 = reg1, reg2
-        for _ in range(cfg.max_enlargements):
-            if not bad.any():
-                break
-            resampled += int(bad.sum())
-            r1, r2 = r1.doubled(), r2.doubled()
-            m = int(bad.sum())
-            s1[bad] = _shot_chunk(spec.lambda1, spec.alpha, r1, rng, m,
-                                  cfg.tail_compensation)
-            s2[bad] = _shot_chunk(spec.lambda2, spec.alpha, r2, rng, m,
-                                  cfg.tail_compensation)
-            bad = s2 == 0.0
-        if bad.any():
-            raise WindowEnlargementError(
-                f"{int(bad.sum())} trials still had an empty denominator "
-                f"after {cfg.max_enlargements} window enlargements")
-    return s1 / s2, resampled
+    """Ratio samples for one chunk, redrawing empty denominators."""
+
+    def draw(m, r1, r2):
+        s1 = _shot_chunk(spec.lambda1, spec.alpha, r1, rng, m, cfg.tail_compensation)
+        s2 = _shot_chunk(spec.lambda2, spec.alpha, r2, rng, m, cfg.tail_compensation)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s1 / s2, s2 == 0.0
+
+    return _retry_empty(n, cfg, (reg1, reg2), draw, "still had an empty denominator")
 
 
 def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRegion]:
@@ -224,21 +259,21 @@ def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRe
             default_region(spec.lambda2, spec.alpha, cfg.tail_tol))
 
 
+def _ratio_kernel(spec: RatioSpec, cfg: TrialConfig, regions):
+    """``(rng, n) -> (ratio, resampled)`` on the given or the default windows."""
+    regions = _fill_regions(regions, lambda: ratio_regions(spec, cfg))
+    return lambda rng, n: _ratio_chunk(rng, n, spec, cfg, *regions)
+
+
 def ratio_samples(spec: RatioSpec, cfg: TrialConfig,
                   region1: DiskRegion | None = None,
                   region2: DiskRegion | None = None):
-    """Samples of the shot-noise ratio; returns ``(values, resampled)``."""
-    region1, region2 = _fill_regions((region1, region2), lambda: ratio_regions(spec, cfg))
-    resampled = 0
+    """Samples of the shot-noise ratio; returns ``(values, resampled)``.
 
-    def chunk(rng, n):
-        nonlocal resampled
-        vals, res = _ratio_chunk(rng, n, spec, cfg, region1, region2)
-        resampled += res
-        return vals
-
-    vals = gather_chunked_samples(cfg.trials, cfg.seed, chunk)
-    return vals, resampled
+    ``resampled`` counts trials redrawn for an empty denominator window; it
+    is 0 with ``tail_compensation`` on, which keeps every denominator positive.
+    """
+    return _samples(cfg, _ratio_kernel(spec, cfg, (region1, region2)))
 
 
 def empirical_ratio_ccdf(x: float, spec: RatioSpec, cfg: TrialConfig,
@@ -252,20 +287,17 @@ def empirical_ratio_ccdf(x: float, spec: RatioSpec, cfg: TrialConfig,
 def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
                          region1: DiskRegion | None = None,
                          region2: DiskRegion | None = None) -> list[Estimate]:
-    """Empirical CCDF at several points from one shared set of trials."""
-    region1, region2 = _fill_regions((region1, region2), lambda: ratio_regions(spec, cfg))
+    """Empirical CCDF at several points from one shared set of trials.
+
+    As in :func:`ratio_samples`, empty denominator windows are redrawn only
+    with ``tail_compensation`` off; otherwise ``resampled`` is 0.
+    """
+    kernel = _ratio_kernel(spec, cfg, (region1, region2))
     xs = [float(x) for x in xs]
     if any(x < 0.0 for x in xs):
         raise ParameterDomainError("ccdf points must be nonnegative")
-
-    def chunk(rng, n):
-        vals, res = _ratio_chunk(rng, n, spec, cfg, region1, region2)
-        return tuple(int((vals > x).sum()) for x in xs) + (res,)
-
-    counts = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
-    resampled = counts[-1]
-    return [bernoulli_estimate(c, cfg.trials, cfg.seed, resampled)
-            for c in counts[:-1]]
+    *counts, resampled = _exceedances(cfg, kernel, xs)
+    return [bernoulli_estimate(c, cfg.trials, cfg.seed, resampled) for c in counts]
 
 
 def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estimate:
@@ -396,29 +428,13 @@ def _aligned_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
 def _sir_kernel(chunk, scenario: Scenario, k: int, cfg: TrialConfig,
                 regions=(None, None), **options):
     """``(rng, n) -> (sir, resampled)`` from an SIR chunk, request fixed to file ``k``."""
+    _check_file_index(scenario.n_files, k)
     regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
     return lambda rng, n: chunk(rng, n, scenario, k, cfg, *regions, **options)
 
 
-def _sir_samples(cfg: TrialConfig, kernel) -> np.ndarray:
-    return gather_chunked_samples(cfg.trials, cfg.seed, lambda rng, n: kernel(rng, n)[0])
-
-
-def _sir_successes(scenario: Scenario, k: int, cfg: TrialConfig, kernel,
-                   stream_offset: int = 0) -> tuple[int, int]:
-    """``(successes, resampled)`` of SIR > theta_k over the chunk grid."""
-    theta = float(scenario.thresholds[k])
-
-    def chunk(rng, n):
-        sir, resampled = kernel(rng, n)
-        return int((sir > theta).sum()), resampled
-
-    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                               stream_offset=stream_offset)
-
-
 def _sir_estimate(scenario: Scenario, k: int, cfg: TrialConfig, kernel) -> Estimate:
-    successes, resampled = _sir_successes(scenario, k, cfg, kernel)
+    successes, resampled = _exceedances(cfg, kernel, (float(scenario.thresholds[k]),))
     return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
 
 
@@ -427,9 +443,8 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         signal_region: DiskRegion | None = None,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
-    _check_file_index(scenario.n_files, k)
-    return _sir_samples(cfg, _sir_kernel(_aligned_sir_chunk, scenario, k, cfg,
-                                         (signal_region, interference_region), mode=mode))
+    return _samples(cfg, _sir_kernel(_aligned_sir_chunk, scenario, k, cfg,
+                                     (signal_region, interference_region), mode=mode))[0]
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -437,7 +452,6 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> Estimate:
     """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``."""
-    _check_file_index(scenario.n_files, k)
     return _sir_estimate(scenario, k, cfg, _sir_kernel(
         _aligned_sir_chunk, scenario, k, cfg, (signal_region, interference_region), mode=mode))
 
@@ -466,17 +480,8 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
     lam_k = float(scenario.profile.weights[k]) * lam
     lam_o = lam - lam_k
 
-    resampled = 0
-    sig_r = sig_region
-    todo = np.arange(n)
-    sir = np.empty(n)
-    for attempt in range(cfg.max_enlargements + 1):
-        m = todo.size
-        if m == 0:
-            break
+    def draw(m, sig_r):
         ck, idxk, rk = _disk_points(rng, lam_k * sig_r.area, sig_r.radius, m)
-        empty = ck == 0
-        work = ~empty
         hk = rng.exponential(size=rk.size)
 
         if lam_o > 0.0:
@@ -501,34 +506,24 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
         interference = int_k + int_other + tau_k + tau_other
 
         with np.errstate(divide="ignore"):
-            vals = np.where(interference > 0.0, signal / interference, np.inf)
-        sir[todo[work]] = vals[work]
+            return np.where(interference > 0.0, signal / interference, np.inf), ck == 0
 
-        todo = todo[empty]
-        if todo.size:
-            if attempt == cfg.max_enlargements:
-                raise WindowEnlargementError(
-                    f"{todo.size} trials had no helper for the requested file "
-                    f"after {cfg.max_enlargements} window enlargements")
-            resampled += todo.size
-            sig_r = sig_r.doubled()
-    return sir, resampled
+    # Only the requested file's disk is enlarged; the interference disk stays.
+    return _retry_empty(n, cfg, (sig_region,), draw, "had no helper for the requested file")
 
 
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial nearest-helper SIR samples, request fixed to file ``k``."""
-    _check_file_index(scenario.n_files, k)
-    return _sir_samples(cfg, _sir_kernel(_baseline_sir_chunk, scenario, k, cfg,
-                                         (signal_region, interference_region)))
+    return _samples(cfg, _sir_kernel(_baseline_sir_chunk, scenario, k, cfg,
+                                     (signal_region, interference_region)))[0]
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                           signal_region: DiskRegion | None = None,
                           interference_region: DiskRegion | None = None) -> Estimate:
     """P(SIR > theta_k) for nearest-helper service without alignment."""
-    _check_file_index(scenario.n_files, k)
     return _sir_estimate(scenario, k, cfg, _sir_kernel(
         _baseline_sir_chunk, scenario, k, cfg, (signal_region, interference_region)))
 
@@ -554,9 +549,9 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, chunk, return_strata, 
         if t_k == 0:
             continue
         sub = replace(cfg, trials=int(t_k))
-        succ_k, res_k = _sir_successes(scenario, k, sub,
-                                       _sir_kernel(chunk, scenario, k, sub, **options),
-                                       stream_offset=(k + 1) * _STREAM_STRIDE)
+        succ_k, res_k = _exceedances(sub, _sir_kernel(chunk, scenario, k, sub, **options),
+                                     (float(scenario.thresholds[k]),),
+                                     stream_offset=(k + 1) * _STREAM_STRIDE)
         successes += succ_k
         resampled += res_k
         strata[k] = bernoulli_estimate(succ_k, int(t_k), cfg.seed, res_k)

@@ -149,6 +149,17 @@ class TestSeriesForm:
         with pytest.raises(ParameterDomainError):
             inverse_g_moments(sc.profile, k, 3.0, batch, 4)
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_moment_count_below_one(self, m_max, monkeypatch):
+        # Rejected before the fading pass, which must not run at all.
+        def no_pass(*args):
+            raise AssertionError("fading pass ran")
+
+        monkeypatch.setattr(delivery, "_competing_g", no_pass)
+        sc = Scenario.from_zipf(10, 0.0, 5.0, 3.0)
+        with pytest.raises(ParameterDomainError, match="m_max"):
+            inverse_g_moments(sc.profile, 2, 3.0, FadingBatch(300, 7), m_max)
+
     def test_fewer_moments_are_a_prefix(self):
         sc = Scenario.from_zipf(10, 0.5, 5.0, 3.0)
         batch = FadingBatch(3000, 7)

@@ -207,6 +207,24 @@ class TestCli:
         assert rows
         assert os.path.exists(os.path.join(out, "fig3_plot.py"))
 
+    @pytest.mark.parametrize("name, extra, n_rows", [
+        # 2 database sizes x 1 skew x 1 alpha x 3 methods.
+        ("fig4", ["--gamma-grid", "3.0", "--batch-samples", "2000"], 6),
+        # 2 database sizes x 2 skews.
+        ("fig5", ["--gamma-grid", "1.0,3.0"], 4),
+    ])
+    def test_database_size_figures(self, tmp_path, capsys, name, extra, n_rows):
+        out = str(tmp_path / name)
+        code = main([name, "--alpha", "4", "--trials", "2000", "--n-files-list", "5,10",
+                     "--seed", "3", "--out-dir", out, "--validate"] + extra)
+        assert code == 0
+        meta, _, rows = read_csv(os.path.join(out, f"{name}.csv"))
+        assert meta[f"{name}_n_files"] == "(5, 10)"
+        assert len(rows) == n_rows
+        assert {row["n_files"] for row in rows} == {5.0, 10.0}
+        assert os.path.exists(os.path.join(out, f"{name}_plot.py"))
+        assert f"({n_rows} rows)" in capsys.readouterr().out
+
     def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("trials = 1000\nseed = 1\nn_files = 4\n")

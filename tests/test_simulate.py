@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from snratio import (
@@ -182,6 +184,19 @@ class TestRatioCcdfEstimates:
         assert resampled > 0
         assert np.all(np.isfinite(vals))
 
+    def test_tail_compensation_never_leaves_a_denominator_empty(self):
+        # The compensated denominator includes the positive tail mean, so an
+        # empty denominator window is never redrawn; without it, it is.
+        spec = RatioSpec(0.02, 0.1, 3.0)
+        regions = (DiskRegion(3.0), DiskRegion(1.5))
+        for compensate in (True, False):
+            cfg = TrialConfig(trials=9000, seed=3, tail_tol=1e-2,
+                              tail_compensation=compensate)
+            (est,) = ratio_ccdf_estimates([0.2], spec, cfg, *regions)
+            _, resampled = ratio_samples(spec, cfg, *regions)
+            assert est.resampled == resampled
+            assert (resampled > 0) is not compensate
+
     def test_enlargement_limit_raises(self):
         spec = RatioSpec(1.0, 1e-8, 4.0)
         cfg = TrialConfig(trials=50, seed=11, tail_tol=1e-2, tail_compensation=False)
@@ -291,3 +306,36 @@ class TestTotals:
         gain = (simulate_total_aligned(sc, cfg).mean
                 / simulate_total_baseline(sc, cfg).mean)
         assert 3.0 * 0.75 <= gain <= 3.0 * 1.25
+
+
+#: Few, reproducible examples; 9000 trials span two chunks of the grid.
+_DRIVER_PROPERTY = settings(max_examples=4, deadline=None, derandomize=True, database=None)
+_DRIVER_TRIALS = 9000
+
+
+class TestSharedDriverProperties:
+    @_DRIVER_PROPERTY
+    @given(xs=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6),
+           alpha=st.floats(3.0, 5.0), seed=st.integers(0, 2**16))
+    def test_ratio_ccdf_does_not_increase(self, xs, alpha, seed):
+        xs = sorted(xs)
+        cfg = TrialConfig(trials=_DRIVER_TRIALS, seed=seed, tail_tol=1e-2)
+        means = [e.mean for e in ratio_ccdf_estimates(xs, RatioSpec(0.01, 0.02, alpha), cfg)]
+        assert all(a >= b for a, b in zip(means, means[1:]))
+
+    @_DRIVER_PROPERTY
+    @given(k=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_partitions_do_not_change_estimates(self, k, seed):
+        sc = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1)
+        spec = RatioSpec(0.01, 0.02, 3.0)
+
+        def run(partitions):
+            cfg = TrialConfig(trials=_DRIVER_TRIALS, seed=seed, tail_tol=1e-2,
+                              partitions=partitions)
+            return (ratio_ccdf_estimates([0.5, 2.0], spec, cfg),
+                    simulate_sir_aligned(sc, k, cfg),
+                    simulate_sir_baseline(sc, k, cfg))
+
+        ref = run(1)
+        assert run(2) == ref
+        assert run(3) == ref
