@@ -456,15 +456,28 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
         _aligned_sir_chunk, scenario, k, cfg, (signal_region, interference_region), mode=mode))
 
 
+def _group_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a grouped ``keys`` array that start a new run."""
+    heads = np.empty(keys.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
 def _nearest_positions(trial_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Position of each trial's nearest point; exactly one per trial present.
 
-    ``trial_idx`` maps points to trials (any order); the result indexes the
-    flat point arrays.  Trials without points simply do not appear.
+    ``trial_idx`` maps points to trials and must be nondecreasing, as
+    ``_disk_points`` makes it; the result indexes the flat point arrays in
+    trial order.  Trials without points simply do not appear, so no points
+    give an empty result.  Of several points at a trial's smallest radius,
+    the first wins.  One linear pass: a grouped minimum per run of equal
+    ``trial_idx``, no sort.
     """
-    order = np.lexsort((radii, trial_idx))
-    first = np.unique(trial_idx[order], return_index=True)[1]
-    return order[first]
+    starts = np.flatnonzero(_group_heads(trial_idx))
+    nearest = np.minimum.reduceat(radii, starts)
+    at_min = np.flatnonzero(radii == np.repeat(nearest, np.diff(starts, append=radii.size)))
+    return at_min[_group_heads(trial_idx[at_min])]
 
 
 def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
@@ -482,7 +495,7 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
 
     def draw(m, sig_r):
         ck, idxk, rk = _disk_points(rng, lam_k * sig_r.area, sig_r.radius, m)
-        hk = rng.exponential(size=rk.size)
+        power = rng.exponential(size=rk.size) * rk ** (-alpha)
 
         if lam_o > 0.0:
             _, idxo, ro = _disk_points(rng, lam_o * int_region.area, int_region.radius, m)
@@ -499,9 +512,9 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
         serv_trial = idxk[serv_pos]
 
         signal = np.zeros(m)
-        signal[serv_trial] = hk[serv_pos] * rk[serv_pos] ** (-alpha)
+        signal[serv_trial] = power[serv_pos]
 
-        int_k = np.bincount(idxk, weights=hk * rk ** (-alpha), minlength=m) - signal
+        int_k = np.bincount(idxk, weights=power, minlength=m) - signal
         tau_k = tail_mean(lam_k, alpha, sig_r.radius) if cfg.tail_compensation else 0.0
         interference = int_k + int_other + tau_k + tau_other
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -258,6 +258,25 @@ class TestBaselineSir:
         assert np.array_equal(trial_idx[pos], [0, 1, 2])
         # Exactly one serving point per trial: it cannot also interfere.
         assert len(pos) == len(np.unique(trial_idx))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trials=st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0),
+                                    max_size=4), min_size=1, max_size=12))
+    @example(trials=[[], [2.0], [1.0, 0.5, 0.5], [], [3.0, 3.0]])
+    def test_nearest_selection_matches_sort_reference(self, trials):
+        # Empty inner lists skip trial ids; the sampled radii make exact ties.
+        trial_idx = np.repeat(np.arange(len(trials)), [len(t) for t in trials])
+        radii = np.array([r for t in trials for r in t], dtype=float)
+        order = np.lexsort((radii, trial_idx))  # stable: the first tied point wins
+        want = order[np.unique(trial_idx[order], return_index=True)[1]]
+        got = _nearest_positions(trial_idx, radii)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    def test_nearest_selection_of_no_points_is_empty(self):
+        pos = _nearest_positions(np.array([], dtype=np.intp), np.array([]))
+        assert pos.size == 0
+        assert pos.dtype == np.intp
 
     def test_matches_closed_form(self):
         for a_k in (0.5, 1.0):
