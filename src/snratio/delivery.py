@@ -35,11 +35,12 @@ from .errors import (
     ParameterDomainError,
     QuadratureError,
 )
-from .mc import Estimate, substream
+from .mc import Estimate, mean_estimate, substream
 from .popularity import PopularityProfile, ZipfSpec, zipf
 from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 
-#: Target size of the per-chunk fading matrix (samples x files).
+#: Target size of the per-chunk fading matrix (samples x files) and of the
+#: lower bound's quadrature blocks (files x nodes).
 _FADING_CHUNK_CELLS = 4_000_000
 
 #: Default truncation tolerance of the delivery series.
@@ -157,34 +158,43 @@ def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch)
         yield h, weighted, weighted.sum(axis=1)
 
 
-class _RunningMean:
-    """Streaming mean/stderr accumulator."""
-
-    __slots__ = ("n", "total", "total_sq")
-
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
-
-    def estimate(self, seed: int) -> Estimate:
-        mean = self.total / self.n
-        if self.n > 1:
-            var = max(0.0, (self.total_sq - self.n * mean * mean) / (self.n - 1))
-        else:
-            var = 0.0
-        return Estimate(mean, math.sqrt(var / self.n), self.n, seed)
-
-
 def _arctan_tail(ratio, alpha):
     """Shot-noise-ratio tail at the weighted density ratio ``ratio``."""
     arg = (1.0 - 2.0 / (1.0 + ratio)) * math.tan(math.pi / alpha)
     return np.arctan(arg) * (alpha / (2.0 * math.pi)) + 0.5
+
+
+def _faded_tail(y, alpha):
+    """E_h[_arctan_tail(y * h ** (2/alpha), alpha)] over unit-mean exponential h.
+
+    The tail is alpha / (2 pi) times an angle psi in (0, 2 pi / alpha) that
+    grows with the ratio r = sin(psi) / sin(2 pi / alpha - psi), so the mean
+    is exactly (alpha / 2 pi) * int_0^(2 pi / alpha) P(y h^(2/alpha) > r) dpsi
+    = (alpha / 2 pi) * int exp(-(r / y) ** (alpha / 2)) dpsi; at alpha = 4 it
+    is erfcx(1 / y).  With psi = (2 pi / alpha) * expit(s) the integrand
+    decays like exp(-|s|), and the trapezoid rule on s in [-60, 30] with
+    spacing at most 0.75 / alpha gives it to about 1e-10 relative.  The
+    complement 2 pi / alpha - psi is taken as (2 pi / alpha) * expit(-s), so
+    nothing cancels.  Row blocks of at most ``_FADING_CHUNK_CELLS`` cells
+    bound the memory; each value is reduced within its own row, so the
+    blocking does not change the bits.
+    """
+    span = 2.0 * math.pi / alpha
+    s, step = np.linspace(-60.0, 30.0, math.ceil(120.0 * alpha) + 1, retstep=True)
+    p, q = special.expit(s), special.expit(-s)
+    log_r = np.log(np.sin(span * p)) - np.log(np.sin(span * q))
+    weights = step * p * q
+    weights[[0, -1]] *= 0.5
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y).ravel()
+    out = np.empty(log_y.size)
+    block = max(1, _FADING_CHUNK_CELLS // s.size)
+    for i in range(0, log_y.size, block):
+        with np.errstate(over="ignore"):
+            rate = np.exp((alpha / 2.0) * np.add.outer(-log_y[i:i + block], log_r))
+        out[i:i + block] = (np.exp(-rate) * weights).sum(axis=1)
+    return out.reshape(y.shape)
 
 
 def _tail_integrand(h_k, g, a_k, theta, alpha):
@@ -201,19 +211,20 @@ def _fading_mean(scenario: Scenario, batch: FadingBatch, files: dict, integrand)
     """One pass over the fading batch: the mean of sum_k c_k * integrand_k.
 
     ``files`` maps file index ``k`` to its coefficient ``c_k``.  The mixed
-    per-sample value is accumulated, so the standard error reflects the
-    correlation between per-file terms evaluated on common draws.
+    per-sample value is gathered over the whole batch, so the standard error
+    reflects the correlation between per-file terms evaluated on common
+    draws, and the result does not depend on the chunking.
     """
     w = scenario.profile.weights
-    acc = _RunningMean()
+    mix = []
     for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        mix = np.zeros(h.shape[0])
+        part = np.zeros(h.shape[0])
         for k, c_k in files.items():
             g = totals - weighted[:, k]
-            mix += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
-                                   scenario.alpha)
-        acc.add(mix)
-    return acc.estimate(batch.seed)
+            part += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
+                                    scenario.alpha)
+        mix.append(part)
+    return mean_estimate(np.concatenate(mix), batch.seed)
 
 
 def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
@@ -372,42 +383,50 @@ def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
     return (math.sin(math.pi * d) / (math.pi * d)) * theta ** (-d) * a_k / (1.0 - a_k)
 
 
-def delivery_upper_bound(a_k: float, theta: float, alpha: float) -> float:
-    """Closed-form upper bound on the conditional delivery probability."""
-    if not 0.0 < a_k <= 1.0:
+def _bound_domain(a_k, theta, alpha: float):
+    """``a_k`` and ``theta`` as float arrays, after the domain check every
+    closed form shares: a_k in (0, 1], theta > 0 and alpha > 2."""
+    a = np.asarray(a_k, dtype=float)
+    th = np.asarray(theta, dtype=float)
+    if not np.all((a > 0.0) & (a <= 1.0)):
         raise ParameterDomainError(f"a_k must lie in (0, 1], got {a_k}")
-    if theta < 0.0:
-        raise ParameterDomainError(f"theta must be nonnegative, got {theta}")
+    if not np.all(th > 0.0):
+        raise ParameterDomainError(f"theta must be positive, got {theta}")
     if not alpha > 2.0:
         raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-    return 1.0 / (1.0 + theta ** (2.0 / alpha) * (1.0 / a_k - 1.0))
+    return a, th
+
+
+def delivery_upper_bound(a_k, theta, alpha: float):
+    """Closed-form upper bound on the conditional delivery probability.
+
+    Elementwise over array-valued ``a_k`` and ``theta``.
+    """
+    a, th = _bound_domain(a_k, theta, alpha)
+    return 1.0 / (1.0 + th ** (2.0 / alpha) * (1.0 / a - 1.0))
+
+
+def _lower_bound(a_k, theta, alpha: float):
+    """The lower bound of :func:`delivery_lower_bound`, elementwise over arrays."""
+    a, th = _bound_domain(a_k, theta, alpha)
+    d = 2.0 / alpha
+    with np.errstate(divide="ignore"):
+        eta = a / ((1.0 - a) * special.gamma(1.0 + d) * th**d)
+    return np.where(a == 1.0, 1.0, _faded_tail(eta, alpha))
 
 
 def delivery_lower_bound(a_k: float, theta: float, alpha: float,
                          batch: FadingBatch) -> Estimate:
     """Lower bound on the conditional delivery probability (fading average).
 
-    Monte Carlo average over the requested file's fading alone; at
+    Jensen's inequality replaces the competing files' fading-weighted
+    popularity by its mean (1 - a_k) * Gamma(1 + 2/alpha); the average over
+    the requested file's own fading is then one finite integral, evaluated
+    to about 1e-10 relative.  The bound is exact, not sampled: the Estimate
+    has stderr 0 and ``trials`` 1, and ``batch`` only supplies its seed.  At
     ``a_k = 1`` the bound equals 1 exactly.
     """
-    if not 0.0 < a_k <= 1.0:
-        raise ParameterDomainError(f"a_k must lie in (0, 1], got {a_k}")
-    if not theta > 0.0:
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-    if a_k == 1.0:
-        return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    d = 2.0 / alpha
-    eta = a_k / ((1.0 - a_k) * special.gamma(1.0 + d) * theta**d)
-    rng = substream(batch.seed, 0)
-    acc = _RunningMean()
-    left = batch.sample_count
-    while left > 0:
-        m = min(left, 1_000_000)
-        left -= m
-        acc.add(_arctan_tail(eta * rng.exponential(size=m) ** d, alpha))
-    return acc.estimate(batch.seed)
+    return Estimate(float(_lower_bound(a_k, theta, alpha)), 0.0, 1, batch.seed)
 
 
 class Alpha4Bounds(NamedTuple):
@@ -416,23 +435,19 @@ class Alpha4Bounds(NamedTuple):
     lower_b: float
 
 
-def alpha4_bounds(a_k: float, theta: float) -> Alpha4Bounds:
+def alpha4_bounds(a_k, theta) -> Alpha4Bounds:
     """Closed-form upper and lower bounds at alpha = 4.
 
     ``lower_a`` is the incomplete-gamma bound, evaluated through the scaled
     complementary error function for stability at all skews; ``lower_b`` is
     the simpler arctan bound, which is never tighter than ``lower_a``.
+    Elementwise over array-valued ``a_k`` and ``theta``.
     """
-    if not 0.0 < a_k <= 1.0:
-        raise ParameterDomainError(f"a_k must lie in (0, 1], got {a_k}")
-    if not theta > 0.0:
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    upper = 1.0 / (1.0 + math.sqrt(theta) * (1.0 / a_k - 1.0))
-    zeta = (math.pi * theta / 4.0) * ((1.0 - a_k) / a_k) ** 2
-    lower_a = float(special.erfcx(math.sqrt(zeta)))
-    lower_b = 1.0 - (2.0 / math.pi) * math.atan(
-        (math.pi * math.sqrt(theta) / 2.0) * (1.0 / a_k - 1.0)
-    )
+    a, th = _bound_domain(a_k, theta, 4.0)
+    upper = 1.0 / (1.0 + np.sqrt(th) * (1.0 / a - 1.0))
+    zeta = (math.pi * th / 4.0) * ((1.0 - a) / a) ** 2
+    lower_a = special.erfcx(np.sqrt(zeta))
+    lower_b = 1.0 - (2.0 / math.pi) * np.arctan((math.pi * np.sqrt(th) / 2.0) * (1.0 / a - 1.0))
     return Alpha4Bounds(upper, lower_a, lower_b)
 
 
@@ -462,23 +477,20 @@ def mu_integral(theta: float, alpha: float, tol: float = 1e-8) -> float:
     return float(val)
 
 
-def baseline_delivery_prob(a_k: float, theta: float, alpha: float) -> float:
+def baseline_delivery_prob(a_k, theta, alpha: float):
     """Conditional delivery probability for nearest-helper service, no alignment.
 
     Every co-channel helper, including those holding the same file, appears
     as independently faded interference; only the nearest helper holding the
-    requested file serves.
+    requested file serves.  Elementwise over array-valued ``a_k`` and
+    ``theta``, with one :func:`mu_integral` per distinct threshold.
     """
-    if not 0.0 < a_k <= 1.0:
-        raise ParameterDomainError(f"a_k must lie in (0, 1], got {a_k}")
-    if not theta > 0.0:
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
+    a, th = _bound_domain(a_k, theta, alpha)
+    distinct, where = np.unique(th, return_inverse=True)
+    mu = np.array([mu_integral(float(t), alpha) for t in distinct])[where].reshape(th.shape)
     d = 2.0 / alpha
     scale = (math.pi * d) / math.sin(math.pi * d)
-    return 1.0 / (1.0 + mu_integral(theta, alpha)
-                  + theta**d * scale * (1.0 / a_k - 1.0))
+    return 1.0 / (1.0 + mu + th**d * scale * (1.0 / a - 1.0))
 
 
 def alignment_gain_approx(a_1: float, theta_1: float, alpha: float) -> float:
@@ -494,13 +506,19 @@ def alignment_gain_approx(a_1: float, theta_1: float, alpha: float) -> float:
     )
 
 
+_CLOSED_FORMS = {"upper": delivery_upper_bound, "lower": _lower_bound,
+                 "baseline": baseline_delivery_prob}
+
+
 def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
                         max_terms: int = 60) -> Estimate:
     """Popularity-weighted delivery probability under the chosen method.
 
     ``method`` is one of ``expectation``, ``alpha4``, ``series``, ``upper``,
-    ``lower`` or ``baseline``.  Closed-form methods return zero standard
-    error; series divergence propagates to the caller.  The series total
+    ``lower`` or ``baseline``.  The three closed forms (``upper``, ``lower``
+    and ``baseline``) are exact: one dot product of the popularity with the
+    form evaluated on every file, an Estimate with stderr 0 and ``trials``
+    1.  Series divergence propagates to the caller.  The series total
     takes one pass over the fading batch per block of files (all files at
     once when ``batch.sample_count * n_files`` fits in a quarter of the
     fading chunk) and computes each file's inverse moments only as far as
@@ -509,32 +527,21 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
     if method not in TOTAL_METHODS:
         raise ParameterDomainError(f"unknown method {method!r}; expected one of {TOTAL_METHODS}")
     w = scenario.profile.weights
-    n = scenario.n_files
-    if n == 1:
-        if method == "baseline":
-            return Estimate(baseline_delivery_prob(1.0, float(scenario.thresholds[0]),
-                                                   scenario.alpha), 0.0, 1, batch.seed)
+    if method in _CLOSED_FORMS:
+        form = _CLOSED_FORMS[method](w, scenario.thresholds, scenario.alpha)
+        return Estimate(float(w @ form), 0.0, 1, batch.seed)
+    if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-
-    if method == "alpha4" and scenario.alpha != 4.0:
-        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
-    if method in ("expectation", "alpha4"):
-        integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
-        return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
-    if method in ("series", "lower"):
-        if method == "series":
-            ctrl = SeriesControl(max_terms, _SERIES_TOL)
-            ests = _series_estimates(scenario, range(n), ctrl, batch)
-        else:
-            ests = (delivery_lower_bound(w[k], float(scenario.thresholds[k]), scenario.alpha,
-                                         batch) for k in range(n))
+    if method == "series":
+        ctrl = SeriesControl(max_terms, _SERIES_TOL)
         total = 0.0
         var = 0.0
-        for w_k, est in zip(w, ests):
+        for w_k, est in zip(w, _series_estimates(scenario, range(scenario.n_files), ctrl, batch)):
             total += w_k * est.mean
             var += (w_k * est.stderr) ** 2
         return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
-    closed_form = delivery_upper_bound if method == "upper" else baseline_delivery_prob
-    total = sum(w[k] * closed_form(w[k], float(scenario.thresholds[k]), scenario.alpha)
-                for k in range(n))
-    return Estimate(float(total), 0.0, 1, batch.seed)
+    if method == "alpha4" and scenario.alpha != 4.0:
+        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
+    integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
+    return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
+

@@ -267,13 +267,11 @@ def run_figure3(config: ExperimentConfig):
                          0.0, float("nan")))
             if alpha == 4.0:
                 w = scenario.profile.weights
-                bounds = [delivery.alpha4_bounds(float(a_k), config.theta) for a_k in w]
-                tot_a = sum(a_k * b.lower_a for a_k, b in zip(w, bounds))
-                tot_b = sum(a_k * b.lower_b for a_k, b in zip(w, bounds))
-                rows.append((gamma, alpha, "lower_bound_a4_gamma", bounds[0].lower_a,
-                             float(tot_a), 0.0, float("nan")))
-                rows.append((gamma, alpha, "lower_bound_a4_arctan", bounds[0].lower_b,
-                             float(tot_b), 0.0, float("nan")))
+                bounds = delivery.alpha4_bounds(w, config.theta)
+                rows.append((gamma, alpha, "lower_bound_a4_gamma", float(bounds.lower_a[0]),
+                             float(w @ bounds.lower_a), 0.0, float("nan")))
+                rows.append((gamma, alpha, "lower_bound_a4_arctan", float(bounds.lower_b[0]),
+                             float(w @ bounds.lower_b), 0.0, float("nan")))
     return header, rows
 
 
@@ -484,12 +482,8 @@ def validate(config: ExperimentConfig):
                     ok = False
                     detail = (f"violated at alpha={alpha} theta={theta} a={a_k}: "
                               f"{low.mean:.4f} / {mid.mean:.4f} / {up:.4f}")
-    a4_ok = True
-    for theta in (0.5, 2.0, 5.0, 20.0):
-        for a_k in np.linspace(0.05, 0.95, 10):
-            b = delivery.alpha4_bounds(float(a_k), theta)
-            if not (b.lower_b <= b.lower_a + 1e-12 and b.lower_a <= b.upper + 1e-12):
-                a4_ok = False
+    b = delivery.alpha4_bounds(np.linspace(0.05, 0.95, 10)[:, None], [0.5, 2.0, 5.0, 20.0])
+    a4_ok = bool(np.all((b.lower_b <= b.lower_a + 1e-12) & (b.lower_a <= b.upper + 1e-12)))
     record("bound_ordering", ok and a4_ok, detail or "sandwich and alpha4 order hold")
 
     # 4. One-sided stable oracle for the alpha = 4 shot noise.

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from snratio import (
     FadingBatch,
@@ -35,6 +35,7 @@ from snratio.errors import (
     SeriesDivergenceError,
 )
 from snratio.experiments import zipf_remainder_profile
+from snratio.mc import mean_estimate, substream
 
 
 def scenario_with_top(a_top, n_files, theta, alpha, lam=0.1):
@@ -264,7 +265,8 @@ class TestBounds:
 
     def test_upper_limits(self):
         assert delivery_upper_bound(1.0, 100.0, 3.0) == 1.0
-        assert delivery_upper_bound(0.3, 0.0, 3.0) == 1.0
+        with pytest.raises(ParameterDomainError):
+            delivery_upper_bound(0.3, 0.0, 3.0)
 
     def test_lower_at_total_popularity(self):
         est = delivery_lower_bound(1.0, 5.0, 4.0, FadingBatch(100, 0))
@@ -283,7 +285,81 @@ class TestBounds:
         est = delivery_lower_bound(0.5, 5.0, 4.0, FadingBatch(400_000, 31))
         want = alpha4_bounds(0.5, 5.0).lower_a
         assert want == pytest.approx(0.2568, abs=1e-3)
-        assert abs(est.mean - want) <= 3.0 * est.stderr
+        assert est.mean == pytest.approx(want, rel=1e-9)
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("form", [
+        delivery_upper_bound, baseline_delivery_prob,
+        lambda a, t, alpha: delivery_lower_bound(a, t, alpha, FadingBatch(10, 0)),
+        lambda a, t, alpha: alpha4_bounds(a, t)])
+    @pytest.mark.parametrize("a_k, theta", [
+        (0.0, 5.0), (1.5, 5.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.nan),
+        ([0.5, 0.0], 5.0), (0.5, [5.0, 0.0])])
+    def test_closed_forms_share_one_domain(self, form, a_k, theta):
+        with pytest.raises(ParameterDomainError):
+            form(a_k, theta, 4.0)
+
+    def test_closed_forms_are_elementwise(self):
+        a = np.array([0.05, 0.3, 1.0])
+        theta = np.array([1.0, 5.0, 5.0])
+        for form in (delivery_upper_bound, baseline_delivery_prob):
+            want = [form(float(a_k), float(t), 3.0) for a_k, t in zip(a, theta)]
+            np.testing.assert_allclose(form(a, theta, 3.0), want, rtol=1e-14)
+        bounds = alpha4_bounds(a, theta)
+        for k, (a_k, t) in enumerate(zip(a, theta)):
+            np.testing.assert_allclose([b[k] for b in bounds],
+                                       alpha4_bounds(float(a_k), float(t)), rtol=1e-14)
+
+
+def _sampled_lower_bound(a_k, theta, alpha, batch):
+    """Monte Carlo reference: the lower bound averaged over sampled fading."""
+    d = 2.0 / alpha
+    eta = a_k / ((1.0 - a_k) * special.gamma(1.0 + d) * theta**d)
+    h = substream(batch.seed, 0).exponential(size=batch.sample_count)
+    return mean_estimate(delivery._arctan_tail(eta * h**d, alpha), batch.seed)
+
+
+class TestFadedTail:
+    """The requested file's fading integrated out by one finite quadrature."""
+
+    @pytest.mark.parametrize("theta", [0.01, 1.0, 5.0, 100.0, 1e4])
+    def test_erfcx_at_alpha_four(self, theta):
+        a = np.geomspace(1e-9, 0.999, 60)
+        eta = a / ((1.0 - a) * math.gamma(1.5) * math.sqrt(theta))
+        np.testing.assert_allclose(delivery._faded_tail(eta, 4.0),
+                                   alpha4_bounds(a, theta).lower_a, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 6.0])
+    def test_against_quadrature_over_fading(self, alpha):
+        # The tail turns sharply where y * h^(2/alpha) = 1; beyond h = 50 the
+        # exponential weight is below 2e-22, so the breakpoint is capped there.
+        for y in np.geomspace(1e-4, 1e4, 17):
+            def f(h):
+                return delivery._arctan_tail(y * h ** (2.0 / alpha), alpha) * math.exp(-h)
+
+            kink = min(y ** (-alpha / 2.0), 50.0)
+            want = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                       for lo, hi in ((0.0, kink), (kink, np.inf)))
+            assert delivery._faded_tail(y, alpha) == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("a_k, theta, alpha", [(0.5, 5.0, 4.0), (0.2, 1.0, 3.0),
+                                                   (0.05, 20.0, 2.5), (0.9, 5.0, 6.0)])
+    def test_within_three_stderr_of_sampled_fading(self, a_k, theta, alpha):
+        batch = FadingBatch(400_000, 31)
+        sampled = _sampled_lower_bound(a_k, theta, alpha, batch)
+        exact = delivery_lower_bound(a_k, theta, alpha, batch).mean
+        assert abs(sampled.mean - exact) <= 3.0 * sampled.stderr
+
+    def test_row_blocks_do_not_change_bits(self, monkeypatch):
+        y = np.geomspace(1e-3, 1e3, 25)
+        whole = delivery._faded_tail(y, 3.0)
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 1000)
+        np.testing.assert_array_equal(delivery._faded_tail(y, 3.0), whole)
+        assert delivery._faded_tail(y[7], 3.0) == whole[7]
+
+    def test_limits(self):
+        assert delivery._faded_tail(0.0, 3.0) == 0.0
+        assert delivery._faded_tail(np.inf, 3.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAlpha4Bounds:
@@ -382,6 +458,34 @@ class TestTotals:
                     * conditional_delivery_prob(k, sc, batch).mean
                     for k in range(5))
         assert total.mean == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_lower_total_is_weighted_sum_of_bounds(self, alpha):
+        sc = Scenario.from_zipf(30, 0.8, 5.0, alpha)
+        batch = FadingBatch(10, 0)
+        w = sc.profile.weights
+        total = total_delivery_prob(sc, "lower", batch)
+        parts = sum(w[k] * delivery_lower_bound(w[k], 5.0, alpha, batch).mean
+                    for k in range(sc.n_files))
+        assert total.mean == pytest.approx(parts, rel=1e-12)
+        assert (total.stderr, total.trials) == (0.0, 1)
+
+    def test_baseline_integrates_once_per_threshold(self, monkeypatch):
+        calls = []
+
+        def counted(theta, alpha):
+            calls.append(theta)
+            return mu_integral(theta, alpha)
+
+        monkeypatch.setattr(delivery, "mu_integral", counted)
+        profile = Scenario.from_zipf(6, 1.0, 5.0, 3.0).profile
+        sc = Scenario(profile, 3.0, [5.0, 2.0, 5.0, 2.0, 5.0, 5.0], 0.1)
+        total = total_delivery_prob(sc, "baseline", FadingBatch(10, 0))
+        assert sorted(calls) == [2.0, 5.0]
+        want = sum(profile.weights[k] * baseline_delivery_prob(profile.weights[k],
+                                                               sc.thresholds[k], 3.0)
+                   for k in range(6))
+        assert total.mean == pytest.approx(want, rel=1e-12)
 
     def test_closed_forms_ignore_helper_density(self):
         batch = FadingBatch(10_000, 43)
