@@ -2,10 +2,10 @@
 
 Reproducibility contract: every randomized operation derives its draws from
 counter-based (Philox) substreams keyed by ``(master seed, chunk index)``
-over a fixed grid of trial chunks.  Per-chunk results are integers (success
-and resample counts), so merging partial aggregates is exact and the final
-estimate is bit-identical no matter how the chunks are partitioned across
-workers.
+over a fixed grid of trial chunks.  Per-chunk results are integer counts
+(successes, resampled trials) or the :class:`Moments` of real per-trial
+values, and they are merged in chunk order, so the final estimate is
+bit-identical no matter how the chunks are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -61,6 +61,45 @@ def mean_estimate(values: np.ndarray, seed: int, resampled: int = 0) -> Estimate
     return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed, resampled)
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and sum of squared deviations of a sample of real values.
+
+    ``a + b`` is the moments of the two samples pooled (the pairwise update
+    of Chan, Golub & LeVeque, 1983), and ``0 + m`` is ``m``, so ``sum()``
+    folds per-chunk moments; folded in a fixed order, the result has fixed
+    bits.
+    """
+
+    count: int
+    mean: float
+    m2: float
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        values = np.asarray(values, dtype=float)
+        if values.size < 1:
+            raise ParameterDomainError("need at least one sample")
+        mean = float(values.mean())
+        return cls(values.size, mean, float(np.square(values - mean).sum()))
+
+    def __add__(self, other):
+        if not isinstance(other, Moments):
+            return NotImplemented
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * (other.count / count),
+                       self.m2 + other.m2 + delta * delta * (self.count * other.count / count))
+
+    def __radd__(self, other):
+        return self if other == 0 else NotImplemented
+
+    def estimate(self, seed: int, resampled: int = 0) -> Estimate:
+        """The sample mean with its standard error."""
+        sd = math.sqrt(self.m2 / (self.count - 1)) if self.count > 1 else 0.0
+        return Estimate(self.mean, sd / math.sqrt(self.count), self.count, seed, resampled)
+
+
 def chunk_sizes(total: int) -> list[int]:
     """Split a trial count over the fixed chunk grid (last chunk may be short)."""
     if total < 1:
@@ -71,10 +110,10 @@ def chunk_sizes(total: int) -> list[int]:
 
 def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
                         partitions: int = 1, stream_offset: int = 0):
-    """Run ``chunk_fn(rng, n) -> tuple of ints`` over the chunk grid.
+    """Run ``chunk_fn(rng, n) -> tuple`` of ints or :class:`Moments` over the chunk grid.
 
     ``partitions`` only controls how many worker threads evaluate the chunks;
-    the per-chunk substreams and the integer aggregation make the summed
+    the per-chunk substreams and the summation in chunk order make the
     result independent of the partitioning.  Returns the elementwise sum of
     the per-chunk tuples.
     """
@@ -92,7 +131,7 @@ def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
     else:
         with ThreadPoolExecutor(max_workers=partitions) as pool:
             results = list(pool.map(one, jobs))
-    return tuple(int(sum(col)) for col in zip(*results))
+    return tuple(sum(col) for col in zip(*results))
 
 
 def gather_chunked_samples(total_trials: int, seed: int, sample_fn,

@@ -17,14 +17,17 @@ every reported estimate within one combined standard error; the validation
 suite checks exactly that.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
-:mod:`snratio.mc`, with one counter-based substream per chunk and integer
-per-chunk aggregates, so estimates are bit-identical under any partitioning.
+:mod:`snratio.mc`, with one counter-based substream per chunk.  Per-chunk
+aggregates (integer success counts, or the :class:`~snratio.mc.Moments` of
+per-trial values for the aligned SIR model) are merged in chunk order, so
+estimates are bit-identical under any partitioning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .errors import (
 )
 from .mc import (
     Estimate,
+    Moments,
     bernoulli_estimate,
     gather_chunked_samples,
     mean_estimate,
@@ -51,6 +55,15 @@ COVERAGE_FACTOR = 6.0
 
 #: Stream-index stride separating the chunk grids of per-file sub-runs.
 _STREAM_STRIDE = 1_000_000
+
+#: Cells per block of the dense (file x trial) sums of the aligned model:
+#: a chunk's memory stays bounded as the file count N grows.
+_BLOCK_CELLS = 1 << 19
+
+#: Expected interferers per (trial, file) cell above which the aligned
+#: model draws one Poisson count per cell instead of a trial label per
+#: point; the two cost the same at about 7 points a cell.
+_CELL_COUNT_POINTS = 8.0
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,17 @@ def _exceedances(cfg: TrialConfig, kernel, xs, stream_offset: int = 0):
                                stream_offset=stream_offset)
 
 
+def _moments(cfg: TrialConfig, kernel, stream_offset: int = 0):
+    """``(moments, resampled)``: the :class:`Moments` of the kernel's per-trial values."""
+
+    def chunk(rng, n):
+        values, resampled = kernel(rng, n)
+        return Moments.of(values), resampled
+
+    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                               stream_offset=stream_offset)
+
+
 def _shot_chunk(density, alpha, region, rng, n_trials, compensate) -> np.ndarray:
     """Vectorized truncated shot-noise sums for ``n_trials`` trials."""
     _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
@@ -363,77 +387,173 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
             default_region(lam, scenario.alpha, cfg.tail_tol))
 
 
-def _aligned_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
-                       sig_region: DiskRegion, int_region: DiskRegion, mode: str):
-    """SIR samples for ``n`` trials with the request fixed to file ``k``.
+class _AlignedChunk(NamedTuple):
+    """The geometry of one chunk of ``n`` aligned-SIR trials.
 
-    mode "complex": per-point circularly symmetric complex fading; signal
-    and per-file interference powers are squared magnitudes of coherent sums.
-    mode "exponential": the distributionally equivalent form with one
-    unit-mean exponential weight per file and plain path-loss sums.
-    Returns ``(sir, resampled)``; this model never resamples.
+    Signal points carry their trial ``sig_trial`` and radius ``sig_r``.  The
+    interferers are file-major: points ``ends[j]:ends[j + 1]`` belong to
+    file ``j``, with cell key ``j * n + trial`` and radius ``r``.
     """
-    alpha = scenario.alpha
-    nf = scenario.n_files
-    dens = decompose_densities(scenario.profile, scenario.helper_density)
 
-    # Requested file's process on its own disk.
-    _, idx_sig, r_sig = _disk_points(rng, dens[k] * sig_region.area, sig_region.radius, n)
-    tau_sig = tail_mean(dens[k], alpha, sig_region.radius) if cfg.tail_compensation else 0.0
-
-    # Interfering files share the interference disk; file k contributes none.
-    dens_int = dens.copy()
-    dens_int[k] = 0.0
-    _, key_int, r_int = _disk_points(rng, dens_int * int_region.area, int_region.radius,
-                                     (n, nf))
-    if cfg.tail_compensation:
-        tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
-    else:
-        tau_int = np.zeros(nf)
-
-    if mode == "complex":
-        amp_sig = r_sig ** (-alpha / 2.0)
-        z_sig = (np.bincount(idx_sig, weights=amp_sig * rng.standard_normal(amp_sig.size),
-                             minlength=n)
-                 + 1j * np.bincount(idx_sig, weights=amp_sig * rng.standard_normal(amp_sig.size),
-                                    minlength=n)) / math.sqrt(2.0)
-        z_sig += math.sqrt(tau_sig / 2.0) * (rng.standard_normal(n)
-                                             + 1j * rng.standard_normal(n))
-        s0 = np.abs(z_sig) ** 2
-
-        amp_int = r_int ** (-alpha / 2.0)
-        re = np.bincount(key_int, weights=amp_int * rng.standard_normal(amp_int.size),
-                         minlength=n * nf).reshape(n, nf)
-        im = np.bincount(key_int, weights=amp_int * rng.standard_normal(amp_int.size),
-                         minlength=n * nf).reshape(n, nf)
-        re = re / math.sqrt(2.0) + np.sqrt(tau_int / 2.0) * rng.standard_normal((n, nf))
-        im = im / math.sqrt(2.0) + np.sqrt(tau_int / 2.0) * rng.standard_normal((n, nf))
-        interference = (re**2 + im**2).sum(axis=1)
-    elif mode == "exponential":
-        gain_sig = np.bincount(idx_sig, weights=r_sig ** (-alpha), minlength=n) + tau_sig
-        s0 = rng.exponential(size=n) * gain_sig
-        gains = np.bincount(key_int, weights=r_int ** (-alpha),
-                            minlength=n * nf).reshape(n, nf) + tau_int
-        interference = (rng.exponential(size=(n, nf)) * gains).sum(axis=1)
-    else:
-        raise ParameterDomainError(f"unknown mode {mode!r}")
-
-    if nf == 1:
-        return np.full(n, np.inf), 0
-    return s0 / interference, 0
+    n: int
+    sig_trial: np.ndarray
+    sig_r: np.ndarray
+    ends: np.ndarray
+    key: np.ndarray
+    r: np.ndarray
 
 
-def _sir_kernel(chunk, scenario: Scenario, k: int, cfg: TrialConfig,
-                regions=(None, None), **options):
-    """``(rng, n) -> (sir, resampled)`` from an SIR chunk, request fixed to file ``k``."""
+class _AlignedModel:
+    """Aligned-transmission SIR trials with the request fixed to file ``k``.
+
+    The stratum's constants (file densities, tail means, threshold) are set
+    once.  Each chunk of ``n`` trials then draws the requested file's points
+    per trial on the signal disk, and every other file's points by the
+    marking theorem (Kingman, *Poisson Processes*, 1993): one Poisson count
+    of mean ``n * lambda_j * area`` per file ``j`` (``lambda_k = 0``), each
+    point with a uniform trial label and a uniform position on the
+    interference disk.  So the random-number cost is one draw per point and
+    per trial, not per (trial, file) cell.  Where the cells are crowded
+    (``_CELL_COUNT_POINTS``), one Poisson count per cell is the cheaper
+    exact draw of the same process.  Per-(trial, file) sums are formed one
+    block of files at a time, which bounds memory in N.
+
+    mode "exponential": unit-mean exponential fading per file on plain
+    path-loss sums G_j.  Given the geometry the fading integrates out
+    (Laplace transform of Rayleigh fading; Haenggi, *Stochastic Geometry
+    for Wireless Networks*, 2012, ch. 5): P(SIR > theta) =
+    prod_j 1 / (1 + theta * G_j / G_0), which is what :meth:`success` returns.
+    mode "complex": per-point circularly symmetric complex fading; signal
+    and per-file interference powers are squared magnitudes of coherent
+    sums, and :meth:`success` is the 0/1 indicator of SIR > theta.
+    Both are ``(rng, n) -> (values, resampled)`` kernels; this model never
+    resamples.
+    """
+
+    def __init__(self, scenario: Scenario, k: int, cfg: TrialConfig,
+                 sig_region: DiskRegion, int_region: DiskRegion, mode: str):
+        if mode not in ("exponential", "complex"):
+            raise ParameterDomainError(f"unknown mode {mode!r}")
+        alpha = scenario.alpha
+        dens = decompose_densities(scenario.profile, scenario.helper_density)
+        dens_int = dens.copy()
+        dens_int[k] = 0.0
+        compensate = cfg.tail_compensation
+        self.mode = mode
+        self.alpha = alpha
+        self.theta = float(scenario.thresholds[k])
+        self.n_files = scenario.n_files
+        self.sig_mean = dens[k] * sig_region.area
+        self.sig_radius = sig_region.radius
+        self.int_means = dens_int * int_region.area
+        self.int_radius = int_region.radius
+        self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
+        self.tau_sig = tail_mean(dens[k], alpha, sig_region.radius) if compensate else 0.0
+        self.tau_int = (tail_mean(1.0, alpha, int_region.radius) * dens_int if compensate
+                        else np.zeros_like(dens_int))
+
+    def geometry(self, rng, n) -> _AlignedChunk:
+        """The points of ``n`` trials."""
+        _, sig_trial, sig_r = _disk_points(rng, self.sig_mean, self.sig_radius, n)
+        if self.count_cells:
+            # Counts over the (file, trial) grid: a point's cell index is its key.
+            counts, key, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
+                                          (self.n_files, n))
+            counts = counts.sum(axis=1)
+        else:
+            counts, key, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
+            key *= n
+            key += rng.integers(0, n, size=r.size)
+        return _AlignedChunk(n, sig_trial, sig_r, np.concatenate(([0], np.cumsum(counts))),
+                             key, r)
+
+    def blocks(self, chunk: _AlignedChunk, weights: np.ndarray):
+        """``(files, sums)`` per block of files, in file order.
+
+        ``sums[i, t]`` adds up the ``weights`` of trial ``t``'s points of
+        file ``files[i]``; a block holds at most about ``_BLOCK_CELLS`` cells.
+        """
+        n = chunk.n
+        step = max(1, _BLOCK_CELLS // n)
+        for f0 in range(0, self.n_files, step):
+            f1 = min(f0 + step, self.n_files)
+            lo, hi = chunk.ends[f0], chunk.ends[f1]
+            cells = chunk.key[lo:hi]
+            if f0:  # the first block, often the only one, needs no shifted copy
+                cells = cells - f0 * n
+            sums = np.bincount(cells, weights=weights[lo:hi], minlength=(f1 - f0) * n)
+            # bincount of no points is an integer array; the callers add floats in place.
+            yield slice(f0, f1), sums.astype(float, copy=False).reshape(f1 - f0, n)
+
+    def signal_gain(self, chunk: _AlignedChunk) -> np.ndarray:
+        """G_0 per trial: the requested file's path-loss sum plus its tail mean."""
+        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** (-self.alpha),
+                            minlength=chunk.n) + self.tau_sig)
+
+    def success(self, rng, n):
+        """Per-trial values whose mean estimates P(SIR > theta)."""
+        if self.mode == "complex":
+            sir, resampled = self.sir(rng, n)
+            return (sir > self.theta).astype(float), resampled
+        if self.n_files == 1:
+            return np.ones(n), 0
+        chunk = self.geometry(rng, n)
+        g0 = self.signal_gain(chunk)
+        # Without tail compensation an empty signal window gives G_0 = 0: SIR 0.
+        live = g0 > 0.0
+        scale = self.theta / np.where(live, g0, 1.0)
+        log_q = np.zeros(n)
+        for files, gains in self.blocks(chunk, chunk.r ** (-self.alpha)):
+            gains += self.tau_int[files, None]
+            gains *= scale
+            log_q += np.log1p(gains, out=gains).sum(axis=0)
+        return np.where(live, np.exp(-log_q), 0.0), 0
+
+    def sir(self, rng, n):
+        """SIR samples, one per trial."""
+        if self.n_files == 1:
+            return np.full(n, np.inf), 0
+        chunk = self.geometry(rng, n)
+        interference = np.zeros(n)
+        if self.mode == "exponential":
+            s0 = rng.exponential(size=n) * self.signal_gain(chunk)
+            for files, gains in self.blocks(chunk, chunk.r ** (-self.alpha)):
+                gains += self.tau_int[files, None]
+                interference += (rng.exponential(size=gains.shape) * gains).sum(axis=0)
+        else:
+            amp_sig = chunk.sig_r ** (-self.alpha / 2.0)
+            z_sig = (np.bincount(chunk.sig_trial,
+                                 weights=amp_sig * rng.standard_normal(amp_sig.size), minlength=n)
+                     + 1j * np.bincount(chunk.sig_trial,
+                                        weights=amp_sig * rng.standard_normal(amp_sig.size),
+                                        minlength=n)) / math.sqrt(2.0)
+            z_sig += math.sqrt(self.tau_sig / 2.0) * (rng.standard_normal(n)
+                                                      + 1j * rng.standard_normal(n))
+            s0 = np.abs(z_sig) ** 2
+            fade = rng.standard_normal((2, chunk.r.size))
+            # The radii are not read again: they become the amplitudes in place.
+            fade *= np.power(chunk.r, -self.alpha / 2.0, out=chunk.r)
+            for (files, re), (_, im) in zip(self.blocks(chunk, fade[0]),
+                                            self.blocks(chunk, fade[1])):
+                # Tail terms in (file, trial, part) order: the same draws for any blocking.
+                tail = (np.sqrt(self.tau_int[files, None, None] / 2.0)
+                        * rng.standard_normal(re.shape + (2,)))
+                re = re / math.sqrt(2.0) + tail[..., 0]
+                im = im / math.sqrt(2.0) + tail[..., 1]
+                interference += (re**2 + im**2).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s0 / interference, 0
+
+
+def _sir_model(make, scenario: Scenario, k: int, cfg: TrialConfig,
+               regions=(None, None), **options):
+    """``make(scenario, k, cfg, sig_region, int_region, **options)``, request fixed to ``k``.
+
+    Windows left ``None`` in ``regions`` are the defaults of :func:`aligned_regions`.
+    """
     _check_file_index(scenario.n_files, k)
     regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
-    return lambda rng, n: chunk(rng, n, scenario, k, cfg, *regions, **options)
-
-
-def _sir_estimate(scenario: Scenario, k: int, cfg: TrialConfig, kernel) -> Estimate:
-    successes, resampled = _exceedances(cfg, kernel, (float(scenario.thresholds[k]),))
-    return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
+    return make(scenario, k, cfg, *regions, **options)
 
 
 def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -441,17 +561,25 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         signal_region: DiskRegion | None = None,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
-    return _samples(cfg, _sir_kernel(_aligned_sir_chunk, scenario, k, cfg,
-                                     (signal_region, interference_region), mode=mode))[0]
+    model = _sir_model(_AlignedModel, scenario, k, cfg,
+                       (signal_region, interference_region), mode=mode)
+    return _samples(cfg, model.sir)[0]
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                          mode: str = "exponential",
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> Estimate:
-    """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``."""
-    return _sir_estimate(scenario, k, cfg, _sir_kernel(
-        _aligned_sir_chunk, scenario, k, cfg, (signal_region, interference_region), mode=mode))
+    """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``.
+
+    The estimate is the mean of per-trial values: conditional success
+    probabilities given the geometry in exponential mode, success
+    indicators in complex mode.
+    """
+    model = _sir_model(_AlignedModel, scenario, k, cfg,
+                       (signal_region, interference_region), mode=mode)
+    moments, resampled = _moments(cfg, model.success)
+    return moments.estimate(cfg.seed, resampled)
 
 
 def _group_heads(keys: np.ndarray) -> np.ndarray:
@@ -523,20 +651,27 @@ def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
     return _retry_empty(n, cfg, (sig_region,), draw, "had no helper for the requested file")
 
 
+def _baseline_kernel(scenario: Scenario, k: int, cfg: TrialConfig,
+                     sig_region: DiskRegion, int_region: DiskRegion):
+    """``(rng, n) -> (sir, resampled)`` of the nearest-helper model."""
+    return lambda rng, n: _baseline_sir_chunk(rng, n, scenario, k, cfg, sig_region, int_region)
+
+
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial nearest-helper SIR samples, request fixed to file ``k``."""
-    return _samples(cfg, _sir_kernel(_baseline_sir_chunk, scenario, k, cfg,
-                                     (signal_region, interference_region)))[0]
+    return _samples(cfg, _sir_model(_baseline_kernel, scenario, k, cfg,
+                                    (signal_region, interference_region)))[0]
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                           signal_region: DiskRegion | None = None,
                           interference_region: DiskRegion | None = None) -> Estimate:
     """P(SIR > theta_k) for nearest-helper service without alignment."""
-    return _sir_estimate(scenario, k, cfg, _sir_kernel(
-        _baseline_sir_chunk, scenario, k, cfg, (signal_region, interference_region)))
+    kernel = _sir_model(_baseline_kernel, scenario, k, cfg, (signal_region, interference_region))
+    successes, resampled = _exceedances(cfg, kernel, (float(scenario.thresholds[k]),))
+    return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
 
 
 def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
@@ -545,30 +680,24 @@ def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
     return rng.multinomial(cfg.trials, scenario.profile.weights)
 
 
-def _simulate_total(scenario: Scenario, cfg: TrialConfig, chunk, return_strata, **options):
+def _simulate_total(scenario: Scenario, cfg: TrialConfig, run_stratum, estimate, return_strata):
     """Popularity-mixed success probability over randomized requests.
 
     Requests are split over the files by one multinomial draw (equivalent to
-    drawing them one by one); each file's stratum then runs the SIR ``chunk``
-    on its own chunk grid at a disjoint stream offset.
+    drawing them one by one); ``run_stratum(sub, k, stream_offset) ->
+    (aggregate, resampled)`` then runs file ``k``'s trials on its own chunk
+    grid at a disjoint stream offset.  Aggregates (success counts or
+    :class:`Moments`) add up over the strata in file order, and
+    ``estimate(aggregate, trials, seed, resampled)`` makes one an Estimate.
     """
     counts = _request_counts(scenario, cfg)
-    successes = 0
-    resampled = 0
-    strata = {}
-    for k, t_k in enumerate(counts):
-        if t_k == 0:
-            continue
-        sub = replace(cfg, trials=int(t_k))
-        succ_k, res_k = _exceedances(sub, _sir_kernel(chunk, scenario, k, sub, **options),
-                                     (float(scenario.thresholds[k]),),
-                                     stream_offset=(k + 1) * _STREAM_STRIDE)
-        successes += succ_k
-        resampled += res_k
-        strata[k] = bernoulli_estimate(succ_k, int(t_k), cfg.seed, res_k)
-    total = bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
+    runs = {k: run_stratum(replace(cfg, trials=int(t_k)), k, (k + 1) * _STREAM_STRIDE)
+            for k, t_k in enumerate(counts) if t_k}
+    total = estimate(sum(agg for agg, _ in runs.values()), cfg.trials, cfg.seed,
+                     sum(res for _, res in runs.values()))
     if return_strata:
-        return total, strata
+        return total, {k: estimate(agg, int(counts[k]), cfg.seed, res)
+                       for k, (agg, res) in runs.items()}
     return total
 
 
@@ -577,12 +706,26 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     """Total delivery probability under aligned transmission, requests randomized.
 
     With ``return_strata`` the per-file conditional estimates (at their
-    random request counts) are returned alongside the total.
+    random request counts) are returned alongside the total.  Every
+    estimate is a mean of per-trial values, as in :func:`simulate_sir_aligned`.
     """
-    return _simulate_total(scenario, cfg, _aligned_sir_chunk, return_strata, mode=mode)
+
+    def run(sub, k, stream_offset):
+        model = _sir_model(_AlignedModel, scenario, k, sub, mode=mode)
+        return _moments(sub, model.success, stream_offset)
+
+    return _simulate_total(scenario, cfg, run,
+                           lambda moments, _, seed, res: moments.estimate(seed, res),
+                           return_strata)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
-    return _simulate_total(scenario, cfg, _baseline_sir_chunk, return_strata)
+
+    def run(sub, k, stream_offset):
+        kernel = _sir_model(_baseline_kernel, scenario, k, sub)
+        return _exceedances(sub, kernel, (float(scenario.thresholds[k]),),
+                            stream_offset=stream_offset)
+
+    return _simulate_total(scenario, cfg, run, bernoulli_estimate, return_strata)

@@ -51,6 +51,9 @@ SCENARIOS = {
 SPEC = RatioSpec(0.02, 0.1, 3.0)
 SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
 SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
+#: About 4 interferers per (trial, file) cell, too few to count per cell: the
+#: aligned model draws a trial label per point.
+SPARSE_INTERFERENCE_REGION = DiskRegion(8.0)
 #: Series converge at every file: without warnings at alpha = 4, with
 #: flagged inverse moments at alpha = 3.
 SERIES_SCENARIOS = {
@@ -105,6 +108,8 @@ def _simulator_cases(partitions):
             sc, 2, _cfg(5000, p), "complex", DiskRegion(15.0), DiskRegion(20.0)),
         "sir_aligned_signal_region_only": lambda: simulate_sir_aligned(
             sc, 1, _cfg(5000, p), signal_region=DiskRegion(15.0)),
+        "sir_aligned_interference_region_only": lambda: simulate_sir_aligned(
+            sc, 3, _cfg(5000, p), interference_region=SPARSE_INTERFERENCE_REGION),
         "sir_baseline_regions": lambda: simulate_sir_baseline(
             sc, 3, _cfg(5000, p), *SMALL_SIR_REGIONS),
         "sir_baseline_interference_region_only": lambda: simulate_sir_baseline(
@@ -130,6 +135,9 @@ def _sample_cases():
         "sir_samples_aligned_exponential": lambda: sir_samples_aligned(sc, 1, _cfg(5000)),
         "sir_samples_aligned_complex": lambda: sir_samples_aligned(
             sc, 1, _cfg(5000), mode="complex"),
+        "sir_samples_aligned_interference_region_only": lambda: sir_samples_aligned(
+            sc, 3, _cfg(5000), mode="complex",
+            interference_region=SPARSE_INTERFERENCE_REGION),
         "sir_samples_baseline": lambda: sir_samples_baseline(sc, 4, _cfg(5000)),
         "sir_samples_baseline_regions": lambda: sir_samples_baseline(
             sc, 3, _cfg(5000), *SMALL_SIR_REGIONS),
@@ -236,22 +244,28 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                '39606020d9078818c35f0186312d1658511a64e5f9c55ba766bdee9301aece89'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
-                                   '0x1.a0f9096bb98c8p-2',
-                                   '0x1.c7674a6cc2892p-8',
+                                   '0x1.ad77318fc5048p-2',
+                                   '0x1.c9650882f54e5p-8',
                                    5000,
                                    3,
                                    0),
         'sir_aligned_exponential_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_exponential_N5': ('est',
-                                       '0x1.a5119ce075f70p-2',
-                                       '0x1.c81692e039413p-8',
+                                       '0x1.a474b87234697p-2',
+                                       '0x1.564a0eb7a560dp-8',
                                        5000,
                                        3,
                                        0),
-        'sir_aligned_regions': ('est', '0x1.ce075f6fd21ffp-4', '0x1.253a10594f3a4p-8', 5000, 3, 0),
+        'sir_aligned_interference_region_only': ('est',
+                                                 '0x1.787c57a396882p-4',
+                                                 '0x1.a5e7131e84b57p-9',
+                                                 5000,
+                                                 3,
+                                                 0),
+        'sir_aligned_regions': ('est', '0x1.c1bda5119ce07p-4', '0x1.21ca3a7bf5110p-8', 5000, 3, 0),
         'sir_aligned_signal_region_only': ('est',
-                                           '0x1.89a027525460bp-3',
-                                           '0x1.6d3afec4bcf6ep-8',
+                                           '0x1.7ce4811010584p-3',
+                                           '0x1.1229b78219cefp-8',
                                            5000,
                                            3,
                                            0),
@@ -272,11 +286,15 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        'b2d0f6d89db7bb1bf1d3e25db7a4a3139861869b38496c3201b0977a5f4ddbce'),
+                                        '6964551c67c8e51d47a334444f6129b8f04b53cad3b0e0eb2b23972a0c2d9d08'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            '88d4fafc38403586372dbc10c019d98a8744695243e2b3facbbbe0cc2665fb48'),
+                                            '94a3ba04ce6870b34dab8ef42b8e8c7f7a3ae3bba4e372b881ace33f6eef48c7'),
+        'sir_samples_aligned_interference_region_only': ('arr',
+                                                         'float64',
+                                                         (5000,),
+                                                         '57796decff152e03b3a85a77f19a7e766a7936beef13cc6c0d66fb20ccf4849a'),
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
@@ -289,43 +307,43 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
         'total_aligned_complex_N5': (('est',
-                                      '0x1.e6bdc8057619fp-3',
-                                      '0x1.68294d81c916fp-8',
+                                      '0x1.f2015d867c3edp-3',
+                                      '0x1.6afd0248eb421p-8',
                                       6000,
                                       3,
                                       0),
                                      ((0,
                                        ('est',
-                                        '0x1.88bc2b5565fd7p-2',
-                                        '0x1.3729f9ce4a8afp-7',
+                                        '0x1.9152dc606d4f6p-2',
+                                        '0x1.38669ddcf38f6p-7',
                                         2623,
                                         3,
                                         0)),
                                       (1,
                                        ('est',
-                                        '0x1.813429bafbfcdp-3',
-                                        '0x1.669db26d196f6p-7',
+                                        '0x1.7f99476c56abcp-3',
+                                        '0x1.660a70ae68ddbp-7',
                                         1276,
                                         3,
                                         0)),
                                       (2,
                                        ('est',
-                                        '0x1.b54b9d9bc9569p-4',
-                                        '0x1.5cba0180c4de6p-7',
+                                        '0x1.ab93e40fca8d8p-4',
+                                        '0x1.5949a7abb113ap-7',
                                         843,
                                         3,
                                         0)),
                                       (3,
                                        ('est',
-                                        '0x1.1fdc047f70120p-4',
-                                        '0x1.40bbd06bc7d47p-7',
+                                        '0x1.7fd005ff40180p-4',
+                                        '0x1.6da7dc60d7ccbp-7',
                                         683,
                                         3,
                                         0)),
                                       (4,
                                        ('est',
-                                        '0x1.2b2fa36510792p-4',
-                                        '0x1.63e38c51a1cfap-7',
+                                        '0x1.1cf06ada2811dp-4',
+                                        '0x1.5bf6854a5808dp-7',
                                         575,
                                         3,
                                         0)))),
@@ -338,43 +356,43 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                             3,
                                             0)),)),
         'total_aligned_exponential_N5': (('est',
-                                          '0x1.f9db22d0e5604p-3',
-                                          '0x1.6ce91c4681bfcp-8',
+                                          '0x1.f4baaf2c9a5e8p-3',
+                                          '0x1.1a853fe865583p-8',
                                           6000,
                                           3,
                                           0),
                                          ((0,
                                            ('est',
-                                            '0x1.a21c4db02a299p-2',
-                                            '0x1.3a8a3e03e3943p-7',
+                                            '0x1.94ddd90246e06p-2',
+                                            '0x1.cf98d1660e641p-8',
                                             2623,
                                             3,
                                             0)),
                                           (1,
                                            ('est',
-                                            '0x1.6c56abbc96df2p-3',
-                                            '0x1.5ef31db4ab140p-7',
+                                            '0x1.7d969519311d9p-3',
+                                            '0x1.0c5260ebae2ddp-7',
                                             1276,
                                             3,
                                             0)),
                                           (2,
                                            ('est',
-                                            '0x1.c8bb10b3c6e8ap-4',
-                                            '0x1.6371a7fabeb2fp-7',
+                                            '0x1.a8558c5375e7ep-4',
+                                            '0x1.ff7b41e4b3436p-8',
                                             843,
                                             3,
                                             0)),
                                           (3,
                                            ('est',
-                                            '0x1.2bda84af6a12cp-4',
-                                            '0x1.46d4dce303604p-7',
+                                            '0x1.7565ed3341fdbp-4',
+                                            '0x1.1e08c522c91d1p-7',
                                             683,
                                             3,
                                             0)),
                                           (4,
                                            ('est',
-                                            '0x1.1cf06ada2811dp-4',
-                                            '0x1.5bf6854a5808cp-7',
+                                            '0x1.2f2ffb933f587p-4',
+                                            '0x1.13f6c57d8ec40p-7',
                                             575,
                                             3,
                                             0)))),

@@ -1,6 +1,8 @@
 """The Monte Carlo oracle: point sampling, shot noise, and SIR trials."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +42,12 @@ from snratio.errors import (
     WindowEnlargementError,
 )
 from snratio.experiments import zipf_remainder_profile
+from snratio.mc import Moments, mean_estimate
+from snratio.popularity import decompose_densities
 from snratio.simulate import (
+    _AlignedModel,
     _nearest_positions,
+    aligned_regions,
     rule_radius,
     tail_mean,
     window_doubling_probe,
@@ -248,6 +254,99 @@ class TestAlignedSir:
         par = simulate_sir_aligned(sc, 0, replace(cfg, partitions=4))
         assert par == ref
 
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_empty_signal_window_without_compensation_fails(self, mode):
+        # Every signal window is empty, so G_0 = 0: SIR 0, not 0/0.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2, tail_compensation=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = simulate_sir_aligned(sc, 0, cfg, mode=mode, signal_region=DiskRegion(1e-6))
+        assert est.mean == 0.0
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_empty_interference_window_without_compensation_succeeds(self, mode):
+        # No file has an interferer in the window; every block of files is empty.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=5000, seed=28, tail_tol=1e-2, tail_compensation=False)
+        est = simulate_sir_aligned(sc, 0, cfg, mode=mode, interference_region=DiskRegion(1e-6))
+        assert est.mean == 1.0
+
+
+def _aligned_model(sc, k, mode="exponential"):
+    cfg = TrialConfig(trials=1, tail_tol=1e-2)
+    return _AlignedModel(sc, k, cfg, *aligned_regions(sc, k, cfg), mode)
+
+
+class TestAlignedGeometry:
+    @pytest.mark.parametrize("n_files, count_cells", [(5, True), (40, False)])
+    def test_interferer_counts_and_trial_labels(self, n_files, count_cells):
+        # Marking theorem: per (trial, file) the counts are Poisson with mean
+        # lambda_j * area; the requested file has none; labels are uniform.
+        # Five files crowd the cells (a count per cell), 40 do not (a label
+        # per point).
+        sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, 4.0, 0.1), 2, 4096
+        model = _aligned_model(sc, k)
+        assert model.count_cells is count_cells
+        chunk = model.geometry(substream(29, 0), n)
+        file, trial = np.divmod(chunk.key, n)
+        assert np.array_equal(file, np.repeat(np.arange(n_files), np.diff(chunk.ends)))
+        area = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2))[1].area
+        dens = decompose_densities(sc.profile, sc.helper_density)
+        counts = np.bincount(chunk.key, minlength=n_files * n).reshape(n_files, n)
+        assert not counts[k].any()
+        for j in (0, 1, 3, 4):
+            mu = dens[j] * area
+            assert abs(counts[j].mean() - mu) < 4.0 * math.sqrt(mu / n)
+            assert abs(counts[j].var(ddof=1) - mu) < 4.0 * math.sqrt((mu + 2.0 * mu**2) / n)
+        assert stats.chisquare(np.bincount(trial, minlength=n)).pvalue > 0.01
+
+    def test_success_probability_is_the_fading_average(self):
+        # Product form against its definition: on one fixed chunk's geometry,
+        # the fraction of exponential fades with S > theta * I.
+        sc, n, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 4, 200_000
+        model = _aligned_model(sc, 1)
+        p, _ = model.success(substream(30, 0), n)
+        chunk = model.geometry(substream(30, 0), n)
+        file, trial = np.divmod(chunk.key, n)
+        gains = np.zeros((5, n))
+        np.add.at(gains, (file, trial), chunk.r ** -sc.alpha)
+        gains += model.tau_int[:, None]
+        g0 = np.full(n, model.tau_sig)
+        np.add.at(g0, chunk.sig_trial, chunk.sig_r ** -sc.alpha)
+        want = np.prod(1.0 / (1.0 + model.theta * gains / g0), axis=0)
+        np.testing.assert_allclose(p, want, rtol=1e-12)
+        assert np.all((0.0 < p) & (p < 1.0))
+        rng = np.random.default_rng(31)
+        for t in range(n):
+            signal = rng.exponential(size=fades) * g0[t]
+            interference = rng.exponential(size=(fades, 5)) @ gains[:, t]
+            hit = np.mean(signal > model.theta * interference)
+            assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_blocks_of_files_do_not_change_values(self, mode, monkeypatch):
+        sc = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1)
+        model = _aligned_model(sc, 3, mode=mode)
+        ref, _ = model.success(substream(32, 0), 50)
+        sir, _ = model.sir(substream(33, 0), 50)
+        monkeypatch.setattr("snratio.simulate._BLOCK_CELLS", 120)  # 2 files a block
+        np.testing.assert_allclose(model.success(substream(32, 0), 50)[0], ref, rtol=1e-12)
+        np.testing.assert_allclose(model.sir(substream(33, 0), 50)[0], sir, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_chunk_memory_is_bounded_in_n_files(self, mode):
+        # The 4096 x 5000 (trial, file) sums alone would take 164 MB in one block.
+        sc = Scenario.from_zipf(5000, 0.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=4096, seed=34, tail_tol=1e-2)
+        tracemalloc.start()
+        try:
+            simulate_sir_aligned(sc, 0, cfg, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 class TestBaselineSir:
     def test_nearest_selection_is_structural(self):
@@ -342,6 +441,19 @@ class TestSharedDriverProperties:
         means = [e.mean for e in ratio_ccdf_estimates(xs, RatioSpec(0.01, 0.02, alpha), cfg)]
         assert all(a >= b for a, b in zip(means, means[1:]))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           cuts=st.lists(st.integers(1, 39), max_size=4))
+    def test_pooled_moments_match_one_pass(self, values, cuts):
+        # Folding per-chunk moments in order gives the one-pass estimate.
+        bounds = sorted({c for c in cuts if c < len(values)})
+        parts = np.split(np.array(values), bounds)
+        got = sum(Moments.of(p) for p in parts).estimate(seed=1)
+        want = mean_estimate(np.array(values), seed=1)
+        assert got.trials == want.trials
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
+
     @_DRIVER_PROPERTY
     @given(k=st.integers(0, 4), seed=st.integers(0, 2**16))
     def test_partitions_do_not_change_estimates(self, k, seed):
@@ -353,7 +465,9 @@ class TestSharedDriverProperties:
                               partitions=partitions)
             return (ratio_ccdf_estimates([0.5, 2.0], spec, cfg),
                     simulate_sir_aligned(sc, k, cfg),
-                    simulate_sir_baseline(sc, k, cfg))
+                    simulate_sir_baseline(sc, k, cfg),
+                    simulate_total_aligned(sc, cfg, return_strata=True),
+                    simulate_total_aligned(sc, cfg, mode="complex", return_strata=True))
 
         ref = run(1)
         assert run(2) == ref
