@@ -58,6 +58,7 @@ from .shotnoise import (
 )
 from .simulate import (
     DiskRegion,
+    Totals,
     TrialConfig,
     default_region,
     empirical_ratio_ccdf,
@@ -71,6 +72,7 @@ from .simulate import (
     simulate_sir_baseline,
     simulate_total_aligned,
     simulate_total_baseline,
+    simulate_totals,
     sir_samples_aligned,
     sir_samples_baseline,
 )
@@ -83,7 +85,7 @@ __all__ = [
     "Estimate", "FadingBatch", "MomentReliabilityWarning", "ParameterDomainError",
     "PopularityProfile", "QuadratureError", "RatioSpec", "Scenario",
     "SeriesControl", "SeriesDivergenceError", "SingularConfigurationError",
-    "StableParams", "TrialConfig", "UnsupportedCaseError", "WindowEnlargementError",
+    "StableParams", "Totals", "TrialConfig", "UnsupportedCaseError", "WindowEnlargementError",
     "ZipfSpec", "alignment_gain_approx", "alpha4_bounds", "baseline_delivery_prob",
     "char_fn", "conditional_delivery_prob", "conditional_delivery_prob_alpha4",
     "conditional_delivery_prob_series", "convert", "decompose_densities",
@@ -94,7 +96,8 @@ __all__ = [
     "ratio_laplace", "ratio_laplace_estimate", "ratio_samples", "reciprocal_gamma",
     "sample_ppp", "sample_request", "shot_noise_pdf", "shot_noise_samples",
     "shot_noise_value", "simulate_sir_aligned", "simulate_sir_baseline",
-    "simulate_total_aligned", "simulate_total_baseline", "sir_samples_aligned",
+    "simulate_total_aligned", "simulate_total_baseline", "simulate_totals",
+    "sir_samples_aligned",
     "sir_samples_baseline", "substream", "total_delivery_prob", "unit_scale",
     "zero_crossing_prob", "zipf",
 ]

@@ -239,11 +239,9 @@ def run_figure3(config: ExperimentConfig):
             batch = config.batch()
             a_top = float(scenario.profile.weights[0])
 
-            sim_a, strata_a = simulate.simulate_total_aligned(
-                scenario, cfg, mode=config.sim_mode, return_strata=True)
-            sim_b, strata_b = simulate.simulate_total_baseline(
-                scenario, cfg, return_strata=True)
-            gain = sim_a.mean / sim_b.mean if sim_b.mean > 0 else float("nan")
+            sim, strata = simulate.simulate_totals(scenario, cfg, mode=config.sim_mode,
+                                                   return_strata=True)
+            sim_a, sim_b = sim.aligned, sim.baseline
 
             upper = delivery.total_delivery_prob(scenario, "upper", batch)
             lower = delivery.total_delivery_prob(scenario, "lower", batch)
@@ -251,12 +249,10 @@ def run_figure3(config: ExperimentConfig):
             top_lower = delivery.delivery_lower_bound(a_top, config.theta, alpha, batch)
             top_baseline = delivery.baseline_delivery_prob(a_top, config.theta, alpha)
 
-            def top(strata):
-                return strata[0].mean if 0 in strata else float("nan")
-
-            rows.append((gamma, alpha, "sim_aligned", top(strata_a),
-                         sim_a.mean, sim_a.stderr, gain))
-            rows.append((gamma, alpha, "sim_baseline", top(strata_b),
+            top = strata.get(0)
+            rows.append((gamma, alpha, "sim_aligned", top.aligned.mean if top else float("nan"),
+                         sim_a.mean, sim_a.stderr, sim.gain.mean))
+            rows.append((gamma, alpha, "sim_baseline", top.baseline.mean if top else float("nan"),
                          sim_b.mean, sim_b.stderr, float("nan")))
             rows.append((gamma, alpha, "upper_bound", top_upper,
                          upper.mean, upper.stderr, float("nan")))
@@ -362,8 +358,10 @@ def run_figure4(config: ExperimentConfig):
 def run_figure5(config: ExperimentConfig):
     """Alignment gain and its closed-form approximation versus skew.
 
-    A point where either model has no successes gets a nan gain, stderr and
-    gap.
+    Both models run on common trials (:func:`simulate.simulate_totals`), so
+    ``sim_gain_stderr`` is the delta-method standard error with their
+    covariance included.  A point where either model has no successes gets
+    a nan gain, stderr and gap.
     """
     header = ["gamma", "alpha", "n_files", "sim_gain", "sim_gain_stderr",
               "approx_gain", "rel_gap"]
@@ -374,12 +372,9 @@ def run_figure5(config: ExperimentConfig):
             scenario = Scenario.from_zipf(n_files, gamma, config.theta,
                                           alpha, config.helper_density)
             cfg = config.trial_config()
-            sim_a = simulate.simulate_total_aligned(scenario, cfg, mode=config.sim_mode)
-            sim_b = simulate.simulate_total_baseline(scenario, cfg)
-            if sim_a.mean > 0 and sim_b.mean > 0:
-                gain = sim_a.mean / sim_b.mean
-                gain_err = gain * math.hypot(sim_a.stderr / sim_a.mean,
-                                             sim_b.stderr / sim_b.mean)
+            sim = simulate.simulate_totals(scenario, cfg, mode=config.sim_mode)
+            if sim.aligned.mean > 0 and sim.baseline.mean > 0:
+                gain, gain_err = sim.gain.mean, sim.gain.stderr
             else:
                 gain = gain_err = float("nan")
             approx = delivery.alignment_gain_approx(

@@ -3,9 +3,10 @@
 Reproducibility contract: every randomized operation derives its draws from
 counter-based (Philox) substreams keyed by ``(master seed, chunk index)``
 over a fixed grid of trial chunks.  Per-chunk results are integer counts
-(successes, resampled trials) or the :class:`Moments` of real per-trial
-values, and they are merged in chunk order, so the final estimate is
-bit-identical no matter how the chunks are partitioned across workers.
+(successes, resampled trials), the :class:`Moments` of real per-trial
+values, or the :class:`CoMoments` of two such values per trial, and they
+are merged in chunk order, so the final estimate is bit-identical no
+matter how the chunks are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -100,6 +101,53 @@ class Moments:
         return Estimate(self.mean, sd / math.sqrt(self.count), self.count, seed, resampled)
 
 
+@dataclass(frozen=True)
+class CoMoments:
+    """The :class:`Moments` of two samples taken on the same trials, and their co-moment.
+
+    ``cross`` is the sum over trials of (x - mean x) * (y - mean y).  ``a + b``
+    pools by the same pairwise update as :class:`Moments`, so the marginals
+    ``x`` and ``y`` have exactly the bits of folding each sample alone.
+    """
+
+    x: Moments
+    y: Moments
+    cross: float
+
+    @classmethod
+    def of(cls, x, y) -> "CoMoments":
+        mx, my = Moments.of(x), Moments.of(y)
+        return cls(mx, my, float(np.dot(np.asarray(x, dtype=float) - mx.mean,
+                                        np.asarray(y, dtype=float) - my.mean)))
+
+    def __add__(self, other):
+        if not isinstance(other, CoMoments):
+            return NotImplemented
+        weight = self.x.count * other.x.count / (self.x.count + other.x.count)
+        cross = (self.cross + other.cross
+                 + (other.x.mean - self.x.mean) * (other.y.mean - self.y.mean) * weight)
+        return CoMoments(self.x + other.x, self.y + other.y, cross)
+
+    def __radd__(self, other):
+        return self if other == 0 else NotImplemented
+
+    def ratio(self, seed: int, resampled: int = 0) -> Estimate:
+        """``mean(y) / mean(x)`` with its delta-method standard error.
+
+        The variance is that of the sample mean of ``y - ratio * x`` over
+        ``mean(x)**2``, so the covariance of the two samples is included.  A
+        nonpositive ``mean(x)`` gives ``nan``.
+        """
+        n = self.x.count
+        if not self.x.mean > 0.0:
+            return Estimate(math.nan, math.nan, n, seed, resampled)
+        r = self.y.mean / self.x.mean
+        if n < 2:
+            return Estimate(r, 0.0, n, seed, resampled)
+        var = (self.y.m2 - 2.0 * r * self.cross + r * r * self.x.m2) / (n - 1)
+        return Estimate(r, math.sqrt(max(var, 0.0) / n) / self.x.mean, n, seed, resampled)
+
+
 def chunk_sizes(total: int) -> list[int]:
     """Split a trial count over the fixed chunk grid (last chunk may be short)."""
     if total < 1:
@@ -110,7 +158,7 @@ def chunk_sizes(total: int) -> list[int]:
 
 def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
                         partitions: int = 1, stream_offset: int = 0):
-    """Run ``chunk_fn(rng, n) -> tuple`` of ints or :class:`Moments` over the chunk grid.
+    """Run ``chunk_fn(rng, n) -> tuple`` of ints or moment records over the chunk grid.
 
     ``partitions`` only controls how many worker threads evaluate the chunks;
     the per-chunk substreams and the summation in chunk order make the

@@ -16,15 +16,26 @@ complex Gaussian of matching variance.  Doubling the disk radius must leave
 every reported estimate within one combined standard error; the validation
 suite checks exactly that.
 
+SIR trials: both models, aligned transmission and nearest-helper service,
+are evaluated on one marked geometry per chunk of trials (``_Stratum``).
+Each trial contributes its success probability given the geometry, with
+the fading integrated out; complex mode keeps per-point fading and a 0/1
+indicator for the aligned model.  :func:`simulate_totals` runs both models
+on common trials, so the alignment gain's standard error includes their
+covariance.
+
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one counter-based substream per chunk.  Per-chunk
-aggregates (integer success counts, or the :class:`~snratio.mc.Moments` of
-per-trial values for the aligned SIR model) are merged in chunk order, so
-estimates are bit-identical under any partitioning.
+aggregates (integer exceedance counts for the ratio sampler, the
+:class:`~snratio.mc.Moments` of per-trial SIR values, or their
+:class:`~snratio.mc.CoMoments` when both SIR models run together) are
+merged in chunk order, so estimates are bit-identical under any
+partitioning.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -38,6 +49,7 @@ from .errors import (
     WindowEnlargementError,
 )
 from .mc import (
+    CoMoments,
     Estimate,
     Moments,
     bernoulli_estimate,
@@ -184,31 +196,32 @@ def _fill_regions(regions, defaults):
     return tuple(given or default for given, default in zip(regions, defaults()))
 
 
-def _retry_empty(n, cfg: TrialConfig, regions, draw, what):
-    """``(values, resampled)`` for ``n`` trials, redrawing degenerate ones.
+def _retry_empty(first, cfg: TrialConfig, regions, draw, what):
+    """``(values, resampled)``: the trials ``first`` sampled, degenerate ones redrawn.
 
-    ``draw(m, *regions) -> (values, empty)`` samples ``m`` trials; the values
-    of the trials it flags ``empty`` are discarded and only those trials are
-    drawn again, on every region doubled, up to ``cfg.max_enlargements``
-    times.  ``what`` completes the error message when trials stay empty.
-    With ``tail_compensation`` on, a shot-noise sum includes the positive
-    tail mean, so a ratio denominator is never empty and nothing is redrawn:
-    an empty denominator window then gives ``s1 / tail_mean``.
+    ``first = (values, empty)`` holds trials sampled on ``regions``; the
+    values of the trials flagged ``empty`` are discarded.  Only those trials
+    are drawn again, by ``draw(m, *regions) -> (values, empty)`` on every
+    region doubled, up to ``cfg.max_enlargements`` times.  ``what``
+    completes the error message when trials stay empty.  With
+    ``tail_compensation`` on, a shot-noise sum includes the positive tail
+    mean, so a ratio denominator is never empty and nothing is redrawn: an
+    empty denominator window then gives ``s1 / tail_mean``.
     """
-    values = np.empty(n)
-    todo = np.arange(n)
+    values, empty = first
+    todo = np.flatnonzero(empty)
     resampled = 0
-    for attempt in range(cfg.max_enlargements + 1):
+    for _ in range(cfg.max_enlargements):
+        if not todo.size:
+            break
+        resampled += todo.size
+        regions = [r.doubled() for r in regions]
         vals, empty = draw(todo.size, *regions)
         values[todo[~empty]] = vals[~empty]
         todo = todo[empty]
-        if not todo.size:
-            break
-        if attempt == cfg.max_enlargements:
-            raise WindowEnlargementError(
-                f"{todo.size} trials {what} after {cfg.max_enlargements} window enlargements")
-        resampled += todo.size
-        regions = [r.doubled() for r in regions]
+    if todo.size:
+        raise WindowEnlargementError(
+            f"{todo.size} trials {what} after {cfg.max_enlargements} window enlargements")
     return values, resampled
 
 
@@ -226,32 +239,21 @@ def _samples(cfg: TrialConfig, kernel):
     return values, resampled
 
 
-def _exceedances(cfg: TrialConfig, kernel, xs, stream_offset: int = 0):
+def _exceedances(cfg: TrialConfig, kernel, xs):
     """``(*counts, resampled)``: per threshold in ``xs``, the trials whose value exceeds it."""
 
     def chunk(rng, n):
         values, resampled = kernel(rng, n)
         return tuple(int((values > x).sum()) for x in xs) + (resampled,)
 
-    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                               stream_offset=stream_offset)
-
-
-def _moments(cfg: TrialConfig, kernel, stream_offset: int = 0):
-    """``(moments, resampled)``: the :class:`Moments` of the kernel's per-trial values."""
-
-    def chunk(rng, n):
-        values, resampled = kernel(rng, n)
-        return Moments.of(values), resampled
-
-    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                               stream_offset=stream_offset)
+    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
 
 
 def _shot_chunk(density, alpha, region, rng, n_trials, compensate) -> np.ndarray:
     """Vectorized truncated shot-noise sums for ``n_trials`` trials."""
     _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
-    s = np.bincount(idx, weights=r ** (-alpha), minlength=n_trials)
+    # bincount of no points is an integer array; the tail mean is added in place.
+    s = np.bincount(idx, weights=r ** (-alpha), minlength=n_trials).astype(float, copy=False)
     if compensate:
         s += tail_mean(density, alpha, region.radius)
     return s
@@ -275,7 +277,8 @@ def _ratio_chunk(rng, n, spec: RatioSpec, cfg: TrialConfig, reg1, reg2):
         with np.errstate(divide="ignore", invalid="ignore"):
             return s1 / s2, s2 == 0.0
 
-    return _retry_empty(n, cfg, (reg1, reg2), draw, "still had an empty denominator")
+    return _retry_empty(draw(n, reg1, reg2), cfg, (reg1, reg2), draw,
+                        "still had an empty denominator")
 
 
 def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRegion]:
@@ -342,9 +345,10 @@ def _coupled_shot_chunk(density, alpha, region, rng, n_trials, compensate):
     big = region.doubled()
     _, idx, r = _disk_points(rng, density * big.area, big.radius, n_trials)
     vals = r ** (-alpha)
-    s_big = np.bincount(idx, weights=vals, minlength=n_trials)
+    s_big = np.bincount(idx, weights=vals, minlength=n_trials).astype(float, copy=False)
     inner = r <= region.radius
-    s_base = np.bincount(idx[inner], weights=vals[inner], minlength=n_trials)
+    s_base = np.bincount(idx[inner], weights=vals[inner],
+                         minlength=n_trials).astype(float, copy=False)
     if compensate:
         s_big += tail_mean(density, alpha, big.radius)
         s_base += tail_mean(density, alpha, region.radius)
@@ -375,6 +379,8 @@ def window_doubling_probe(x: float, spec: RatioSpec, cfg: TrialConfig) -> tuple[
             bernoulli_estimate(big_succ, cfg.trials, cfg.seed))
 
 
+
+
 # ---------------------------------------------------------------------------
 # SIR trials
 # ---------------------------------------------------------------------------
@@ -387,12 +393,15 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
             default_region(lam, scenario.alpha, cfg.tail_tol))
 
 
-class _AlignedChunk(NamedTuple):
-    """The geometry of one chunk of ``n`` aligned-SIR trials.
+class _SirChunk(NamedTuple):
+    """The geometry of one chunk of ``n`` SIR trials.
 
-    Signal points carry their trial ``sig_trial`` and radius ``sig_r``.  The
-    interferers are file-major: points ``ends[j]:ends[j + 1]`` belong to
-    file ``j``, with cell key ``j * n + trial`` and radius ``r``.
+    Signal points (the requested file's) carry their trial ``sig_trial``,
+    nondecreasing, and radius ``sig_r``.  The interferers are file-major:
+    points ``ends[j]:ends[j + 1]`` belong to file ``j``, with cell key
+    ``j * n + trial`` and radius ``r``; ``labels`` holds their trials where
+    they were drawn as labels, and is ``None`` where counts were drawn per
+    cell.
     """
 
     n: int
@@ -400,23 +409,82 @@ class _AlignedChunk(NamedTuple):
     sig_r: np.ndarray
     ends: np.ndarray
     key: np.ndarray
+    labels: np.ndarray | None
     r: np.ndarray
+
+    def interferer_trials(self) -> np.ndarray:
+        """Every interferer's trial."""
+        return self.key % self.n if self.labels is None else self.labels
+
+
+class _Stratum:
+    """The marked geometry of SIR trials whose request is file ``k``.
+
+    The stratum's constants (file densities, expected counts, tail means,
+    threshold) are set once.  Each chunk of ``n`` trials then draws the
+    requested file's points per trial on the signal disk, and every other
+    file's points by the marking theorem (Kingman, *Poisson Processes*,
+    1993): one Poisson count of mean ``n * lambda_j * area`` per file ``j``
+    (``lambda_k = 0``), each point with a uniform trial label and a uniform
+    position on the interference disk.  So the random-number cost is one
+    draw per point and per trial, not per (trial, file) cell.  Where the
+    cells are crowded (``_CELL_COUNT_POINTS``), one Poisson count per cell
+    is the cheaper exact draw of the same process.  Both SIR models are
+    evaluated on this geometry.
+    """
+
+    def __init__(self, scenario: Scenario, k: int, cfg: TrialConfig,
+                 sig_region: DiskRegion, int_region: DiskRegion):
+        alpha = scenario.alpha
+        dens = decompose_densities(scenario.profile, scenario.helper_density)
+        dens_int = dens.copy()
+        dens_int[k] = 0.0
+        self.cfg = cfg
+        self.alpha = alpha
+        self.theta = float(scenario.thresholds[k])
+        self.n_files = scenario.n_files
+        self.sig_density = dens[k]
+        self.sig_region = sig_region
+        self.int_means = dens_int * int_region.area
+        self.int_radius = int_region.radius
+        self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
+        self.tau_int = (tail_mean(1.0, alpha, int_region.radius) * dens_int
+                        if cfg.tail_compensation else np.zeros_like(dens_int))
+
+    @property
+    def tau_sig(self) -> float:
+        """The requested file's tail mean beyond the signal disk (0 without compensation)."""
+        if not self.cfg.tail_compensation:
+            return 0.0
+        return tail_mean(self.sig_density, self.alpha, self.sig_region.radius)
+
+    def on_signal_region(self, region: DiskRegion) -> "_Stratum":
+        """The same stratum with the requested file's points on ``region``."""
+        other = copy.copy(self)
+        other.sig_region = region
+        return other
+
+    def geometry(self, rng, n) -> _SirChunk:
+        """The points of ``n`` trials."""
+        _, sig_trial, sig_r = _disk_points(rng, self.sig_density * self.sig_region.area,
+                                           self.sig_region.radius, n)
+        if self.count_cells:
+            # Counts over the (file, trial) grid: a point's cell index is its key.
+            counts, key, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
+                                          (self.n_files, n))
+            counts = counts.sum(axis=1)
+            labels = None
+        else:
+            counts, key, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
+            labels = rng.integers(0, n, size=r.size)
+            key *= n
+            key += labels
+        return _SirChunk(n, sig_trial, sig_r, np.concatenate(([0], np.cumsum(counts))),
+                         key, labels, r)
 
 
 class _AlignedModel:
-    """Aligned-transmission SIR trials with the request fixed to file ``k``.
-
-    The stratum's constants (file densities, tail means, threshold) are set
-    once.  Each chunk of ``n`` trials then draws the requested file's points
-    per trial on the signal disk, and every other file's points by the
-    marking theorem (Kingman, *Poisson Processes*, 1993): one Poisson count
-    of mean ``n * lambda_j * area`` per file ``j`` (``lambda_k = 0``), each
-    point with a uniform trial label and a uniform position on the
-    interference disk.  So the random-number cost is one draw per point and
-    per trial, not per (trial, file) cell.  Where the cells are crowded
-    (``_CELL_COUNT_POINTS``), one Poisson count per cell is the cheaper
-    exact draw of the same process.  Per-(trial, file) sums are formed one
-    block of files at a time, which bounds memory in N.
+    """Aligned-transmission SIR trials on a stratum's geometry.
 
     mode "exponential": unit-mean exponential fading per file on plain
     path-loss sums G_j.  Given the geometry the fading integrates out
@@ -426,57 +494,27 @@ class _AlignedModel:
     mode "complex": per-point circularly symmetric complex fading; signal
     and per-file interference powers are squared magnitudes of coherent
     sums, and :meth:`success` is the 0/1 indicator of SIR > theta.
-    Both are ``(rng, n) -> (values, resampled)`` kernels; this model never
-    resamples.
+    Per-(trial, file) sums are formed one block of files at a time, which
+    bounds memory in N.  Both methods are ``(rng, chunk) -> (values,
+    resampled)``; this model never resamples.
     """
 
-    def __init__(self, scenario: Scenario, k: int, cfg: TrialConfig,
-                 sig_region: DiskRegion, int_region: DiskRegion, mode: str):
+    def __init__(self, stratum: _Stratum, mode: str):
         if mode not in ("exponential", "complex"):
             raise ParameterDomainError(f"unknown mode {mode!r}")
-        alpha = scenario.alpha
-        dens = decompose_densities(scenario.profile, scenario.helper_density)
-        dens_int = dens.copy()
-        dens_int[k] = 0.0
-        compensate = cfg.tail_compensation
+        self.stratum = stratum
         self.mode = mode
-        self.alpha = alpha
-        self.theta = float(scenario.thresholds[k])
-        self.n_files = scenario.n_files
-        self.sig_mean = dens[k] * sig_region.area
-        self.sig_radius = sig_region.radius
-        self.int_means = dens_int * int_region.area
-        self.int_radius = int_region.radius
-        self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
-        self.tau_sig = tail_mean(dens[k], alpha, sig_region.radius) if compensate else 0.0
-        self.tau_int = (tail_mean(1.0, alpha, int_region.radius) * dens_int if compensate
-                        else np.zeros_like(dens_int))
 
-    def geometry(self, rng, n) -> _AlignedChunk:
-        """The points of ``n`` trials."""
-        _, sig_trial, sig_r = _disk_points(rng, self.sig_mean, self.sig_radius, n)
-        if self.count_cells:
-            # Counts over the (file, trial) grid: a point's cell index is its key.
-            counts, key, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
-                                          (self.n_files, n))
-            counts = counts.sum(axis=1)
-        else:
-            counts, key, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
-            key *= n
-            key += rng.integers(0, n, size=r.size)
-        return _AlignedChunk(n, sig_trial, sig_r, np.concatenate(([0], np.cumsum(counts))),
-                             key, r)
-
-    def blocks(self, chunk: _AlignedChunk, weights: np.ndarray):
+    def blocks(self, chunk: _SirChunk, weights: np.ndarray):
         """``(files, sums)`` per block of files, in file order.
 
         ``sums[i, t]`` adds up the ``weights`` of trial ``t``'s points of
         file ``files[i]``; a block holds at most about ``_BLOCK_CELLS`` cells.
         """
-        n = chunk.n
+        n, n_files = chunk.n, self.stratum.n_files
         step = max(1, _BLOCK_CELLS // n)
-        for f0 in range(0, self.n_files, step):
-            f1 = min(f0 + step, self.n_files)
+        for f0 in range(0, n_files, step):
+            f1 = min(f0 + step, n_files)
             lo, hi = chunk.ends[f0], chunk.ends[f1]
             cells = chunk.key[lo:hi]
             if f0:  # the first block, often the only one, needs no shifted copy
@@ -485,101 +523,68 @@ class _AlignedModel:
             # bincount of no points is an integer array; the callers add floats in place.
             yield slice(f0, f1), sums.astype(float, copy=False).reshape(f1 - f0, n)
 
-    def signal_gain(self, chunk: _AlignedChunk) -> np.ndarray:
+    def signal_gain(self, chunk: _SirChunk) -> np.ndarray:
         """G_0 per trial: the requested file's path-loss sum plus its tail mean."""
-        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** (-self.alpha),
-                            minlength=chunk.n) + self.tau_sig)
+        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** (-self.stratum.alpha),
+                            minlength=chunk.n) + self.stratum.tau_sig)
 
-    def success(self, rng, n):
+    def success(self, rng, chunk: _SirChunk):
         """Per-trial values whose mean estimates P(SIR > theta)."""
+        s, n = self.stratum, chunk.n
         if self.mode == "complex":
-            sir, resampled = self.sir(rng, n)
-            return (sir > self.theta).astype(float), resampled
-        if self.n_files == 1:
+            sir, resampled = self.sir(rng, chunk)
+            return (sir > s.theta).astype(float), resampled
+        if s.n_files == 1:
             return np.ones(n), 0
-        chunk = self.geometry(rng, n)
         g0 = self.signal_gain(chunk)
         # Without tail compensation an empty signal window gives G_0 = 0: SIR 0.
         live = g0 > 0.0
-        scale = self.theta / np.where(live, g0, 1.0)
+        scale = s.theta / np.where(live, g0, 1.0)
         log_q = np.zeros(n)
-        for files, gains in self.blocks(chunk, chunk.r ** (-self.alpha)):
-            gains += self.tau_int[files, None]
+        for files, gains in self.blocks(chunk, chunk.r ** (-s.alpha)):
+            gains += s.tau_int[files, None]
             gains *= scale
             log_q += np.log1p(gains, out=gains).sum(axis=0)
         return np.where(live, np.exp(-log_q), 0.0), 0
 
-    def sir(self, rng, n):
-        """SIR samples, one per trial."""
-        if self.n_files == 1:
+    def sir(self, rng, chunk: _SirChunk):
+        """SIR samples, one per trial.
+
+        Complex mode turns ``chunk.r`` into amplitudes in place, so a model
+        that reads the radii runs on the chunk first.
+        """
+        s, n = self.stratum, chunk.n
+        if s.n_files == 1:
             return np.full(n, np.inf), 0
-        chunk = self.geometry(rng, n)
         interference = np.zeros(n)
         if self.mode == "exponential":
             s0 = rng.exponential(size=n) * self.signal_gain(chunk)
-            for files, gains in self.blocks(chunk, chunk.r ** (-self.alpha)):
-                gains += self.tau_int[files, None]
+            for files, gains in self.blocks(chunk, chunk.r ** (-s.alpha)):
+                gains += s.tau_int[files, None]
                 interference += (rng.exponential(size=gains.shape) * gains).sum(axis=0)
         else:
-            amp_sig = chunk.sig_r ** (-self.alpha / 2.0)
+            amp_sig = chunk.sig_r ** (-s.alpha / 2.0)
             z_sig = (np.bincount(chunk.sig_trial,
                                  weights=amp_sig * rng.standard_normal(amp_sig.size), minlength=n)
                      + 1j * np.bincount(chunk.sig_trial,
                                         weights=amp_sig * rng.standard_normal(amp_sig.size),
                                         minlength=n)) / math.sqrt(2.0)
-            z_sig += math.sqrt(self.tau_sig / 2.0) * (rng.standard_normal(n)
-                                                      + 1j * rng.standard_normal(n))
+            z_sig += math.sqrt(s.tau_sig / 2.0) * (rng.standard_normal(n)
+                                                   + 1j * rng.standard_normal(n))
             s0 = np.abs(z_sig) ** 2
             fade = rng.standard_normal((2, chunk.r.size))
             # The radii are not read again: they become the amplitudes in place.
-            fade *= np.power(chunk.r, -self.alpha / 2.0, out=chunk.r)
+            fade *= np.power(chunk.r, -s.alpha / 2.0, out=chunk.r)
             for (files, re), (_, im) in zip(self.blocks(chunk, fade[0]),
                                             self.blocks(chunk, fade[1])):
                 # Tail terms in (file, trial, part) order: the same draws for any blocking.
-                tail = (np.sqrt(self.tau_int[files, None, None] / 2.0)
+                tail = (np.sqrt(s.tau_int[files, None, None] / 2.0)
                         * rng.standard_normal(re.shape + (2,)))
                 re = re / math.sqrt(2.0) + tail[..., 0]
                 im = im / math.sqrt(2.0) + tail[..., 1]
                 interference += (re**2 + im**2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             return s0 / interference, 0
-
-
-def _sir_model(make, scenario: Scenario, k: int, cfg: TrialConfig,
-               regions=(None, None), **options):
-    """``make(scenario, k, cfg, sig_region, int_region, **options)``, request fixed to ``k``.
-
-    Windows left ``None`` in ``regions`` are the defaults of :func:`aligned_regions`.
-    """
-    _check_file_index(scenario.n_files, k)
-    regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
-    return make(scenario, k, cfg, *regions, **options)
-
-
-def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
-                        mode: str = "exponential",
-                        signal_region: DiskRegion | None = None,
-                        interference_region: DiskRegion | None = None) -> np.ndarray:
-    """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
-    model = _sir_model(_AlignedModel, scenario, k, cfg,
-                       (signal_region, interference_region), mode=mode)
-    return _samples(cfg, model.sir)[0]
-
-
-def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
-                         mode: str = "exponential",
-                         signal_region: DiskRegion | None = None,
-                         interference_region: DiskRegion | None = None) -> Estimate:
-    """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``.
-
-    The estimate is the mean of per-trial values: conditional success
-    probabilities given the geometry in exponential mode, success
-    indicators in complex mode.
-    """
-    model = _sir_model(_AlignedModel, scenario, k, cfg,
-                       (signal_region, interference_region), mode=mode)
-    moments, resampled = _moments(cfg, model.success)
-    return moments.estimate(cfg.seed, resampled)
 
 
 def _group_heads(keys: np.ndarray) -> np.ndarray:
@@ -606,72 +611,180 @@ def _nearest_positions(trial_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return at_min[_group_heads(trial_idx[at_min])]
 
 
-def _baseline_sir_chunk(rng, n, scenario: Scenario, k: int, cfg: TrialConfig,
-                        sig_region: DiskRegion, int_region: DiskRegion):
-    """Nearest-helper SIR samples (no alignment); returns (sir, resampled).
+def _serving(chunk: _SirChunk):
+    """``(serving, served, empty)``: the position and trial of every trial's
+    nearest signal point, and the mask of trials without one."""
+    serving = _nearest_positions(chunk.sig_trial, chunk.sig_r)
+    served = chunk.sig_trial[serving]
+    empty = np.ones(chunk.n, dtype=bool)
+    empty[served] = False
+    return serving, served, empty
 
-    The serving helper is the nearest point of the requested file's process
-    and is excluded from the interference; every other point interferes with
-    its own independent exponential fade.
+
+class _NearestHelperModel:
+    """Nearest-helper SIR trials (no alignment) on a stratum's geometry.
+
+    The serving helper is the nearest point of the requested file's
+    process; every other point, of the requested file or of the
+    interferers, interferes with its own unit-mean exponential fade, and
+    the tail means add unfaded.  Both methods are ``(rng, chunk) ->
+    (values, resampled)``.  A trial without a signal point is redrawn on a
+    fresh geometry with the signal disk doubled, up to
+    ``cfg.max_enlargements`` times; only these redraws use ``rng``.
     """
-    alpha = scenario.alpha
-    lam = scenario.helper_density
-    lam_k = float(scenario.profile.weights[k]) * lam
-    lam_o = lam - lam_k
 
-    def draw(m, sig_r):
-        ck, idxk, rk = _disk_points(rng, lam_k * sig_r.area, sig_r.radius, m)
-        power = rng.exponential(size=rk.size) * rk ** (-alpha)
+    def __init__(self, stratum: _Stratum):
+        self.stratum = stratum
 
-        if lam_o > 0.0:
-            _, idxo, ro = _disk_points(rng, lam_o * int_region.area, int_region.radius, m)
-            ho = rng.exponential(size=ro.size)
-            int_other = np.bincount(idxo, weights=ho * ro ** (-alpha), minlength=m)
-            tau_other = (tail_mean(lam_o, alpha, int_region.radius)
-                         if cfg.tail_compensation else 0.0)
-        else:
-            int_other = np.zeros(m)
-            tau_other = 0.0
+    def success(self, rng, chunk: _SirChunk):
+        """Per-trial P(SIR > theta) given the geometry, the fades integrated out.
 
-        # Serving helper: nearest point of the requested file's process.
-        serv_pos = _nearest_positions(idxk, rk)
-        serv_trial = idxk[serv_pos]
+        With ``x = theta * r_s**alpha`` for the server at ``r_s``, a point of
+        path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g), so a
+        trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
+        """
+        return self._redrawn(rng, chunk, self._success)
 
-        signal = np.zeros(m)
-        signal[serv_trial] = power[serv_pos]
+    def sir(self, rng, chunk: _SirChunk):
+        """SIR samples, one exponential fade per point."""
+        return self._redrawn(rng, chunk, self._sir)
 
-        int_k = np.bincount(idxk, weights=power, minlength=m) - signal
-        tau_k = tail_mean(lam_k, alpha, sig_r.radius) if cfg.tail_compensation else 0.0
-        interference = int_k + int_other + tau_k + tau_other
+    def _redrawn(self, rng, chunk, evaluate):
+        def draw(m, sig_region):
+            stratum = self.stratum.on_signal_region(sig_region)
+            return evaluate(stratum, rng, stratum.geometry(rng, m))
 
-        with np.errstate(divide="ignore"):
-            return np.where(interference > 0.0, signal / interference, np.inf), ck == 0
+        # Only the requested file's disk is enlarged; the interference disk stays.
+        return _retry_empty(evaluate(self.stratum, rng, chunk), self.stratum.cfg,
+                            (self.stratum.sig_region,), draw,
+                            "had no helper for the requested file")
 
-    # Only the requested file's disk is enlarged; the interference disk stays.
-    return _retry_empty(n, cfg, (sig_region,), draw, "had no helper for the requested file")
+    @staticmethod
+    def _success(s: _Stratum, rng, chunk: _SirChunk):
+        n = chunk.n
+        serving, served, empty = _serving(chunk)
+        r_s = np.zeros(n)
+        r_s[served] = chunk.sig_r[serving]
+
+        def log_terms(trial, r):
+            # log(1 + x g) = log1p(theta * (r_s / r)**alpha), formed in one buffer.
+            t = r_s[trial]
+            t /= r
+            np.power(t, s.alpha, out=t)
+            t *= s.theta
+            return np.log1p(t, out=t)
+
+        log_q = s.theta * r_s ** s.alpha * (s.tau_sig + s.tau_int.sum())
+        terms = log_terms(chunk.sig_trial, chunk.sig_r)
+        terms[serving] = 0.0  # the server does not interfere with itself
+        log_q += np.bincount(chunk.sig_trial, weights=terms, minlength=n)
+        del terms
+        trial = chunk.interferer_trials()
+        log_q += np.bincount(trial, weights=log_terms(trial, chunk.r), minlength=n)
+        return np.exp(-log_q), empty
+
+    @staticmethod
+    def _sir(s: _Stratum, rng, chunk: _SirChunk):
+        n = chunk.n
+        serving, served, empty = _serving(chunk)
+        sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** (-s.alpha)
+        int_power = rng.exponential(size=chunk.r.size) * chunk.r ** (-s.alpha)
+        signal = np.zeros(n)
+        signal[served] = sig_power[serving]
+        sig_power[serving] = 0.0
+        interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
+                        + np.bincount(chunk.interferer_trials(), weights=int_power, minlength=n)
+                        + (s.tau_sig + s.tau_int.sum()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(interference > 0.0, signal / interference, np.inf), empty
 
 
-def _baseline_kernel(scenario: Scenario, k: int, cfg: TrialConfig,
-                     sig_region: DiskRegion, int_region: DiskRegion):
-    """``(rng, n) -> (sir, resampled)`` of the nearest-helper model."""
-    return lambda rng, n: _baseline_sir_chunk(rng, n, scenario, k, cfg, sig_region, int_region)
+def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
+    """The stratum of request ``k``; windows left ``None`` are the defaults of
+    :func:`aligned_regions`."""
+    _check_file_index(scenario.n_files, k)
+    regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
+    return _Stratum(scenario, k, cfg, *regions)
+
+
+def _on_geometry(stratum: _Stratum, method):
+    """``(rng, n) -> (values, resampled)``: ``method(rng, chunk)`` on ``n`` fresh trials."""
+    return lambda rng, n: method(rng, stratum.geometry(rng, n))
+
+
+def _sir_moments(cfg: TrialConfig, stratum: _Stratum, methods, stream_offset: int = 0):
+    """``(record, *resampled)`` of ``methods`` run in order on one geometry per chunk.
+
+    ``record`` folds the per-trial values: their :class:`Moments` for one
+    method, the :class:`CoMoments` of the first (``x``) and second (``y``)
+    for two.  ``resampled`` has one count per method.
+    """
+
+    def chunk(rng, n):
+        geometry = stratum.geometry(rng, n)
+        values, resampled = zip(*(method(rng, geometry) for method in methods))
+        record = Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values)
+        return (record, *resampled)
+
+    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                               stream_offset=stream_offset)
+
+
+def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
+                        mode: str = "exponential",
+                        signal_region: DiskRegion | None = None,
+                        interference_region: DiskRegion | None = None) -> np.ndarray:
+    """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
+    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    return _samples(cfg, _on_geometry(stratum, _AlignedModel(stratum, mode).sir))[0]
+
+
+def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
+                         mode: str = "exponential",
+                         signal_region: DiskRegion | None = None,
+                         interference_region: DiskRegion | None = None) -> Estimate:
+    """P(SIR > theta_k) under aligned transmission, request fixed to file ``k``.
+
+    The estimate is the mean of per-trial values: conditional success
+    probabilities given the geometry in exponential mode, success
+    indicators in complex mode.
+    """
+    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    moments, resampled = _sir_moments(cfg, stratum, (_AlignedModel(stratum, mode).success,))
+    return moments.estimate(cfg.seed, resampled)
 
 
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                          signal_region: DiskRegion | None = None,
                          interference_region: DiskRegion | None = None) -> np.ndarray:
-    """Per-trial nearest-helper SIR samples, request fixed to file ``k``."""
-    return _samples(cfg, _sir_model(_baseline_kernel, scenario, k, cfg,
-                                    (signal_region, interference_region)))[0]
+    """Per-trial nearest-helper SIR samples, request fixed to file ``k``.
+
+    One exponential fade is drawn per point of the same geometry that
+    :func:`simulate_sir_baseline` averages over.
+    """
+    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    return _samples(cfg, _on_geometry(stratum, _NearestHelperModel(stratum).sir))[0]
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
                           signal_region: DiskRegion | None = None,
                           interference_region: DiskRegion | None = None) -> Estimate:
-    """P(SIR > theta_k) for nearest-helper service without alignment."""
-    kernel = _sir_model(_baseline_kernel, scenario, k, cfg, (signal_region, interference_region))
-    successes, resampled = _exceedances(cfg, kernel, (float(scenario.thresholds[k]),))
-    return bernoulli_estimate(successes, cfg.trials, cfg.seed, resampled)
+    """P(SIR > theta_k) for nearest-helper service without alignment.
+
+    The estimate is the mean of per-trial success probabilities given the
+    geometry; ``resampled`` counts trials redrawn for an empty signal window.
+    """
+    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    moments, resampled = _sir_moments(cfg, stratum, (_NearestHelperModel(stratum).success,))
+    return moments.estimate(cfg.seed, resampled)
+
+
+class Totals(NamedTuple):
+    """Aligned and nearest-helper delivery probabilities on common trials, and their ratio."""
+
+    aligned: Estimate
+    baseline: Estimate
+    gain: Estimate
 
 
 def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
@@ -680,24 +793,25 @@ def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
     return rng.multinomial(cfg.trials, scenario.profile.weights)
 
 
-def _simulate_total(scenario: Scenario, cfg: TrialConfig, run_stratum, estimate, return_strata):
-    """Popularity-mixed success probability over randomized requests.
+def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, return_strata):
+    """Popularity-mixed success probabilities over randomized requests.
 
     Requests are split over the files by one multinomial draw (equivalent to
-    drawing them one by one); ``run_stratum(sub, k, stream_offset) ->
-    (aggregate, resampled)`` then runs file ``k``'s trials on its own chunk
-    grid at a disjoint stream offset.  Aggregates (success counts or
-    :class:`Moments`) add up over the strata in file order, and
-    ``estimate(aggregate, trials, seed, resampled)`` makes one an Estimate.
+    drawing them one by one).  File ``k``'s trials then run ``methods(stratum)``
+    by :func:`_sir_moments` on their own chunk grid, at a disjoint stream
+    offset.  The ``(record, *resampled)`` aggregates add up over the strata
+    in file order, and ``finish`` turns one into the result.
     """
     counts = _request_counts(scenario, cfg)
-    runs = {k: run_stratum(replace(cfg, trials=int(t_k)), k, (k + 1) * _STREAM_STRIDE)
-            for k, t_k in enumerate(counts) if t_k}
-    total = estimate(sum(agg for agg, _ in runs.values()), cfg.trials, cfg.seed,
-                     sum(res for _, res in runs.values()))
+    runs = {}
+    for k, t_k in enumerate(counts):
+        if t_k:
+            sub = replace(cfg, trials=int(t_k))
+            stratum = _stratum(scenario, k, sub)
+            runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
+    total = finish(tuple(sum(column) for column in zip(*runs.values())))
     if return_strata:
-        return total, {k: estimate(agg, int(counts[k]), cfg.seed, res)
-                       for k, (agg, res) in runs.items()}
+        return total, {k: finish(agg) for k, agg in runs.items()}
     return total
 
 
@@ -709,23 +823,40 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     random request counts) are returned alongside the total.  Every
     estimate is a mean of per-trial values, as in :func:`simulate_sir_aligned`.
     """
-
-    def run(sub, k, stream_offset):
-        model = _sir_model(_AlignedModel, scenario, k, sub, mode=mode)
-        return _moments(sub, model.success, stream_offset)
-
-    return _simulate_total(scenario, cfg, run,
-                           lambda moments, _, seed, res: moments.estimate(seed, res),
-                           return_strata)
+    return _simulate_total(scenario, cfg, lambda s: (_AlignedModel(s, mode).success,),
+                           lambda agg: agg[0].estimate(cfg.seed, agg[1]), return_strata)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
+    return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,),
+                           lambda agg: agg[0].estimate(cfg.seed, agg[1]), return_strata)
 
-    def run(sub, k, stream_offset):
-        kernel = _sir_model(_baseline_kernel, scenario, k, sub)
-        return _exceedances(sub, kernel, (float(scenario.thresholds[k]),),
-                            stream_offset=stream_offset)
 
-    return _simulate_total(scenario, cfg, run, bernoulli_estimate, return_strata)
+def simulate_totals(scenario: Scenario, cfg: TrialConfig,
+                    mode: str = "exponential", return_strata: bool = False):
+    """Both totals on common trials, and the alignment gain: a :class:`Totals`.
+
+    Every trial's geometry is drawn once and both models are evaluated on
+    it (common random numbers), so the gain's delta-method standard error
+    includes their covariance.  ``aligned`` and ``baseline`` have the bits
+    of :func:`simulate_total_aligned` and :func:`simulate_total_baseline`
+    at the same arguments.  For the nearest-helper half that always holds:
+    it is evaluated first, and its values draw nothing but its redraws of
+    empty signal windows.  The aligned half keeps its bits whenever no trial
+    is redrawn, since complex mode's fades follow those redraws in the
+    stream; at the default windows a redraw has probability about e^-113.
+    With ``return_strata`` the per-file :class:`Totals` are returned
+    alongside.
+    """
+
+    def finish(agg):
+        record, resampled_b, resampled_a = agg
+        return Totals(record.y.estimate(cfg.seed, resampled_a),
+                      record.x.estimate(cfg.seed, resampled_b),
+                      record.ratio(cfg.seed, resampled_a + resampled_b))
+
+    return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,
+                                                     _AlignedModel(s, mode).success),
+                           finish, return_strata)

@@ -269,20 +269,30 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                            5000,
                                            3,
                                            0),
-        'sir_baseline_N1': ('est', '0x1.20f9096bb98c8p-1', '0x1.cb9874f251343p-8', 5000, 3, 0),
-        'sir_baseline_N5': ('est', '0x1.13404ea4a8c15p-2', '0x1.9aeedd3f9f36bp-8', 5000, 3, 0),
+        'sir_baseline_N1': ('est',
+                            '0x1.22313afc827a0p-1',
+                            '0x1.21a658b895279p-8',
+                            5000,
+                            3,
+                            0),
+        'sir_baseline_N5': ('est',
+                            '0x1.15c50f45c9052p-2',
+                            '0x1.3fe7b7e571d2ep-8',
+                            5000,
+                            3,
+                            0),
         'sir_baseline_interference_region_only': ('est',
-                                                  '0x1.367a0f9096bbap-3',
-                                                  '0x1.4c6bbeb09b407p-8',
+                                                  '0x1.26884f72f0b1dp-3',
+                                                  '0x1.066930c946ff0p-8',
                                                   5000,
                                                   3,
                                                   0),
         'sir_baseline_regions': ('est',
-                                 '0x1.4c2f837b4a234p-3',
-                                 '0x1.55b0fb4f499d3p-8',
+                                 '0x1.365fcde14477cp-3',
+                                 '0x1.0c74bd7f2169fp-8',
                                  5000,
                                  3,
-                                 7147),
+                                 7205),
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
@@ -298,11 +308,11 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 'daad3856f90613ab56efa0157637c4899e88bfa32a805fe09ccdf0bfc755e8aa'),
+                                 '32e40fb835eaac493b7bc956ae8810331cb83c9e79c6123360f421cee1cc781e'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '8c20b96f8b3f654a4d21ee01d761a9757cade9d33d65dee4238d9ef26d9c2a2e'),
+                                         '7c2b90f8957e8489f8d5eb08edef8435408ca0ba079e76bb421eed42f123fe37'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
@@ -398,47 +408,57 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                             0)))),
         'total_alpha4_a4': ('est', '0x1.ea7c1a2fb4b4dp-6', '0x1.a6472c4ebe857p-17', 3000, 7, 0),
         'total_alpha4_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
-        'total_baseline_N1': (('est', '0x1.1c28f5c28f5c3p-1', '0x1.a4803f3cab27dp-8', 6000, 3, 0),
+        'total_baseline_N1': (('est',
+                               '0x1.1eca3fc6aa71bp-1',
+                               '0x1.0912b51dc3106p-8',
+                               6000,
+                               3,
+                               0),
                               ((0,
                                 ('est',
-                                 '0x1.1c28f5c28f5c3p-1',
-                                 '0x1.a4803f3cab27dp-8',
+                                 '0x1.1eca3fc6aa71bp-1',
+                                 '0x1.0912b51dc3106p-8',
                                  6000,
                                  3,
                                  0)),)),
-        'total_baseline_N5': (('est', '0x1.4a11bfd44f308p-3', '0x1.371c85f25f9a1p-8', 6000, 3, 0),
+        'total_baseline_N5': (('est',
+                               '0x1.4e421715ffae8p-3',
+                               '0x1.ecef082719a26p-9',
+                               6000,
+                               3,
+                               0),
                               ((0,
                                 ('est',
-                                 '0x1.fb82af1753725p-3',
-                                 '0x1.1448ab53c72eap-7',
+                                 '0x1.01deb5262e560p-2',
+                                 '0x1.ab8b8650623e5p-8',
                                  2623,
                                  3,
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.15aaef25b7c64p-3',
-                                 '0x1.3a29b78c8231cp-7',
+                                 '0x1.0e8b5f3c3a416p-3',
+                                 '0x1.e8d2643ee74c9p-8',
                                  1276,
                                  3,
                                  0)),
                                (2,
                                 ('est',
-                                 '0x1.2d3f77f3da581p-4',
-                                 '0x1.26c5e235b2b59p-7',
+                                 '0x1.3fc4b00f844eep-4',
+                                 '0x1.cbc41f6b3586bp-8',
                                  843,
                                  3,
                                  0)),
                                (3,
                                 ('est',
-                                 '0x1.25db44976d126p-4',
-                                 '0x1.43cd58f5fdd9dp-7',
+                                 '0x1.2d0e2dd96b9c2p-4',
+                                 '0x1.0bb3ee5f5da8dp-7',
                                  683,
                                  3,
                                  0)),
                                (4,
                                 ('est',
-                                 '0x1.d62649e7f5509p-5',
-                                 '0x1.3e1d2de3f5ce4p-7',
+                                 '0x1.e6a61f86ba8b6p-5',
+                                 '0x1.005d635cb0a31p-7',
                                  575,
                                  3,
                                  0)))),

@@ -32,7 +32,9 @@ from snratio import (
     simulate_sir_baseline,
     simulate_total_aligned,
     simulate_total_baseline,
+    simulate_totals,
     sir_samples_aligned,
+    sir_samples_baseline,
     substream,
 )
 from snratio.delivery import FadingBatch
@@ -42,11 +44,15 @@ from snratio.errors import (
     WindowEnlargementError,
 )
 from snratio.experiments import zipf_remainder_profile
-from snratio.mc import Moments, mean_estimate
+from snratio.mc import CoMoments, Moments, mean_estimate
 from snratio.popularity import decompose_densities
 from snratio.simulate import (
     _AlignedModel,
+    _coupled_shot_chunk,
+    _NearestHelperModel,
     _nearest_positions,
+    _on_geometry,
+    _Stratum,
     aligned_regions,
     rule_radius,
     tail_mean,
@@ -209,6 +215,23 @@ class TestRatioCcdfEstimates:
         with pytest.raises(WindowEnlargementError):
             ratio_samples(spec, cfg, region1=DiskRegion(1.0), region2=DiskRegion(1.0))
 
+    def test_chunk_without_points_is_the_tail_mean_ratio(self):
+        # One trial, both windows empty: the sums are the tail means alone
+        # (bincount over no points used to give an integer array).
+        spec = RatioSpec(0.02, 0.1, 3.0)
+        r1, r2 = DiskRegion(3.0), DiskRegion(1.5)
+        vals, resampled = ratio_samples(spec, TrialConfig(trials=1, seed=0), r1, r2)
+        want = tail_mean(0.02, 3.0, r1.radius) / tail_mean(0.1, 3.0, r2.radius)
+        assert vals.dtype == float and resampled == 0
+        assert vals[0] == pytest.approx(want, rel=1e-12)
+
+    def test_coupled_sums_of_an_empty_window_are_the_tail_means(self):
+        region = DiskRegion(1.0)
+        base, big = _coupled_shot_chunk(1e-9, 3.0, region, substream(0, 0), 4, True)
+        assert base.dtype == big.dtype == float
+        assert np.all(base == tail_mean(1e-9, 3.0, region.radius))
+        assert np.all(big == tail_mean(1e-9, 3.0, 2.0 * region.radius))
+
     def test_laplace_estimate_matches_series(self):
         spec = RatioSpec(0.005, 0.0005, 4.0)
         est = ratio_laplace_estimate(1.0, spec, TrialConfig(trials=50_000, seed=12,
@@ -273,9 +296,13 @@ class TestAlignedSir:
         assert est.mean == 1.0
 
 
-def _aligned_model(sc, k, mode="exponential"):
+def _stratum(sc, k):
     cfg = TrialConfig(trials=1, tail_tol=1e-2)
-    return _AlignedModel(sc, k, cfg, *aligned_regions(sc, k, cfg), mode)
+    return _Stratum(sc, k, cfg, *aligned_regions(sc, k, cfg))
+
+
+def _aligned_model(sc, k, mode="exponential"):
+    return _AlignedModel(_stratum(sc, k), mode)
 
 
 class TestAlignedGeometry:
@@ -286,9 +313,9 @@ class TestAlignedGeometry:
         # Five files crowd the cells (a count per cell), 40 do not (a label
         # per point).
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, 4.0, 0.1), 2, 4096
-        model = _aligned_model(sc, k)
-        assert model.count_cells is count_cells
-        chunk = model.geometry(substream(29, 0), n)
+        stratum = _stratum(sc, k)
+        assert stratum.count_cells is count_cells
+        chunk = stratum.geometry(substream(29, 0), n)
         file, trial = np.divmod(chunk.key, n)
         assert np.array_equal(file, np.repeat(np.arange(n_files), np.diff(chunk.ends)))
         area = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2))[1].area
@@ -306,33 +333,36 @@ class TestAlignedGeometry:
         # the fraction of exponential fades with S > theta * I.
         sc, n, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 4, 200_000
         model = _aligned_model(sc, 1)
-        p, _ = model.success(substream(30, 0), n)
-        chunk = model.geometry(substream(30, 0), n)
+        stratum = model.stratum
+        chunk = stratum.geometry(substream(30, 0), n)
+        p, _ = model.success(None, chunk)
         file, trial = np.divmod(chunk.key, n)
         gains = np.zeros((5, n))
         np.add.at(gains, (file, trial), chunk.r ** -sc.alpha)
-        gains += model.tau_int[:, None]
-        g0 = np.full(n, model.tau_sig)
+        gains += stratum.tau_int[:, None]
+        g0 = np.full(n, stratum.tau_sig)
         np.add.at(g0, chunk.sig_trial, chunk.sig_r ** -sc.alpha)
-        want = np.prod(1.0 / (1.0 + model.theta * gains / g0), axis=0)
+        want = np.prod(1.0 / (1.0 + stratum.theta * gains / g0), axis=0)
         np.testing.assert_allclose(p, want, rtol=1e-12)
         assert np.all((0.0 < p) & (p < 1.0))
         rng = np.random.default_rng(31)
         for t in range(n):
             signal = rng.exponential(size=fades) * g0[t]
             interference = rng.exponential(size=(fades, 5)) @ gains[:, t]
-            hit = np.mean(signal > model.theta * interference)
+            hit = np.mean(signal > stratum.theta * interference)
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_blocks_of_files_do_not_change_values(self, mode, monkeypatch):
         sc = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1)
         model = _aligned_model(sc, 3, mode=mode)
-        ref, _ = model.success(substream(32, 0), 50)
-        sir, _ = model.sir(substream(33, 0), 50)
+        success = _on_geometry(model.stratum, model.success)
+        sir = _on_geometry(model.stratum, model.sir)
+        ref, _ = success(substream(32, 0), 50)
+        ref_sir, _ = sir(substream(33, 0), 50)
         monkeypatch.setattr("snratio.simulate._BLOCK_CELLS", 120)  # 2 files a block
-        np.testing.assert_allclose(model.success(substream(32, 0), 50)[0], ref, rtol=1e-12)
-        np.testing.assert_allclose(model.sir(substream(33, 0), 50)[0], sir, rtol=1e-12)
+        np.testing.assert_allclose(success(substream(32, 0), 50)[0], ref, rtol=1e-12)
+        np.testing.assert_allclose(sir(substream(33, 0), 50)[0], ref_sir, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_chunk_memory_is_bounded_in_n_files(self, mode):
@@ -401,6 +431,66 @@ class TestBaselineSir:
                                   signal_region=DiskRegion(0.5),
                                   interference_region=DiskRegion(5.0))
 
+    @staticmethod
+    def _product_form(stratum, chunk):
+        """Per-trial product form, trial by trial from the raw geometry."""
+        n, alpha, tails = chunk.n, stratum.alpha, stratum.tau_sig + stratum.tau_int.sum()
+        int_trial = chunk.key % n
+        want = np.full(n, np.nan)
+        for t in range(n):
+            sig = chunk.sig_r[chunk.sig_trial == t]
+            if not sig.size:
+                continue
+            x = stratum.theta * sig.min() ** alpha
+            others = np.concatenate((np.delete(sig, np.argmin(sig)), chunk.r[int_trial == t]))
+            want[t] = math.exp(-x * tails) * np.prod(1.0 / (1.0 + x * others ** -alpha))
+        return want
+
+    @pytest.mark.parametrize("n_files", [1, 5, 40])
+    def test_product_form_from_raw_geometry(self, n_files):
+        # Five files crowd the cells (a count per cell), 40 do not (a label per point).
+        sc, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), 300
+        stratum = _stratum(sc, n_files // 2)
+        model = _NearestHelperModel(stratum)
+        chunk = stratum.geometry(substream(35, 0), n)
+        p, resampled = model.success(substream(35, 1), chunk)
+        assert resampled == 0
+        np.testing.assert_allclose(p, self._product_form(stratum, chunk), rtol=1e-12)
+
+    def test_product_form_is_the_fading_average(self):
+        # On one chunk's geometry (small windows, so few points), the fraction
+        # of exponential fades with h_s g_s > theta * (sum_i h_i g_i + tails).
+        sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
+        cfg = TrialConfig(trials=1, tail_tol=1e-2)
+        stratum = _Stratum(sc, 1, cfg, DiskRegion(8.0), DiskRegion(8.0))
+        chunk = stratum.geometry(substream(36, 0), 64)
+        # Trials without a signal point are redrawn; only served ones are checked.
+        p, _ = _NearestHelperModel(stratum).success(substream(36, 1), chunk)
+        tails = stratum.tau_sig + stratum.tau_int.sum()
+        int_trial = chunk.key % chunk.n
+        rng = np.random.default_rng(37)
+        served = np.unique(chunk.sig_trial)[:4]
+        assert served.size == 4
+        for t in served:
+            sig = chunk.sig_r[chunk.sig_trial == t]
+            g_s = sig.min() ** -sc.alpha
+            g = np.concatenate((np.delete(sig, np.argmin(sig)),
+                                chunk.r[int_trial == t])) ** -sc.alpha
+            signal = rng.exponential(size=fades) * g_s
+            interference = rng.exponential(size=(fades, g.size)) @ g + tails
+            hit = np.mean(signal > stratum.theta * interference)
+            assert 0.0 < p[t] < 1.0
+            assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
+
+    def test_sampled_fades_agree_with_the_product_form(self):
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=20_000, seed=38, tail_tol=1e-2)
+        hits = sir_samples_baseline(sc, 2, cfg) > sc.thresholds[2]
+        indicator = mean_estimate(hits, cfg.seed)
+        product = simulate_sir_baseline(sc, 2, cfg)
+        assert abs(indicator.mean - product.mean) < 4.0 * math.hypot(indicator.stderr,
+                                                                    product.stderr)
+
 
 class TestTotals:
     def test_total_mixes_strata_by_popularity(self):
@@ -415,6 +505,33 @@ class TestTotals:
         sc = Scenario.from_zipf(7, 1.0, 5.0, 3.0, 0.1)
         cfg = TrialConfig(trials=5000, seed=25, tail_tol=1e-2)
         assert simulate_total_baseline(sc, cfg) == simulate_total_baseline(sc, cfg)
+
+    @pytest.mark.parametrize("n_files", [1, 5])
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_joint_halves_equal_the_single_runs(self, n_files, mode):
+        # At N = 1 the aligned model needs no points, the baseline does.
+        sc = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=6000, seed=39, tail_tol=1e-2)
+        joint, strata = simulate_totals(sc, cfg, mode=mode, return_strata=True)
+        aligned, strata_a = simulate_total_aligned(sc, cfg, mode=mode, return_strata=True)
+        baseline, strata_b = simulate_total_baseline(sc, cfg, return_strata=True)
+        assert (joint.aligned, joint.baseline) == (aligned, baseline)
+        assert {k: (t.aligned, t.baseline) for k, t in strata.items()} == {
+            k: (strata_a[k], strata_b[k]) for k in strata_a}
+        assert joint.gain.mean == aligned.mean / baseline.mean
+        assert joint.gain.trials == cfg.trials
+
+    def test_gain_stderr_is_calibrated(self):
+        # Spread of the gain over 40 seeds against its reported (delta-method,
+        # covariance included) stderr: (m - 1) * var / mean(stderr^2) is about
+        # chi-square with m - 1 degrees of freedom.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
+        runs = [simulate_totals(sc, TrialConfig(trials=2000, seed=seed, tail_tol=1e-2)).gain
+                for seed in range(1000, 1040)]
+        gains = np.array([g.mean for g in runs])
+        stat = gains.var(ddof=1) * (len(runs) - 1) / np.mean([g.stderr**2 for g in runs])
+        dof = len(runs) - 1
+        assert stats.chi2.ppf(0.001, dof) < stat < stats.chi2.ppf(0.999, dof)
 
     def test_gain_reaches_stated_levels_at_high_skew(self):
         # Headline comparison at skew 3 with 50 files: the aligned network
@@ -448,11 +565,18 @@ class TestSharedDriverProperties:
         # Folding per-chunk moments in order gives the one-pass estimate.
         bounds = sorted({c for c in cuts if c < len(values)})
         parts = np.split(np.array(values), bounds)
-        got = sum(Moments.of(p) for p in parts).estimate(seed=1)
+        folded = sum(Moments.of(p) for p in parts)
+        got = folded.estimate(seed=1)
         want = mean_estimate(np.array(values), seed=1)
         assert got.trials == want.trials
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
+        # Paired with y = sqrt(x): the marginals keep the bits of the fold above.
+        co = sum(CoMoments.of(p, np.sqrt(p)) for p in parts)
+        assert co.x == folded and co.y == sum(Moments.of(np.sqrt(p)) for p in parts)
+        x, y = np.array(values), np.sqrt(values)
+        assert co.cross == pytest.approx(np.sum((x - x.mean()) * (y - y.mean())),
+                                         rel=1e-9, abs=1e-12)
 
     @_DRIVER_PROPERTY
     @given(k=st.integers(0, 4), seed=st.integers(0, 2**16))
@@ -467,7 +591,9 @@ class TestSharedDriverProperties:
                     simulate_sir_aligned(sc, k, cfg),
                     simulate_sir_baseline(sc, k, cfg),
                     simulate_total_aligned(sc, cfg, return_strata=True),
-                    simulate_total_aligned(sc, cfg, mode="complex", return_strata=True))
+                    simulate_total_aligned(sc, cfg, mode="complex", return_strata=True),
+                    simulate_totals(sc, cfg, return_strata=True),
+                    simulate_totals(sc, cfg, mode="complex", return_strata=True))
 
         ref = run(1)
         assert run(2) == ref
