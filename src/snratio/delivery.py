@@ -234,9 +234,9 @@ def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) ->
     requested file and its competitors.  A single-file database succeeds
     with probability 1 by convention (empty interference).
     """
+    _check_file_index(scenario.n_files, k)
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    _check_file_index(scenario.n_files, k)
     return _fading_mean(scenario, batch, {k: 1.0}, _tail_integrand)
 
 
@@ -244,9 +244,9 @@ def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBa
     """The arctan specialization of the conditional probability at alpha = 4."""
     if scenario.alpha != 4.0:
         raise ContractError(f"this form requires alpha = 4, got {scenario.alpha}")
+    _check_file_index(scenario.n_files, k)
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    _check_file_index(scenario.n_files, k)
     return _fading_mean(scenario, batch, {k: 1.0}, _alpha4_integrand)
 
 
@@ -361,9 +361,9 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     Costs one pass over the fading batch, and computes each moment only
     when the truncation loop reads its term.
     """
+    _check_file_index(scenario.n_files, k)
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    _check_file_index(scenario.n_files, k)
     ctrl = SeriesControl(max_terms=max_terms, tol=tol)
     return next(_series_estimates(scenario, range(k, k + 1), ctrl, batch))
 
@@ -530,6 +530,8 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
     if method in _CLOSED_FORMS:
         form = _CLOSED_FORMS[method](w, scenario.thresholds, scenario.alpha)
         return Estimate(float(w @ form), 0.0, 1, batch.seed)
+    if method == "alpha4" and scenario.alpha != 4.0:
+        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
     if method == "series":
@@ -540,8 +542,6 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
             total += w_k * est.mean
             var += (w_k * est.stderr) ** 2
         return Estimate(total, math.sqrt(var), batch.sample_count, batch.seed)
-    if method == "alpha4" and scenario.alpha != 4.0:
-        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
     integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
     return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
 

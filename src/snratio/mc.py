@@ -182,10 +182,9 @@ def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
     return tuple(sum(col) for col in zip(*results))
 
 
-def gather_chunked_samples(total_trials: int, seed: int, sample_fn,
-                           stream_offset: int = 0) -> np.ndarray:
+def gather_chunked_samples(total_trials: int, seed: int, sample_fn) -> np.ndarray:
     """Concatenate per-chunk sample arrays in chunk order (deterministic)."""
     parts = []
     for index, n in enumerate(chunk_sizes(total_trials)):
-        parts.append(sample_fn(substream(seed, stream_offset + index), n))
+        parts.append(sample_fn(substream(seed, index), n))
     return np.concatenate(parts)

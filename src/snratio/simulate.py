@@ -8,11 +8,12 @@ radius for a process of density ``lam`` is the larger of two rules:
 * the expected in-disk point count stays at least ``pi * COVERAGE_FACTOR**2``,
   so the near field of the process is resolved even at low densities.
 
-With ``tail_compensation`` on (the default) the analytic mean of the
-beyond-disk contribution is added back to every truncated sum, so what is
-lost to the window is only the zero-mean fluctuation of the far tail.  For
-coherent (complex-amplitude) sums the compensation enters as an independent
-complex Gaussian of matching variance.  Doubling the disk radius must leave
+The analytic mean of the beyond-disk contribution is added back to every
+truncated sum, so what is lost to the window is only the zero-mean
+fluctuation of the far tail.  For coherent (complex-amplitude) sums the
+compensation enters as an independent complex Gaussian of matching
+variance.  A shot-noise sum therefore always holds its positive tail mean,
+and no ratio denominator is ever zero.  Doubling the disk radius must leave
 every reported estimate within one combined standard error; the validation
 suite checks exactly that.
 
@@ -77,6 +78,10 @@ _BLOCK_CELLS = 1 << 19
 #: point; the two cost the same at about 7 points a cell.
 _CELL_COUNT_POINTS = 8.0
 
+#: Times a trial without a serving helper is redrawn on a doubled signal
+#: disk before :class:`WindowEnlargementError` is raised.
+_MAX_ENLARGEMENTS = 3
+
 
 @dataclass(frozen=True)
 class DiskRegion:
@@ -98,14 +103,12 @@ class DiskRegion:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Trial count, master seed, and truncation policy of a simulation run."""
+    """Trial count, master seed, window tolerance and worker threads of a simulation run."""
 
     trials: int
     seed: int = 0
     tail_tol: float = 1e-4
-    tail_compensation: bool = True
     partitions: int = 1
-    max_enlargements: int = 3
 
     def __post_init__(self):
         if self.trials < 1:
@@ -196,66 +199,48 @@ def _fill_regions(regions, defaults):
     return tuple(given or default for given, default in zip(regions, defaults()))
 
 
-def _retry_empty(first, cfg: TrialConfig, regions, draw, what):
+def _retry_empty(first, region: DiskRegion, draw, what):
     """``(values, resampled)``: the trials ``first`` sampled, degenerate ones redrawn.
 
-    ``first = (values, empty)`` holds trials sampled on ``regions``; the
+    ``first = (values, empty)`` holds trials sampled on ``region``; the
     values of the trials flagged ``empty`` are discarded.  Only those trials
-    are drawn again, by ``draw(m, *regions) -> (values, empty)`` on every
-    region doubled, up to ``cfg.max_enlargements`` times.  ``what``
-    completes the error message when trials stay empty.  With
-    ``tail_compensation`` on, a shot-noise sum includes the positive tail
-    mean, so a ratio denominator is never empty and nothing is redrawn: an
-    empty denominator window then gives ``s1 / tail_mean``.
+    are drawn again, by ``draw(m, region) -> (values, empty)`` on the region
+    doubled, up to ``_MAX_ENLARGEMENTS`` times.  ``what`` completes the
+    error message when trials stay empty.
     """
     values, empty = first
     todo = np.flatnonzero(empty)
     resampled = 0
-    for _ in range(cfg.max_enlargements):
+    for _ in range(_MAX_ENLARGEMENTS):
         if not todo.size:
             break
         resampled += todo.size
-        regions = [r.doubled() for r in regions]
-        vals, empty = draw(todo.size, *regions)
+        region = region.doubled()
+        vals, empty = draw(todo.size, region)
         values[todo[~empty]] = vals[~empty]
         todo = todo[empty]
     if todo.size:
         raise WindowEnlargementError(
-            f"{todo.size} trials {what} after {cfg.max_enlargements} window enlargements")
-    return values, resampled
-
-
-def _samples(cfg: TrialConfig, kernel):
-    """``(values, resampled)`` of a ``(rng, n) -> (values, resampled)`` kernel, in trial order."""
-    resampled = 0
-
-    def chunk(rng, n):
-        nonlocal resampled
-        vals, res = kernel(rng, n)
-        resampled += res
-        return vals
-
-    values = gather_chunked_samples(cfg.trials, cfg.seed, chunk)
+            f"{todo.size} trials {what} after {_MAX_ENLARGEMENTS} window enlargements")
     return values, resampled
 
 
 def _exceedances(cfg: TrialConfig, kernel, xs):
-    """``(*counts, resampled)``: per threshold in ``xs``, the trials whose value exceeds it."""
+    """Per threshold in ``xs``, the number of trials whose value exceeds it."""
 
     def chunk(rng, n):
-        values, resampled = kernel(rng, n)
-        return tuple(int((values > x).sum()) for x in xs) + (resampled,)
+        values = kernel(rng, n)
+        return tuple(int((values > x).sum()) for x in xs)
 
     return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
 
 
-def _shot_chunk(density, alpha, region, rng, n_trials, compensate) -> np.ndarray:
-    """Vectorized truncated shot-noise sums for ``n_trials`` trials."""
+def _shot_chunk(density, alpha, region, rng, n_trials) -> np.ndarray:
+    """Vectorized shot-noise sums for ``n_trials`` trials, tail mean added."""
     _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
     # bincount of no points is an integer array; the tail mean is added in place.
     s = np.bincount(idx, weights=r ** (-alpha), minlength=n_trials).astype(float, copy=False)
-    if compensate:
-        s += tail_mean(density, alpha, region.radius)
+    s += tail_mean(density, alpha, region.radius)
     return s
 
 
@@ -264,21 +249,14 @@ def shot_noise_samples(density: float, alpha: float, cfg: TrialConfig,
     """Independent shot-noise samples, one per trial, in deterministic order."""
     if region is None:
         region = default_region(density, alpha, cfg.tail_tol)
-    return _samples(cfg, lambda rng, n: (
-        _shot_chunk(density, alpha, region, rng, n, cfg.tail_compensation), 0))[0]
+    return gather_chunked_samples(cfg.trials, cfg.seed,
+                                  lambda rng, n: _shot_chunk(density, alpha, region, rng, n))
 
 
-def _ratio_chunk(rng, n, spec: RatioSpec, cfg: TrialConfig, reg1, reg2):
-    """Ratio samples for one chunk, redrawing empty denominators."""
-
-    def draw(m, r1, r2):
-        s1 = _shot_chunk(spec.lambda1, spec.alpha, r1, rng, m, cfg.tail_compensation)
-        s2 = _shot_chunk(spec.lambda2, spec.alpha, r2, rng, m, cfg.tail_compensation)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return s1 / s2, s2 == 0.0
-
-    return _retry_empty(draw(n, reg1, reg2), cfg, (reg1, reg2), draw,
-                        "still had an empty denominator")
+def _ratio_chunk(rng, n, spec: RatioSpec, reg1, reg2) -> np.ndarray:
+    """Ratio samples for one chunk; every denominator holds its positive tail mean."""
+    s1 = _shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n)
+    return s1 / _shot_chunk(spec.lambda2, spec.alpha, reg2, rng, n)
 
 
 def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRegion]:
@@ -287,20 +265,20 @@ def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRe
 
 
 def _ratio_kernel(spec: RatioSpec, cfg: TrialConfig, regions):
-    """``(rng, n) -> (ratio, resampled)`` on the given or the default windows."""
+    """``(rng, n) -> ratio`` on the given or the default windows."""
     regions = _fill_regions(regions, lambda: ratio_regions(spec, cfg))
-    return lambda rng, n: _ratio_chunk(rng, n, spec, cfg, *regions)
+    return lambda rng, n: _ratio_chunk(rng, n, spec, *regions)
 
 
 def ratio_samples(spec: RatioSpec, cfg: TrialConfig,
                   region1: DiskRegion | None = None,
-                  region2: DiskRegion | None = None):
-    """Samples of the shot-noise ratio; returns ``(values, resampled)``.
+                  region2: DiskRegion | None = None) -> np.ndarray:
+    """Independent samples of the shot-noise ratio, one per trial, in deterministic order.
 
-    ``resampled`` counts trials redrawn for an empty denominator window; it
-    is 0 with ``tail_compensation`` on, which keeps every denominator positive.
+    An empty denominator window gives ``s1 / tail_mean``: nothing is redrawn.
     """
-    return _samples(cfg, _ratio_kernel(spec, cfg, (region1, region2)))
+    return gather_chunked_samples(cfg.trials, cfg.seed,
+                                  _ratio_kernel(spec, cfg, (region1, region2)))
 
 
 def empirical_ratio_ccdf(x: float, spec: RatioSpec, cfg: TrialConfig,
@@ -316,31 +294,29 @@ def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
                          region2: DiskRegion | None = None) -> list[Estimate]:
     """Empirical CCDF at several points from one shared set of trials.
 
-    As in :func:`ratio_samples`, empty denominator windows are redrawn only
-    with ``tail_compensation`` off; otherwise ``resampled`` is 0.
+    As in :func:`ratio_samples`, no trial is redrawn: ``resampled`` is 0.
     """
     kernel = _ratio_kernel(spec, cfg, (region1, region2))
     xs = [float(x) for x in xs]
     if any(x < 0.0 for x in xs):
         raise ParameterDomainError("ccdf points must be nonnegative")
-    *counts, resampled = _exceedances(cfg, kernel, xs)
-    return [bernoulli_estimate(c, cfg.trials, cfg.seed, resampled) for c in counts]
+    counts = _exceedances(cfg, kernel, xs)
+    return [bernoulli_estimate(c, cfg.trials, cfg.seed) for c in counts]
 
 
 def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estimate:
     """Monte Carlo estimate of E[exp(-s * ratio)]."""
     if not s > 0.0:
         raise ParameterDomainError(f"s must be positive, got {s}")
-    vals, resampled = ratio_samples(spec, cfg)
-    return mean_estimate(np.exp(-s * vals), cfg.seed, resampled)
+    return mean_estimate(np.exp(-s * ratio_samples(spec, cfg)), cfg.seed)
 
 
-def _coupled_shot_chunk(density, alpha, region, rng, n_trials, compensate):
+def _coupled_shot_chunk(density, alpha, region, rng, n_trials):
     """Shot-noise sums on a disk and on its doubling, from one realization.
 
     Points are drawn on the doubled disk; restricting them to the base disk
     is an exact realization of the process there, so the two sums differ
-    only by the annulus contribution.
+    only by the annulus contribution and the difference of the tail means.
     """
     big = region.doubled()
     _, idx, r = _disk_points(rng, density * big.area, big.radius, n_trials)
@@ -349,9 +325,8 @@ def _coupled_shot_chunk(density, alpha, region, rng, n_trials, compensate):
     inner = r <= region.radius
     s_base = np.bincount(idx[inner], weights=vals[inner],
                          minlength=n_trials).astype(float, copy=False)
-    if compensate:
-        s_big += tail_mean(density, alpha, big.radius)
-        s_base += tail_mean(density, alpha, region.radius)
+    s_big += tail_mean(density, alpha, big.radius)
+    s_base += tail_mean(density, alpha, region.radius)
     return s_base, s_big
 
 
@@ -360,25 +335,18 @@ def window_doubling_probe(x: float, spec: RatioSpec, cfg: TrialConfig) -> tuple[
 
     Both estimates come from the same realizations (coupled), so their
     difference isolates the truncation effect of the window choice.  Both
-    count every trial: the comparison ``b1 > x * b2`` needs no division, so
-    an empty base denominator reads as an infinite ratio.  The default
-    windows expect at least pi * COVERAGE_FACTOR**2 (about 113) points, so
-    that has probability about e^-113.
+    count every trial, and every denominator holds its positive tail mean.
     """
     reg1, reg2 = ratio_regions(spec, cfg)
 
     def chunk(rng, n):
-        b1, g1 = _coupled_shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n,
-                                     cfg.tail_compensation)
-        b2, g2 = _coupled_shot_chunk(spec.lambda2, spec.alpha, reg2, rng, n,
-                                     cfg.tail_compensation)
+        b1, g1 = _coupled_shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n)
+        b2, g2 = _coupled_shot_chunk(spec.lambda2, spec.alpha, reg2, rng, n)
         return int((b1 > x * b2).sum()), int((g1 > x * g2).sum())
 
     base_succ, big_succ = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
     return (bernoulli_estimate(base_succ, cfg.trials, cfg.seed),
             bernoulli_estimate(big_succ, cfg.trials, cfg.seed))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +401,12 @@ class _Stratum:
     evaluated on this geometry.
     """
 
-    def __init__(self, scenario: Scenario, k: int, cfg: TrialConfig,
-                 sig_region: DiskRegion, int_region: DiskRegion):
+    def __init__(self, scenario: Scenario, k: int, sig_region: DiskRegion,
+                 int_region: DiskRegion):
         alpha = scenario.alpha
         dens = decompose_densities(scenario.profile, scenario.helper_density)
         dens_int = dens.copy()
         dens_int[k] = 0.0
-        self.cfg = cfg
         self.alpha = alpha
         self.theta = float(scenario.thresholds[k])
         self.n_files = scenario.n_files
@@ -448,14 +415,11 @@ class _Stratum:
         self.int_means = dens_int * int_region.area
         self.int_radius = int_region.radius
         self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
-        self.tau_int = (tail_mean(1.0, alpha, int_region.radius) * dens_int
-                        if cfg.tail_compensation else np.zeros_like(dens_int))
+        self.tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
 
     @property
     def tau_sig(self) -> float:
-        """The requested file's tail mean beyond the signal disk (0 without compensation)."""
-        if not self.cfg.tail_compensation:
-            return 0.0
+        """The requested file's tail mean beyond the signal disk."""
         return tail_mean(self.sig_density, self.alpha, self.sig_region.radius)
 
     def on_signal_region(self, region: DiskRegion) -> "_Stratum":
@@ -537,7 +501,7 @@ class _AlignedModel:
         if s.n_files == 1:
             return np.ones(n), 0
         g0 = self.signal_gain(chunk)
-        # Without tail compensation an empty signal window gives G_0 = 0: SIR 0.
+        # A requested file of zero popularity has G_0 = 0, signal and tail: SIR 0.
         live = g0 > 0.0
         scale = s.theta / np.where(live, g0, 1.0)
         log_q = np.zeros(n)
@@ -629,8 +593,8 @@ class _NearestHelperModel:
     interferers, interferes with its own unit-mean exponential fade, and
     the tail means add unfaded.  Both methods are ``(rng, chunk) ->
     (values, resampled)``.  A trial without a signal point is redrawn on a
-    fresh geometry with the signal disk doubled, up to
-    ``cfg.max_enlargements`` times; only these redraws use ``rng``.
+    fresh geometry with the signal disk doubled, up to ``_MAX_ENLARGEMENTS``
+    times; only these redraws use ``rng``.
     """
 
     def __init__(self, stratum: _Stratum):
@@ -655,9 +619,8 @@ class _NearestHelperModel:
             return evaluate(stratum, rng, stratum.geometry(rng, m))
 
         # Only the requested file's disk is enlarged; the interference disk stays.
-        return _retry_empty(evaluate(self.stratum, rng, chunk), self.stratum.cfg,
-                            (self.stratum.sig_region,), draw,
-                            "had no helper for the requested file")
+        return _retry_empty(evaluate(self.stratum, rng, chunk), self.stratum.sig_region,
+                            draw, "had no helper for the requested file")
 
     @staticmethod
     def _success(s: _Stratum, rng, chunk: _SirChunk):
@@ -695,8 +658,7 @@ class _NearestHelperModel:
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
                         + np.bincount(chunk.interferer_trials(), weights=int_power, minlength=n)
                         + (s.tau_sig + s.tau_int.sum()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(interference > 0.0, signal / interference, np.inf), empty
+        return signal / interference, empty
 
 
 def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
@@ -704,12 +666,12 @@ def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None))
     :func:`aligned_regions`."""
     _check_file_index(scenario.n_files, k)
     regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
-    return _Stratum(scenario, k, cfg, *regions)
+    return _Stratum(scenario, k, *regions)
 
 
 def _on_geometry(stratum: _Stratum, method):
-    """``(rng, n) -> (values, resampled)``: ``method(rng, chunk)`` on ``n`` fresh trials."""
-    return lambda rng, n: method(rng, stratum.geometry(rng, n))
+    """``(rng, n) -> values``: the values of ``method(rng, chunk)`` on ``n`` fresh trials."""
+    return lambda rng, n: method(rng, stratum.geometry(rng, n))[0]
 
 
 def _sir_moments(cfg: TrialConfig, stratum: _Stratum, methods, stream_offset: int = 0):
@@ -736,7 +698,8 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
     stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    return _samples(cfg, _on_geometry(stratum, _AlignedModel(stratum, mode).sir))[0]
+    return gather_chunked_samples(cfg.trials, cfg.seed,
+                                  _on_geometry(stratum, _AlignedModel(stratum, mode).sir))
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -763,7 +726,8 @@ def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     :func:`simulate_sir_baseline` averages over.
     """
     stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    return _samples(cfg, _on_geometry(stratum, _NearestHelperModel(stratum).sir))[0]
+    return gather_chunked_samples(cfg.trials, cfg.seed,
+                                  _on_geometry(stratum, _NearestHelperModel(stratum).sir))
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,

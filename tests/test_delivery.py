@@ -500,3 +500,18 @@ class TestTotals:
         sc = Scenario.from_zipf(3, 1.0, 5.0, 4.0)
         with pytest.raises(ParameterDomainError):
             total_delivery_prob(sc, "magic", FadingBatch(10, 0))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda sc3, sc4, b: total_delivery_prob(sc3, "alpha4", b), ContractError),
+        (lambda sc3, sc4, b: conditional_delivery_prob(7, sc4, b), ParameterDomainError),
+        (lambda sc3, sc4, b: conditional_delivery_prob_alpha4(7, sc4, b), ParameterDomainError),
+        (lambda sc3, sc4, b: conditional_delivery_prob_series(7, sc4, 60, b),
+         ParameterDomainError),
+    ], ids=["total_alpha4_at_alpha3", "expectation_k7", "alpha4_k7", "series_k7"])
+    def test_single_file_shortcut_keeps_its_checks(self, call, error):
+        # At N = 1 the answer is 1 by convention, but only for a valid call:
+        # the alpha contract and the file index are checked as at N = 2.
+        sc3 = Scenario(PopularityProfile([1.0]), 3.0, 5.0, 0.1)
+        sc4 = Scenario(PopularityProfile([1.0]), 4.0, 5.0, 0.1)
+        with pytest.raises(error):
+            call(sc3, sc4, FadingBatch(10, 0))

@@ -45,9 +45,9 @@ SCENARIOS = {
     1: Scenario.from_zipf(1, 0.0, 1.0, 4.0, 0.1),
     5: Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1),
 }
-#: Small explicit windows: many trials find the requested file's process or,
-#: without tail compensation, the ratio denominator empty at first, so the
-#: resampling paths run.
+#: Small explicit windows: many trials find the requested file's process, or
+#: the ratio denominator, empty at first.  The nearest-helper model redraws
+#: those trials; an empty denominator is its tail mean alone.
 SPEC = RatioSpec(0.02, 0.1, 3.0)
 SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
 SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
@@ -64,9 +64,8 @@ SERIES_SCENARIOS = {
 BATCH = FadingBatch(3000, seed=7)
 
 
-def _cfg(trials, partitions=1, compensate=True):
-    return TrialConfig(trials=trials, seed=3, tail_tol=1e-2, partitions=partitions,
-                       tail_compensation=compensate)
+def _cfg(trials, partitions=1):
+    return TrialConfig(trials=trials, seed=3, tail_tol=1e-2, partitions=partitions)
 
 
 def _bits(result):
@@ -116,8 +115,8 @@ def _simulator_cases(partitions):
             sc, 1, _cfg(5000, p), interference_region=DiskRegion(12.0)),
         "ratio_ccdf_estimates": lambda: ratio_ccdf_estimates(
             [0.0, 0.05, 0.2, 1.0], SPEC, _cfg(9000, p)),
-        "ratio_ccdf_estimates_resampled": lambda: ratio_ccdf_estimates(
-            [0.05, 0.2, 1.0], SPEC, _cfg(9000, p, compensate=False), *SMALL_RATIO_REGIONS),
+        "ratio_ccdf_estimates_small_windows": lambda: ratio_ccdf_estimates(
+            [0.05, 0.2, 1.0], SPEC, _cfg(9000, p), *SMALL_RATIO_REGIONS),
         "empirical_ratio_ccdf": lambda: empirical_ratio_ccdf(0.2, SPEC, _cfg(5000, p)),
         "window_doubling_probe": lambda: window_doubling_probe(
             0.2, RatioSpec(0.02, 0.1, 3.5), _cfg(5000, p)),
@@ -129,8 +128,7 @@ def _sample_cases():
     sc = SCENARIOS[5]
     return {
         "shot_noise_samples": lambda: shot_noise_samples(0.1, 4.0, _cfg(5000)),
-        "ratio_samples": lambda: ratio_samples(
-            SPEC, _cfg(5000, compensate=False), *SMALL_RATIO_REGIONS),
+        "ratio_samples": lambda: ratio_samples(SPEC, _cfg(5000), *SMALL_RATIO_REGIONS),
         "ratio_laplace_estimate": lambda: ratio_laplace_estimate(0.5, SPEC, _cfg(5000)),
         "sir_samples_aligned_exponential": lambda: sir_samples_aligned(sc, 1, _cfg(5000)),
         "sir_samples_aligned_complex": lambda: sir_samples_aligned(
@@ -209,35 +207,34 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                   9000,
                                   3,
                                   0)),
-        'ratio_ccdf_estimates_resampled': (('est',
-                                            '0x1.ab596de8ca11cp-2',
-                                            '0x1.54aba0c7ea019p-8',
-                                            9000,
-                                            3,
-                                            4751),
-                                           ('est',
-                                            '0x1.e8558f966a0a7p-3',
-                                            '0x1.26648f6d294dcp-8',
-                                            9000,
-                                            3,
-                                            4751),
-                                           ('est',
-                                            '0x1.87d9c54a69217p-4',
-                                            '0x1.966748cbe2a33p-9',
-                                            9000,
-                                            3,
-                                            4751)),
+        'ratio_ccdf_estimates_small_windows': (('est',
+                                                '0x1.62c2551b1440ap-1',
+                                                '0x1.3eaf8002bd780p-8',
+                                                9000,
+                                                3,
+                                                0),
+                                               ('est',
+                                                '0x1.17702f54e0d33p-2',
+                                                '0x1.33bc0523c9ebap-8',
+                                                9000,
+                                                3,
+                                                0),
+                                               ('est',
+                                                '0x1.456789abcdf01p-4',
+                                                '0x1.75a768bc0ea38p-9',
+                                                9000,
+                                                3,
+                                                0)),
         'ratio_laplace_estimate': ('est',
                                    '0x1.ba4c05c5f8443p-1',
                                    '0x1.a919881d3b1c0p-9',
                                    5000,
                                    3,
                                    0),
-        'ratio_samples': (('arr',
-                           'float64',
-                           (5000,),
-                           'e2da5cf75b18311289ae5d75a579f19cf653c0de132e224df98ca7aeabbee94a'),
-                          2621),
+        'ratio_samples': ('arr',
+                          'float64',
+                          (5000,),
+                          'a04b18daa92d38a369e12f64d2b592f1b881734968db333b7260da1e35a08344'),
         'shot_noise_samples': ('arr',
                                'float64',
                                (5000,),

@@ -186,48 +186,19 @@ class TestRatioCcdfEstimates:
             base, big = window_doubling_probe(2.0, RatioSpec(0.01, 0.02, alpha), cfg)
             assert abs(base.mean - big.mean) < math.hypot(base.stderr, big.stderr)
 
-    def test_zero_denominator_resampled_with_enlargement(self):
-        # Tiny denominator window without compensation: empty windows are
-        # retried on doubled disks and reported.
-        spec = RatioSpec(1.0, 0.05, 4.0)
-        cfg = TrialConfig(trials=500, seed=10, tail_tol=1e-2, tail_compensation=False)
-        vals, resampled = ratio_samples(spec, cfg,
-                                        region1=DiskRegion(3.0), region2=DiskRegion(1.5))
-        assert resampled > 0
-        assert np.all(np.isfinite(vals))
-
-    def test_tail_compensation_never_leaves_a_denominator_empty(self):
-        # The compensated denominator includes the positive tail mean, so an
-        # empty denominator window is never redrawn; without it, it is.
-        spec = RatioSpec(0.02, 0.1, 3.0)
-        regions = (DiskRegion(3.0), DiskRegion(1.5))
-        for compensate in (True, False):
-            cfg = TrialConfig(trials=9000, seed=3, tail_tol=1e-2,
-                              tail_compensation=compensate)
-            (est,) = ratio_ccdf_estimates([0.2], spec, cfg, *regions)
-            _, resampled = ratio_samples(spec, cfg, *regions)
-            assert est.resampled == resampled
-            assert (resampled > 0) is not compensate
-
-    def test_enlargement_limit_raises(self):
-        spec = RatioSpec(1.0, 1e-8, 4.0)
-        cfg = TrialConfig(trials=50, seed=11, tail_tol=1e-2, tail_compensation=False)
-        with pytest.raises(WindowEnlargementError):
-            ratio_samples(spec, cfg, region1=DiskRegion(1.0), region2=DiskRegion(1.0))
-
     def test_chunk_without_points_is_the_tail_mean_ratio(self):
         # One trial, both windows empty: the sums are the tail means alone
         # (bincount over no points used to give an integer array).
         spec = RatioSpec(0.02, 0.1, 3.0)
         r1, r2 = DiskRegion(3.0), DiskRegion(1.5)
-        vals, resampled = ratio_samples(spec, TrialConfig(trials=1, seed=0), r1, r2)
+        vals = ratio_samples(spec, TrialConfig(trials=1, seed=0), r1, r2)
         want = tail_mean(0.02, 3.0, r1.radius) / tail_mean(0.1, 3.0, r2.radius)
-        assert vals.dtype == float and resampled == 0
+        assert vals.dtype == float
         assert vals[0] == pytest.approx(want, rel=1e-12)
 
     def test_coupled_sums_of_an_empty_window_are_the_tail_means(self):
         region = DiskRegion(1.0)
-        base, big = _coupled_shot_chunk(1e-9, 3.0, region, substream(0, 0), 4, True)
+        base, big = _coupled_shot_chunk(1e-9, 3.0, region, substream(0, 0), 4)
         assert base.dtype == big.dtype == float
         assert np.all(base == tail_mean(1e-9, 3.0, region.radius))
         assert np.all(big == tail_mean(1e-9, 3.0, 2.0 * region.radius))
@@ -278,27 +249,36 @@ class TestAlignedSir:
         assert par == ref
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
-    def test_empty_signal_window_without_compensation_fails(self, mode):
-        # Every signal window is empty, so G_0 = 0: SIR 0, not 0/0.
-        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
-        cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2, tail_compensation=False)
+    def test_requested_file_without_popularity_never_succeeds(self, mode):
+        # The requested file has no helpers and no tail, so G_0 = 0: SIR 0,
+        # not 0/0.  The nearest-helper model finds no server on any window.
+        sc = Scenario(PopularityProfile([0.5, 0.5, 0.0]), 4.0, 5.0, 0.1)
+        cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2)
+        regions = (DiskRegion(10.0), DiskRegion(20.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = simulate_sir_aligned(sc, 0, cfg, mode=mode, signal_region=DiskRegion(1e-6))
+            est = simulate_sir_aligned(sc, 2, cfg, mode, *regions)
         assert est.mean == 0.0
+        with pytest.raises(WindowEnlargementError):
+            simulate_sir_baseline(sc, 2, cfg, *regions)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
-    def test_empty_interference_window_without_compensation_succeeds(self, mode):
-        # No file has an interferer in the window; every block of files is empty.
+    def test_empty_interference_window_is_all_tail(self, mode):
+        # No file has an interferer in the window; every block of files is
+        # empty, and the interference is the tail mean alone.  Beyond a disk
+        # of radius 1e-6 that is about 3e11 per unit density, so delivery
+        # (almost) never succeeds, and nothing divides by zero.
         sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
-        cfg = TrialConfig(trials=5000, seed=28, tail_tol=1e-2, tail_compensation=False)
-        est = simulate_sir_aligned(sc, 0, cfg, mode=mode, interference_region=DiskRegion(1e-6))
-        assert est.mean == 1.0
+        cfg = TrialConfig(trials=5000, seed=28, tail_tol=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = simulate_sir_aligned(sc, 0, cfg, mode=mode,
+                                       interference_region=DiskRegion(1e-6))
+        assert 0.0 <= est.mean < 1e-20
 
 
 def _stratum(sc, k):
-    cfg = TrialConfig(trials=1, tail_tol=1e-2)
-    return _Stratum(sc, k, cfg, *aligned_regions(sc, k, cfg))
+    return _Stratum(sc, k, *aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2)))
 
 
 def _aligned_model(sc, k, mode="exponential"):
@@ -358,11 +338,11 @@ class TestAlignedGeometry:
         model = _aligned_model(sc, 3, mode=mode)
         success = _on_geometry(model.stratum, model.success)
         sir = _on_geometry(model.stratum, model.sir)
-        ref, _ = success(substream(32, 0), 50)
-        ref_sir, _ = sir(substream(33, 0), 50)
+        ref = success(substream(32, 0), 50)
+        ref_sir = sir(substream(33, 0), 50)
         monkeypatch.setattr("snratio.simulate._BLOCK_CELLS", 120)  # 2 files a block
-        np.testing.assert_allclose(success(substream(32, 0), 50)[0], ref, rtol=1e-12)
-        np.testing.assert_allclose(sir(substream(33, 0), 50)[0], ref_sir, rtol=1e-12)
+        np.testing.assert_allclose(success(substream(32, 0), 50), ref, rtol=1e-12)
+        np.testing.assert_allclose(sir(substream(33, 0), 50), ref_sir, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_chunk_memory_is_bounded_in_n_files(self, mode):
@@ -461,8 +441,7 @@ class TestBaselineSir:
         # On one chunk's geometry (small windows, so few points), the fraction
         # of exponential fades with h_s g_s > theta * (sum_i h_i g_i + tails).
         sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
-        cfg = TrialConfig(trials=1, tail_tol=1e-2)
-        stratum = _Stratum(sc, 1, cfg, DiskRegion(8.0), DiskRegion(8.0))
+        stratum = _Stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
         chunk = stratum.geometry(substream(36, 0), 64)
         # Trials without a signal point are redrawn; only served ones are checked.
         p, _ = _NearestHelperModel(stratum).success(substream(36, 1), chunk)
