@@ -47,7 +47,9 @@ SCENARIOS = {
 }
 #: Small explicit windows: many trials find the requested file's process, or
 #: the ratio denominator, empty at first.  The nearest-helper model redraws
-#: those trials; an empty denominator is its tail mean alone.
+#: those trials; an empty denominator is its tail mean alone (the pin
+#: ``ratio_ccdf_estimates_resampled`` keeps the name of the redraw it once
+#: exercised, and now pins ``resampled == 0``).
 SPEC = RatioSpec(0.02, 0.1, 3.0)
 SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
 SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
@@ -115,7 +117,7 @@ def _simulator_cases(partitions):
             sc, 1, _cfg(5000, p), interference_region=DiskRegion(12.0)),
         "ratio_ccdf_estimates": lambda: ratio_ccdf_estimates(
             [0.0, 0.05, 0.2, 1.0], SPEC, _cfg(9000, p)),
-        "ratio_ccdf_estimates_small_windows": lambda: ratio_ccdf_estimates(
+        "ratio_ccdf_estimates_resampled": lambda: ratio_ccdf_estimates(
             [0.05, 0.2, 1.0], SPEC, _cfg(9000, p), *SMALL_RATIO_REGIONS),
         "empirical_ratio_ccdf": lambda: empirical_ratio_ccdf(0.2, SPEC, _cfg(5000, p)),
         "window_doubling_probe": lambda: window_doubling_probe(
@@ -207,24 +209,24 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                   9000,
                                   3,
                                   0)),
-        'ratio_ccdf_estimates_small_windows': (('est',
-                                                '0x1.62c2551b1440ap-1',
-                                                '0x1.3eaf8002bd780p-8',
-                                                9000,
-                                                3,
-                                                0),
-                                               ('est',
-                                                '0x1.17702f54e0d33p-2',
-                                                '0x1.33bc0523c9ebap-8',
-                                                9000,
-                                                3,
-                                                0),
-                                               ('est',
-                                                '0x1.456789abcdf01p-4',
-                                                '0x1.75a768bc0ea38p-9',
-                                                9000,
-                                                3,
-                                                0)),
+        'ratio_ccdf_estimates_resampled': (('est',
+                                            '0x1.62c2551b1440ap-1',
+                                            '0x1.3eaf8002bd780p-8',
+                                            9000,
+                                            3,
+                                            0),
+                                           ('est',
+                                            '0x1.17702f54e0d33p-2',
+                                            '0x1.33bc0523c9ebap-8',
+                                            9000,
+                                            3,
+                                            0),
+                                           ('est',
+                                            '0x1.456789abcdf01p-4',
+                                            '0x1.75a768bc0ea38p-9',
+                                            9000,
+                                            3,
+                                            0)),
         'ratio_laplace_estimate': ('est',
                                    '0x1.ba4c05c5f8443p-1',
                                    '0x1.a919881d3b1c0p-9',

@@ -52,6 +52,7 @@ from snratio.simulate import (
     _NearestHelperModel,
     _nearest_positions,
     _on_geometry,
+    _shot_chunk,
     _Stratum,
     aligned_regions,
     rule_radius,
@@ -186,6 +187,20 @@ class TestRatioCcdfEstimates:
             base, big = window_doubling_probe(2.0, RatioSpec(0.01, 0.02, alpha), cfg)
             assert abs(base.mean - big.mean) < math.hypot(base.stderr, big.stderr)
 
+    def test_tail_compensation_never_leaves_a_denominator_empty(self):
+        # The pinned file's SPEC and small windows: about half the denominator
+        # windows hold no point, yet every denominator is at least its
+        # positive tail mean, so no trial is redrawn and every ratio is finite.
+        spec, r1, r2 = RatioSpec(0.02, 0.1, 3.0), DiskRegion(3.0), DiskRegion(1.5)
+        cfg = TrialConfig(trials=9000, seed=3, tail_tol=1e-2)
+        tail = tail_mean(spec.lambda2, spec.alpha, r2.radius)
+        den = _shot_chunk(spec.lambda2, spec.alpha, r2, substream(3, 0), cfg.trials)
+        assert tail > 0.0 and np.all(den >= tail)
+        assert np.any(den == tail)
+        (est,) = ratio_ccdf_estimates([0.2], spec, cfg, r1, r2)
+        assert est.resampled == 0
+        assert np.all(np.isfinite(ratio_samples(spec, cfg, r1, r2)))
+
     def test_chunk_without_points_is_the_tail_mean_ratio(self):
         # One trial, both windows empty: the sums are the tail means alone
         # (bincount over no points used to give an integer array).
@@ -249,9 +264,10 @@ class TestAlignedSir:
         assert par == ref
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
-    def test_requested_file_without_popularity_never_succeeds(self, mode):
-        # The requested file has no helpers and no tail, so G_0 = 0: SIR 0,
-        # not 0/0.  The nearest-helper model finds no server on any window.
+    def test_empty_signal_window_without_compensation_fails(self, mode):
+        # The requested file has no helpers: its window is empty and its tail
+        # mean adds nothing, so G_0 = 0: SIR 0, not 0/0.  The nearest-helper
+        # model finds no server on any window.
         sc = Scenario(PopularityProfile([0.5, 0.5, 0.0]), 4.0, 5.0, 0.1)
         cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2)
         regions = (DiskRegion(10.0), DiskRegion(20.0))
@@ -261,6 +277,18 @@ class TestAlignedSir:
         assert est.mean == 0.0
         with pytest.raises(WindowEnlargementError):
             simulate_sir_baseline(sc, 2, cfg, *regions)
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_empty_interference_window_without_compensation_succeeds(self, mode):
+        # Only the requested file has helpers: every block of other files is
+        # empty and their tail means add nothing, so the interference is 0
+        # and every trial succeeds (SIR = G_0 / 0 = inf, no warning).
+        sc = Scenario(PopularityProfile([1.0, 0.0, 0.0]), 4.0, 5.0, 0.1)
+        cfg = TrialConfig(trials=5000, seed=28, tail_tol=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = simulate_sir_aligned(sc, 0, cfg, mode, DiskRegion(10.0), DiskRegion(20.0))
+        assert est.mean == 1.0
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_empty_interference_window_is_all_tail(self, mode):
