@@ -22,6 +22,7 @@ from scipy import stats
 from . import delivery, shotnoise, simulate
 from .delivery import FadingBatch, Scenario
 from .errors import ParameterDomainError, SeriesDivergenceError
+from .mc import check_integer
 from .shotnoise import RatioSpec, SeriesControl
 from .simulate import TrialConfig
 
@@ -57,8 +58,9 @@ class ExperimentConfig:
             raise ParameterDomainError("every alpha must exceed 2")
         if self.n_files < 1 or any(n < 1 for n in self.fig4_n_files + self.fig5_n_files):
             raise ParameterDomainError("file counts must be positive")
-        if self.trials < 1 or self.batch_samples < 1:
-            raise ParameterDomainError("trials and batch_samples must be positive")
+        check_integer("trials", self.trials, 1)
+        check_integer("batch_samples", self.batch_samples, 1)
+        check_integer("seed", self.seed, 0)
         if not self.helper_density > 0.0:
             raise ParameterDomainError("helper_density must be positive")
         if not self.theta > 0.0:

@@ -229,6 +229,76 @@ class TestSeriesTotalBlocks:
         assert n_warned == n_loop_warned > 0
 
 
+class TestFadingMemo:
+    """The memoized fading draw changes no result, whatever the memo holds."""
+
+    BATCH = FadingBatch(3000, 5)
+
+    @staticmethod
+    def _scenario(n_files=8, alpha=4.0):
+        return Scenario.from_zipf(n_files, 0.5, 50.0, alpha)
+
+    def _all_forms(self):
+        """Every fading-averaged form on one scenario and batch, as comparable values."""
+        sc, b = self._scenario(), self.BATCH
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MomentReliabilityWarning)
+            out = [total_delivery_prob(sc, method, b)
+                   for method in ("expectation", "alpha4", "series")]
+            out += [conditional_delivery_prob(2, sc, b),
+                    conditional_delivery_prob_alpha4(2, sc, b),
+                    conditional_delivery_prob_series(2, sc, 40, b)]
+        means, rses = inverse_g_moments(sc.profile, 2, 4.0, b, 4)
+        return out + [means.tolist(), rses.tolist()]
+
+    def test_one_draw_serves_every_form(self):
+        delivery._memo_exponentials.cache_clear()
+        self._all_forms()
+        assert delivery._memo_exponentials.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n_files, alpha, batch", [
+        (8, 4.0, FadingBatch(3000, 6)),
+        (8, 4.0, FadingBatch(3001, 5)),
+        (9, 4.0, FadingBatch(3000, 5)),
+        (8, 3.0, FadingBatch(3000, 5)),
+    ], ids=["seed", "size", "n_files", "alpha"])
+    def test_cold_warm_and_refilled_memo_agree(self, n_files, alpha, batch):
+        delivery._memo_exponentials.cache_clear()
+        cold = self._all_forms()
+        assert self._all_forms() == cold
+        total_delivery_prob(self._scenario(n_files, alpha), "expectation", batch)
+        # Only the path-loss exponent leaves the draws, and the memo, as they were.
+        refilled = batch != self.BATCH or n_files != 8
+        assert delivery._memo_exponentials.cache_info().misses == 1 + refilled
+        assert self._all_forms() == cold
+
+    def test_streamed_batch_matches_memoized(self, monkeypatch):
+        memoized = self._all_forms()
+        monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
+        delivery._memo_exponentials.cache_clear()
+        assert self._all_forms() == memoized
+        assert delivery._memo_exponentials.cache_info().misses == 0
+
+    def test_memoized_draws_are_read_only(self):
+        sc = self._scenario()
+        h, weighted, _ = next(delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
+        weighted[0, 0] = 1.0  # the weighting is per call and stays writable
+
+    def test_chunk_size_is_part_of_the_key(self, monkeypatch):
+        sc = self._scenario()
+
+        def n_chunks():
+            return sum(1 for _ in delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+
+        assert n_chunks() == 1
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 1000)
+        assert n_chunks() == 3
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 700)
+        assert n_chunks() == 5
+
+
 class TestHighSirApprox:
     def test_frozen_value(self):
         got = high_sir_approx(0.2, 100.0, 4.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from snratio.cli import main
+from snratio.delivery import FadingBatch
 from snratio.errors import ParameterDomainError
 from snratio.experiments import (
     ExperimentConfig,
@@ -23,6 +24,7 @@ from snratio.experiments import (
     validate,
     write_csv,
 )
+from snratio.simulate import TrialConfig
 
 
 class TestConfig:
@@ -40,6 +42,21 @@ class TestConfig:
             ExperimentConfig(alphas=(1.5,))
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(trials=0)
+
+    @pytest.mark.parametrize("make, size", [
+        (FadingBatch, "sample_count"), (TrialConfig, "trials"),
+        (ExperimentConfig, "trials"), (ExperimentConfig, "batch_samples"),
+    ])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("size", 100.0), ("size", "100"),
+    ])
+    def test_seeds_and_sizes_must_be_integers(self, make, size, field, value):
+        # Rejected at construction, before any draw: a float seed 1.0 must
+        # not stand for the seed 1.
+        name = size if field == "size" else "seed"
+        with pytest.raises(ParameterDomainError, match=name):
+            make(**{size: 100, "seed": 0, name: value})
+        make(**{size: np.int64(100), "seed": np.int64(0)})
 
     def test_zero_counts_are_not_replaced_by_defaults(self):
         cfg = ExperimentConfig()
@@ -254,6 +271,11 @@ class TestCli:
     def test_configuration_error_exits_two(self, tmp_path):
         code = main(["fig3", "--alpha", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code = main(["validate", "--seed", "-1", "--out-dir", str(tmp_path / "v")])
+        assert code == 2
+        assert "configuration error: seed" in capsys.readouterr().err
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(["fig3", "--config", str(tmp_path / "nope.cfg")])
