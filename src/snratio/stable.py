@@ -138,6 +138,8 @@ def convert(params: StableParams, target_form: str) -> StableParams:
     if params.form == FORM_B:  # B -> A
         c = math.cos(math.pi * params.beta * k / 2.0)
         beta_a = math.tan(math.pi * params.beta * k / 2.0) / math.tan(math.pi * d / 2.0)
+        # |beta_a| <= 1 in reals; clip the last-ulp spill at |beta| = 1.
+        beta_a = min(1.0, max(-1.0, beta_a))
         return StableParams(FORM_A, d, beta_a, params.gamma / c, params.mu * c)
 
     # A -> B: invert the tangent relation on the principal branch.
