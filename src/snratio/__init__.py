@@ -24,8 +24,6 @@ from .delivery import (
     conditional_delivery_prob_series,
     delivery_lower_bound,
     delivery_upper_bound,
-    g_given_h,
-    g_sample,
     high_sir_approx,
     inverse_g_moments,
     mu_integral,
@@ -36,14 +34,12 @@ from .errors import (
     DegenerateScenarioError,
     MomentReliabilityWarning,
     ParameterDomainError,
-    QuadratureError,
     SeriesDivergenceError,
-    SingularConfigurationError,
     UnsupportedCaseError,
     WindowEnlargementError,
 )
 from .mc import Estimate, substream
-from .popularity import PopularityProfile, ZipfSpec, decompose_densities, sample_request, zipf
+from .popularity import PopularityProfile, ZipfSpec, decompose_densities, zipf
 from .shotnoise import (
     RatioSpec,
     SeriesControl,
@@ -65,9 +61,7 @@ from .simulate import (
     ratio_ccdf_estimates,
     ratio_laplace_estimate,
     ratio_samples,
-    sample_ppp,
     shot_noise_samples,
-    shot_noise_value,
     simulate_sir_aligned,
     simulate_sir_baseline,
     simulate_total_aligned,
@@ -83,21 +77,19 @@ __version__ = "0.1.0"
 __all__ = [
     "Alpha4Bounds", "ContractError", "DegenerateScenarioError", "DiskRegion",
     "Estimate", "FadingBatch", "MomentReliabilityWarning", "ParameterDomainError",
-    "PopularityProfile", "QuadratureError", "RatioSpec", "Scenario",
-    "SeriesControl", "SeriesDivergenceError", "SingularConfigurationError",
-    "StableParams", "Totals", "TrialConfig", "UnsupportedCaseError", "WindowEnlargementError",
-    "ZipfSpec", "alignment_gain_approx", "alpha4_bounds", "baseline_delivery_prob",
-    "char_fn", "conditional_delivery_prob", "conditional_delivery_prob_alpha4",
+    "PopularityProfile", "RatioSpec", "Scenario", "SeriesControl",
+    "SeriesDivergenceError", "StableParams", "Totals", "TrialConfig",
+    "UnsupportedCaseError", "WindowEnlargementError", "ZipfSpec",
+    "alignment_gain_approx", "alpha4_bounds", "baseline_delivery_prob", "char_fn",
+    "conditional_delivery_prob", "conditional_delivery_prob_alpha4",
     "conditional_delivery_prob_series", "convert", "decompose_densities",
-    "default_region", "delivery_lower_bound", "delivery_upper_bound",
-    "diff_char_fn", "diff_stable_params", "empirical_ratio_ccdf", "g_given_h",
-    "g_sample", "high_sir_approx", "inverse_g_moments", "mu_integral",
-    "normalize_diff", "ratio_ccdf", "ratio_ccdf_estimates", "ratio_ccdf_via_stable",
-    "ratio_laplace", "ratio_laplace_estimate", "ratio_samples", "reciprocal_gamma",
-    "sample_ppp", "sample_request", "shot_noise_pdf", "shot_noise_samples",
-    "shot_noise_value", "simulate_sir_aligned", "simulate_sir_baseline",
+    "default_region", "delivery_lower_bound", "delivery_upper_bound", "diff_char_fn",
+    "diff_stable_params", "empirical_ratio_ccdf", "high_sir_approx",
+    "inverse_g_moments", "mu_integral", "normalize_diff", "ratio_ccdf",
+    "ratio_ccdf_estimates", "ratio_ccdf_via_stable", "ratio_laplace",
+    "ratio_laplace_estimate", "ratio_samples", "reciprocal_gamma", "shot_noise_pdf",
+    "shot_noise_samples", "simulate_sir_aligned", "simulate_sir_baseline",
     "simulate_total_aligned", "simulate_total_baseline", "simulate_totals",
-    "sir_samples_aligned",
-    "sir_samples_baseline", "substream", "total_delivery_prob", "unit_scale",
-    "zero_crossing_prob", "zipf",
+    "sir_samples_aligned", "sir_samples_baseline", "substream", "total_delivery_prob",
+    "unit_scale", "zero_crossing_prob", "zipf",
 ]

@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ParameterDomainError, QuadratureError, SeriesDivergenceError
+from .errors import ParameterDomainError, SeriesDivergenceError
 from .experiments import (
     ExperimentConfig,
     check_figure3,
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
                                             max_terms=args.max_terms, tol=args.tol)
             path = _emit(config, "laplace", header, rows, (), "s", "laplace")
             print(f"wrote {path} ({len(rows)} rows)")
-    except (ParameterDomainError, SeriesDivergenceError, QuadratureError) as exc:
+    except (ParameterDomainError, SeriesDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
     return 0

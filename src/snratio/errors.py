@@ -17,10 +17,6 @@ class DegenerateScenarioError(ValueError):
     """The scenario degenerates (e.g. a single-file database has no interference)."""
 
 
-class SingularConfigurationError(ValueError):
-    """A probability-zero singular configuration was encountered (point at the origin)."""
-
-
 class SeriesDivergenceError(ArithmeticError):
     """A series expansion left its practical convergence region.
 
@@ -31,10 +27,6 @@ class SeriesDivergenceError(ArithmeticError):
     def __init__(self, message, argument=None):
         super().__init__(message)
         self.argument = argument
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class WindowEnlargementError(RuntimeError):

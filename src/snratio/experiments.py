@@ -379,8 +379,8 @@ def run_figure5(config: ExperimentConfig):
                 gain, gain_err = sim.gain.mean, sim.gain.stderr
             else:
                 gain = gain_err = float("nan")
-            approx = delivery.alignment_gain_approx(
-                float(scenario.profile.weights[0]), config.theta, alpha)
+            approx = float(delivery.alignment_gain_approx(
+                float(scenario.profile.weights[0]), config.theta, alpha))
             rows.append((gamma, alpha, n_files, gain, gain_err, approx,
                          (approx - gain) / gain))
     return header, rows

@@ -36,10 +36,6 @@ class PopularityProfile:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-        cum = np.cumsum(arr)
-        cum[-1] = 1.0  # guard the roundoff at the top of the table
-        cum.setflags(write=False)
-        object.__setattr__(self, "_cumulative", cum)
 
     @property
     def n_files(self) -> int:
@@ -81,15 +77,3 @@ def decompose_densities(profile: PopularityProfile, helper_density: float) -> np
         raise ParameterDomainError(f"helper_density must be positive, got {helper_density}")
     return profile.weights * helper_density
 
-
-def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
-    """Draw file indices (0-based) from the popularity distribution.
-
-    Inverse-CDF sampling against the precomputed cumulative table, so draws
-    cost O(log N) and are reproducible for a given generator state.
-    """
-    u = rng.random(size)
-    idx = np.searchsorted(profile._cumulative, u, side="right")
-    if size is None:
-        return int(idx)
-    return idx

@@ -44,11 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .delivery import Scenario, _check_file_index
-from .errors import (
-    ParameterDomainError,
-    SingularConfigurationError,
-    WindowEnlargementError,
-)
+from .errors import ParameterDomainError, WindowEnlargementError
 from .mc import (
     CoMoments,
     Estimate,
@@ -146,46 +142,6 @@ def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
         raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
     return DiskRegion(max(rule_radius(density, alpha, tail_tol),
                           COVERAGE_FACTOR / math.sqrt(density)))
-
-
-def sample_ppp(density: float, region: DiskRegion, rng: np.random.Generator) -> np.ndarray:
-    """One realization of a homogeneous Poisson process on the disk.
-
-    Returns an ``(n, 2)`` array of planar coordinates; ``n`` is Poisson with
-    mean ``density * region.area`` and points are uniform on the disk.
-    """
-    if not density > 0.0:
-        raise ParameterDomainError(f"density must be positive, got {density}")
-    n = rng.poisson(density * region.area)
-    r = region.radius * np.sqrt(rng.random(n))
-    phi = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-
-
-def shot_noise_value(points: np.ndarray, alpha: float, fading_mode: str = "none",
-                     rng: np.random.Generator | None = None) -> float:
-    """Path-loss sum over a point set, optionally with exponential fading.
-
-    Pure function of the provided points: no window correction is applied
-    here.  A point exactly at the origin is a probability-zero singular
-    configuration and is rejected.
-    """
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-    if fading_mode not in ("none", "exponential"):
-        raise ParameterDomainError(f"unknown fading mode {fading_mode!r}")
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return 0.0
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(r == 0.0):
-        raise SingularConfigurationError("point exactly at the origin")
-    terms = r ** (-alpha)
-    if fading_mode == "exponential":
-        if rng is None:
-            raise ParameterDomainError("exponential fading requires an rng")
-        terms = terms * rng.exponential(size=terms.size)
-    return float(terms.sum())
 
 
 def _disk_points(rng, mean, radius, size):

@@ -1,11 +1,15 @@
 """Delivery probabilities: expectation forms, series, bounds, baseline, gain."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from snratio import (
     FadingBatch,
@@ -19,8 +23,6 @@ from snratio import (
     conditional_delivery_prob_series,
     delivery_lower_bound,
     delivery_upper_bound,
-    g_given_h,
-    g_sample,
     high_sir_approx,
     inverse_g_moments,
     mu_integral,
@@ -43,27 +45,31 @@ def scenario_with_top(a_top, n_files, theta, alpha, lam=0.1):
 
 
 class TestGSample:
+    """Samples of g_k, the competing files' fading-weighted popularity, from one pass."""
+
     def test_forced_fading_single_term(self):
+        # With two files g_0 is the other file's term alone, whatever h_0 is.
         p = PopularityProfile([0.5, 0.5])
-        assert g_given_h(p, 0, 4.0, [123.0, 1.0]) == pytest.approx(0.5, rel=1e-15)
+        batch = FadingBatch(2000, 21)
+        h = np.concatenate([c[0] for c in delivery._fading_chunks(p, 4.0, batch)])
+        g = delivery._competing_g(p, 4.0, batch, range(2))
+        np.testing.assert_allclose(g, (0.5 * np.sqrt(h[:, ::-1])).T, rtol=1e-12, atol=1e-15)
 
     def test_mean_matches_closed_moment(self):
         # E[g_k] = (1 - a_k) * Gamma(1 + 2/alpha).
         p = zipf_remainder_profile(0.5, 10)
-        rng = np.random.default_rng(21)
-        draws = np.array([g_sample(p, 0, 4.0, rng) for _ in range(100_000)])
+        draws = delivery._competing_g(p, 4.0, FadingBatch(100_000, 21), range(1))[0]
         want = 0.5 * math.gamma(1.5)
         assert want == pytest.approx(0.44311, abs=5e-6)
         assert abs(draws.mean() - want) < 3.0 * draws.std(ddof=1) / math.sqrt(draws.size)
 
     def test_always_positive(self):
         p = zipf_remainder_profile(0.9, 5)
-        rng = np.random.default_rng(2)
-        assert all(g_sample(p, 0, 3.0, rng) > 0.0 for _ in range(200))
+        assert np.all(delivery._competing_g(p, 3.0, FadingBatch(200, 2), range(5)) > 0.0)
 
     def test_single_file_degenerates(self):
         with pytest.raises(DegenerateScenarioError):
-            g_sample(PopularityProfile([1.0]), 0, 4.0, np.random.default_rng(0))
+            inverse_g_moments(PopularityProfile([1.0]), 0, 4.0, FadingBatch(10, 0), 1)
 
 
 class TestExpectationForm:
@@ -141,6 +147,21 @@ class TestSeriesForm:
             total_delivery_prob(sc, "series", FadingBatch(3000, 7))
         assert {w.filename for w in record} == {__file__}
 
+    def test_total_stderr_is_calibrated(self):
+        # Spread of the series total over 40 seeds against its reported
+        # stderr: (m - 1) * var / mean(stderr^2) is about chi-square with
+        # m - 1 degrees of freedom.  Every term and file reads one fading
+        # batch, so the stderr must carry their covariances.
+        sc = Scenario.from_zipf(20, 0.5, 5.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MomentReliabilityWarning)
+            runs = [total_delivery_prob(sc, "series", FadingBatch(4000, seed))
+                    for seed in range(1000, 1040)]
+        means = np.array([r.mean for r in runs])
+        stat = means.var(ddof=1) * (len(runs) - 1) / np.mean([r.stderr**2 for r in runs])
+        dof = len(runs) - 1
+        assert stats.chi2.ppf(0.001, dof) < stat < stats.chi2.ppf(0.999, dof)
+
     @pytest.mark.parametrize("k", [-1, 10])
     def test_file_index_out_of_range(self, k):
         sc = Scenario.from_zipf(10, 0.0, 5.0, 3.0)
@@ -187,12 +208,9 @@ class TestSeriesTotalBlocks:
     def _file_by_file(self, sc):
         w = sc.profile.weights
         total = 0.0
-        var = 0.0
         for k in range(sc.n_files):
-            est = conditional_delivery_prob_series(k, sc, 60, self.BATCH)
-            total += w[k] * est.mean
-            var += (w[k] * est.stderr) ** 2
-        return total, math.sqrt(var)
+            total += w[k] * conditional_delivery_prob_series(k, sc, 60, self.BATCH).mean
+        return total
 
     @staticmethod
     def _run(fn):
@@ -207,13 +225,14 @@ class TestSeriesTotalBlocks:
     def test_total_equals_file_by_file_loop(self, monkeypatch):
         sc = Scenario.from_zipf(self.N, 0.5, 2.0, 3.0)
         est, n_warned = self._run(lambda: total_delivery_prob(sc, "series", self.BATCH))
-        (mean, stderr), n_loop_warned = self._run(lambda: self._file_by_file(sc))
+        mean, n_loop_warned = self._run(lambda: self._file_by_file(sc))
         assert n_warned == n_loop_warned > 0
         assert float(est.mean).hex() == float(mean).hex()
-        assert float(est.stderr).hex() == float(stderr).hex()
         monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 4_000_000)
         with pytest.warns(MomentReliabilityWarning):
-            assert total_delivery_prob(sc, "series", self.BATCH) == est
+            default = total_delivery_prob(sc, "series", self.BATCH)
+        assert float(default.stderr).hex() == float(est.stderr).hex()
+        assert default == est
 
     def test_divergence_matches_file_by_file_loop(self):
         # File 20, in the seventh block, diverges after earlier files warned.
@@ -361,7 +380,7 @@ class TestBounds:
     @pytest.mark.parametrize("form", [
         delivery_upper_bound, baseline_delivery_prob,
         lambda a, t, alpha: delivery_lower_bound(a, t, alpha, FadingBatch(10, 0)),
-        lambda a, t, alpha: alpha4_bounds(a, t)])
+        lambda a, t, alpha: alpha4_bounds(a, t), alignment_gain_approx])
     @pytest.mark.parametrize("a_k, theta", [
         (0.0, 5.0), (1.5, 5.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.nan),
         ([0.5, 0.0], 5.0), (0.5, [5.0, 0.0])])
@@ -370,11 +389,13 @@ class TestBounds:
             form(a_k, theta, 4.0)
 
     def test_closed_forms_are_elementwise(self):
-        a = np.array([0.05, 0.3, 1.0])
-        theta = np.array([1.0, 5.0, 5.0])
-        for form in (delivery_upper_bound, baseline_delivery_prob):
+        a = np.array([0.05, 0.3, 1.0, 0.7])
+        theta = np.array([1.0, 5.0, 5.0, 0.01])
+        for form in (delivery_upper_bound, baseline_delivery_prob, alignment_gain_approx):
             want = [form(float(a_k), float(t), 3.0) for a_k, t in zip(a, theta)]
             np.testing.assert_allclose(form(a, theta, 3.0), want, rtol=1e-14)
+        np.testing.assert_allclose(mu_integral(theta, 3.0),
+                                   [mu_integral(float(t), 3.0) for t in theta], rtol=1e-14)
         bounds = alpha4_bounds(a, theta)
         for k, (a_k, t) in enumerate(zip(a, theta)):
             np.testing.assert_allclose([b[k] for b in bounds],
@@ -477,6 +498,43 @@ class TestBaseline:
     def test_mu_vanishes_with_threshold(self):
         assert mu_integral(1e-9, 3.0) < 1e-8
 
+    @pytest.mark.parametrize("alpha, theta", [(3.04, 3.16), (3.54, 17.8), (6.76, 10.0),
+                                              (7.5, 10.0)])
+    def test_mu_against_split_quadrature(self, alpha, theta):
+        # Points where one adaptive quadrature over [1, inf) missed its error
+        # bound.  Splitting at the integrand's knee theta^(2/alpha) and two
+        # decades beyond it lets each piece converge.
+        knee = theta ** (2.0 / alpha)
+        edges = (1.0, knee, 10.0 * knee, 100.0 * knee, np.inf)
+        want = sum(integrate.quad(lambda x: 1.0 / (1.0 + x ** (alpha / 2.0) / theta), lo, hi,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+        assert mu_integral(theta, alpha) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+    def test_mu_at_small_threshold(self, alpha):
+        # 1 / (1 + x^h / theta) = theta x^-h - theta^2 x^-2h + ..., h = alpha / 2,
+        # integrated term by term over [1, inf).
+        theta, h = 1e-12, alpha / 2.0
+        want = theta / (h - 1.0) - theta**2 / (2.0 * h - 1.0)
+        assert mu_integral(theta, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+    def test_mu_at_large_threshold(self, alpha):
+        # The integral over [0, inf) is theta^d pi d / sin(pi d), d = 2 / alpha;
+        # the one over [0, 1] is 1 - 1 / (theta (h + 1)) + O(theta^-2).
+        theta, h, d = 1e12, alpha / 2.0, 2.0 / alpha
+        want = theta**d * math.pi * d / math.sin(math.pi * d) - 1.0 + 1.0 / (theta * (h + 1.0))
+        assert mu_integral(theta, alpha) == pytest.approx(want, rel=1e-12)
+
+    def test_import_leaves_quadrature_and_optimizer_unloaded(self):
+        src = str(Path(delivery.__file__).resolve().parents[1])
+        code = ("import sys, snratio; "
+                "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_baseline_frozen_value(self):
         got = baseline_delivery_prob(1.0, 5.0, 4.0)
         assert got == pytest.approx(1.0 / (1.0 + 2.5720640), abs=1e-6)
@@ -541,17 +599,19 @@ class TestTotals:
         assert (total.stderr, total.trials) == (0.0, 1)
 
     def test_baseline_integrates_once_per_threshold(self, monkeypatch):
+        # One elementwise call covers every file's threshold.
         calls = []
 
         def counted(theta, alpha):
-            calls.append(theta)
+            calls.append(np.array(theta))
             return mu_integral(theta, alpha)
 
         monkeypatch.setattr(delivery, "mu_integral", counted)
         profile = Scenario.from_zipf(6, 1.0, 5.0, 3.0).profile
         sc = Scenario(profile, 3.0, [5.0, 2.0, 5.0, 2.0, 5.0, 5.0], 0.1)
         total = total_delivery_prob(sc, "baseline", FadingBatch(10, 0))
-        assert sorted(calls) == [2.0, 5.0]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], sc.thresholds)
         want = sum(profile.weights[k] * baseline_delivery_prob(profile.weights[k],
                                                                sc.thresholds[k], 3.0)
                    for k in range(6))

@@ -173,7 +173,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                     3000,
                                     7,
                                     0),
-        'conditional_series': ('est', '0x1.e8f084c92c551p-6', '0x1.e087c749fde57p-14', 3000, 7, 0),
+        'conditional_series': ('est', '0x1.e8f084c92c551p-6', '0x1.ddea488d6dc1cp-14', 3000, 7, 0),
         'conditional_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
         'empirical_ratio_ccdf': ('est',
                                  '0x1.3333333333333p-2',
@@ -461,8 +461,8 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                  575,
                                  3,
                                  0)))),
-        'total_baseline_a3': ('est', '0x1.ceeb22c561209p-7', '0x0.0p+0', 1, 7, 0),
-        'total_baseline_a4': ('est', '0x1.9bf87f86367d2p-6', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_a3': ('est', '0x1.ceeb22c56120bp-7', '0x0.0p+0', 1, 7, 0),
+        'total_baseline_a4': ('est', '0x1.9bf87f86367d9p-6', '0x0.0p+0', 1, 7, 0),
         'total_baseline_n1': ('est', '0x1.1eab43493f7afp-2', '0x0.0p+0', 1, 7, 0),
         'total_expectation_a3': ('est', '0x1.1840c1815328dp-6', '0x1.7d1e9bb2f28eep-17', 3000, 7, 0),
         'total_expectation_a4': ('est', '0x1.ea7c1a2fb4b62p-6', '0x1.a6472c4ebe85ep-17', 3000, 7, 0),
@@ -470,8 +470,8 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'total_lower_a3': ('est', '0x1.088f26bd322e9p-6', '0x0.0p+0', 1, 7, 0),
         'total_lower_a4': ('est', '0x1.d6962e553e0b9p-6', '0x0.0p+0', 1, 7, 0),
         'total_lower_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 1, 7, 0),
-        'total_series_a3': ('est', '0x1.16ea1a25dbaefp-6', '0x1.8446b6f1ddcd3p-16', 3000, 7, 0),
-        'total_series_a4': ('est', '0x1.e8f367d5cedd8p-6', '0x1.547d99e584e0cp-15', 3000, 7, 0),
+        'total_series_a3': ('est', '0x1.16ea1a25dbaefp-6', '0x1.330f5a7a5d32fp-14', 3000, 7, 0),
+        'total_series_a4': ('est', '0x1.e8f367d5cedd8p-6', '0x1.bc4c8f4738227p-14', 3000, 7, 0),
         'total_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
         'total_upper_a3': ('est', '0x1.2be54f6e825bcp-5', '0x0.0p+0', 1, 7, 0),
         'total_upper_a4': ('est', '0x1.6214c1ee2397ep-5', '0x0.0p+0', 1, 7, 0),

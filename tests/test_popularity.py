@@ -6,12 +6,14 @@ from scipy import stats
 
 from snratio import (
     PopularityProfile,
+    Scenario,
+    TrialConfig,
     ZipfSpec,
     decompose_densities,
-    sample_request,
     zipf,
 )
 from snratio.errors import ParameterDomainError
+from snratio.simulate import _request_counts
 
 
 class TestProfileValidation:
@@ -80,29 +82,24 @@ class TestDecomposeDensities:
 
 
 class TestSampleRequest:
+    """The simulator's split of the trials' requests over the files."""
+
+    @staticmethod
+    def _counts(profile, trials, seed):
+        return _request_counts(Scenario(profile, 4.0, 5.0, 0.1), TrialConfig(trials, seed))
+
     def test_single_file_always_index_zero(self):
-        p = PopularityProfile([1.0])
-        rng = np.random.default_rng(0)
-        assert all(sample_request(p, rng) == 0 for _ in range(20))
+        assert self._counts(PopularityProfile([1.0]), 20, 0).tolist() == [20]
 
     def test_frequencies_match_weights(self):
         # Chi-square goodness of fit at the 1% level against the weights.
         p = zipf(ZipfSpec(3, 1.0))
-        draws = sample_request(p, np.random.default_rng(123), size=100_000)
-        counts = np.bincount(draws, minlength=3)
+        counts = self._counts(p, 100_000, 123)
         result = stats.chisquare(counts, 100_000 * p.weights)
         assert result.pvalue > 0.01
 
     def test_identical_seed_identical_sequence(self):
         p = zipf(ZipfSpec(10, 0.8))
-        a = sample_request(p, np.random.default_rng(55), size=1000)
-        b = sample_request(p, np.random.default_rng(55), size=1000)
-        assert np.array_equal(a, b)
-
-    def test_scalar_and_vector_forms(self):
-        p = zipf(ZipfSpec(5, 1.0))
-        rng = np.random.default_rng(9)
-        assert isinstance(sample_request(p, rng), int)
-        out = sample_request(p, rng, size=7)
-        assert out.shape == (7,)
-        assert out.min() >= 0 and out.max() < 5
+        a = self._counts(p, 1000, 55)
+        assert a.sum() == 1000
+        np.testing.assert_array_equal(a, self._counts(p, 1000, 55))

@@ -25,9 +25,7 @@ from snratio import (
     ratio_laplace,
     ratio_laplace_estimate,
     ratio_samples,
-    sample_ppp,
     shot_noise_samples,
-    shot_noise_value,
     simulate_sir_aligned,
     simulate_sir_baseline,
     simulate_total_aligned,
@@ -38,17 +36,14 @@ from snratio import (
     substream,
 )
 from snratio.delivery import FadingBatch
-from snratio.errors import (
-    ParameterDomainError,
-    SingularConfigurationError,
-    WindowEnlargementError,
-)
+from snratio.errors import ParameterDomainError, WindowEnlargementError
 from snratio.experiments import zipf_remainder_profile
 from snratio.mc import CoMoments, Moments, mean_estimate
 from snratio.popularity import decompose_densities
 from snratio.simulate import (
     _AlignedModel,
     _coupled_shot_chunk,
+    _disk_points,
     _NearestHelperModel,
     _nearest_positions,
     _on_geometry,
@@ -82,66 +77,36 @@ class TestRegions:
 
 
 class TestSamplePpp:
+    """Poisson points on a disk as the simulator draws them, one count per cell."""
+
     def test_mean_count(self):
-        rng = substream(17, 0)
         region = DiskRegion(30.0)
-        counts = [len(sample_ppp(0.1, region, rng)) for _ in range(2000)]
+        counts, _, _ = _disk_points(substream(17, 0), 0.1 * region.area, region.radius, 2000)
         want = 0.1 * region.area
         se = math.sqrt(want / 2000)
         assert abs(np.mean(counts) - want) < 3.0 * se
 
     def test_void_probability(self):
         # lam * area = 0.01: empty windows show up with frequency e^-0.01.
-        rng = substream(18, 0)
-        region = DiskRegion(math.sqrt(0.01 / (0.001 * math.pi)))
-        empty = sum(len(sample_ppp(0.001, region, rng)) == 0 for _ in range(10_000))
+        counts, _, _ = _disk_points(substream(18, 0), 0.01, 1.0, 10_000)
+        empty = int((counts == 0).sum())
         want = math.exp(-0.01)
         assert abs(empty / 10_000 - want) < 3.0 * math.sqrt(want * (1 - want) / 10_000)
 
     def test_points_inside_region_and_deterministic(self):
         region = DiskRegion(7.0)
-        pts = sample_ppp(0.5, region, substream(19, 0))
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= region.radius)
-        again = sample_ppp(0.5, region, substream(19, 0))
-        assert np.array_equal(pts, again)
-
-    def test_thinning_splits_densities(self):
-        # Independent marking with probability a yields two processes whose
-        # counts match densities a*lam and (1-a)*lam.
-        rng = substream(20, 0)
-        region = DiskRegion(20.0)
-        lam, a, trials = 0.1, 0.3, 2000
-        kept = []
-        dropped = []
-        for _ in range(trials):
-            n = len(sample_ppp(lam, region, rng))
-            marks = rng.random(n) < a
-            kept.append(int(marks.sum()))
-            dropped.append(n - int(marks.sum()))
-        for counts, dens in ((kept, a * lam), (dropped, (1 - a) * lam)):
-            want = dens * region.area
-            se = math.sqrt(want / trials)
-            assert abs(np.mean(counts) - want) < 3.0 * se
+        mean = 0.5 * region.area
+        counts, cell, r = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
+        assert r.size == counts.sum() > 0
+        assert np.all((r >= 0.0) & (r <= region.radius))
+        np.testing.assert_array_equal(np.bincount(cell, minlength=counts.size), counts.ravel())
+        again = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
+        for a, b in zip((counts, cell, r), again):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestShotNoiseValue:
-    def test_single_point_frozen_value(self):
-        assert shot_noise_value(np.array([[2.0, 0.0]]), 4.0) == pytest.approx(0.0625)
-
-    def test_empty_set_is_zero(self):
-        assert shot_noise_value(np.empty((0, 2)), 3.0) == 0.0
-
-    def test_origin_point_rejected(self):
-        with pytest.raises(SingularConfigurationError):
-            shot_noise_value(np.array([[0.0, 0.0], [1.0, 1.0]]), 3.0)
-
-    def test_exponential_fading_scales_terms(self):
-        pts = np.array([[1.0, 0.0], [0.0, 3.0]])
-        plain = shot_noise_value(pts, 3.0)
-        faded = shot_noise_value(pts, 3.0, "exponential", substream(1, 0))
-        assert faded != plain and faded > 0.0
-        with pytest.raises(ParameterDomainError):
-            shot_noise_value(pts, 3.0, "exponential")
+    """Shot-noise values as the sampler draws them, tail mean added."""
 
     def test_levy_goodness_of_fit(self):
         # alpha = 4, density 1/pi: sums follow the one-sided stable law with
