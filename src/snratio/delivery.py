@@ -389,26 +389,28 @@ def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
     """
     if not 0.0 < a_k < 1.0:
         raise ContractError(f"a_k must lie in (0, 1), got {a_k}")
-    if not theta > 0.0:
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
+    _threshold_domain(theta, alpha)
     d = 2.0 / alpha
     return (math.sin(math.pi * d) / (math.pi * d)) * theta ** (-d) * a_k / (1.0 - a_k)
 
 
 def _bound_domain(a_k, theta, alpha: float):
     """``a_k`` and ``theta`` as float arrays, after the domain check every
-    closed form shares: a_k in (0, 1], theta > 0 and alpha > 2."""
+    closed form shares: a_k in (0, 1], theta > 0 and alpha > 2, both finite."""
     a = np.asarray(a_k, dtype=float)
-    th = np.asarray(theta, dtype=float)
     if not np.all((a > 0.0) & (a <= 1.0)):
         raise ParameterDomainError(f"a_k must lie in (0, 1], got {a_k}")
-    if not np.all(th > 0.0):
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-    return a, th
+    return a, _threshold_domain(theta, alpha)
+
+
+def _threshold_domain(theta, alpha: float):
+    """``theta`` as a float array, after checking theta > 0 and alpha > 2, both finite."""
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th > 0.0) & np.isfinite(th)):
+        raise ParameterDomainError(f"theta must be positive and finite, got {theta}")
+    if not 2.0 < alpha < math.inf:
+        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
+    return th
 
 
 def delivery_upper_bound(a_k, theta, alpha: float):
@@ -481,11 +483,7 @@ def mu_integral(theta, alpha: float):
     50-digit evaluation to about 1e-14 relative.
     Elementwise over array-valued ``theta``.
     """
-    th = np.asarray(theta, dtype=float)
-    if not np.all(th > 0.0):
-        raise ParameterDomainError(f"theta must be positive, got {theta}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
+    th = _threshold_domain(theta, alpha)
     d = 2.0 / alpha
     tail = np.where(th < 1.0, special.betainc(1.0 - d, d, th / (1.0 + th)),
                     special.betaincc(d, 1.0 - d, 1.0 / (1.0 + th)))

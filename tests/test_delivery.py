@@ -388,6 +388,29 @@ class TestBounds:
         with pytest.raises(ParameterDomainError):
             form(a_k, theta, 4.0)
 
+    @pytest.mark.parametrize("form", [
+        delivery_upper_bound, baseline_delivery_prob,
+        lambda a, t, alpha: delivery_lower_bound(a, t, alpha, FadingBatch(10, 0)),
+        lambda a, t, alpha: alpha4_bounds(a, t), alignment_gain_approx,
+        lambda a, t, alpha: mu_integral(t, alpha), high_sir_approx])
+    @pytest.mark.parametrize("theta", [math.inf, [5.0, math.inf]])
+    def test_closed_forms_reject_infinite_threshold(self, form, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError):
+                form(0.5, theta, 3.0)
+
+    @pytest.mark.parametrize("form", [
+        delivery_upper_bound, baseline_delivery_prob,
+        lambda a, t, alpha: delivery_lower_bound(a, t, alpha, FadingBatch(10, 0)),
+        alignment_gain_approx, lambda a, t, alpha: mu_integral(t, alpha), high_sir_approx])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_closed_forms_reject_nonfinite_alpha(self, form, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError):
+                form(0.5, 5.0, alpha)
+
     def test_closed_forms_are_elementwise(self):
         a = np.array([0.05, 0.3, 1.0, 0.7])
         theta = np.array([1.0, 5.0, 5.0, 0.01])
@@ -528,9 +551,12 @@ class TestBaseline:
         assert mu_integral(theta, alpha) == pytest.approx(want, rel=1e-12)
 
     def test_import_leaves_quadrature_and_optimizer_unloaded(self):
+        # Neither the package nor its experiment runner and command line
+        # needs scipy.stats, whose import also loads the other two.
         src = str(Path(delivery.__file__).resolve().parents[1])
-        code = ("import sys, snratio; "
-                "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+        code = ("import sys, snratio, snratio.experiments, snratio.cli; "
+                "print(sorted({'scipy.stats', 'scipy.integrate', 'scipy.optimize'}"
+                " & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert out.stdout.strip() == "[]"

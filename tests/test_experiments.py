@@ -1,12 +1,15 @@
 """Experiment runner: config handling, CSV reports, sweeps, CLI, validation."""
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
+from snratio import experiments, simulate
 from snratio.cli import main
 from snratio.delivery import FadingBatch
 from snratio.errors import ParameterDomainError
@@ -24,6 +27,7 @@ from snratio.experiments import (
     validate,
     write_csv,
 )
+from snratio.mc import Estimate, bernoulli_estimate
 from snratio.simulate import TrialConfig
 
 
@@ -210,6 +214,74 @@ class TestValidateSuite:
     def test_report_is_deterministic(self):
         cfg = tiny_config(trials=5000)
         assert validate(cfg)[1] == validate(cfg)[1]
+
+
+class TestValidateHelpers:
+    """The Levy law and KS distances ``validate`` computes, against scipy.stats."""
+
+    SCALE = experiments._levy_scale(1.0 / math.pi)
+
+    def test_levy_pdf_and_cdf_match_scipy(self):
+        x = np.geomspace(1e-2, 1e6, 400) * self.SCALE
+        for mine, ref in ((experiments._levy_pdf, stats.levy.pdf),
+                          (experiments._levy_cdf, stats.levy.cdf)):
+            np.testing.assert_allclose(mine(x, self.SCALE), ref(x, scale=self.SCALE),
+                                       rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [150, 2000, 20000])
+    def test_levy_ks_matches_scipy(self, n):
+        # The shot-noise samples validate draws; the mismatched scales give
+        # failing verdicts too, so both outcomes of the 1% rule are compared.
+        verdicts = set()
+        for seed in range(20):
+            cfg = ExperimentConfig(seed=seed).trial_config(trials=n)
+            samples = simulate.shot_noise_samples(1.0 / math.pi, 4.0, cfg)
+            for factor in (1.0, 1.05, 1.1, 1.4):
+                scale = self.SCALE * factor
+                ref = stats.kstest(samples, stats.levy(scale=scale).cdf)
+                d = experiments._ks_distance(experiments._levy_cdf(np.sort(samples), scale))
+                assert d == ref.statistic
+                passed = d <= experiments._ks_critical_1pct(n)
+                assert passed == (2.0 * special.smirnov(n, d) > 0.01)
+                assert passed == (ref.pvalue > 0.01), (seed, factor, d, ref.pvalue)
+                verdicts.add(passed)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [150, 2000, 20000])
+    def test_critical_distance_splits_the_smirnov_rule(self, n):
+        crit = experiments._ks_critical_1pct(n)
+        assert 2.0 * special.smirnov(n, crit) > 0.01
+        assert not 2.0 * special.smirnov(n, np.nextafter(crit, 1.0)) > 0.01
+
+    @pytest.mark.parametrize("sizes", [(500, 500), (300, 700), (1, 40), (999, 1000),
+                                       (10000, 10000)])
+    def test_two_sample_distance_matches_scipy(self, sizes):
+        # Up to 10 000 per sample scipy's default (exact) method also reports
+        # the distance rounded once from its exact multiple of 1 / lcm(n1, n2).
+        rng = np.random.default_rng(sum(sizes))
+        for shift in (0.0, 0.3):
+            a = rng.standard_normal(sizes[0])
+            b = rng.standard_normal(sizes[1]) + shift
+            assert experiments._ks_2samp_distance(a, b) == stats.ks_2samp(a, b).statistic
+            # Rounding to a coarse grid gives ties within and across the samples.
+            a, b = np.round(a, 1), np.round(b, 1)
+            assert experiments._ks_2samp_distance(a, b) == stats.ks_2samp(a, b).statistic
+
+    def test_ccdf_limit_is_three_stderr_inside(self):
+        est = bernoulli_estimate(37, 20000, 1)
+        assert experiments._ccdf_limit(est) == 3.0 * est.stderr
+
+    @pytest.mark.parametrize("successes", [0, 20000])
+    def test_ccdf_limit_at_zero_variance_is_wilson_bound(self, successes):
+        est = bernoulli_estimate(successes, 20000, 1)
+        assert est.stderr == 0.0
+        assert experiments._ccdf_limit(est) == 9.0 / 20009.0
+
+    def test_ccdf_limit_at_zero_matches_wilson_interval(self):
+        # Upper end of the z = 3 Wilson-score interval at p = 0, from its general form.
+        n, z = 20000, 3.0
+        upper = (z * z / (2 * n) + z * math.sqrt(z * z / (4 * n * n))) / (1 + z * z / n)
+        assert experiments._ccdf_limit(Estimate(0.0, 0.0, n, 1)) == pytest.approx(upper, rel=1e-12)
 
 
 class TestCli:
