@@ -63,7 +63,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mc-tol", dest="mc_tol", type=float,
                         help="absolute tolerance for the MC agreement check "
                              "(default: 3 standard errors)")
-    parser.add_argument("--partitions", type=int, help="parallel partitions over trial chunks")
+    parser.add_argument("--partitions", type=int,
+                        help="worker threads: parallel partitions over trial chunks, and for "
+                             "validate over its independent checks; no output depends on it")
     parser.add_argument("--mode", dest="sim_mode", choices=("exponential", "complex"),
                         help="fading representation used by the SIR simulator")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")

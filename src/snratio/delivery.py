@@ -68,19 +68,16 @@ class Scenario:
     helper_density: float
 
     def __init__(self, profile, alpha, thresholds, helper_density):
-        if not alpha > 2.0:
-            raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-        if not helper_density > 0.0:
-            raise ParameterDomainError(f"helper_density must be positive, got {helper_density}")
-        th = np.atleast_1d(np.asarray(thresholds, dtype=float)).copy()
+        th = np.atleast_1d(_threshold_domain(thresholds, alpha)).copy()
+        if not 0.0 < helper_density < math.inf:
+            raise ParameterDomainError(
+                f"helper_density must be positive and finite, got {helper_density}")
         if th.size == 1 and profile.n_files > 1:
             th = np.full(profile.n_files, th[0])
         if th.size != profile.n_files:
             raise ParameterDomainError(
                 f"need one threshold per file: {th.size} thresholds, {profile.n_files} files"
             )
-        if np.any(th <= 0.0):
-            raise ParameterDomainError("thresholds must be positive")
         th.setflags(write=False)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "alpha", float(alpha))

@@ -13,6 +13,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -23,7 +24,7 @@ from scipy import special
 from . import delivery, shotnoise, simulate
 from .delivery import FadingBatch, Scenario
 from .errors import ParameterDomainError, SeriesDivergenceError
-from .mc import Estimate, check_integer
+from .mc import Estimate, check_integer, ordered_map
 from .shotnoise import RatioSpec, SeriesControl
 from .simulate import TrialConfig
 
@@ -55,17 +56,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.gamma_grid) == 0:
             raise ParameterDomainError("gamma_grid must be nonempty")
-        if any(a <= 2.0 for a in self.alphas) or self.fig5_alpha <= 2.0:
-            raise ParameterDomainError("every alpha must exceed 2")
+        if not all(2.0 < a < math.inf for a in (*self.alphas, self.fig5_alpha)):
+            raise ParameterDomainError("every alpha must exceed 2 and be finite")
         if self.n_files < 1 or any(n < 1 for n in self.fig4_n_files + self.fig5_n_files):
             raise ParameterDomainError("file counts must be positive")
         check_integer("trials", self.trials, 1)
         check_integer("batch_samples", self.batch_samples, 1)
         check_integer("seed", self.seed, 0)
-        if not self.helper_density > 0.0:
-            raise ParameterDomainError("helper_density must be positive")
-        if not self.theta > 0.0:
-            raise ParameterDomainError("theta must be positive")
+        check_integer("partitions", self.partitions, 1)
+        if not 0.0 < self.helper_density < math.inf:
+            raise ParameterDomainError("helper_density must be positive and finite")
+        if not 0.0 < self.theta < math.inf:
+            raise ParameterDomainError("theta must be positive and finite")
         if self.sim_mode not in ("exponential", "complex"):
             raise ParameterDomainError(f"unknown sim_mode {self.sim_mode!r}")
 
@@ -482,18 +484,8 @@ def _ccdf_limit(est: Estimate) -> float:
     return 9.0 / (est.trials + 9.0)
 
 
-def validate(config: ExperimentConfig):
-    """Run the cross-validation suite; returns (all_passed, report_text).
-
-    The report is deterministic for a given configuration (no timestamps),
-    so identical invocations produce byte-identical output.
-    """
-    checks = []
-
-    def record(name: str, passed: bool, detail: str):
-        checks.append((name, passed, detail))
-
-    # 1. The closed CCDF and the stable-law pipeline agree to 1e-10.
+def _pipeline_job(config: ExperimentConfig):
+    """The closed CCDF and the stable-law pipeline agree to 1e-10."""
     worst = 0.0
     for alpha in (2.5, 3.0, 3.5, 4.0, 5.0):
         for rho in (0.1, 0.5, 1.0, 2.0, 10.0):
@@ -501,9 +493,11 @@ def validate(config: ExperimentConfig):
             for x in np.geomspace(0.05, 50.0, 8):
                 worst = max(worst, abs(shotnoise.ratio_ccdf(float(x), spec)
                                        - shotnoise.ratio_ccdf_via_stable(float(x), spec)))
-    record("pipeline_equivalence", worst < 1e-10, f"max gap {worst:.3e}")
+    return worst < 1e-10, f"max gap {worst:.3e}"
 
-    # 2. Closed CCDF versus the point-process simulator.
+
+def _mc_ratio_job(config: ExperimentConfig):
+    """The closed CCDF against the point-process simulator."""
     mc_tol = config.mc_tol
     use_fixed_tol = not math.isnan(mc_tol)
     worst_gap, worst_lim = 0.0, float("inf")
@@ -520,9 +514,11 @@ def validate(config: ExperimentConfig):
                 ok = False
             if gap - limit > worst_gap - worst_lim:
                 worst_gap, worst_lim = gap, limit
-    record("mc_ratio_agreement", ok, f"worst gap {worst_gap:.2e} vs limit {worst_lim:.2e}")
+    return ok, f"worst gap {worst_gap:.2e} vs limit {worst_lim:.2e}"
 
-    # 3. Bound ordering around the expectation form.
+
+def _bound_ordering_job(config: ExperimentConfig):
+    """Bound ordering around the expectation form, and the alpha = 4 bounds in order."""
     ok = True
     detail = ""
     batch = config.batch()
@@ -541,12 +537,16 @@ def validate(config: ExperimentConfig):
                               f"{low.mean:.4f} / {mid.mean:.4f} / {up:.4f}")
     b = delivery.alpha4_bounds(np.linspace(0.05, 0.95, 10)[:, None], [0.5, 2.0, 5.0, 20.0])
     a4_ok = bool(np.all((b.lower_b <= b.lower_a + 1e-12) & (b.lower_a <= b.upper + 1e-12)))
-    record("bound_ordering", ok and a4_ok, detail or "sandwich and alpha4 order hold")
+    return ok and a4_ok, detail or "sandwich and alpha4 order hold"
 
-    # 4. One-sided stable oracle for the alpha = 4 shot noise.  The KS test
-    # passes at the 1% level: its p-value 2 * smirnov(n, D) is the one the
-    # exact two-sided distribution gives for n > 140 and 2.2 <= n D^2 < 370;
-    # below that band both pass, above it both fail.
+
+def _levy_job(config: ExperimentConfig):
+    """One-sided stable oracle for the alpha = 4 shot noise.
+
+    The KS test passes at the 1% level: its p-value 2 * smirnov(n, D) is the
+    one the exact two-sided distribution gives for n > 140 and
+    2.2 <= n D^2 < 370; below that band both pass, above it both fail.
+    """
     density = 1.0 / math.pi
     scale = _levy_scale(density)
     xs = np.geomspace(10.0, 1000.0, 13)
@@ -556,10 +556,16 @@ def validate(config: ExperimentConfig):
         density, 4.0, config.trial_config(trials=min(config.trials, 20000)))
     d_levy = _ks_distance(_levy_cdf(np.sort(samples), scale))
     d_levy_crit = _ks_critical_1pct(samples.size)
-    record("levy_oracle", rel < 0.01 and d_levy <= d_levy_crit,
-           f"pdf rel err {rel:.2e}, KS distance {d_levy:.4f} vs 1% critical {d_levy_crit:.4f}")
+    return (rel < 0.01 and d_levy <= d_levy_crit,
+            f"pdf rel err {rel:.2e}, KS distance {d_levy:.4f} vs 1% critical {d_levy_crit:.4f}")
 
-    # 5. The two fading representations of the aligned SIR agree in law.
+
+def _fading_job(config: ExperimentConfig):
+    """The two fading representations of the aligned SIR agree in law.
+
+    The complex sampler runs before the exponential one in this one job, so
+    at most one complex-mode chunk is alive at a time.
+    """
     scenario = Scenario.from_zipf(10, 1.0, config.theta, 3.0, config.helper_density)
     n_ks = 10000
     s_complex = simulate.sir_samples_aligned(
@@ -569,31 +575,72 @@ def validate(config: ExperimentConfig):
         mode="exponential")
     d_stat = _ks_2samp_distance(s_complex, s_expo)
     d_crit = _KS_COEFF_1PCT * math.sqrt(2.0 / n_ks)
-    record("fading_form_equivalence", d_stat < d_crit,
-           f"KS distance {d_stat:.4f} vs 1% critical {d_crit:.4f}")
+    return d_stat < d_crit, f"KS distance {d_stat:.4f} vs 1% critical {d_crit:.4f}"
 
-    # 6. Bit-identical estimates under repetition and under partitioning.
+
+def _partition_job(config: ExperimentConfig):
+    """Bit-identical estimates under repetition and under 3-way partitioning."""
     spec = RatioSpec(0.01, 0.01, 3.0)
-    cfg1 = config.trial_config(trials=min(config.trials, 20000))
-    ref = simulate.empirical_ratio_ccdf(2.0, spec, cfg1)
-    rep = simulate.empirical_ratio_ccdf(2.0, spec, cfg1)
-    par = simulate.empirical_ratio_ccdf(2.0, spec, replace(cfg1, partitions=3))
-    same = ref == rep == par
-    record("partition_determinism", same,
-           f"mean {ref.mean:.9g} reproduced under repetition and 3-way partitioning")
+    cfg = config.trial_config(trials=min(config.trials, 20000))
+    ref = simulate.empirical_ratio_ccdf(2.0, spec, cfg)
+    rep = simulate.empirical_ratio_ccdf(2.0, spec, cfg)
+    par = simulate.empirical_ratio_ccdf(2.0, spec, replace(cfg, partitions=3))
+    return (ref == rep == par,
+            f"mean {ref.mean:.9g} reproduced under repetition and 3-way partitioning")
 
-    # 7. Doubling the window moves estimates by less than one combined stderr.
-    ok = True
-    detail = ""
-    for alpha in (3.0, 4.0):
-        spec = RatioSpec(0.01, 0.02, alpha)
-        base, big = simulate.window_doubling_probe(2.0, spec, cfg1)
-        gap = abs(base.mean - big.mean)
-        lim = math.hypot(base.stderr, big.stderr)
-        if gap >= lim:
-            ok = False
-        detail += f"alpha={alpha}: gap {gap:.2e} vs stderr {lim:.2e}; "
-    record("window_doubling", ok, detail.strip("; "))
+
+def _window_job(config: ExperimentConfig, alpha: float):
+    """Doubling the window at one path-loss exponent moves the estimate by
+    less than one combined stderr."""
+    spec = RatioSpec(0.01, 0.02, alpha)
+    cfg = config.trial_config(trials=min(config.trials, 20000))
+    base, big = simulate.window_doubling_probe(2.0, spec, cfg)
+    gap = abs(base.mean - big.mean)
+    lim = math.hypot(base.stderr, big.stderr)
+    return not gap >= lim, f"alpha={alpha}: gap {gap:.2e} vs stderr {lim:.2e}"
+
+
+#: The independent jobs of :func:`validate` in report order, each with the
+#: check it serves.  A check's verdict joins its jobs' ``(passed, detail)``
+#: results: it passes when they all do, and its details are joined by "; ".
+_VALIDATION_JOBS = (
+    ("pipeline_equivalence", _pipeline_job),
+    ("mc_ratio_agreement", _mc_ratio_job),
+    ("bound_ordering", _bound_ordering_job),
+    ("levy_oracle", _levy_job),
+    ("fading_form_equivalence", _fading_job),
+    ("partition_determinism", _partition_job),
+    ("window_doubling", functools.partial(_window_job, alpha=3.0)),
+    ("window_doubling", functools.partial(_window_job, alpha=4.0)),
+)
+
+#: The order a pool starts the jobs in, as indices into ``_VALIDATION_JOBS``:
+#: longest first (fading, both window probes, partition, MC ratio, Levy,
+#: bounds, pipeline), so that the jobs left for the end are short ones.
+_JOB_START_ORDER = (4, 6, 7, 5, 1, 3, 2, 0)
+
+
+def validate(config: ExperimentConfig):
+    """Run the cross-validation suite; returns (all_passed, report_text).
+
+    The checks' independent jobs are spread over ``config.partitions``
+    threads, longest first; each job's own simulations run on its thread
+    (``partitions=1``), and with one partition the jobs run in report order
+    on the calling thread.  Every estimate comes from keyed substreams, so
+    the report does not depend on ``partitions``; if jobs raise, the error
+    of the earliest in report order propagates.  The report is
+    deterministic for a given configuration (no timestamps), so identical
+    invocations produce byte-identical output.
+    """
+    inner = replace(config, partitions=1)
+    results = ordered_map(lambda job: job[1](inner), _VALIDATION_JOBS,
+                          config.partitions, _JOB_START_ORDER)
+    checks = []
+    for name, group in itertools.groupby(zip(_VALIDATION_JOBS, results),
+                                         key=lambda pair: pair[0][0]):
+        parts = [result for _, result in group]
+        checks.append((name, all(passed for passed, _ in parts),
+                       "; ".join(detail for _, detail in parts)))
 
     all_ok = all(passed for _, passed, _ in checks)
     lines = [f"# snratio validation report",

@@ -168,39 +168,59 @@ def chunk_sizes(total: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
+def ordered_map(fn, items, threads: int, start_order=None) -> list:
+    """``[fn(item) for item in items]``, evaluated on up to ``threads`` threads.
+
+    With one thread, or at most one item, every call runs inline on the
+    calling thread and no pool is started.  Otherwise the items are handed
+    to a pool of ``threads`` threads in ``start_order`` (a permutation of
+    the item indices; default: item order), so the longest calls can be
+    started first.  Either way the results come back in item order, and if
+    calls raise, the exception of the earliest raising item in item order
+    propagates, as it would in the inline run.
+    """
+    items = list(items)
+    if threads == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    order = range(len(items)) if start_order is None else start_order
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
+
+
 def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
                         partitions: int = 1, stream_offset: int = 0):
     """Run ``chunk_fn(rng, n) -> tuple`` of ints or moment records over the chunk grid.
 
-    ``partitions`` only controls how many worker threads evaluate the chunks;
-    the per-chunk substreams and the summation in chunk order make the
-    result independent of the partitioning.  Returns the elementwise sum of
-    the per-chunk tuples.
+    ``partitions`` only controls how many worker threads evaluate the chunks
+    (a single-chunk run stays on the calling thread); the per-chunk
+    substreams and the summation in chunk order make the result independent
+    of the partitioning.  Returns the elementwise sum of the per-chunk tuples.
     """
-    if partitions < 1:
-        raise ParameterDomainError("partitions must be at least 1")
-    sizes = chunk_sizes(total_trials)
+    check_integer("partitions", partitions, 1)
 
     def one(args):
         index, n = args
         return chunk_fn(substream(seed, stream_offset + index), n)
 
-    jobs = list(enumerate(sizes))
-    if partitions == 1:
-        results = [one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=partitions) as pool:
-            results = list(pool.map(one, jobs))
+    results = ordered_map(one, enumerate(chunk_sizes(total_trials)), partitions)
     return tuple(sum(col) for col in zip(*results))
 
 
 def gather_chunked_samples(total_trials: int, seed: int, sample_fn) -> np.ndarray:
     """Concatenate per-chunk sample arrays in chunk order (deterministic).
 
-    Runs on one thread, unlike :func:`run_counting_chunks`: the samples are
-    kept whole anyway, and concurrent chunks would each hold their working
-    arrays too (four point-sized arrays in a complex-mode SIR chunk), which
-    raised the validation suite's peak memory by about 17%.
+    Runs on the calling thread, unlike :func:`run_counting_chunks`: the
+    samples are kept whole anyway, and concurrent chunks would each hold
+    their working arrays too (four point-sized arrays in a complex-mode SIR
+    chunk), which raised the validation suite's peak memory by about 17%.
+    The validation suite overlaps whole gatherers instead, each one a job
+    of its own on its ``partitions`` threads.
     """
     parts = []
     for index, n in enumerate(chunk_sizes(total_trials)):

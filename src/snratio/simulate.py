@@ -105,9 +105,12 @@ class TrialConfig:
     ``partitions`` sets the worker threads of the counting and moment runs
     only.  The four sample gatherers (``shot_noise_samples``,
     ``ratio_samples``, ``sir_samples_aligned`` and ``sir_samples_baseline``)
-    run on one thread whatever it is: on a thread pool, each worker would
-    hold a complex-mode chunk's four point-sized arrays at once, and the
-    validation suite's peak memory was about 17% higher that way.
+    run on the calling thread whatever it is: on a thread pool, each worker
+    would hold a complex-mode chunk's four point-sized arrays at once, and
+    the validation suite's peak memory was about 17% higher that way.  The
+    validation suite spreads whole gatherers and runs over its ``partitions``
+    threads instead (:func:`snratio.experiments.validate`).  No estimate or
+    sample depends on ``partitions``.
     """
 
     trials: int
@@ -120,8 +123,7 @@ class TrialConfig:
         check_integer("seed", self.seed, 0)
         if not self.tail_tol > 0.0:
             raise ParameterDomainError("tail_tol must be positive")
-        if self.partitions < 1:
-            raise ParameterDomainError("partitions must be at least 1")
+        check_integer("partitions", self.partitions, 1)
 
 
 def tail_mean(density: float, alpha: float, radius: float) -> float:

@@ -657,6 +657,16 @@ class TestTotals:
         with pytest.raises(ParameterDomainError):
             total_delivery_prob(sc, "magic", FadingBatch(10, 0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["alpha", "thresholds", "helper_density"])
+    def test_scenario_rejects_nonfinite_inputs(self, field, bad):
+        args = {"alpha": 4.0, "thresholds": [5.0, 5.0, 5.0], "helper_density": 0.1}
+        args[field] = [5.0, bad, 5.0] if field == "thresholds" else bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="finite"):
+                Scenario(zipf_remainder_profile(0.5, 3), **args)
+
     @pytest.mark.parametrize("call, error", [
         (lambda sc3, sc4, b: total_delivery_prob(sc3, "alpha4", b), ContractError),
         (lambda sc3, sc4, b: conditional_delivery_prob(7, sc4, b), ParameterDomainError),

@@ -4,6 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +64,23 @@ class TestConfig:
         with pytest.raises(ParameterDomainError, match=name):
             make(**{size: 100, "seed": 0, name: value})
         make(**{size: np.int64(100), "seed": np.int64(0)})
+
+    @pytest.mark.parametrize("make", [TrialConfig, ExperimentConfig])
+    @pytest.mark.parametrize("value", [0, 2.5, True, "2"])
+    def test_partitions_must_be_integers(self, make, value):
+        # Checked at construction: validate's pool reads config.partitions.
+        with pytest.raises(ParameterDomainError, match="partitions"):
+            make(trials=100, partitions=value)
+        make(trials=100, partitions=np.int64(2))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field, match", [
+        ("theta", "theta"), ("alphas", "alpha"), ("fig5_alpha", "alpha"),
+        ("helper_density", "helper_density")])
+    def test_rejects_nonfinite(self, field, match, bad):
+        value = (3.0, bad) if field == "alphas" else bad
+        with pytest.raises(ParameterDomainError, match=match):
+            ExperimentConfig(**{field: value})
 
     def test_zero_counts_are_not_replaced_by_defaults(self):
         cfg = ExperimentConfig()
@@ -215,6 +235,50 @@ class TestValidateSuite:
         cfg = tiny_config(trials=5000)
         assert validate(cfg)[1] == validate(cfg)[1]
 
+    def test_report_does_not_depend_on_partitions(self):
+        ref = validate(tiny_config(trials=5000))[1]
+        for partitions in (2, 3):
+            assert validate(tiny_config(trials=5000, partitions=partitions))[1] == ref
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_earliest_failing_job_in_report_order_propagates(self, monkeypatch, partitions):
+        # On a pool the fading job starts first and fails at once; the MC
+        # ratio job precedes it in the report and fails later, and its error wins.
+        class Earlier(Exception):
+            pass
+
+        class Later(Exception):
+            pass
+
+        def mc_ratio(*args, **kwargs):
+            time.sleep(0.2)
+            raise Earlier
+
+        def fading(*args, **kwargs):
+            raise Later
+
+        monkeypatch.setattr(simulate, "ratio_ccdf_estimates", mc_ratio)
+        monkeypatch.setattr(simulate, "sir_samples_aligned", fading)
+        with pytest.raises(Earlier):
+            validate(tiny_config(partitions=partitions))
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_jobs_run_on_at_most_partitions_threads(self, monkeypatch, partitions):
+        threads = set()
+        for name in ("ratio_ccdf_estimates", "shot_noise_samples", "sir_samples_aligned",
+                     "empirical_ratio_ccdf", "window_doubling_probe"):
+            def recorded(*args, _original=getattr(simulate, name), **kwargs):
+                threads.add(threading.get_ident())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, name, recorded)
+        validate(tiny_config(partitions=partitions))
+        if partitions == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert 1 <= len(threads) <= partitions
+            assert threading.get_ident() not in threads
+
 
 class TestValidateHelpers:
     """The Levy law and KS distances ``validate`` computes, against scipy.stats."""
@@ -343,6 +407,20 @@ class TestCli:
     def test_configuration_error_exits_two(self, tmp_path):
         code = main(["fig3", "--alpha", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--theta", "inf", "--n-files-list", "5"],
+        ["fig5", "--theta", "nan", "--n-files-list", "5"],
+        ["fig3", "--alpha", "inf"],
+        ["fig3", "--lambda", "inf"],
+    ])
+    def test_nonfinite_inputs_exit_two_before_any_run(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--gamma-grid", "1", "--trials", "100",
+                                "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         code = main(["validate", "--seed", "-1", "--out-dir", str(tmp_path / "v")])

@@ -21,6 +21,7 @@ from snratio import (
     conditional_delivery_prob,
     default_region,
     empirical_ratio_ccdf,
+    mc,
     ratio_ccdf_estimates,
     ratio_laplace,
     ratio_laplace_estimate,
@@ -570,3 +571,16 @@ class TestSharedDriverProperties:
         ref = run(1)
         assert run(2) == ref
         assert run(3) == ref
+
+    def test_single_chunk_runs_start_no_pool(self, monkeypatch):
+        # At N = 500 and gamma = 0 every request stratum is one chunk, so a
+        # run at partitions=2 stays on the calling thread with the same bits.
+        sc = Scenario.from_zipf(500, 0.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=20_000, seed=41, tail_tol=1e-2)
+        ref = simulate_totals(sc, cfg, return_strata=True)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-chunk run started a thread pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        assert simulate_totals(sc, replace(cfg, partitions=2), return_strata=True) == ref
