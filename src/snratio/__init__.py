@@ -36,7 +36,6 @@ from .errors import (
     ParameterDomainError,
     SeriesDivergenceError,
     UnsupportedCaseError,
-    WindowEnlargementError,
 )
 from .mc import Estimate, substream
 from .popularity import PopularityProfile, ZipfSpec, decompose_densities, zipf
@@ -79,7 +78,7 @@ __all__ = [
     "Estimate", "FadingBatch", "MomentReliabilityWarning", "ParameterDomainError",
     "PopularityProfile", "RatioSpec", "Scenario", "SeriesControl",
     "SeriesDivergenceError", "StableParams", "Totals", "TrialConfig",
-    "UnsupportedCaseError", "WindowEnlargementError", "ZipfSpec",
+    "UnsupportedCaseError", "ZipfSpec",
     "alignment_gain_approx", "alpha4_bounds", "baseline_delivery_prob", "char_fn",
     "conditional_delivery_prob", "conditional_delivery_prob_alpha4",
     "conditional_delivery_prob_series", "convert", "decompose_densities",

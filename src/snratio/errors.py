@@ -29,9 +29,5 @@ class SeriesDivergenceError(ArithmeticError):
         self.argument = argument
 
 
-class WindowEnlargementError(RuntimeError):
-    """A degenerate trial stayed degenerate after the allowed window enlargements."""
-
-
 class MomentReliabilityWarning(UserWarning):
     """An empirical moment has relative standard error above the trust threshold."""

@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ParameterDomainError("helper_density must be positive and finite")
         if not 0.0 < self.theta < math.inf:
             raise ParameterDomainError("theta must be positive and finite")
+        if not (math.isnan(self.mc_tol) or 0.0 < self.mc_tol < math.inf):
+            raise ParameterDomainError("mc_tol must be positive and finite, or nan")
         if self.sim_mode not in ("exponential", "complex"):
             raise ParameterDomainError(f"unknown sim_mode {self.sim_mode!r}")
 

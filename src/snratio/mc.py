@@ -2,11 +2,11 @@
 
 Reproducibility contract: every randomized operation derives its draws from
 counter-based (Philox) substreams keyed by ``(master seed, chunk index)``
-over a fixed grid of trial chunks.  Per-chunk results are integer counts
-(successes, resampled trials), the :class:`Moments` of real per-trial
-values, or the :class:`CoMoments` of two such values per trial, and they
-are merged in chunk order, so the final estimate is bit-identical no
-matter how the chunks are partitioned across workers.
+over a fixed grid of trial chunks.  Per-chunk results are integer success
+counts, the :class:`Moments` of real per-trial values, or the
+:class:`CoMoments` of two such values per trial, and they are merged in
+chunk order, so the final estimate is bit-identical no matter how the
+chunks are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ CHUNK_TRIALS = 4096
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo point estimate with its standard error and provenance."""
+    """A Monte Carlo point estimate with its standard error and provenance.
+
+    ``resampled`` is always 0: no sampler redraws a trial.  The field stays
+    so that code reading it keeps working.
+    """
 
     mean: float
     stderr: float
@@ -52,7 +56,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
-def bernoulli_estimate(successes: int, trials: int, seed: int, resampled: int = 0) -> Estimate:
+def bernoulli_estimate(successes: int, trials: int, seed: int) -> Estimate:
     """Estimate of a success probability from exact integer counts."""
     if trials < 1:
         raise ParameterDomainError("trials must be at least 1")
@@ -61,17 +65,17 @@ def bernoulli_estimate(successes: int, trials: int, seed: int, resampled: int = 
         sd = math.sqrt(p * (1.0 - p) * trials / (trials - 1.0))
     else:
         sd = 0.0
-    return Estimate(p, sd / math.sqrt(trials), trials, seed, resampled)
+    return Estimate(p, sd / math.sqrt(trials), trials, seed)
 
 
-def mean_estimate(values: np.ndarray, seed: int, resampled: int = 0) -> Estimate:
+def mean_estimate(values: np.ndarray, seed: int) -> Estimate:
     """Estimate of a mean from a sample of real values."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 1:
         raise ParameterDomainError("need at least one sample")
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed, resampled)
+    return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed)
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ class Moments:
     def __radd__(self, other):
         return self if other == 0 else NotImplemented
 
-    def estimate(self, seed: int, resampled: int = 0) -> Estimate:
+    def estimate(self, seed: int) -> Estimate:
         """The sample mean with its standard error."""
         sd = math.sqrt(self.m2 / (self.count - 1)) if self.count > 1 else 0.0
-        return Estimate(self.mean, sd / math.sqrt(self.count), self.count, seed, resampled)
+        return Estimate(self.mean, sd / math.sqrt(self.count), self.count, seed)
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ class CoMoments:
     def __radd__(self, other):
         return self if other == 0 else NotImplemented
 
-    def ratio(self, seed: int, resampled: int = 0) -> Estimate:
+    def ratio(self, seed: int) -> Estimate:
         """``mean(y) / mean(x)`` with its delta-method standard error.
 
         The variance is that of the sample mean of ``y - ratio * x`` over
@@ -152,12 +156,12 @@ class CoMoments:
         """
         n = self.x.count
         if not self.x.mean > 0.0:
-            return Estimate(math.nan, math.nan, n, seed, resampled)
+            return Estimate(math.nan, math.nan, n, seed)
         r = self.y.mean / self.x.mean
         if n < 2:
-            return Estimate(r, 0.0, n, seed, resampled)
+            return Estimate(r, 0.0, n, seed)
         var = (self.y.m2 - 2.0 * r * self.cross + r * r * self.x.m2) / (n - 1)
-        return Estimate(r, math.sqrt(max(var, 0.0) / n) / self.x.mean, n, seed, resampled)
+        return Estimate(r, math.sqrt(max(var, 0.0) / n) / self.x.mean, n, seed)
 
 
 def chunk_sizes(total: int) -> list[int]:

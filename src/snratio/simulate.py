@@ -21,9 +21,10 @@ SIR trials: both models, aligned transmission and nearest-helper service,
 are evaluated on one marked geometry per chunk of trials (``_Stratum``).
 Each trial contributes its success probability given the geometry, with
 the fading integrated out; complex mode keeps per-point fading and a 0/1
-indicator for the aligned model.  :func:`simulate_totals` runs both models
-on common trials, so the alignment gain's standard error includes their
-covariance.
+indicator for the aligned model.  A nearest-helper trial whose signal disk
+is empty is served by the exact nearest point beyond it, so no SIR trial
+is ever redrawn.  :func:`simulate_totals` runs both models on common
+trials, so the alignment gain's standard error includes their covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one counter-based substream per chunk.  Per-chunk
@@ -36,7 +37,6 @@ partitioning.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .delivery import Scenario, _check_file_index
-from .errors import ParameterDomainError, WindowEnlargementError
+from .errors import ParameterDomainError
 from .mc import (
     CoMoments,
     Estimate,
@@ -74,10 +74,6 @@ _BLOCK_CELLS = 1 << 19
 #: model draws one Poisson count per cell instead of a trial label per
 #: point; the two cost the same at about 7 points a cell.
 _CELL_COUNT_POINTS = 8.0
-
-#: Times a trial without a serving helper is redrawn on a doubled signal
-#: disk before :class:`WindowEnlargementError` is raised.
-_MAX_ENLARGEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -168,32 +164,6 @@ def _fill_regions(regions, defaults):
     return tuple(given or default for given, default in zip(regions, defaults()))
 
 
-def _retry_empty(first, region: DiskRegion, draw, what):
-    """``(values, resampled)``: the trials ``first`` sampled, degenerate ones redrawn.
-
-    ``first = (values, empty)`` holds trials sampled on ``region``; the
-    values of the trials flagged ``empty`` are discarded.  Only those trials
-    are drawn again, by ``draw(m, region) -> (values, empty)`` on the region
-    doubled, up to ``_MAX_ENLARGEMENTS`` times.  ``what`` completes the
-    error message when trials stay empty.
-    """
-    values, empty = first
-    todo = np.flatnonzero(empty)
-    resampled = 0
-    for _ in range(_MAX_ENLARGEMENTS):
-        if not todo.size:
-            break
-        resampled += todo.size
-        region = region.doubled()
-        vals, empty = draw(todo.size, region)
-        values[todo[~empty]] = vals[~empty]
-        todo = todo[empty]
-    if todo.size:
-        raise WindowEnlargementError(
-            f"{todo.size} trials {what} after {_MAX_ENLARGEMENTS} window enlargements")
-    return values, resampled
-
-
 def _exceedances(cfg: TrialConfig, kernel, xs):
     """Per threshold in ``xs``, the number of trials whose value exceeds it."""
 
@@ -264,7 +234,7 @@ def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
                          region2: DiskRegion | None = None) -> list[Estimate]:
     """Empirical CCDF at several points from one shared set of trials.
 
-    As in :func:`ratio_samples`, no trial is redrawn: ``resampled`` is 0.
+    As in :func:`ratio_samples`, no trial is redrawn.
     """
     kernel = _ratio_kernel(spec, cfg, (region1, region2))
     xs = [float(x) for x in xs]
@@ -393,12 +363,6 @@ class _Stratum:
         """The requested file's tail mean beyond the signal disk."""
         return tail_mean(self.sig_density, self.alpha, self.sig_region.radius)
 
-    def on_signal_region(self, region: DiskRegion) -> "_Stratum":
-        """The same stratum with the requested file's points on ``region``."""
-        other = copy.copy(self)
-        other.sig_region = region
-        return other
-
     def geometry(self, rng, n) -> _SirChunk:
         """The points of ``n`` trials."""
         _, sig_trial, sig_r = _disk_points(rng, self.sig_density * self.sig_region.area,
@@ -430,8 +394,7 @@ class _AlignedModel:
     and per-file interference powers are squared magnitudes of coherent
     sums, and :meth:`success` is the 0/1 indicator of SIR > theta.
     Per-(trial, file) sums are formed one block of files at a time, which
-    bounds memory in N.  Both methods are ``(rng, chunk) -> (values,
-    resampled)``; this model never resamples.
+    bounds memory in N.  Both methods are ``(rng, chunk) -> values``.
     """
 
     def __init__(self, stratum: _Stratum, mode: str):
@@ -467,10 +430,9 @@ class _AlignedModel:
         """Per-trial values whose mean estimates P(SIR > theta)."""
         s, n = self.stratum, chunk.n
         if self.mode == "complex":
-            sir, resampled = self.sir(rng, chunk)
-            return (sir > s.theta).astype(float), resampled
+            return (self.sir(rng, chunk) > s.theta).astype(float)
         if s.n_files == 1:
-            return np.ones(n), 0
+            return np.ones(n)
         g0 = self.signal_gain(chunk)
         # A requested file of zero popularity has G_0 = 0, signal and tail: SIR 0.
         live = g0 > 0.0
@@ -480,7 +442,7 @@ class _AlignedModel:
             gains += s.tau_int[files, None]
             gains *= scale
             log_q += np.log1p(gains, out=gains).sum(axis=0)
-        return np.where(live, np.exp(-log_q), 0.0), 0
+        return np.where(live, np.exp(-log_q), 0.0)
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one per trial.
@@ -490,7 +452,7 @@ class _AlignedModel:
         """
         s, n = self.stratum, chunk.n
         if s.n_files == 1:
-            return np.full(n, np.inf), 0
+            return np.full(n, np.inf)
         interference = np.zeros(n)
         if self.mode == "exponential":
             s0 = rng.exponential(size=n) * self.signal_gain(chunk)
@@ -519,7 +481,7 @@ class _AlignedModel:
                 im = im / math.sqrt(2.0) + tail[..., 1]
                 interference += (re**2 + im**2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return s0 / interference, 0
+            return s0 / interference
 
 
 def _group_heads(keys: np.ndarray) -> np.ndarray:
@@ -546,26 +508,44 @@ def _nearest_positions(trial_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return at_min[_group_heads(trial_idx[at_min])]
 
 
-def _serving(chunk: _SirChunk):
-    """``(serving, served, empty)``: the position and trial of every trial's
-    nearest signal point, and the mask of trials without one."""
+def _serving(s: _Stratum, rng, chunk: _SirChunk):
+    """``(serving, served, r_s, tails)`` of the trials of ``chunk``.
+
+    ``serving`` holds the position of every served trial's nearest signal
+    point and ``served`` their trials; ``r_s`` is every trial's serving
+    distance, and ``tails`` the unfaded tail means its interference adds.  A
+    trial with no signal point on the disk of radius R is served by the
+    nearest point beyond it, which lies at sqrt(R**2 + E / (pi lambda_k))
+    with E ~ Exp(1) (Haenggi, IEEE Trans. IT 51, 2005); the requested file's
+    tail is then taken beyond that point.  Only such trials draw from
+    ``rng``, so ``tails`` is a scalar and ``rng`` untouched when every trial
+    is served within the disk.
+    """
     serving = _nearest_positions(chunk.sig_trial, chunk.sig_r)
     served = chunk.sig_trial[serving]
+    tau_int = s.tau_int.sum()
+    if served.size == chunk.n:
+        return serving, served, chunk.sig_r[serving], s.tau_sig + tau_int
     empty = np.ones(chunk.n, dtype=bool)
     empty[served] = False
-    return serving, served, empty
+    r_s = np.empty(chunk.n)
+    r_s[served] = chunk.sig_r[serving]
+    beyond = rng.exponential(size=chunk.n - served.size) / (math.pi * s.sig_density)
+    r_s[empty] = np.sqrt(s.sig_region.radius ** 2 + beyond)
+    tails = np.full(chunk.n, s.tau_sig)
+    tails[empty] = tail_mean(s.sig_density, s.alpha, r_s[empty])
+    return serving, served, r_s, tails + tau_int
 
 
 class _NearestHelperModel:
     """Nearest-helper SIR trials (no alignment) on a stratum's geometry.
 
     The serving helper is the nearest point of the requested file's
-    process; every other point, of the requested file or of the
-    interferers, interferes with its own unit-mean exponential fade, and
-    the tail means add unfaded.  Both methods are ``(rng, chunk) ->
-    (values, resampled)``.  A trial without a signal point is redrawn on a
-    fresh geometry with the signal disk doubled, up to ``_MAX_ENLARGEMENTS``
-    times; only these redraws use ``rng``.
+    process, found beyond the signal disk where the disk is empty
+    (:func:`_serving`); every other point, of the requested file or of the
+    interferers, interferes with its own unit-mean exponential fade, and the
+    tail means add unfaded.  A requested file of zero popularity has no
+    helper anywhere: SIR 0.  Both methods are ``(rng, chunk) -> values``.
     """
 
     def __init__(self, stratum: _Stratum):
@@ -578,27 +558,10 @@ class _NearestHelperModel:
         path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g), so a
         trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
         """
-        return self._redrawn(rng, chunk, self._success)
-
-    def sir(self, rng, chunk: _SirChunk):
-        """SIR samples, one exponential fade per point."""
-        return self._redrawn(rng, chunk, self._sir)
-
-    def _redrawn(self, rng, chunk, evaluate):
-        def draw(m, sig_region):
-            stratum = self.stratum.on_signal_region(sig_region)
-            return evaluate(stratum, rng, stratum.geometry(rng, m))
-
-        # Only the requested file's disk is enlarged; the interference disk stays.
-        return _retry_empty(evaluate(self.stratum, rng, chunk), self.stratum.sig_region,
-                            draw, "had no helper for the requested file")
-
-    @staticmethod
-    def _success(s: _Stratum, rng, chunk: _SirChunk):
-        n = chunk.n
-        serving, served, empty = _serving(chunk)
-        r_s = np.zeros(n)
-        r_s[served] = chunk.sig_r[serving]
+        s, n = self.stratum, chunk.n
+        if not s.sig_density:
+            return np.zeros(n)
+        serving, _, r_s, tails = _serving(s, rng, chunk)
 
         def log_terms(trial, r):
             # log(1 + x g) = log1p(theta * (r_s / r)**alpha), formed in one buffer.
@@ -608,28 +571,33 @@ class _NearestHelperModel:
             t *= s.theta
             return np.log1p(t, out=t)
 
-        log_q = s.theta * r_s ** s.alpha * (s.tau_sig + s.tau_int.sum())
+        log_q = s.theta * r_s ** s.alpha * tails
         terms = log_terms(chunk.sig_trial, chunk.sig_r)
         terms[serving] = 0.0  # the server does not interfere with itself
         log_q += np.bincount(chunk.sig_trial, weights=terms, minlength=n)
         del terms
         trial = chunk.interferer_trials()
         log_q += np.bincount(trial, weights=log_terms(trial, chunk.r), minlength=n)
-        return np.exp(-log_q), empty
+        return np.exp(-log_q)
 
-    @staticmethod
-    def _sir(s: _Stratum, rng, chunk: _SirChunk):
-        n = chunk.n
-        serving, served, empty = _serving(chunk)
+    def sir(self, rng, chunk: _SirChunk):
+        """SIR samples, one exponential fade per point."""
+        s, n = self.stratum, chunk.n
+        if not s.sig_density:
+            return np.zeros(n)
+        serving, served, r_s, tails = _serving(s, rng, chunk)
         sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** (-s.alpha)
         int_power = rng.exponential(size=chunk.r.size) * chunk.r ** (-s.alpha)
-        signal = np.zeros(n)
+        if served.size == n:
+            signal = np.zeros(n)
+        else:  # servers beyond the disk fade too; theirs are drawn last
+            signal = rng.exponential(size=n) * r_s ** (-s.alpha)
         signal[served] = sig_power[serving]
         sig_power[serving] = 0.0
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
                         + np.bincount(chunk.interferer_trials(), weights=int_power, minlength=n)
-                        + (s.tau_sig + s.tau_int.sum()))
-        return signal / interference, empty
+                        + tails)
+        return signal / interference
 
 
 def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
@@ -642,25 +610,24 @@ def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None))
 
 def _on_geometry(stratum: _Stratum, method):
     """``(rng, n) -> values``: the values of ``method(rng, chunk)`` on ``n`` fresh trials."""
-    return lambda rng, n: method(rng, stratum.geometry(rng, n))[0]
+    return lambda rng, n: method(rng, stratum.geometry(rng, n))
 
 
 def _sir_moments(cfg: TrialConfig, stratum: _Stratum, methods, stream_offset: int = 0):
-    """``(record, *resampled)`` of ``methods`` run in order on one geometry per chunk.
+    """The per-trial values of ``methods``, run in order on one geometry per chunk.
 
-    ``record`` folds the per-trial values: their :class:`Moments` for one
-    method, the :class:`CoMoments` of the first (``x``) and second (``y``)
-    for two.  ``resampled`` has one count per method.
+    They are folded into their :class:`Moments` for one method, into the
+    :class:`CoMoments` of the first (``x``) and second (``y``) for two.
     """
 
     def chunk(rng, n):
         geometry = stratum.geometry(rng, n)
-        values, resampled = zip(*(method(rng, geometry) for method in methods))
-        record = Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values)
-        return (record, *resampled)
+        values = [method(rng, geometry) for method in methods]
+        return (Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values),)
 
-    return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                               stream_offset=stream_offset)
+    (record,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                                    stream_offset=stream_offset)
+    return record
 
 
 def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -684,8 +651,7 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
     indicators in complex mode.
     """
     stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    moments, resampled = _sir_moments(cfg, stratum, (_AlignedModel(stratum, mode).success,))
-    return moments.estimate(cfg.seed, resampled)
+    return _sir_moments(cfg, stratum, (_AlignedModel(stratum, mode).success,)).estimate(cfg.seed)
 
 
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -707,11 +673,11 @@ def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     """P(SIR > theta_k) for nearest-helper service without alignment.
 
     The estimate is the mean of per-trial success probabilities given the
-    geometry; ``resampled`` counts trials redrawn for an empty signal window.
+    geometry.  A trial whose signal disk is empty is served by the nearest
+    helper beyond it, so no trial is redrawn.
     """
     stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    moments, resampled = _sir_moments(cfg, stratum, (_NearestHelperModel(stratum).success,))
-    return moments.estimate(cfg.seed, resampled)
+    return _sir_moments(cfg, stratum, (_NearestHelperModel(stratum).success,)).estimate(cfg.seed)
 
 
 class Totals(NamedTuple):
@@ -734,8 +700,8 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, retur
     Requests are split over the files by one multinomial draw (equivalent to
     drawing them one by one).  File ``k``'s trials then run ``methods(stratum)``
     by :func:`_sir_moments` on their own chunk grid, at a disjoint stream
-    offset.  The ``(record, *resampled)`` aggregates add up over the strata
-    in file order, and ``finish`` turns one into the result.
+    offset.  The strata's records add up in file order, and ``finish``
+    turns one into the result.
     """
     counts = _request_counts(scenario, cfg)
     runs = {}
@@ -744,9 +710,9 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, retur
             sub = replace(cfg, trials=int(t_k))
             stratum = _stratum(scenario, k, sub)
             runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
-    total = finish(tuple(sum(column) for column in zip(*runs.values())))
+    total = finish(sum(runs.values()))
     if return_strata:
-        return total, {k: finish(agg) for k, agg in runs.items()}
+        return total, {k: finish(record) for k, record in runs.items()}
     return total
 
 
@@ -759,14 +725,14 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     estimate is a mean of per-trial values, as in :func:`simulate_sir_aligned`.
     """
     return _simulate_total(scenario, cfg, lambda s: (_AlignedModel(s, mode).success,),
-                           lambda agg: agg[0].estimate(cfg.seed, agg[1]), return_strata)
+                           lambda record: record.estimate(cfg.seed), return_strata)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
     return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,),
-                           lambda agg: agg[0].estimate(cfg.seed, agg[1]), return_strata)
+                           lambda record: record.estimate(cfg.seed), return_strata)
 
 
 def simulate_totals(scenario: Scenario, cfg: TrialConfig,
@@ -778,19 +744,17 @@ def simulate_totals(scenario: Scenario, cfg: TrialConfig,
     includes their covariance.  ``aligned`` and ``baseline`` have the bits
     of :func:`simulate_total_aligned` and :func:`simulate_total_baseline`
     at the same arguments.  For the nearest-helper half that always holds:
-    it is evaluated first, and its values draw nothing but its redraws of
-    empty signal windows.  The aligned half keeps its bits whenever no trial
-    is redrawn, since complex mode's fades follow those redraws in the
-    stream; at the default windows a redraw has probability about e^-113.
-    With ``return_strata`` the per-file :class:`Totals` are returned
-    alongside.
+    it is evaluated first, and its values draw nothing but the serving
+    distances of trials whose signal disk is empty.  The aligned half keeps
+    its bits whenever no trial is served from beyond its disk, since complex
+    mode's fades follow those draws in the stream; at the default windows
+    that has probability about e^-113.  With ``return_strata`` the per-file
+    :class:`Totals` are returned alongside.
     """
 
-    def finish(agg):
-        record, resampled_b, resampled_a = agg
-        return Totals(record.y.estimate(cfg.seed, resampled_a),
-                      record.x.estimate(cfg.seed, resampled_b),
-                      record.ratio(cfg.seed, resampled_a + resampled_b))
+    def finish(record):
+        return Totals(record.y.estimate(cfg.seed), record.x.estimate(cfg.seed),
+                      record.ratio(cfg.seed))
 
     return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,
                                                      _AlignedModel(s, mode).success),

@@ -50,6 +50,15 @@ class TestConfig:
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(trials=0)
 
+    @pytest.mark.parametrize("mc_tol", [math.inf, -math.inf, -0.01, 0.0])
+    def test_mc_tol_is_positive_and_finite_or_nan(self, mc_tol):
+        # An infinite or negative tolerance would pass or fail every Monte
+        # Carlo check whatever its gap; nan selects the 3-stderr limit.
+        with pytest.raises(ParameterDomainError, match="mc_tol"):
+            ExperimentConfig(mc_tol=mc_tol)
+        ExperimentConfig(mc_tol=math.nan)
+        ExperimentConfig(mc_tol=0.01)
+
     @pytest.mark.parametrize("make, size", [
         (FadingBatch, "sample_count"), (TrialConfig, "trials"),
         (ExperimentConfig, "trials"), (ExperimentConfig, "batch_samples"),
@@ -403,6 +412,13 @@ class TestCli:
         code = main(["validate", "--seed", "42", "--trials", "100",
                      "--mc-tol", "1e-30", "--out-dir", str(tmp_path / "v")])
         assert code == 1
+
+    @pytest.mark.parametrize("mc_tol", ["inf", "-0.01"])
+    def test_invalid_mc_tol_exits_two(self, tmp_path, capsys, mc_tol):
+        code = main(["validate", "--mc-tol", mc_tol, "--trials", "1000",
+                     "--out-dir", str(tmp_path / "v")])
+        assert code == 2
+        assert "configuration error: mc_tol" in capsys.readouterr().err
 
     def test_configuration_error_exits_two(self, tmp_path):
         code = main(["fig3", "--alpha", "1.5", "--out-dir", str(tmp_path / "x")])

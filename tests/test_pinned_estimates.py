@@ -46,10 +46,11 @@ SCENARIOS = {
     5: Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1),
 }
 #: Small explicit windows: many trials find the requested file's process, or
-#: the ratio denominator, empty at first.  The nearest-helper model redraws
-#: those trials; an empty denominator is its tail mean alone (the pin
-#: ``ratio_ccdf_estimates_resampled`` keeps the name of the redraw it once
-#: exercised, and now pins ``resampled == 0``).
+#: the ratio denominator, empty.  The nearest-helper model serves such a
+#: trial from the exact nearest point beyond its signal disk; an empty
+#: denominator is its tail mean alone.  Neither redraws a trial, so every
+#: pin has ``resampled == 0`` (``ratio_ccdf_estimates_resampled`` keeps the
+#: name of the redraw it once exercised).
 SPEC = RatioSpec(0.02, 0.1, 3.0)
 SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
 SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
@@ -287,11 +288,11 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                                   3,
                                                   0),
         'sir_baseline_regions': ('est',
-                                 '0x1.365fcde14477cp-3',
-                                 '0x1.0c74bd7f2169fp-8',
+                                 '0x1.1178bad7b2730p-4',
+                                 '0x1.77855b3611819p-9',
                                  5000,
                                  3,
-                                 7205),
+                                 0),
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
@@ -311,7 +312,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '7c2b90f8957e8489f8d5eb08edef8435408ca0ba079e76bb421eed42f123fe37'),
+                                         '0194d8d47cf12f03f35e661801dc6c7eb72b45b0e99a0209e318d285f45101b3'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),

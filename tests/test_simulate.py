@@ -37,7 +37,7 @@ from snratio import (
     substream,
 )
 from snratio.delivery import FadingBatch
-from snratio.errors import ParameterDomainError, WindowEnlargementError
+from snratio.errors import ParameterDomainError
 from snratio.experiments import zipf_remainder_profile
 from snratio.mc import CoMoments, Moments, mean_estimate
 from snratio.popularity import decompose_densities
@@ -48,6 +48,7 @@ from snratio.simulate import (
     _NearestHelperModel,
     _nearest_positions,
     _on_geometry,
+    _serving,
     _shot_chunk,
     _Stratum,
     aligned_regions,
@@ -232,17 +233,13 @@ class TestAlignedSir:
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_empty_signal_window_without_compensation_fails(self, mode):
         # The requested file has no helpers: its window is empty and its tail
-        # mean adds nothing, so G_0 = 0: SIR 0, not 0/0.  The nearest-helper
-        # model finds no server on any window.
+        # mean adds nothing, so G_0 = 0: SIR 0, not 0/0.
         sc = Scenario(PopularityProfile([0.5, 0.5, 0.0]), 4.0, 5.0, 0.1)
         cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2)
-        regions = (DiskRegion(10.0), DiskRegion(20.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = simulate_sir_aligned(sc, 2, cfg, mode, *regions)
+            est = simulate_sir_aligned(sc, 2, cfg, mode, DiskRegion(10.0), DiskRegion(20.0))
         assert est.mean == 0.0
-        with pytest.raises(WindowEnlargementError):
-            simulate_sir_baseline(sc, 2, cfg, *regions)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_empty_interference_window_without_compensation_succeeds(self, mode):
@@ -309,7 +306,7 @@ class TestAlignedGeometry:
         model = _aligned_model(sc, 1)
         stratum = model.stratum
         chunk = stratum.geometry(substream(30, 0), n)
-        p, _ = model.success(None, chunk)
+        p = model.success(None, chunk)
         file, trial = np.divmod(chunk.key, n)
         gains = np.zeros((5, n))
         np.add.at(gains, (file, trial), chunk.r ** -sc.alpha)
@@ -391,45 +388,106 @@ class TestBaselineSir:
             want = baseline_delivery_prob(a_k, 5.0, 4.0)
             assert abs(sim.mean - want) < 3.0 * sim.stderr
 
-    def test_empty_window_enlargement_counted(self):
+    def test_empty_signal_disks_keep_the_closed_form(self):
+        # About 8% of the signal disks are empty.  Their trials are served by
+        # the exact nearest helper beyond the disk; redrawing them on a larger
+        # disk would bias the mean up by about 8 stderr here.
         sc = Scenario(zipf_remainder_profile(0.5, 4), 4.0, 5.0, 0.1)
-        est = simulate_sir_baseline(sc, 0, TrialConfig(trials=300, seed=22, tail_tol=1e-2),
-                                    signal_region=DiskRegion(2.0),
-                                    interference_region=DiskRegion(10.0))
-        assert est.resampled > 0
+        cfg = TrialConfig(trials=40_000, seed=42, tail_tol=1e-2)
+        est = simulate_sir_baseline(sc, 0, cfg, DiskRegion(4.0), DiskRegion(40.0))
+        assert est.resampled == 0
+        assert abs(est.mean - baseline_delivery_prob(0.5, 5.0, 4.0)) < 3.0 * est.stderr
 
-    def test_enlargement_limit_raises(self):
+    def test_serving_distance_follows_the_nearest_point_law(self):
+        # The signal disk holds a point with probability 1/2.  Served within
+        # it or beyond it, r_s has the nearest-point law of the requested
+        # file's process in the plane: P(r_s <= r) = 1 - exp(-lambda_k pi r^2).
+        sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 4000
+        lam = decompose_densities(sc.profile, sc.helper_density)[k]
+        radius = math.sqrt(math.log(2.0) / (math.pi * lam))
+        stratum = _Stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        chunk = stratum.geometry(substream(42, 0), n)
+        _, served, r_s, tails = _serving(stratum, substream(42, 1), chunk)
+        assert 0.45 < served.size / n < 0.55
+        assert stats.kstest(r_s, lambda r: -np.expm1(-lam * math.pi * r**2)).pvalue > 0.01
+        beyond = np.ones(n, dtype=bool)
+        beyond[served] = False
+        assert np.all(r_s[beyond] > radius) and np.all(r_s[served] <= radius)
+        # The requested file's tail is taken beyond the server, wherever it is.
+        np.testing.assert_allclose(
+            tails[beyond], tail_mean(lam, sc.alpha, r_s[beyond]) + stratum.tau_int.sum(),
+            rtol=1e-12)
+
+    def test_every_signal_disk_empty(self):
+        # About 1e-10 helpers per unit area of the requested file: no trial
+        # finds one on the disk, and every one is served beyond it.
         sc = Scenario(zipf_remainder_profile(1e-6, 3), 4.0, 5.0, 1e-4)
-        with pytest.raises(WindowEnlargementError):
-            simulate_sir_baseline(sc, 0, TrialConfig(trials=50, seed=23, tail_tol=1e-2),
-                                  signal_region=DiskRegion(0.5),
-                                  interference_region=DiskRegion(5.0))
+        cfg = TrialConfig(trials=50, seed=23, tail_tol=1e-2)
+        regions = (DiskRegion(0.5), DiskRegion(5.0))
+        est = simulate_sir_baseline(sc, 0, cfg, *regions)
+        assert est.resampled == 0 and 0.0 <= est.mean <= 1.0
+        sir = sir_samples_baseline(sc, 0, cfg, *regions)
+        assert np.all(np.isfinite(sir) & (sir >= 0.0))
+
+    def test_zero_popularity_file_has_no_server(self):
+        # lambda_k = 0: no helper anywhere, so every trial fails, silently.
+        sc = Scenario(PopularityProfile([0.5, 0.5, 0.0]), 4.0, 5.0, 0.1)
+        cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2)
+        regions = (DiskRegion(10.0), DiskRegion(20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_sir_baseline(sc, 2, cfg, *regions)
+            sir = sir_samples_baseline(sc, 2, cfg, *regions)
+        assert est.mean == 0.0
+        assert np.all(sir == 0.0)
 
     @staticmethod
-    def _product_form(stratum, chunk):
-        """Per-trial product form, trial by trial from the raw geometry."""
-        n, alpha, tails = chunk.n, stratum.alpha, stratum.tau_sig + stratum.tau_int.sum()
+    def _product_form(stratum, chunk, rng):
+        """Per-trial product form, trial by trial from the raw geometry.
+
+        A trial without a signal point is served at sqrt(R^2 + E / (pi
+        lambda_k)), its E drawn from ``rng`` in trial order, and its own
+        file's tail is taken beyond that distance.
+        """
+        n, alpha, lam = chunk.n, stratum.alpha, stratum.sig_density
         int_trial = chunk.key % n
-        want = np.full(n, np.nan)
+        empty = np.setdiff1d(np.arange(n), chunk.sig_trial)
+        beyond = iter(np.sqrt(stratum.sig_region.radius**2
+                              + rng.exponential(size=empty.size) / (math.pi * lam)))
+        want = np.empty(n)
         for t in range(n):
             sig = chunk.sig_r[chunk.sig_trial == t]
-            if not sig.size:
-                continue
-            x = stratum.theta * sig.min() ** alpha
-            others = np.concatenate((np.delete(sig, np.argmin(sig)), chunk.r[int_trial == t]))
-            want[t] = math.exp(-x * tails) * np.prod(1.0 / (1.0 + x * others ** -alpha))
+            if sig.size:
+                r_s, tau_sig = sig.min(), stratum.tau_sig
+                sig = np.delete(sig, np.argmin(sig))
+            else:
+                r_s = next(beyond)
+                tau_sig = tail_mean(lam, alpha, r_s)
+            x = stratum.theta * r_s ** alpha
+            others = np.concatenate((sig, chunk.r[int_trial == t]))
+            want[t] = (math.exp(-x * (tau_sig + stratum.tau_int.sum()))
+                       * np.prod(1.0 / (1.0 + x * others ** -alpha)))
         return want
 
     @pytest.mark.parametrize("n_files", [1, 5, 40])
     def test_product_form_from_raw_geometry(self, n_files):
         # Five files crowd the cells (a count per cell), 40 do not (a label per point).
         sc, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), 300
-        stratum = _stratum(sc, n_files // 2)
-        model = _NearestHelperModel(stratum)
+        self._check_product_form(_stratum(sc, n_files // 2), n)
+
+    @pytest.mark.parametrize("n_files", [1, 5])
+    def test_product_form_with_empty_signal_disks(self, n_files):
+        # A signal disk of radius 2 is empty for about 28% (N = 1) and 83%
+        # (N = 5) of the trials.
+        sc, k, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), n_files // 2, 300
+        stratum = _Stratum(sc, k, DiskRegion(2.0), DiskRegion(_stratum(sc, k).int_radius))
+        self._check_product_form(stratum, n)
+
+    def _check_product_form(self, stratum, n):
         chunk = stratum.geometry(substream(35, 0), n)
-        p, resampled = model.success(substream(35, 1), chunk)
-        assert resampled == 0
-        np.testing.assert_allclose(p, self._product_form(stratum, chunk), rtol=1e-12)
+        p = _NearestHelperModel(stratum).success(substream(35, 1), chunk)
+        want = self._product_form(stratum, chunk, substream(35, 1))
+        np.testing.assert_allclose(p, want, rtol=1e-12)
 
     def test_product_form_is_the_fading_average(self):
         # On one chunk's geometry (small windows, so few points), the fraction
@@ -437,8 +495,8 @@ class TestBaselineSir:
         sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
         stratum = _Stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
         chunk = stratum.geometry(substream(36, 0), 64)
-        # Trials without a signal point are redrawn; only served ones are checked.
-        p, _ = _NearestHelperModel(stratum).success(substream(36, 1), chunk)
+        # Only trials with a signal point on the disk are checked.
+        p = _NearestHelperModel(stratum).success(substream(36, 1), chunk)
         tails = stratum.tau_sig + stratum.tau_int.sum()
         int_trial = chunk.key % chunk.n
         rng = np.random.default_rng(37)
@@ -456,13 +514,16 @@ class TestBaselineSir:
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
 
     def test_sampled_fades_agree_with_the_product_form(self):
+        # On the default signal disk, and on one of radius 2 that is empty for
+        # about 83% of the trials, whose servers and tails lie beyond it.
         sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
         cfg = TrialConfig(trials=20_000, seed=38, tail_tol=1e-2)
-        hits = sir_samples_baseline(sc, 2, cfg) > sc.thresholds[2]
-        indicator = mean_estimate(hits, cfg.seed)
-        product = simulate_sir_baseline(sc, 2, cfg)
-        assert abs(indicator.mean - product.mean) < 4.0 * math.hypot(indicator.stderr,
-                                                                    product.stderr)
+        for signal_region in (None, DiskRegion(2.0)):
+            hits = sir_samples_baseline(sc, 2, cfg, signal_region) > sc.thresholds[2]
+            indicator = mean_estimate(hits, cfg.seed)
+            product = simulate_sir_baseline(sc, 2, cfg, signal_region)
+            assert abs(indicator.mean - product.mean) < 4.0 * math.hypot(indicator.stderr,
+                                                                        product.stderr)
 
 
 class TestTotals:
