@@ -35,7 +35,7 @@ from .errors import (
     MomentReliabilityWarning,
     ParameterDomainError,
 )
-from .mc import Estimate, check_integer, mean_estimate, substream
+from .mc import Estimate, Moments, check_integer, substream
 from .popularity import PopularityProfile, ZipfSpec, zipf
 from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 
@@ -227,7 +227,7 @@ def _fading_mean(scenario: Scenario, batch: FadingBatch, files: dict, integrand)
             part += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
                                     scenario.alpha)
         mix.append(part)
-    return mean_estimate(np.concatenate(mix), batch.seed)
+    return Moments.of(np.concatenate(mix)).estimate(batch.seed)
 
 
 def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
@@ -376,7 +376,7 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
     ctrl = SeriesControl(max_terms=max_terms, tol=tol)
     mean, mix = next(_series_mixes(scenario, range(k, k + 1), ctrl, batch))
-    return replace(mean_estimate(mix, batch.seed), mean=mean)
+    return replace(Moments.of(mix).estimate(batch.seed), mean=mean)
 
 
 def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
@@ -552,7 +552,7 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
                 w, _series_mixes(scenario, range(scenario.n_files), ctrl, batch)):
             total += w_k * mean_k
             mix += w_k * mix_k
-        return replace(mean_estimate(mix, batch.seed), mean=total)
+        return replace(Moments.of(mix).estimate(batch.seed), mean=total)
     integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
     return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
 

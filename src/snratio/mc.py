@@ -68,16 +68,6 @@ def bernoulli_estimate(successes: int, trials: int, seed: int) -> Estimate:
     return Estimate(p, sd / math.sqrt(trials), trials, seed)
 
 
-def mean_estimate(values: np.ndarray, seed: int) -> Estimate:
-    """Estimate of a mean from a sample of real values."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 1:
-        raise ParameterDomainError("need at least one sample")
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed)
-
-
 @dataclass(frozen=True)
 class Moments:
     """Count, mean and sum of squared deviations of a sample of real values.

@@ -19,12 +19,14 @@ suite checks exactly that.
 
 SIR trials: both models, aligned transmission and nearest-helper service,
 are evaluated on one marked geometry per chunk of trials (``_Stratum``).
+The requested file's process is drawn nearest first: its nearest point,
+inside the signal disk or beyond it, then its other points on the disk.
+So every trial has a serving helper and no SIR trial is ever redrawn.
 Each trial contributes its success probability given the geometry, with
 the fading integrated out; complex mode keeps per-point fading and a 0/1
-indicator for the aligned model.  A nearest-helper trial whose signal disk
-is empty is served by the exact nearest point beyond it, so no SIR trial
-is ever redrawn.  :func:`simulate_totals` runs both models on common
-trials, so the alignment gain's standard error includes their covariance.
+indicator for the aligned model.  :func:`simulate_totals` runs both models
+on common trials, so the alignment gain's standard error includes their
+covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one counter-based substream per chunk.  Per-chunk
@@ -52,7 +54,6 @@ from .mc import (
     bernoulli_estimate,
     check_integer,
     gather_chunked_samples,
-    mean_estimate,
     run_counting_chunks,
     substream,
 )
@@ -248,7 +249,7 @@ def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estim
     """Monte Carlo estimate of E[exp(-s * ratio)]."""
     if not s > 0.0:
         raise ParameterDomainError(f"s must be positive, got {s}")
-    return mean_estimate(np.exp(-s * ratio_samples(spec, cfg)), cfg.seed)
+    return Moments.of(np.exp(-s * ratio_samples(spec, cfg))).estimate(cfg.seed)
 
 
 def _coupled_shot_chunk(density, alpha, region, rng, n_trials):
@@ -305,8 +306,10 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
 class _SirChunk(NamedTuple):
     """The geometry of one chunk of ``n`` SIR trials.
 
-    Signal points (the requested file's) carry their trial ``sig_trial``,
-    nondecreasing, and radius ``sig_r``.  The interferers are file-major:
+    ``r1`` is every trial's distance to the requested file's nearest point,
+    and ``sig_tail`` that file's tail mean beyond max(R, r1) for the signal
+    disk of radius R.  Its other points on the disk carry their trial
+    ``sig_trial`` and radius ``sig_r``.  The interferers are file-major:
     points ``ends[j]:ends[j + 1]`` belong to file ``j``, with cell key
     ``j * n + trial`` and radius ``r``; ``labels`` holds their trials where
     they were drawn as labels, and is ``None`` where counts were drawn per
@@ -314,6 +317,8 @@ class _SirChunk(NamedTuple):
     """
 
     n: int
+    r1: np.ndarray
+    sig_tail: np.ndarray
     sig_trial: np.ndarray
     sig_r: np.ndarray
     ends: np.ndarray
@@ -331,12 +336,17 @@ class _Stratum:
 
     The stratum's constants (file densities, expected counts, tail means,
     threshold) are set once.  Each chunk of ``n`` trials then draws the
-    requested file's points per trial on the signal disk, and every other
-    file's points by the marking theorem (Kingman, *Poisson Processes*,
-    1993): one Poisson count of mean ``n * lambda_j * area`` per file ``j``
-    (``lambda_k = 0``), each point with a uniform trial label and a uniform
-    position on the interference disk.  So the random-number cost is one
-    draw per point and per trial, not per (trial, file) cell.  Where the
+    requested file's process per trial nearest first: its nearest point at
+    r_1 = sqrt(E / (pi lambda_k)), E ~ Exp(1), which is the law
+    P(r_1 <= r) = 1 - exp(-lambda_k pi r**2) (Haenggi, IEEE Trans. IT 51,
+    2005), then Poisson(lambda_k pi (R**2 - min(r_1, R)**2)) further points,
+    uniform on the annulus (min(r_1, R), R] of the signal disk.  That is
+    exact, since a Poisson process is independent over disjoint sets.  Every
+    other file's points are drawn by the marking theorem (Kingman, *Poisson
+    Processes*, 1993): one Poisson count of mean ``n * lambda_j * area`` per
+    file ``j`` (``lambda_k = 0``), each point with a uniform trial label and a
+    uniform position on the interference disk.  So the random-number cost is
+    one draw per point and per trial, not per (trial, file) cell.  Where the
     cells are crowded (``_CELL_COUNT_POINTS``), one Poisson count per cell
     is the cheaper exact draw of the same process.  Both SIR models are
     evaluated on this geometry.
@@ -358,15 +368,23 @@ class _Stratum:
         self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
         self.tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
 
-    @property
-    def tau_sig(self) -> float:
-        """The requested file's tail mean beyond the signal disk."""
-        return tail_mean(self.sig_density, self.alpha, self.sig_region.radius)
-
     def geometry(self, rng, n) -> _SirChunk:
         """The points of ``n`` trials."""
-        _, sig_trial, sig_r = _disk_points(rng, self.sig_density * self.sig_region.area,
-                                           self.sig_region.radius, n)
+        lam, radius = self.sig_density, self.sig_region.radius
+        outer = radius**2
+        # lambda_k = 0: no point anywhere, so r_1 = inf and no further points.
+        r1_sq = rng.exponential(size=n) / (math.pi * lam) if lam else np.full(n, np.inf)
+        # Squared radii throughout, so a trial whose r_1 is beyond the disk
+        # has an annulus of area exactly 0.
+        inner = np.minimum(r1_sq, outer)
+        sig_trial = np.repeat(np.arange(n), rng.poisson(math.pi * lam * (outer - inner)))
+        inner = inner[sig_trial]
+        sig_r = rng.random(sig_trial.size)
+        sig_r *= outer - inner
+        sig_r += inner
+        np.sqrt(sig_r, out=sig_r)
+        r1 = np.sqrt(r1_sq)
+        sig_tail = tail_mean(lam, self.alpha, np.maximum(r1, radius))
         if self.count_cells:
             # Counts over the (file, trial) grid: a point's cell index is its key.
             counts, key, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
@@ -378,8 +396,8 @@ class _Stratum:
             labels = rng.integers(0, n, size=r.size)
             key *= n
             key += labels
-        return _SirChunk(n, sig_trial, sig_r, np.concatenate(([0], np.cumsum(counts))),
-                         key, labels, r)
+        return _SirChunk(n, r1, sig_tail, sig_trial, sig_r,
+                         np.concatenate(([0], np.cumsum(counts))), key, labels, r)
 
 
 class _AlignedModel:
@@ -422,9 +440,10 @@ class _AlignedModel:
             yield slice(f0, f1), sums.astype(float, copy=False).reshape(f1 - f0, n)
 
     def signal_gain(self, chunk: _SirChunk) -> np.ndarray:
-        """G_0 per trial: the requested file's path-loss sum plus its tail mean."""
-        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** (-self.stratum.alpha),
-                            minlength=chunk.n) + self.stratum.tau_sig)
+        """G_0 per trial: the requested file's path-loss sum and its tail mean."""
+        alpha = self.stratum.alpha
+        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** -alpha, minlength=chunk.n)
+                + chunk.r1 ** -alpha + chunk.sig_tail)
 
     def success(self, rng, chunk: _SirChunk):
         """Per-trial values whose mean estimates P(SIR > theta)."""
@@ -466,8 +485,10 @@ class _AlignedModel:
                      + 1j * np.bincount(chunk.sig_trial,
                                         weights=amp_sig * rng.standard_normal(amp_sig.size),
                                         minlength=n)) / math.sqrt(2.0)
-            z_sig += math.sqrt(s.tau_sig / 2.0) * (rng.standard_normal(n)
-                                                   + 1j * rng.standard_normal(n))
+            # The nearest point's faded amplitude and the tail's Gaussian are
+            # independent circular Gaussians: one draw of their summed power.
+            near = np.sqrt((chunk.r1 ** -s.alpha + chunk.sig_tail) / 2.0)
+            z_sig += near * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             s0 = np.abs(z_sig) ** 2
             fade = rng.standard_normal((2, chunk.r.size))
             # The radii are not read again: they become the amplitudes in place.
@@ -484,68 +505,17 @@ class _AlignedModel:
             return s0 / interference
 
 
-def _group_heads(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a grouped ``keys`` array that start a new run."""
-    heads = np.empty(keys.size, dtype=bool)
-    heads[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
-    return heads
-
-
-def _nearest_positions(trial_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Position of each trial's nearest point; exactly one per trial present.
-
-    ``trial_idx`` maps points to trials and must be nondecreasing, as
-    ``_disk_points`` makes it; the result indexes the flat point arrays in
-    trial order.  Trials without points simply do not appear, so no points
-    give an empty result.  Of several points at a trial's smallest radius,
-    the first wins.  One linear pass: a grouped minimum per run of equal
-    ``trial_idx``, no sort.
-    """
-    starts = np.flatnonzero(_group_heads(trial_idx))
-    nearest = np.minimum.reduceat(radii, starts)
-    at_min = np.flatnonzero(radii == np.repeat(nearest, np.diff(starts, append=radii.size)))
-    return at_min[_group_heads(trial_idx[at_min])]
-
-
-def _serving(s: _Stratum, rng, chunk: _SirChunk):
-    """``(serving, served, r_s, tails)`` of the trials of ``chunk``.
-
-    ``serving`` holds the position of every served trial's nearest signal
-    point and ``served`` their trials; ``r_s`` is every trial's serving
-    distance, and ``tails`` the unfaded tail means its interference adds.  A
-    trial with no signal point on the disk of radius R is served by the
-    nearest point beyond it, which lies at sqrt(R**2 + E / (pi lambda_k))
-    with E ~ Exp(1) (Haenggi, IEEE Trans. IT 51, 2005); the requested file's
-    tail is then taken beyond that point.  Only such trials draw from
-    ``rng``, so ``tails`` is a scalar and ``rng`` untouched when every trial
-    is served within the disk.
-    """
-    serving = _nearest_positions(chunk.sig_trial, chunk.sig_r)
-    served = chunk.sig_trial[serving]
-    tau_int = s.tau_int.sum()
-    if served.size == chunk.n:
-        return serving, served, chunk.sig_r[serving], s.tau_sig + tau_int
-    empty = np.ones(chunk.n, dtype=bool)
-    empty[served] = False
-    r_s = np.empty(chunk.n)
-    r_s[served] = chunk.sig_r[serving]
-    beyond = rng.exponential(size=chunk.n - served.size) / (math.pi * s.sig_density)
-    r_s[empty] = np.sqrt(s.sig_region.radius ** 2 + beyond)
-    tails = np.full(chunk.n, s.tau_sig)
-    tails[empty] = tail_mean(s.sig_density, s.alpha, r_s[empty])
-    return serving, served, r_s, tails + tau_int
-
-
 class _NearestHelperModel:
     """Nearest-helper SIR trials (no alignment) on a stratum's geometry.
 
     The serving helper is the nearest point of the requested file's
-    process, found beyond the signal disk where the disk is empty
-    (:func:`_serving`); every other point, of the requested file or of the
-    interferers, interferes with its own unit-mean exponential fade, and the
-    tail means add unfaded.  A requested file of zero popularity has no
-    helper anywhere: SIR 0.  Both methods are ``(rng, chunk) -> values``.
+    process, at ``chunk.r1``; the stratum draws it first, inside the signal
+    disk or beyond it, so every trial has one.  Every other point, of the
+    requested file or of the interferers, interferes with its own unit-mean
+    exponential fade, and the tail means add unfaded.  A requested file of
+    zero popularity has no helper anywhere (r_1 = inf): success and SIR 0.
+    Both methods are ``(rng, chunk) -> values``; :meth:`success` draws
+    nothing.
     """
 
     def __init__(self, stratum: _Stratum):
@@ -554,28 +524,23 @@ class _NearestHelperModel:
     def success(self, rng, chunk: _SirChunk):
         """Per-trial P(SIR > theta) given the geometry, the fades integrated out.
 
-        With ``x = theta * r_s**alpha`` for the server at ``r_s``, a point of
+        With ``x = theta * r1**alpha`` for the server at ``r1``, a point of
         path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g), so a
         trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
         """
         s, n = self.stratum, chunk.n
-        if not s.sig_density:
-            return np.zeros(n)
-        serving, _, r_s, tails = _serving(s, rng, chunk)
 
         def log_terms(trial, r):
-            # log(1 + x g) = log1p(theta * (r_s / r)**alpha), formed in one buffer.
-            t = r_s[trial]
+            # log(1 + x g) = log1p(theta * (r1 / r)**alpha), formed in one buffer.
+            t = chunk.r1[trial]
             t /= r
             np.power(t, s.alpha, out=t)
             t *= s.theta
             return np.log1p(t, out=t)
 
-        log_q = s.theta * r_s ** s.alpha * tails
-        terms = log_terms(chunk.sig_trial, chunk.sig_r)
-        terms[serving] = 0.0  # the server does not interfere with itself
-        log_q += np.bincount(chunk.sig_trial, weights=terms, minlength=n)
-        del terms
+        log_q = s.theta * chunk.r1 ** s.alpha * (chunk.sig_tail + s.tau_int.sum())
+        log_q += np.bincount(chunk.sig_trial, weights=log_terms(chunk.sig_trial, chunk.sig_r),
+                             minlength=n)
         trial = chunk.interferer_trials()
         log_q += np.bincount(trial, weights=log_terms(trial, chunk.r), minlength=n)
         return np.exp(-log_q)
@@ -583,20 +548,12 @@ class _NearestHelperModel:
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one exponential fade per point."""
         s, n = self.stratum, chunk.n
-        if not s.sig_density:
-            return np.zeros(n)
-        serving, served, r_s, tails = _serving(s, rng, chunk)
-        sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** (-s.alpha)
-        int_power = rng.exponential(size=chunk.r.size) * chunk.r ** (-s.alpha)
-        if served.size == n:
-            signal = np.zeros(n)
-        else:  # servers beyond the disk fade too; theirs are drawn last
-            signal = rng.exponential(size=n) * r_s ** (-s.alpha)
-        signal[served] = sig_power[serving]
-        sig_power[serving] = 0.0
+        signal = rng.exponential(size=n) * chunk.r1 ** -s.alpha
+        sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** -s.alpha
+        int_power = rng.exponential(size=chunk.r.size) * chunk.r ** -s.alpha
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
                         + np.bincount(chunk.interferer_trials(), weights=int_power, minlength=n)
-                        + tails)
+                        + chunk.sig_tail + s.tau_int.sum())
         return signal / interference
 
 
@@ -673,8 +630,8 @@ def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     """P(SIR > theta_k) for nearest-helper service without alignment.
 
     The estimate is the mean of per-trial success probabilities given the
-    geometry.  A trial whose signal disk is empty is served by the nearest
-    helper beyond it, so no trial is redrawn.
+    geometry.  Every trial's serving helper is drawn first, inside the signal
+    disk or beyond it, so no trial is redrawn.
     """
     stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
     return _sir_moments(cfg, stratum, (_NearestHelperModel(stratum).success,)).estimate(cfg.seed)
@@ -743,13 +700,10 @@ def simulate_totals(scenario: Scenario, cfg: TrialConfig,
     it (common random numbers), so the gain's delta-method standard error
     includes their covariance.  ``aligned`` and ``baseline`` have the bits
     of :func:`simulate_total_aligned` and :func:`simulate_total_baseline`
-    at the same arguments.  For the nearest-helper half that always holds:
-    it is evaluated first, and its values draw nothing but the serving
-    distances of trials whose signal disk is empty.  The aligned half keeps
-    its bits whenever no trial is served from beyond its disk, since complex
-    mode's fades follow those draws in the stream; at the default windows
-    that has probability about e^-113.  With ``return_strata`` the per-file
-    :class:`Totals` are returned alongside.
+    at the same arguments, in either mode: the nearest-helper half is
+    evaluated first and draws nothing, so the aligned half reads the stream
+    it reads alone.  With ``return_strata`` the per-file :class:`Totals` are
+    returned alongside.
     """
 
     def finish(record):

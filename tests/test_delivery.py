@@ -37,7 +37,7 @@ from snratio.errors import (
     SeriesDivergenceError,
 )
 from snratio.experiments import zipf_remainder_profile
-from snratio.mc import mean_estimate, substream
+from snratio.mc import Moments, substream
 
 
 def scenario_with_top(a_top, n_files, theta, alpha, lam=0.1):
@@ -430,7 +430,7 @@ def _sampled_lower_bound(a_k, theta, alpha, batch):
     d = 2.0 / alpha
     eta = a_k / ((1.0 - a_k) * special.gamma(1.0 + d) * theta**d)
     h = substream(batch.seed, 0).exponential(size=batch.sample_count)
-    return mean_estimate(delivery._arctan_tail(eta * h**d, alpha), batch.seed)
+    return Moments.of(delivery._arctan_tail(eta * h**d, alpha)).estimate(batch.seed)
 
 
 class TestFadedTail:

@@ -188,7 +188,7 @@ class TestSweeps:
             assert abs(r[6]) < 0.25  # coarse at these trial counts
 
     def test_figure5_zero_successes_give_nan(self):
-        cfg = ExperimentConfig(theta=1e9, trials=300, fig5_n_files=(5,), gamma_grid=(0.0,))
+        cfg = ExperimentConfig(theta=1e10, trials=300, fig5_n_files=(5,), gamma_grid=(0.0,))
         _, rows = run_figure5(cfg)
         (row,) = rows
         assert all(np.isnan(v) for v in (row[3], row[4], row[6]))

@@ -46,8 +46,8 @@ SCENARIOS = {
     5: Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1),
 }
 #: Small explicit windows: many trials find the requested file's process, or
-#: the ratio denominator, empty.  The nearest-helper model serves such a
-#: trial from the exact nearest point beyond its signal disk; an empty
+#: the ratio denominator, empty.  The SIR geometry draws the requested file's
+#: nearest point first, inside the signal disk or beyond it; an empty
 #: denominator is its tail mean alone.  Neither redraws a trial, so every
 #: pin has ``resampled == 0`` (``ratio_ccdf_estimates_resampled`` keeps the
 #: name of the redraw it once exercised).
@@ -244,116 +244,101 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                '39606020d9078818c35f0186312d1658511a64e5f9c55ba766bdee9301aece89'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
-                                   '0x1.ad77318fc5048p-2',
-                                   '0x1.c9650882f54e5p-8',
+                                   '0x1.a3a29c779a6b5p-2',
+                                   '0x1.c7da21fd58468p-8',
                                    5000,
                                    3,
                                    0),
         'sir_aligned_exponential_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_exponential_N5': ('est',
-                                       '0x1.a474b87234697p-2',
-                                       '0x1.564a0eb7a560dp-8',
+                                       '0x1.a2c0c1408d3ccp-2',
+                                       '0x1.5593bdfd23edep-8',
                                        5000,
                                        3,
                                        0),
         'sir_aligned_interference_region_only': ('est',
-                                                 '0x1.787c57a396882p-4',
-                                                 '0x1.a5e7131e84b57p-9',
+                                                 '0x1.602f209694850p-4',
+                                                 '0x1.93e7939198533p-9',
                                                  5000,
                                                  3,
                                                  0),
-        'sir_aligned_regions': ('est', '0x1.c1bda5119ce07p-4', '0x1.21ca3a7bf5110p-8', 5000, 3, 0),
+        'sir_aligned_regions': ('est', '0x1.fa43fe5c91d15p-4', '0x1.3111ca5ffcbe1p-8', 5000, 3, 0),
         'sir_aligned_signal_region_only': ('est',
-                                           '0x1.7ce4811010584p-3',
-                                           '0x1.1229b78219cefp-8',
+                                           '0x1.7f806eb1b150ep-3',
+                                           '0x1.13eb20ce35a7dp-8',
                                            5000,
                                            3,
                                            0),
-        'sir_baseline_N1': ('est',
-                            '0x1.22313afc827a0p-1',
-                            '0x1.21a658b895279p-8',
-                            5000,
-                            3,
-                            0),
-        'sir_baseline_N5': ('est',
-                            '0x1.15c50f45c9052p-2',
-                            '0x1.3fe7b7e571d2ep-8',
-                            5000,
-                            3,
-                            0),
+        'sir_baseline_N1': ('est', '0x1.1e826bd50297fp-1', '0x1.1f9ab217121cfp-8', 5000, 3, 0),
+        'sir_baseline_N5': ('est', '0x1.0e2574afc1fe0p-2', '0x1.3a09912345cb7p-8', 5000, 3, 0),
         'sir_baseline_interference_region_only': ('est',
-                                                  '0x1.26884f72f0b1dp-3',
-                                                  '0x1.066930c946ff0p-8',
+                                                  '0x1.16765789ea843p-3',
+                                                  '0x1.f8f9ede6f9bebp-9',
                                                   5000,
                                                   3,
                                                   0),
-        'sir_baseline_regions': ('est',
-                                 '0x1.1178bad7b2730p-4',
-                                 '0x1.77855b3611819p-9',
-                                 5000,
-                                 3,
-                                 0),
+        'sir_baseline_regions': ('est', '0x1.26403c82518cdp-4', '0x1.81c0e4e06be1ap-9', 5000, 3, 0),
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        '6964551c67c8e51d47a334444f6129b8f04b53cad3b0e0eb2b23972a0c2d9d08'),
+                                        '328a27e21f2ecfcf32e3640a6a22a7f06e31459a0648f3ca080c8e3906de9ab1'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            '94a3ba04ce6870b34dab8ef42b8e8c7f7a3ae3bba4e372b881ace33f6eef48c7'),
+                                            '37d6c5a2b8775f456a4d4efdadbaf4658458a996ec88e2cc8bd198a492411348'),
         'sir_samples_aligned_interference_region_only': ('arr',
                                                          'float64',
                                                          (5000,),
-                                                         '57796decff152e03b3a85a77f19a7e766a7936beef13cc6c0d66fb20ccf4849a'),
+                                                         '6a7a83a2bd07e951aec228271cec09ed133569803e7fac27c51fa12a61e43e73'),
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 '32e40fb835eaac493b7bc956ae8810331cb83c9e79c6123360f421cee1cc781e'),
+                                 '5176b875909a2f6d6de93b506b3cf32732207c56d68c15eaec803617752dee78'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '0194d8d47cf12f03f35e661801dc6c7eb72b45b0e99a0209e318d285f45101b3'),
+                                         '478347c6dab525f00a131be629b8754039ca311aa4e327fb14b9ded2bba78ca3'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
         'total_aligned_complex_N5': (('est',
-                                      '0x1.f2015d867c3edp-3',
-                                      '0x1.6afd0248eb421p-8',
+                                      '0x1.fb38a94d242e8p-3',
+                                      '0x1.6d3dad1d87f54p-8',
                                       6000,
                                       3,
                                       0),
                                      ((0,
                                        ('est',
-                                        '0x1.9152dc606d4f6p-2',
-                                        '0x1.38669ddcf38f6p-7',
+                                        '0x1.90eeeb9a1b85dp-2',
+                                        '0x1.3858c368d20ebp-7',
                                         2623,
                                         3,
                                         0)),
                                       (1,
                                        ('est',
-                                        '0x1.7f99476c56abcp-3',
-                                        '0x1.660a70ae68ddbp-7',
+                                        '0x1.9476c56abbc97p-3',
+                                        '0x1.6d566f758e94bp-7',
                                         1276,
                                         3,
                                         0)),
                                       (2,
                                        ('est',
-                                        '0x1.ab93e40fca8d8p-4',
-                                        '0x1.5949a7abb113ap-7',
+                                        '0x1.066091c3df33fp-3',
+                                        '0x1.796ad7808bd4ap-7',
                                         843,
                                         3,
                                         0)),
                                       (3,
                                        ('est',
-                                        '0x1.7fd005ff40180p-4',
-                                        '0x1.6da7dc60d7ccbp-7',
+                                        '0x1.6dd245b74916ep-4',
+                                        '0x1.65d8c8bdb7d80p-7',
                                         683,
                                         3,
                                         0)),
                                       (4,
                                        ('est',
-                                        '0x1.1cf06ada2811dp-4',
-                                        '0x1.5bf6854a5808dp-7',
+                                        '0x1.0eb1324f3faa8p-4',
+                                        '0x1.53c92301c5c75p-7',
                                         575,
                                         3,
                                         0)))),
@@ -366,99 +351,79 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                             3,
                                             0)),)),
         'total_aligned_exponential_N5': (('est',
-                                          '0x1.f4baaf2c9a5e8p-3',
-                                          '0x1.1a853fe865583p-8',
+                                          '0x1.ff2cf742eb1e9p-3',
+                                          '0x1.1ed803d1a97cap-8',
                                           6000,
                                           3,
                                           0),
                                          ((0,
                                            ('est',
-                                            '0x1.94ddd90246e06p-2',
-                                            '0x1.cf98d1660e641p-8',
+                                            '0x1.9c2b8ceae1cd1p-2',
+                                            '0x1.d3594f7c7afeep-8',
                                             2623,
                                             3,
                                             0)),
                                           (1,
                                            ('est',
-                                            '0x1.7d969519311d9p-3',
-                                            '0x1.0c5260ebae2ddp-7',
+                                            '0x1.890a603c7ee8fp-3',
+                                            '0x1.134f79d964ba2p-7',
                                             1276,
                                             3,
                                             0)),
                                           (2,
                                            ('est',
-                                            '0x1.a8558c5375e7ep-4',
-                                            '0x1.ff7b41e4b3436p-8',
+                                            '0x1.f09052b2f634bp-4',
+                                            '0x1.2219fdf43b93bp-7',
                                             843,
                                             3,
                                             0)),
                                           (3,
                                            ('est',
-                                            '0x1.7565ed3341fdbp-4',
-                                            '0x1.1e08c522c91d1p-7',
+                                            '0x1.56770310dba6bp-4',
+                                            '0x1.097e879be2858p-7',
                                             683,
                                             3,
                                             0)),
                                           (4,
                                            ('est',
-                                            '0x1.2f2ffb933f587p-4',
-                                            '0x1.13f6c57d8ec40p-7',
+                                            '0x1.0bf3d631d77a9p-4',
+                                            '0x1.050faa8310d40p-7',
                                             575,
                                             3,
                                             0)))),
         'total_alpha4_a4': ('est', '0x1.ea7c1a2fb4b4dp-6', '0x1.a6472c4ebe857p-17', 3000, 7, 0),
         'total_alpha4_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
-        'total_baseline_N1': (('est',
-                               '0x1.1eca3fc6aa71bp-1',
-                               '0x1.0912b51dc3106p-8',
-                               6000,
-                               3,
-                               0),
+        'total_baseline_N1': (('est', '0x1.224cdfbe565ccp-1', '0x1.07b965af8eb83p-8', 6000, 3, 0),
                               ((0,
                                 ('est',
-                                 '0x1.1eca3fc6aa71bp-1',
-                                 '0x1.0912b51dc3106p-8',
+                                 '0x1.224cdfbe565ccp-1',
+                                 '0x1.07b965af8eb83p-8',
                                  6000,
                                  3,
                                  0)),)),
-        'total_baseline_N5': (('est',
-                               '0x1.4e421715ffae8p-3',
-                               '0x1.ecef082719a26p-9',
-                               6000,
-                               3,
-                               0),
+        'total_baseline_N5': (('est', '0x1.6134ee2a9eff8p-3', '0x1.fd5be6bf19894p-9', 6000, 3, 0),
                               ((0,
                                 ('est',
-                                 '0x1.01deb5262e560p-2',
-                                 '0x1.ab8b8650623e5p-8',
+                                 '0x1.1136e505d18edp-2',
+                                 '0x1.b4609daed6bfdp-8',
                                  2623,
                                  3,
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.0e8b5f3c3a416p-3',
-                                 '0x1.e8d2643ee74c9p-8',
+                                 '0x1.1a8cf459603b5p-3',
+                                 '0x1.fdf561a612fafp-8',
                                  1276,
                                  3,
                                  0)),
                                (2,
-                                ('est',
-                                 '0x1.3fc4b00f844eep-4',
-                                 '0x1.cbc41f6b3586bp-8',
-                                 843,
-                                 3,
-                                 0)),
+                                ('est', '0x1.8a22f3c10e9bap-4', '0x1.0ecc9bf66e584p-7', 843, 3, 0)),
                                (3,
-                                ('est',
-                                 '0x1.2d0e2dd96b9c2p-4',
-                                 '0x1.0bb3ee5f5da8dp-7',
-                                 683,
-                                 3,
-                                 0)),
+                                ('est', '0x1.1d1aee1e1fed9p-4', '0x1.fe88a679ae4eap-8', 683, 3, 0)),
                                (4,
                                 ('est',
-                                 '0x1.e6a61f86ba8b6p-5',
-                                 '0x1.005d635cb0a31p-7',
+                                 '0x1.aed336a7b099fp-5',
+                                 '0x1.e5d6966dec293p-8',
                                  575,
                                  3,
                                  0)))),

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -27,6 +27,7 @@ from snratio import (
     ratio_laplace_estimate,
     ratio_samples,
     shot_noise_samples,
+    simulate,
     simulate_sir_aligned,
     simulate_sir_baseline,
     simulate_total_aligned,
@@ -39,16 +40,14 @@ from snratio import (
 from snratio.delivery import FadingBatch
 from snratio.errors import ParameterDomainError
 from snratio.experiments import zipf_remainder_profile
-from snratio.mc import CoMoments, Moments, mean_estimate
+from snratio.mc import CoMoments, Moments
 from snratio.popularity import decompose_densities
 from snratio.simulate import (
     _AlignedModel,
     _coupled_shot_chunk,
     _disk_points,
     _NearestHelperModel,
-    _nearest_positions,
     _on_geometry,
-    _serving,
     _shot_chunk,
     _Stratum,
     aligned_regions,
@@ -311,7 +310,9 @@ class TestAlignedGeometry:
         gains = np.zeros((5, n))
         np.add.at(gains, (file, trial), chunk.r ** -sc.alpha)
         gains += stratum.tau_int[:, None]
-        g0 = np.full(n, stratum.tau_sig)
+        radius = stratum.sig_region.radius
+        g0 = (chunk.r1 ** -sc.alpha
+              + tail_mean(stratum.sig_density, sc.alpha, np.maximum(chunk.r1, radius)))
         np.add.at(g0, chunk.sig_trial, chunk.sig_r ** -sc.alpha)
         want = np.prod(1.0 / (1.0 + stratum.theta * gains / g0), axis=0)
         np.testing.assert_allclose(p, want, rtol=1e-12)
@@ -322,6 +323,27 @@ class TestAlignedGeometry:
             interference = rng.exponential(size=(fades, 5)) @ gains[:, t]
             hit = np.mean(signal > stratum.theta * interference)
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
+
+    def test_nearest_first_signal_gain_matches_the_disk_draw(self):
+        # G_0 on the nearest-first geometry against a reference drawn by
+        # _disk_points on the same disk, which is empty half the time: a trial
+        # keeps its disk sum and the tail beyond R, and an empty disk is served
+        # at sqrt(R^2 + E / (pi lambda_k)), E ~ Exp(1), with the tail beyond it.
+        sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 20_000
+        lam = decompose_densities(sc.profile, sc.helper_density)[k]
+        radius = math.sqrt(math.log(2.0) / (math.pi * lam))
+        stratum = _Stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        g0 = _AlignedModel(stratum, "exponential").signal_gain(
+            stratum.geometry(substream(43, 0), n))
+        rng = substream(44, 0)
+        counts, cell, r = _disk_points(rng, lam * math.pi * radius**2, radius, n)
+        ref = (np.bincount(cell, weights=r ** -sc.alpha, minlength=n)
+               + tail_mean(lam, sc.alpha, radius))
+        empty = counts == 0
+        assert 0.45 < empty.mean() < 0.55
+        r_s = np.sqrt(radius**2 + rng.exponential(size=empty.sum()) / (math.pi * lam))
+        ref[empty] = r_s ** -sc.alpha + tail_mean(lam, sc.alpha, r_s)
+        assert stats.ks_2samp(g0, ref).pvalue > 0.01
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_blocks_of_files_do_not_change_values(self, mode, monkeypatch):
@@ -350,34 +372,6 @@ class TestAlignedGeometry:
 
 
 class TestBaselineSir:
-    def test_nearest_selection_is_structural(self):
-        trial_idx = np.array([0, 0, 1, 2, 2, 2])
-        radii = np.array([3.0, 1.0, 5.0, 0.5, 2.0, 0.25])
-        pos = _nearest_positions(trial_idx, radii)
-        assert np.array_equal(radii[pos], [1.0, 5.0, 0.25])
-        assert np.array_equal(trial_idx[pos], [0, 1, 2])
-        # Exactly one serving point per trial: it cannot also interfere.
-        assert len(pos) == len(np.unique(trial_idx))
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(trials=st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0),
-                                    max_size=4), min_size=1, max_size=12))
-    @example(trials=[[], [2.0], [1.0, 0.5, 0.5], [], [3.0, 3.0]])
-    def test_nearest_selection_matches_sort_reference(self, trials):
-        # Empty inner lists skip trial ids; the sampled radii make exact ties.
-        trial_idx = np.repeat(np.arange(len(trials)), [len(t) for t in trials])
-        radii = np.array([r for t in trials for r in t], dtype=float)
-        order = np.lexsort((radii, trial_idx))  # stable: the first tied point wins
-        want = order[np.unique(trial_idx[order], return_index=True)[1]]
-        got = _nearest_positions(trial_idx, radii)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, want)
-
-    def test_nearest_selection_of_no_points_is_empty(self):
-        pos = _nearest_positions(np.array([], dtype=np.intp), np.array([]))
-        assert pos.size == 0
-        assert pos.dtype == np.intp
-
     def test_matches_closed_form(self):
         for a_k in (0.5, 1.0):
             profile = (zipf_remainder_profile(a_k, 10) if a_k < 1
@@ -399,24 +393,24 @@ class TestBaselineSir:
         assert abs(est.mean - baseline_delivery_prob(0.5, 5.0, 4.0)) < 3.0 * est.stderr
 
     def test_serving_distance_follows_the_nearest_point_law(self):
-        # The signal disk holds a point with probability 1/2.  Served within
-        # it or beyond it, r_s has the nearest-point law of the requested
-        # file's process in the plane: P(r_s <= r) = 1 - exp(-lambda_k pi r^2).
+        # The signal disk holds a point with probability 1/2.  Within it or
+        # beyond it, r_1 has the nearest-point law of the requested file's
+        # process in the plane: P(r_1 <= r) = 1 - exp(-lambda_k pi r^2).
         sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 4000
         lam = decompose_densities(sc.profile, sc.helper_density)[k]
         radius = math.sqrt(math.log(2.0) / (math.pi * lam))
         stratum = _Stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
         chunk = stratum.geometry(substream(42, 0), n)
-        _, served, r_s, tails = _serving(stratum, substream(42, 1), chunk)
-        assert 0.45 < served.size / n < 0.55
-        assert stats.kstest(r_s, lambda r: -np.expm1(-lam * math.pi * r**2)).pvalue > 0.01
-        beyond = np.ones(n, dtype=bool)
-        beyond[served] = False
-        assert np.all(r_s[beyond] > radius) and np.all(r_s[served] <= radius)
-        # The requested file's tail is taken beyond the server, wherever it is.
-        np.testing.assert_allclose(
-            tails[beyond], tail_mean(lam, sc.alpha, r_s[beyond]) + stratum.tau_int.sum(),
-            rtol=1e-12)
+        beyond = chunk.r1 > radius
+        assert 0.45 < beyond.mean() < 0.55
+        assert stats.kstest(chunk.r1, lambda r: -np.expm1(-lam * math.pi * r**2)).pvalue > 0.01
+        # The other points lie between the server and the edge of the disk.
+        assert np.all((chunk.r1[chunk.sig_trial] <= chunk.sig_r) & (chunk.sig_r <= radius))
+        assert not beyond[chunk.sig_trial].any()
+        # The requested file's tail is taken beyond the server where it lies beyond the disk.
+        np.testing.assert_allclose(chunk.sig_tail[beyond],
+                                   tail_mean(lam, sc.alpha, chunk.r1[beyond]), rtol=1e-12)
+        assert np.all(chunk.sig_tail[~beyond] == tail_mean(lam, sc.alpha, radius))
 
     def test_every_signal_disk_empty(self):
         # About 1e-10 helpers per unit area of the requested file: no trial
@@ -442,29 +436,20 @@ class TestBaselineSir:
         assert np.all(sir == 0.0)
 
     @staticmethod
-    def _product_form(stratum, chunk, rng):
+    def _product_form(stratum, chunk):
         """Per-trial product form, trial by trial from the raw geometry.
 
-        A trial without a signal point is served at sqrt(R^2 + E / (pi
-        lambda_k)), its E drawn from ``rng`` in trial order, and its own
-        file's tail is taken beyond that distance.
+        A trial is served at its ``r1``, inside the signal disk of radius R
+        or beyond it, and its own file's tail is taken beyond max(R, r1).
         """
         n, alpha, lam = chunk.n, stratum.alpha, stratum.sig_density
         int_trial = chunk.key % n
-        empty = np.setdiff1d(np.arange(n), chunk.sig_trial)
-        beyond = iter(np.sqrt(stratum.sig_region.radius**2
-                              + rng.exponential(size=empty.size) / (math.pi * lam)))
         want = np.empty(n)
         for t in range(n):
-            sig = chunk.sig_r[chunk.sig_trial == t]
-            if sig.size:
-                r_s, tau_sig = sig.min(), stratum.tau_sig
-                sig = np.delete(sig, np.argmin(sig))
-            else:
-                r_s = next(beyond)
-                tau_sig = tail_mean(lam, alpha, r_s)
+            r_s = chunk.r1[t]
+            tau_sig = tail_mean(lam, alpha, max(r_s, stratum.sig_region.radius))
             x = stratum.theta * r_s ** alpha
-            others = np.concatenate((sig, chunk.r[int_trial == t]))
+            others = np.concatenate((chunk.sig_r[chunk.sig_trial == t], chunk.r[int_trial == t]))
             want[t] = (math.exp(-x * (tau_sig + stratum.tau_int.sum()))
                        * np.prod(1.0 / (1.0 + x * others ** -alpha)))
         return want
@@ -485,8 +470,8 @@ class TestBaselineSir:
 
     def _check_product_form(self, stratum, n):
         chunk = stratum.geometry(substream(35, 0), n)
-        p = _NearestHelperModel(stratum).success(substream(35, 1), chunk)
-        want = self._product_form(stratum, chunk, substream(35, 1))
+        p = _NearestHelperModel(stratum).success(None, chunk)  # it draws nothing
+        want = self._product_form(stratum, chunk)
         np.testing.assert_allclose(p, want, rtol=1e-12)
 
     def test_product_form_is_the_fading_average(self):
@@ -495,19 +480,16 @@ class TestBaselineSir:
         sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
         stratum = _Stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
         chunk = stratum.geometry(substream(36, 0), 64)
-        # Only trials with a signal point on the disk are checked.
-        p = _NearestHelperModel(stratum).success(substream(36, 1), chunk)
-        tails = stratum.tau_sig + stratum.tau_int.sum()
+        p = _NearestHelperModel(stratum).success(None, chunk)
         int_trial = chunk.key % chunk.n
         rng = np.random.default_rng(37)
-        served = np.unique(chunk.sig_trial)[:4]
-        assert served.size == 4
-        for t in served:
-            sig = chunk.sig_r[chunk.sig_trial == t]
-            g_s = sig.min() ** -sc.alpha
-            g = np.concatenate((np.delete(sig, np.argmin(sig)),
+        for t in range(4):
+            r_s = chunk.r1[t]
+            tails = (tail_mean(stratum.sig_density, sc.alpha, max(r_s, 8.0))
+                     + stratum.tau_int.sum())
+            g = np.concatenate((chunk.sig_r[chunk.sig_trial == t],
                                 chunk.r[int_trial == t])) ** -sc.alpha
-            signal = rng.exponential(size=fades) * g_s
+            signal = rng.exponential(size=fades) * r_s ** -sc.alpha
             interference = rng.exponential(size=(fades, g.size)) @ g + tails
             hit = np.mean(signal > stratum.theta * interference)
             assert 0.0 < p[t] < 1.0
@@ -520,7 +502,7 @@ class TestBaselineSir:
         cfg = TrialConfig(trials=20_000, seed=38, tail_tol=1e-2)
         for signal_region in (None, DiskRegion(2.0)):
             hits = sir_samples_baseline(sc, 2, cfg, signal_region) > sc.thresholds[2]
-            indicator = mean_estimate(hits, cfg.seed)
+            indicator = Moments.of(hits).estimate(cfg.seed)
             product = simulate_sir_baseline(sc, 2, cfg, signal_region)
             assert abs(indicator.mean - product.mean) < 4.0 * math.hypot(indicator.stderr,
                                                                         product.stderr)
@@ -542,10 +524,20 @@ class TestTotals:
 
     @pytest.mark.parametrize("n_files", [1, 5])
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
-    def test_joint_halves_equal_the_single_runs(self, n_files, mode):
-        # At N = 1 the aligned model needs no points, the baseline does.
+    def test_joint_halves_equal_the_single_runs(self, n_files, mode, monkeypatch):
+        # At N = 1 the aligned model needs no points, the baseline does.  The
+        # bits hold on signal disks of radius 2 too, which are empty for most
+        # trials at N = 5: complex mode's fades follow the shared geometry.
         sc = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1)
         cfg = TrialConfig(trials=6000, seed=39, tail_tol=1e-2)
+        self._check_joint_halves(sc, cfg, mode)
+        default_regions = simulate.aligned_regions
+        monkeypatch.setattr(simulate, "aligned_regions",
+                            lambda *args: (DiskRegion(2.0), default_regions(*args)[1]))
+        self._check_joint_halves(sc, cfg, mode)
+
+    @staticmethod
+    def _check_joint_halves(sc, cfg, mode):
         joint, strata = simulate_totals(sc, cfg, mode=mode, return_strata=True)
         aligned, strata_a = simulate_total_aligned(sc, cfg, mode=mode, return_strata=True)
         baseline, strata_b = simulate_total_baseline(sc, cfg, return_strata=True)
@@ -601,7 +593,7 @@ class TestSharedDriverProperties:
         parts = np.split(np.array(values), bounds)
         folded = sum(Moments.of(p) for p in parts)
         got = folded.estimate(seed=1)
-        want = mean_estimate(np.array(values), seed=1)
+        want = Moments.of(np.array(values)).estimate(seed=1)
         assert got.trials == want.trials
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
