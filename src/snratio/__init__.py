@@ -35,7 +35,6 @@ from .errors import (
     MomentReliabilityWarning,
     ParameterDomainError,
     SeriesDivergenceError,
-    UnsupportedCaseError,
 )
 from .mc import Estimate, substream
 from .popularity import PopularityProfile, ZipfSpec, decompose_densities, zipf
@@ -77,8 +76,7 @@ __all__ = [
     "Alpha4Bounds", "ContractError", "DegenerateScenarioError", "DiskRegion",
     "Estimate", "FadingBatch", "MomentReliabilityWarning", "ParameterDomainError",
     "PopularityProfile", "RatioSpec", "Scenario", "SeriesControl",
-    "SeriesDivergenceError", "StableParams", "Totals", "TrialConfig",
-    "UnsupportedCaseError", "ZipfSpec",
+    "SeriesDivergenceError", "StableParams", "Totals", "TrialConfig", "ZipfSpec",
     "alignment_gain_approx", "alpha4_bounds", "baseline_delivery_prob", "char_fn",
     "conditional_delivery_prob", "conditional_delivery_prob_alpha4",
     "conditional_delivery_prob_series", "convert", "decompose_densities",

@@ -75,14 +75,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 #: flags, then the plot script's group columns, x column and y column.
 _FIGURES = {
     "fig3": ("delivery probability with/without alignment vs skew", run_figure3,
-             check_figure3, "rows violate the bound ordering",
+             check_figure3, "rows violate the bound ordering or the nearest-helper "
+             "simulation is more than 3 standard errors off its closed form",
              ("alpha", "method"), "gamma", "p_total"),
     "fig4": ("effect of the number of files", run_figure4, check_figure4,
              "the simulation is more than 3 standard errors off the expectation form",
              ("alpha", "n_files", "method"), "gamma", "p_total"),
     "fig5": ("alignment gain and its approximation", run_figure5, check_figure5,
              "the approximation is off the simulated gain by more than 10%% and 3 "
-             "standard errors", ("alpha", "n_files"), "gamma", "sim_gain"),
+             "standard errors, or the gain is within 3 standard errors of 0",
+             ("alpha", "n_files"), "gamma", "sim_gain"),
 }
 
 

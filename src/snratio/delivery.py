@@ -379,16 +379,18 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     return replace(Moments.of(mix).estimate(batch.seed), mean=mean)
 
 
-def high_sir_approx(a_k: float, theta: float, alpha: float) -> float:
+def high_sir_approx(a_k, theta, alpha: float):
     """Leading-order conditional delivery probability for large thresholds.
 
-    Linear in ``a_k / (1 - a_k)``; requires ``a_k < 1``.
+    Linear in ``a_k / (1 - a_k)``; requires ``a_k < 1``.  Elementwise over
+    array-valued ``a_k`` and ``theta``.
     """
-    if not 0.0 < a_k < 1.0:
+    a = np.asarray(a_k, dtype=float)
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise ContractError(f"a_k must lie in (0, 1), got {a_k}")
-    _threshold_domain(theta, alpha)
+    th = _threshold_domain(theta, alpha)
     d = 2.0 / alpha
-    return (math.sin(math.pi * d) / (math.pi * d)) * theta ** (-d) * a_k / (1.0 - a_k)
+    return (math.sin(math.pi * d) / (math.pi * d)) * th ** (-d) * a / (1.0 - a)
 
 
 def _bound_domain(a_k, theta, alpha: float):
@@ -457,7 +459,7 @@ def alpha4_bounds(a_k, theta) -> Alpha4Bounds:
     Elementwise over array-valued ``a_k`` and ``theta``.
     """
     a, th = _bound_domain(a_k, theta, 4.0)
-    upper = 1.0 / (1.0 + np.sqrt(th) * (1.0 / a - 1.0))
+    upper = delivery_upper_bound(a, th, 4.0)
     zeta = (math.pi * th / 4.0) * ((1.0 - a) / a) ** 2
     lower_a = special.erfcx(np.sqrt(zeta))
     lower_b = 1.0 - (2.0 / math.pi) * np.arctan((math.pi * np.sqrt(th) / 2.0) * (1.0 / a - 1.0))

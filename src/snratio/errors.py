@@ -9,10 +9,6 @@ class ContractError(ValueError):
     """A precondition on the inputs of an operation was violated."""
 
 
-class UnsupportedCaseError(ValueError):
-    """The requested case is mathematically excluded by the implementation."""
-
-
 class DegenerateScenarioError(ValueError):
     """The scenario degenerates (e.g. a single-file database has no interference)."""
 

@@ -31,6 +31,10 @@ from .simulate import TrialConfig
 #: Two-sample Kolmogorov-Smirnov coefficient at the 1% level.
 _KS_COEFF_1PCT = 1.628
 
+#: A fig5 gain closer to zero than this many of its standard errors is
+#: unresolved: no approximation can be judged against it.
+_GAIN_MIN_Z = 3.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -279,7 +283,11 @@ def run_figure3(config: ExperimentConfig):
 
 
 def check_figure3(rows) -> list[str]:
-    """Ordering violations in a fig3 row set (empty means clean)."""
+    """Ordering violations in a fig3 row set (empty means clean).
+
+    Also flags a nearest-helper simulated total more than three of its
+    standard errors off the nearest-helper closed form.
+    """
     problems = []
     by_point = {}
     for row in rows:
@@ -295,6 +303,11 @@ def check_figure3(rows) -> list[str]:
         if sim[4] < lower[4] - slack:
             problems.append(f"gamma={gamma} alpha={alpha}: simulated total "
                             f"{sim[4]:.5f} below lower bound {lower[4]:.5f}")
+        base, closed = methods["sim_baseline"], methods["baseline_closed"]
+        if not abs(base[4] - closed[4]) <= 3.0 * base[5]:
+            problems.append(f"gamma={gamma} alpha={alpha}: simulated nearest-helper total "
+                            f"{base[4]:.5f} vs closed form {closed[4]:.5f} beyond "
+                            f"{3.0 * base[5]:.5f}")
         if "lower_bound_a4_gamma" in methods:
             la = methods["lower_bound_a4_gamma"][4]
             lb = methods["lower_bound_a4_arctan"][4]
@@ -325,14 +338,19 @@ def check_figure5(rows) -> list[str]:
     """Gain approximations off the simulated gain in a fig5 row set.
 
     A row is flagged when |approx - gain| exceeds the larger of 10% of the
-    gain and three standard errors of it, or when its gain is nan because a
-    model had no successes.
+    gain and three standard errors of it, or when its gain is unresolved:
+    nan because a model had no successes, or less than three standard
+    errors from zero.
     """
     problems = []
     for gamma, alpha, n_files, gain, gain_err, approx, rel_gap in rows:
-        if not abs(approx - gain) <= max(0.10 * gain, 3.0 * gain_err):
+        where = f"gamma={gamma} alpha={alpha} n_files={n_files}"
+        if not _GAIN_MIN_Z * gain_err <= gain:
+            problems.append(f"{where}: simulated gain {gain:.4g} +- {gain_err:.4g} "
+                            f"is unresolved (approximation {approx:.4f})")
+        elif not abs(approx - gain) <= max(0.10 * gain, 3.0 * gain_err):
             problems.append(
-                f"gamma={gamma} alpha={alpha} n_files={n_files}: approximation "
+                f"{where}: approximation "
                 f"{approx:.4f} vs simulated gain {gain:.4f} +- {gain_err:.4f} "
                 f"(off by {rel_gap:+.1%})")
     return problems

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
 from .errors import ContractError, ParameterDomainError, SeriesDivergenceError
-from .stable import FORM_A, FORM_B, StableParams
+from .stable import FORM_A, FORM_B, StableParams, char_fn, convert, unit_scale, zero_crossing_prob
 
 #: Consecutive growing terms after which a series is declared divergent.
 _GROWTH_LIMIT = 3
@@ -92,22 +91,7 @@ def diff_char_fn(t, x: float, spec: RatioSpec):
     At ``x = 0`` this reduces to the characteristic function of a single
     shot-noise sum of density ``lambda1``.  Accepts scalar or array ``t``.
     """
-    if x < 0.0:
-        raise ParameterDomainError(f"x must be nonnegative, got {x}")
-    d = spec.delta
-    w2 = spec.lambda2 * x**d
-    total = spec.lambda1 + w2
-    skew = (spec.lambda1 - w2) / total
-    coeff = total * math.pi * special.gamma(1.0 - d) * math.cos(math.pi / spec.alpha)
-
-    t_arr = np.asarray(t, dtype=float)
-    log_cf = -coeff * np.abs(t_arr) ** d * (
-        1.0 - 1j * np.sign(t_arr) * skew * math.tan(math.pi / spec.alpha)
-    )
-    out = np.exp(log_cf)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return complex(out)
-    return out
+    return char_fn(diff_stable_params(x, spec), t)
 
 
 def diff_stable_params(x: float, spec: RatioSpec) -> StableParams:
@@ -133,17 +117,9 @@ def normalize_diff(params_a: StableParams) -> tuple[StableParams, float]:
         raise ContractError("normalize_diff expects Form-A parameters")
     if params_a.gamma != 0.0:
         raise ContractError("normalize_diff expects zero location")
-    if params_a.delta >= 1.0:
-        raise ContractError("normalize_diff expects delta < 1 (alpha > 2)")
-    d = params_a.delta
-    # Direct skew/scale relations; cross-checked in tests against the
-    # generic Form A -> Form B conversion followed by scale normalization.
-    beta_b = (2.0 / (math.pi * d)) * math.atan(
-        params_a.beta * math.tan(math.pi * d / 2.0)
-    )
-    beta_b = min(1.0, max(-1.0, beta_b))
-    mu_b = params_a.mu / math.cos(math.pi * beta_b * d / 2.0)
-    return StableParams(FORM_B, d, beta_b, 0.0, 1.0), mu_b
+    params_b = convert(params_a, FORM_B)
+    normalized, _ = unit_scale(params_b)
+    return normalized, params_b.mu
 
 
 def ratio_ccdf(x: float, spec: RatioSpec) -> float:
@@ -171,8 +147,6 @@ def ratio_ccdf_via_stable(x: float, spec: RatioSpec) -> float:
     :func:`ratio_ccdf` to near machine precision; kept as an independent
     route for validation.
     """
-    from .stable import zero_crossing_prob  # local import keeps module deps one-way
-
     if x < 0.0:
         raise ParameterDomainError(f"x must be nonnegative, got {x}")
     if x == 0.0:

@@ -1,13 +1,16 @@
 """Heavy-tailed stable laws in the two classical parametrizations.
 
 A stable law is described here by four parameters: the stability index
-``delta`` in (0, 2], a skewness ``beta`` in [-1, 1], a location ``gamma``
-and a scale ``mu`` > 0.  Two equivalent parametrizations of the
-characteristic function are supported, tagged Form A and Form B, which
-differ in how skewness enters the log characteristic function.  Form B
-with unit scale and zero location admits simple closed expressions for
-the probability of a negative value, which is what the shot-noise ratio
-machinery ultimately consumes.
+``delta`` in (0, 1), a skewness ``beta`` in [-1, 1], a location ``gamma``
+and a scale ``mu`` > 0.  The index is 2 / alpha for a path-loss exponent
+alpha > 2, so only the laws with ``delta`` < 1 arise; the ``delta`` = 1
+and ``delta`` in (1, 2] cases of the general forms (Zolotarev, 1986) are
+not carried.  Two equivalent parametrizations of the characteristic
+function are supported, tagged Form A and Form B, which differ in how
+skewness enters the log characteristic function.  Form B with unit scale
+and zero location gives the probability of a negative value as
+(1 - beta) / 2, which is what the shot-noise ratio machinery ultimately
+consumes.
 
 Everything in this module is a pure function of its inputs.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, ParameterDomainError, UnsupportedCaseError
+from .errors import ContractError, ParameterDomainError
 
 FORM_A = "A"
 FORM_B = "B"
@@ -37,7 +40,7 @@ class StableParams:
     form : str
         Parametrization tag, ``"A"`` or ``"B"``.
     delta : float
-        Stability index, in (0, 2].
+        Stability index, in (0, 1).
     beta : float
         Skewness, in [-1, 1].
     gamma : float
@@ -55,8 +58,8 @@ class StableParams:
     def __post_init__(self):
         if self.form not in (FORM_A, FORM_B):
             raise ParameterDomainError(f"form must be 'A' or 'B', got {self.form!r}")
-        if not 0.0 < self.delta <= 2.0:
-            raise ParameterDomainError(f"delta must lie in (0, 2], got {self.delta}")
+        if not 0.0 < self.delta < 1.0:
+            raise ParameterDomainError(f"delta must lie in (0, 1), got {self.delta}")
         if not -1.0 <= self.beta <= 1.0:
             raise ParameterDomainError(f"beta must lie in [-1, 1], got {self.beta}")
         if not math.isfinite(self.gamma):
@@ -65,45 +68,20 @@ class StableParams:
             raise ParameterDomainError(f"mu must be positive, got {self.mu}")
 
 
-def kappa(delta: float) -> float:
-    """Skewness exponent correction K(delta) = delta - 1 + sgn(1 - delta)."""
-    return delta - 1.0 + float(np.sign(1.0 - delta))
-
-
 def char_fn(params: StableParams, t):
     """Characteristic function of a stable law, evaluated at real ``t``.
 
-    Both the ``delta == 1`` and ``delta != 1`` branches are implemented for
-    both forms.  Accepts a scalar or an array of ``t`` values; returns a
-    complex scalar or array accordingly.
+    Accepts a scalar or an array of ``t`` values; returns a complex scalar
+    or array accordingly.
     """
     t_arr = np.asarray(t, dtype=float)
     d, b, g, m = params.delta, params.beta, params.gamma, params.mu
     sgn = np.sign(t_arr)
-    mag = np.abs(t_arr)
-    # log|t| only enters multiplied by |t|, so guard the t == 0 entries.
-    safe_log = np.log(np.where(mag > 0.0, mag, 1.0))
-
     if params.form == FORM_A:
-        if d != 1.0:
-            log_cf = 1j * t_arr * m * g - m * mag**d * (
-                1.0 - 1j * b * sgn * math.tan(math.pi * d / 2.0)
-            )
-        else:
-            log_cf = 1j * t_arr * m * g - m * mag * (
-                1.0 + 1j * b * (2.0 / math.pi) * sgn * safe_log
-            )
+        skew = 1.0 - 1j * b * sgn * math.tan(math.pi * d / 2.0)
     else:
-        if d != 1.0:
-            log_cf = 1j * t_arr * m * g - m * mag**d * np.exp(
-                -1j * b * (math.pi / 2.0) * sgn * kappa(d)
-            )
-        else:
-            log_cf = 1j * t_arr * m * g - m * mag * (
-                math.pi / 2.0 + 1j * b * sgn * safe_log
-            )
-
-    out = np.exp(log_cf)
+        skew = np.exp(-1j * b * (math.pi / 2.0) * sgn * d)
+    out = np.exp(1j * t_arr * m * g - m * np.abs(t_arr) ** d * skew)
     if np.isscalar(t) or np.ndim(t) == 0:
         return complex(out)
     return out
@@ -122,30 +100,17 @@ def convert(params: StableParams, target_form: str) -> StableParams:
         return params
 
     d = params.delta
-    if d == 1.0:
-        if params.form == FORM_B:  # B -> A
-            return StableParams(FORM_A, d, params.beta,
-                                2.0 * params.gamma / math.pi,
-                                math.pi * params.mu / 2.0)
-        return StableParams(FORM_B, d, params.beta,
-                            math.pi * params.gamma / 2.0,
-                            2.0 * params.mu / math.pi)
-
-    k = kappa(d)
-    if k == 0.0:  # delta == 2: skewness drops out of both forms entirely
-        return replace(params, form=target_form)
-
     if params.form == FORM_B:  # B -> A
-        c = math.cos(math.pi * params.beta * k / 2.0)
-        beta_a = math.tan(math.pi * params.beta * k / 2.0) / math.tan(math.pi * d / 2.0)
+        c = math.cos(math.pi * params.beta * d / 2.0)
+        beta_a = math.tan(math.pi * params.beta * d / 2.0) / math.tan(math.pi * d / 2.0)
         # |beta_a| <= 1 in reals; clip the last-ulp spill at |beta| = 1.
         beta_a = min(1.0, max(-1.0, beta_a))
         return StableParams(FORM_A, d, beta_a, params.gamma / c, params.mu * c)
 
     # A -> B: invert the tangent relation on the principal branch.
-    beta_b = (2.0 / (math.pi * k)) * math.atan(params.beta * math.tan(math.pi * d / 2.0))
+    beta_b = (2.0 / (math.pi * d)) * math.atan(params.beta * math.tan(math.pi * d / 2.0))
     beta_b = min(1.0, max(-1.0, beta_b))
-    c = math.cos(math.pi * beta_b * k / 2.0)
+    c = math.cos(math.pi * beta_b * d / 2.0)
     return StableParams(FORM_B, d, beta_b, params.gamma * c, params.mu / c)
 
 
@@ -168,9 +133,8 @@ def zero_crossing_prob(params: StableParams) -> float:
     """Probability that a normalized Form-B stable variable is negative.
 
     Requires Form B with zero location and unit scale (normalize first via
-    :func:`convert` and :func:`unit_scale`), and ``delta != 1``.  For
-    ``delta < 1`` the result interpolates linearly between 1 at ``beta = -1``
-    and 0 at ``beta = +1``.
+    :func:`convert` and :func:`unit_scale`).  The result is (1 - beta) / 2:
+    linear from 1 at ``beta = -1`` to 0 at ``beta = +1``.
     """
     if params.form != FORM_B:
         raise ContractError("zero-crossing probability expects Form-B parameters")
@@ -179,8 +143,4 @@ def zero_crossing_prob(params: StableParams) -> float:
             "zero-crossing probability expects a normalized law "
             f"(gamma=0, mu=1), got gamma={params.gamma}, mu={params.mu}"
         )
-    if params.delta == 1.0:
-        raise UnsupportedCaseError("zero-crossing probability is undefined here for delta=1")
-    p = 0.5 * (1.0 - params.beta * kappa(params.delta) / params.delta)
-    # Exact in reals; clip only the last-ulp float spill.
-    return min(1.0, max(0.0, p))
+    return 0.5 * (1.0 - params.beta)

@@ -344,6 +344,16 @@ class TestHighSirApprox:
     def test_rejects_total_popularity(self):
         with pytest.raises(ContractError):
             high_sir_approx(1.0, 5.0, 4.0)
+        with pytest.raises(ContractError):
+            high_sir_approx([0.5, 1.0], 5.0, 4.0)
+
+    def test_elementwise_matches_scalar_calls_exactly(self):
+        a = np.linspace(0.01, 0.99, 37)[:, None]
+        theta = np.geomspace(1e-2, 1e5, 23)
+        got = high_sir_approx(a, theta, 3.3)
+        want = [[high_sir_approx(float(a_k), float(t), 3.3) for t in theta] for a_k in a[:, 0]]
+        assert got.shape == (37, 23)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBounds:

@@ -194,6 +194,29 @@ class TestSweeps:
         assert all(np.isnan(v) for v in (row[3], row[4], row[6]))
         assert len(check_figure5(rows)) == 1
 
+    def test_figure5_gain_within_three_stderr_of_zero_is_unresolved(self):
+        # Almost every trial fails both models here; the few successes give a
+        # gain of about 2e139 with a standard error of about 1e139, which
+        # three standard errors would accept against any approximation.
+        cfg = ExperimentConfig(theta=1e9, trials=300, fig5_n_files=(5,), gamma_grid=(0.0,))
+        _, rows = run_figure5(cfg)
+        (row,) = rows
+        assert row[4] > row[3] / 3.0
+        (problem,) = check_figure5(rows)
+        assert "unresolved" in problem
+
+    def test_figure3_check_flags_nearest_helper_simulation_off_closed_form(self):
+        _, rows = run_figure3(tiny_config(gamma_grid=(3.0,), alphas=(4.0,)))
+        assert check_figure3(rows) == []
+
+        def shifted(z):
+            return [r[:4] + (r[4] + z * r[5],) + r[5:] if r[2] == "sim_baseline" else r
+                    for r in rows]
+
+        assert check_figure3(shifted(2.5)) == []
+        (problem,) = check_figure3(shifted(-3.5))
+        assert "nearest-helper" in problem
+
     def test_figure5_check_allows_noise_but_not_a_far_off_row(self):
         # gamma, alpha, n_files, sim_gain, sim_gain_stderr, approx_gain, rel_gap
         noisy = (0.0, 4.0, 500, 1.50, 0.38, 1.88, 0.253)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from snratio import StableParams, char_fn, convert, unit_scale, zero_crossing_prob
-from snratio.errors import ContractError, ParameterDomainError, UnsupportedCaseError
+from snratio.errors import ContractError, ParameterDomainError
 
 
 def valid_params(form="A", delta=0.5, beta=0.0, gamma=0.0, mu=1.0):
@@ -20,6 +20,7 @@ def valid_params(form="A", delta=0.5, beta=0.0, gamma=0.0, mu=1.0):
 class TestParamsValidation:
     @pytest.mark.parametrize("field,value", [
         ("delta", 0.0), ("delta", -0.3), ("delta", 2.5),
+        ("delta", 1.0), ("delta", 1.5), ("delta", 2.0),
         ("beta", 1.2), ("beta", -1.0001),
         ("mu", 0.0), ("mu", -1.0),
         ("gamma", float("nan")),
@@ -37,7 +38,7 @@ class TestParamsValidation:
 
 class TestCharFn:
     @pytest.mark.parametrize("form", ["A", "B"])
-    @pytest.mark.parametrize("delta", [0.4, 1.0, 1.6, 2.0])
+    @pytest.mark.parametrize("delta", [0.4])
     def test_origin_value_is_one(self, form, delta):
         p = StableParams(form, delta, 0.3, 0.7, 2.0)
         assert char_fn(p, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
@@ -75,7 +76,7 @@ class TestCharFn:
 
     @given(
         form=st.sampled_from(["A", "B"]),
-        delta=st.floats(0.05, 2.0),
+        delta=st.floats(0.05, 1.0, exclude_max=True),
         beta=st.floats(-1.0, 1.0),
         gamma=st.floats(-5.0, 5.0),
         mu=st.floats(0.01, 50.0),
@@ -116,7 +117,7 @@ class TestConvert:
         assert q.mu == pytest.approx(0.70711, abs=5e-6)
 
     @given(
-        delta=st.floats(0.05, 1.95).filter(lambda d: abs(d - 1.0) > 1e-3),
+        delta=st.floats(0.05, 0.999),
         beta=st.floats(-1.0, 1.0),
         gamma=st.floats(-10.0, 10.0),
         mu=st.floats(0.01, 100.0),
@@ -130,12 +131,7 @@ class TestConvert:
         assert q.gamma == pytest.approx(p.gamma, rel=1e-12, abs=1e-12)
         assert q.mu == pytest.approx(p.mu, rel=1e-12)
 
-    def test_round_trip_at_delta_one(self):
-        p = StableParams("B", 1.0, 0.5, 1.2, 2.0)
-        q = convert(convert(p, "A"), "B")
-        assert q == p
-
-    @pytest.mark.parametrize("delta", [0.4, 2.0 / 3.0, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("delta", [0.4, 2.0 / 3.0, 0.95])
     @pytest.mark.parametrize("beta", [-1.0, -0.3, 0.0, 0.8, 1.0])
     def test_forms_share_a_characteristic_function(self, delta, beta):
         p = StableParams("B", delta, beta, 0.6, 1.7)
@@ -186,5 +182,3 @@ class TestZeroCrossing:
             zero_crossing_prob(StableParams("B", 0.5, 0.0, 0.0, 2.0))
         with pytest.raises(ContractError):
             zero_crossing_prob(StableParams("B", 0.5, 0.0, 0.5, 1.0))
-        with pytest.raises(UnsupportedCaseError):
-            zero_crossing_prob(StableParams("B", 1.0, 0.5, 0.0, 1.0))
