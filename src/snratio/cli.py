@@ -59,7 +59,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="fading samples for the expectation forms")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--tail-tol", dest="tail_tol", type=float,
-                        help="beyond-window shot-noise mass tolerance")
+                        help="tolerated standard deviation of the shot noise beyond each window")
     parser.add_argument("--mc-tol", dest="mc_tol", type=float,
                         help="absolute tolerance for the MC agreement check "
                              "(default: 3 standard errors)")

@@ -1,21 +1,28 @@
 """Monte Carlo oracle: planar Poisson sampling, shot noise, and SIR trials.
 
-The infinite plane is approximated by a disk around the origin.  The disk
-radius for a process of density ``lam`` is the larger of two rules:
-
-* the expected shot-noise mass beyond the disk,
-  ``2 pi lam R**(2-alpha) / (alpha - 2)``, stays below ``tail_tol``;
-* the expected in-disk point count stays at least ``pi * COVERAGE_FACTOR**2``,
-  so the near field of the process is resolved even at low densities.
-
-The analytic mean of the beyond-disk contribution is added back to every
+The infinite plane is approximated by a disk around the origin.  The
+analytic mean of the beyond-disk contribution is added back to every
 truncated sum, so what is lost to the window is only the zero-mean
 fluctuation of the far tail.  For coherent (complex-amplitude) sums the
 compensation enters as an independent complex Gaussian of matching
 variance.  A shot-noise sum therefore always holds its positive tail mean,
-and no ratio denominator is ever zero.  Doubling the disk radius must leave
-every reported estimate within one combined standard error; the validation
-suite checks exactly that.
+and no ratio denominator is ever zero.
+
+The disk radius for a process of density ``lam`` is therefore sized by that
+fluctuation, the larger of two rules:
+
+* the standard deviation of the shot noise beyond the disk,
+  ``sqrt(pi lam / (alpha - 1)) * R**(1-alpha)`` by Campbell's theorem
+  (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012, ch. 4),
+  stays below ``tail_tol``;
+* the expected in-disk point count stays at least ``pi * COVERAGE_FACTOR**2``,
+  so the near field of the process is resolved even at low densities.
+
+A window whose chunk of trials would hold more than ``MAX_CHUNK_POINTS``
+expected points raises :class:`~snratio.errors.ParameterDomainError` before
+anything is drawn.  Doubling the disk radius must leave every reported
+estimate within one combined standard error; the validation suite checks
+exactly that.
 
 SIR trials: both models, aligned transmission and nearest-helper service,
 are evaluated on one marked geometry per chunk of trials (``_Stratum``).
@@ -48,6 +55,7 @@ import numpy as np
 from .delivery import Scenario, _check_file_index
 from .errors import ParameterDomainError
 from .mc import (
+    CHUNK_TRIALS,
     CoMoments,
     Estimate,
     Moments,
@@ -63,6 +71,12 @@ from .shotnoise import RatioSpec
 #: Disk radii keep the expected in-window point count above
 #: ``pi * COVERAGE_FACTOR ** 2`` (about 113 points).
 COVERAGE_FACTOR = 6.0
+
+#: Expected points in one chunk of trials, summed over the processes drawn
+#: together, above which a window cannot be held: every point takes several
+#: 8-byte entries (radius, cell key, trial label, fades), so this is about
+#: 1 GB of working arrays.
+MAX_CHUNK_POINTS = 1 << 24
 
 #: Stream-index stride separating the chunk grids of per-file sub-runs.
 _STREAM_STRIDE = 1_000_000
@@ -129,18 +143,42 @@ def tail_mean(density: float, alpha: float, radius: float) -> float:
 
 
 def rule_radius(density: float, alpha: float, tail_tol: float) -> float:
-    """Smallest radius whose expected beyond-window mass is below ``tail_tol``."""
-    return (2.0 * math.pi * density / ((alpha - 2.0) * tail_tol)) ** (1.0 / (alpha - 2.0))
+    """Smallest radius whose beyond-window shot noise has standard deviation at most ``tail_tol``.
+
+    The tail's mean is added back to every truncated sum, so only its
+    fluctuation, of variance ``pi * density * R**(2 - 2 alpha) / (alpha - 1)``,
+    is lost to the window.
+    """
+    return (math.sqrt(math.pi * density / (alpha - 1.0)) / tail_tol) ** (1.0 / (alpha - 1.0))
 
 
 def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
-    """Default disk: the tail rule, floored so the near field is populated."""
+    """Default disk: the tail-spread rule, floored so the near field is populated."""
     if not density > 0.0:
         raise ParameterDomainError(f"density must be positive, got {density}")
     if not alpha > 2.0:
         raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
     return DiskRegion(max(rule_radius(density, alpha, tail_tol),
                           COVERAGE_FACTOR / math.sqrt(density)))
+
+
+def _check_chunk_points(trials: int, windows) -> None:
+    """Raise :class:`ParameterDomainError` if one chunk's expected points exceed
+    ``MAX_CHUNK_POINTS``.
+
+    ``windows`` holds the ``(density, region)`` of every process a trial
+    draws; a run of ``trials`` draws them for up to ``CHUNK_TRIALS`` trials
+    at once.
+    """
+    windows = tuple(windows)
+    n = min(trials, CHUNK_TRIALS)
+    count = n * sum(density * region.area for density, region in windows)
+    if count > MAX_CHUNK_POINTS:
+        radius = max(region.radius for _, region in windows)
+        raise ParameterDomainError(
+            f"window of radius {radius:.4g} expects {count:.4g} points per chunk of "
+            f"{n} trials, more than the {MAX_CHUNK_POINTS} that can be held; "
+            f"raise tail_tol or pass a smaller region")
 
 
 def _disk_points(rng, mean, radius, size):
@@ -190,6 +228,7 @@ def shot_noise_samples(density: float, alpha: float, cfg: TrialConfig,
     """Independent shot-noise samples, one per trial, in deterministic order."""
     if region is None:
         region = default_region(density, alpha, cfg.tail_tol)
+    _check_chunk_points(cfg.trials, ((density, region),))
     return gather_chunked_samples(cfg.trials, cfg.seed,
                                   lambda rng, n: _shot_chunk(density, alpha, region, rng, n))
 
@@ -208,6 +247,7 @@ def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRe
 def _ratio_kernel(spec: RatioSpec, cfg: TrialConfig, regions):
     """``(rng, n) -> ratio`` on the given or the default windows."""
     regions = _fill_regions(regions, lambda: ratio_regions(spec, cfg))
+    _check_chunk_points(cfg.trials, zip((spec.lambda1, spec.lambda2), regions))
     return lambda rng, n: _ratio_chunk(rng, n, spec, *regions)
 
 
@@ -280,6 +320,8 @@ def window_doubling_probe(x: float, spec: RatioSpec, cfg: TrialConfig) -> tuple[
     count every trial, and every denominator holds its positive tail mean.
     """
     reg1, reg2 = ratio_regions(spec, cfg)
+    _check_chunk_points(cfg.trials, ((spec.lambda1, reg1.doubled()),
+                                     (spec.lambda2, reg2.doubled())))
 
     def chunk(rng, n):
         b1, g1 = _coupled_shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n)
@@ -557,12 +599,22 @@ class _NearestHelperModel:
         return signal / interference
 
 
-def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
-    """The stratum of request ``k``; windows left ``None`` are the defaults of
-    :func:`aligned_regions`."""
+def _sir_regions(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)):
+    """The signal and interference disks of request ``k``, checked to fit a chunk.
+
+    Windows left ``None`` are the defaults of :func:`aligned_regions`.
+    """
     _check_file_index(scenario.n_files, k)
     regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
-    return _Stratum(scenario, k, *regions)
+    lam = scenario.helper_density
+    lam_k = float(scenario.profile.weights[k]) * lam
+    _check_chunk_points(cfg.trials, zip((lam_k, lam - lam_k), regions))
+    return regions
+
+
+def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
+    """The stratum of request ``k`` on the windows of :func:`_sir_regions`."""
+    return _Stratum(scenario, k, *_sir_regions(scenario, k, cfg, regions))
 
 
 def _on_geometry(stratum: _Stratum, method):
@@ -658,15 +710,16 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, retur
     drawing them one by one).  File ``k``'s trials then run ``methods(stratum)``
     by :func:`_sir_moments` on their own chunk grid, at a disjoint stream
     offset.  The strata's records add up in file order, and ``finish``
-    turns one into the result.
+    turns one into the result.  Every stratum's windows are checked before
+    the first one draws a point.
     """
     counts = _request_counts(scenario, cfg)
+    subs = {k: replace(cfg, trials=int(t_k)) for k, t_k in enumerate(counts) if t_k}
+    regions = {k: _sir_regions(scenario, k, sub) for k, sub in subs.items()}
     runs = {}
-    for k, t_k in enumerate(counts):
-        if t_k:
-            sub = replace(cfg, trials=int(t_k))
-            stratum = _stratum(scenario, k, sub)
-            runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
+    for k, sub in subs.items():
+        stratum = _Stratum(scenario, k, *regions[k])
+        runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
     total = finish(sum(runs.values()))
     if return_strata:
         return total, {k: finish(record) for k, record in runs.items()}

@@ -177,8 +177,8 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'conditional_series': ('est', '0x1.e8f084c92c551p-6', '0x1.ddea488d6dc1cp-14', 3000, 7, 0),
         'conditional_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
         'empirical_ratio_ccdf': ('est',
-                                 '0x1.3333333333333p-2',
-                                 '0x1.a8c3a93a60ecap-8',
+                                 '0x1.40ebedfa43fe6p-2',
+                                 '0x1.adf8b9ecd645cp-8',
                                  5000,
                                  3,
                                  0),
@@ -193,20 +193,20 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
         'lower_bound': ('est', '0x1.d6962e553e0bap-6', '0x0.0p+0', 1, 7, 0),
         'ratio_ccdf_estimates': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 9000, 3, 0),
                                  ('est',
-                                  '0x1.4f5c28f5c28f6p-1',
-                                  '0x1.48684eb92c6f8p-8',
+                                  '0x1.4c584aa362881p-1',
+                                  '0x1.49b4ca8aa4a41p-8',
                                   9000,
                                   3,
                                   0),
                                  ('est',
-                                  '0x1.31440a032f8f2p-2',
-                                  '0x1.3c03897015dd4p-8',
+                                  '0x1.31612a8d8a205p-2',
+                                  '0x1.3c0c34ff0afa5p-8',
                                   9000,
                                   3,
                                   0),
                                  ('est',
-                                  '0x1.97c790f3f086bp-4',
-                                  '0x1.9db064b9e0272p-9',
+                                  '0x1.90f3f086b67fep-4',
+                                  '0x1.9a97515ea931ep-9',
                                   9000,
                                   3,
                                   0)),
@@ -229,8 +229,8 @@ PINS = {'conditional_alpha4': ('est', '0x1.ead05ca26d5f4p-6', '0x1.4abc855477392
                                             3,
                                             0)),
         'ratio_laplace_estimate': ('est',
-                                   '0x1.ba4c05c5f8443p-1',
-                                   '0x1.a919881d3b1c0p-9',
+                                   '0x1.ba001d9ba959bp-1',
+                                   '0x1.a9ff81310e813p-9',
                                    5000,
                                    3,
                                    0),

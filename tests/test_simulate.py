@@ -57,16 +57,61 @@ from snratio.simulate import (
 )
 
 
+def _tail_sd(density, alpha, radius):
+    """Standard deviation of the shot noise beyond ``radius``, by Campbell's
+    theorem: its variance is density * int_R^inf r**(-2 alpha) 2 pi r dr."""
+    return math.sqrt(2.0 * math.pi * density * radius ** (2.0 - 2.0 * alpha)
+                     / (2.0 * alpha - 2.0))
+
+
 class TestRegions:
     def test_rule_radius_meets_tail_tolerance(self):
         for density, alpha, tol in ((0.1, 3.0, 1e-4), (0.5, 4.0, 1e-2)):
             r = rule_radius(density, alpha, tol)
-            assert tail_mean(density, alpha, r) == pytest.approx(tol, rel=1e-12)
+            assert _tail_sd(density, alpha, r) == pytest.approx(tol, rel=1e-12)
 
     def test_default_region_never_below_rule(self):
         region = default_region(0.1, 3.0, 1e-4)
         assert region.radius >= rule_radius(0.1, 3.0, 1e-4)
-        assert tail_mean(0.1, 3.0, region.radius) <= 1e-4 * (1 + 1e-12)
+        assert _tail_sd(0.1, 3.0, region.radius) <= 1e-4 * (1 + 1e-12)
+
+    def test_rule_radius_tail_spread_matches_sampled_annulus(self):
+        # The coupled sums differ by the points between R and 2R and the
+        # difference of the tail means, so their spread is the tail's spread
+        # at R less the part beyond 2R: tol * sqrt(1 - 2**(2 - 2 alpha)).
+        density, alpha, tol = 0.1, 3.0, 1e-2
+        region = DiskRegion(rule_radius(density, alpha, tol))
+        base, big = _coupled_shot_chunk(density, alpha, region, substream(29, 0), 20_000)
+        sd = np.std(base - big, ddof=1)
+        assert sd == pytest.approx(tol * math.sqrt(1.0 - 2.0 ** (2.0 - 2.0 * alpha)), rel=0.03)
+
+    def test_window_that_cannot_be_held_raises_before_drawing(self):
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 3.0)
+        spec = RatioSpec(0.02, 0.1, 3.0)
+        cfg = TrialConfig(trials=1000, tail_tol=1e-9)
+        calls = (lambda: simulate_sir_aligned(sc, 0, cfg),
+                 lambda: sir_samples_baseline(sc, 0, cfg),
+                 lambda: simulate_totals(sc, cfg),
+                 lambda: shot_noise_samples(0.1, 3.0, cfg),
+                 lambda: ratio_ccdf_estimates([1.0], spec, cfg),
+                 lambda: window_doubling_probe(1.0, spec, cfg))
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(ParameterDomainError,
+                                   match=r"window of radius \S+ expects \S+ points per chunk"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_default_tail_tol_window_is_held(self):
+        # TrialConfig's default tail_tol at alpha = 3: about 1250 points a trial.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 3.0)
+        sim = simulate_sir_aligned(sc, 0, TrialConfig(1000))
+        want = conditional_delivery_prob(0, sc, FadingBatch(20_000, seed=5))
+        assert abs(sim.mean - want.mean) < 3.0 * math.hypot(sim.stderr, want.stderr)
 
     def test_coverage_floor_kicks_in_at_low_density(self):
         region = default_region(1e-4, 4.0, 1e-2)
@@ -193,6 +238,17 @@ class TestRatioCcdfEstimates:
 
 
 class TestAlignedSir:
+    def test_doubled_windows_move_neither_model(self):
+        # alpha = 3, where the tail decays slowest: the default windows hold
+        # both models to within 3 combined stderr of windows twice as wide.
+        sc = Scenario.from_zipf(10, 1.0, 5.0, 3.0, 0.1)
+        cfg = TrialConfig(trials=20_000, seed=43, tail_tol=1e-2)
+        sig, inter = (r.doubled() for r in aligned_regions(sc, 0, cfg))
+        for run in (simulate_sir_aligned, simulate_sir_baseline):
+            base = run(sc, 0, cfg)
+            big = run(sc, 0, replace(cfg, seed=44), signal_region=sig, interference_region=inter)
+            assert abs(base.mean - big.mean) < 3.0 * math.hypot(base.stderr, big.stderr)
+
     def test_modes_agree(self):
         sc = Scenario.from_zipf(10, 1.0, 5.0, 3.0, 0.1)
         a = simulate_sir_aligned(sc, 0, TrialConfig(trials=20_000, seed=13, tail_tol=1e-2),

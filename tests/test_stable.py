@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ class TestCharFn:
         for t in (0.5, 1.0, -1.5):
             emp = np.exp(1j * t * x).mean()
             assert abs(emp - char_fn(p, t)) < 0.012
+
+    @pytest.mark.parametrize("delta,beta,gamma,mu", [(0.7, 0.6, 0.3, 1.5),
+                                                     (0.35, -0.4, -0.5, 0.8)])
+    def test_skewed_form_b_against_chambers_mallows_stuck_samples(self, delta, beta, gamma, mu):
+        # Independent oracle for beta != 0 and delta != 1/2: Form-B unit draws
+        # by Chambers, Mallows & Stuck (JASA 71, 1976), with V uniform on
+        # (-pi/2, pi/2) and W ~ Exp(1); then X = mu * gamma + mu**(1/delta) * Z.
+        rng = np.random.default_rng(11)
+        v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 200_000)
+        w = rng.exponential(size=v.size)
+        a = delta * (v + math.pi * beta / 2.0)
+        z = (np.sin(a) / np.cos(v) ** (1.0 / delta)
+             * (np.cos(v - a) / w) ** ((1.0 - delta) / delta))
+        x = mu * gamma + mu ** (1.0 / delta) * z
+        p = StableParams("B", delta, beta, gamma, mu)
+        for t in (0.3, 1.0, -2.0):
+            emp = np.exp(1j * t * x).mean()
+            assert abs(emp - char_fn(p, t)) < 0.01
+        neg = (z < 0.0).mean()
+        assert abs(neg - zero_crossing_prob(replace(p, gamma=0.0, mu=1.0))) < 4.0 * math.sqrt(
+            neg * (1.0 - neg) / z.size)
 
     @given(
         form=st.sampled_from(["A", "B"]),
