@@ -121,8 +121,9 @@ def _fading_chunk_size(n_files: int) -> int:
 def _draw_exponentials(seed: int, sample_count: int, n_files: int, rows: int):
     """Yield a batch's unit-mean exponential draws, ``rows`` samples per chunk.
 
-    One Philox substream drives the whole batch, so different consumers of
-    the same batch see the same draws (common random numbers).
+    One keyed SFC64 substream (:func:`mc.substream`) drives the whole
+    batch, so different consumers of the same batch see the same draws
+    (common random numbers).
     """
     rng = substream(seed, 0)
     for start in range(0, sample_count, rows):

@@ -1,8 +1,10 @@
 """Monte Carlo plumbing: estimates, keyed substreams, and chunked trial runs.
 
 Reproducibility contract: every randomized operation derives its draws from
-counter-based (Philox) substreams keyed by ``(master seed, chunk index)``
-over a fixed grid of trial chunks.  Per-chunk results are integer success
+SFC64 substreams, each keyed by its own ``SeedSequence((master seed, chunk
+index))`` over a fixed grid of trial chunks.  Nothing jumps or advances a
+stream, so a counter-based generator would buy nothing; SFC64 costs about
+half as much per draw as Philox.  Per-chunk results are integer success
 counts, the :class:`Moments` of real per-trial values, or the
 :class:`CoMoments` of two such values per trial, and they are merged in
 chunk order, so the final estimate is bit-identical no matter how the
@@ -52,8 +54,8 @@ def check_integer(name: str, value, minimum: int) -> None:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, index), counter-based."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+    """Independent SFC64 generator keyed by ``SeedSequence((seed, index))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
 def bernoulli_estimate(successes: int, trials: int, seed: int) -> Estimate:

@@ -36,8 +36,8 @@ on common trials, so the alignment gain's standard error includes their
 covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
-:mod:`snratio.mc`, with one counter-based substream per chunk.  Per-chunk
-aggregates (integer exceedance counts for the ratio sampler, the
+:mod:`snratio.mc`, with one keyed SFC64 substream per chunk (see
+:func:`snratio.mc.substream`).  Per-chunk aggregates (integer exceedance counts for the ratio sampler, the
 :class:`~snratio.mc.Moments` of per-trial SIR values, or their
 :class:`~snratio.mc.CoMoments` when both SIR models run together) are
 merged in chunk order, so estimates are bit-identical under any

@@ -195,14 +195,12 @@ class TestSweeps:
         assert len(check_figure5(rows)) == 1
 
     def test_figure5_gain_within_three_stderr_of_zero_is_unresolved(self):
-        # Almost every trial fails both models here; the few successes give a
-        # gain of about 2e139 with a standard error of about 1e139, which
-        # three standard errors would accept against any approximation.
-        cfg = ExperimentConfig(theta=1e9, trials=300, fig5_n_files=(5,), gamma_grid=(0.0,))
-        _, rows = run_figure5(cfg)
-        (row,) = rows
-        assert row[4] > row[3] / 3.0
-        (problem,) = check_figure5(rows)
+        # A gain of about 2e139 with a standard error of about 1e139, from a
+        # run where almost every trial failed both models: three standard
+        # errors would accept it against any approximation.
+        # gamma, alpha, n_files, sim_gain, sim_gain_stderr, approx_gain, rel_gap
+        row = (0.0, 4.0, 5, 2.3e139, 1.0e139, 1.3927, -1.0)
+        (problem,) = check_figure5([row])
         assert "unresolved" in problem
 
     def test_figure3_check_flags_nearest_helper_simulation_off_closed_form(self):

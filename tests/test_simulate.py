@@ -213,12 +213,13 @@ class TestRatioCcdfEstimates:
         assert np.all(np.isfinite(ratio_samples(spec, cfg, r1, r2)))
 
     def test_chunk_without_points_is_the_tail_mean_ratio(self):
-        # One trial, both windows empty: the sums are the tail means alone
-        # (bincount over no points used to give an integer array).
-        spec = RatioSpec(0.02, 0.1, 3.0)
+        # One trial, both windows empty whatever the stream (about 4e-11
+        # expected points): the sums are the tail means alone (bincount over
+        # no points used to give an integer array).
+        spec = RatioSpec(1e-12, 2e-12, 3.0)
         r1, r2 = DiskRegion(3.0), DiskRegion(1.5)
         vals = ratio_samples(spec, TrialConfig(trials=1, seed=0), r1, r2)
-        want = tail_mean(0.02, 3.0, r1.radius) / tail_mean(0.1, 3.0, r2.radius)
+        want = tail_mean(1e-12, 3.0, r1.radius) / tail_mean(2e-12, 3.0, r2.radius)
         assert vals.dtype == float
         assert vals[0] == pytest.approx(want, rel=1e-12)
 
