@@ -24,6 +24,12 @@ anything is drawn.  Doubling the disk radius must leave every reported
 estimate within one combined standard error; the validation suite checks
 exactly that.
 
+Summation order: the shot-noise and ratio kernels store each chunk's
+points trial by trial and sum every trial's segment by ``np.add.reduceat``
+(:func:`_trial_sums`): its first point plus numpy's pairwise sum of the
+rest.  The SIR kernels, whose interferers need not be grouped by trial, add
+their points in point order with ``np.bincount``.
+
 SIR trials: both models, aligned transmission and nearest-helper service,
 are evaluated on one marked geometry per chunk of trials (``_Stratum``).
 The requested file's process is drawn nearest first: its nearest point,
@@ -47,6 +53,7 @@ partitioning.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -185,15 +192,29 @@ def _disk_points(rng, mean, radius, size):
     """Poisson point counts per cell and the points' radii on a disk.
 
     ``mean`` (scalar, or broadcastable to ``size``) is the expected count per
-    cell.  Returns ``(counts, cell, r)``: ``cell`` maps every point to its
-    flat cell index, and ``r`` is uniform over the disk of ``radius``.
+    cell.  Returns ``(counts, r)``: the points are stored cell by cell in
+    flat cell order, and ``r`` is uniform over the disk of ``radius``.
     """
     counts = rng.poisson(mean, size=size)
     r = rng.random(int(counts.sum()))
     np.sqrt(r, out=r)
     r *= radius
-    cell = np.repeat(np.arange(counts.size), counts.ravel())
-    return counts, cell, r
+    return counts, r
+
+
+def _trial_sums(values, counts) -> np.ndarray:
+    """Per-trial sums of ``values`` stored contiguously by trial, ``counts[t]`` for trial ``t``.
+
+    Each nonempty trial's sum is ``np.add.reduceat`` over its segment: its
+    first value plus numpy's pairwise sum of the rest (eight accumulators
+    over blocks of at most 128 values, split in halves above that).  An empty
+    trial sums to 0.0, and the result is always a float array.
+    """
+    sums = np.zeros(counts.size)
+    nonempty = counts > 0
+    starts = np.cumsum(counts) - counts
+    sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
 
 
 def _fill_regions(regions, defaults):
@@ -214,11 +235,12 @@ def _exceedances(cfg: TrialConfig, kernel, xs):
 
 
 def _shot_chunk(density, alpha, region, rng, n_trials) -> np.ndarray:
-    """Vectorized shot-noise sums for ``n_trials`` trials, tail mean added."""
-    _, idx, r = _disk_points(rng, density * region.area, region.radius, n_trials)
-    # bincount of no points is an integer array; the tail mean is added in place.
-    s = np.bincount(idx, weights=np.power(r, -alpha, out=r),
-                    minlength=n_trials).astype(float, copy=False)
+    """Vectorized shot-noise sums for ``n_trials`` trials, tail mean added.
+
+    The points are summed per trial in the order of :func:`_trial_sums`.
+    """
+    counts, r = _disk_points(rng, density * region.area, region.radius, n_trials)
+    s = _trial_sums(np.power(r, -alpha, out=r), counts)
     s += tail_mean(density, alpha, region.radius)
     return s
 
@@ -270,6 +292,17 @@ def empirical_ratio_ccdf(x: float, spec: RatioSpec, cfg: TrialConfig,
     return est
 
 
+def _ccdf_points(xs) -> list[float]:
+    """``xs`` as floats, checked to be CCDF points: nonnegative, and not NaN.
+
+    ``inf`` is allowed, since P(ratio > inf) = 0 exactly.
+    """
+    xs = [float(x) for x in xs]
+    if not all(x >= 0.0 for x in xs):
+        raise ParameterDomainError(f"ccdf points must be nonnegative, got {xs}")
+    return xs
+
+
 def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
                          region1: DiskRegion | None = None,
                          region2: DiskRegion | None = None) -> list[Estimate]:
@@ -277,11 +310,8 @@ def ratio_ccdf_estimates(xs, spec: RatioSpec, cfg: TrialConfig,
 
     As in :func:`ratio_samples`, no trial is redrawn.
     """
-    kernel = _ratio_kernel(spec, cfg, (region1, region2))
-    xs = [float(x) for x in xs]
-    if any(x < 0.0 for x in xs):
-        raise ParameterDomainError("ccdf points must be nonnegative")
-    counts = _exceedances(cfg, kernel, xs)
+    xs = _ccdf_points(xs)
+    counts = _exceedances(cfg, _ratio_kernel(spec, cfg, (region1, region2)), xs)
     return [bernoulli_estimate(c, cfg.trials, cfg.seed) for c in counts]
 
 
@@ -292,45 +322,70 @@ def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estim
     return Moments.of(np.exp(-s * ratio_samples(spec, cfg))).estimate(cfg.seed)
 
 
-def _coupled_shot_chunk(density, alpha, region, rng, n_trials):
-    """Shot-noise sums on a disk and on its doubling, from one realization.
+def _coupled_shot_sums(density, alpha, region, drawn, counts, r):
+    """Shot-noise sums on ``region`` and on its doubling, from one realization.
 
-    Points are drawn on the doubled disk; restricting them to the base disk
-    is an exact realization of the process there, so the two sums differ
-    only by the annulus contribution and the difference of the tail means.
+    ``counts`` and ``r`` are the process's points by trial on the disk
+    ``drawn``, which contains the doubled disk.  Restricting them to a
+    smaller disk is an exact realization of the process there, so the two
+    sums differ only by the annulus contribution and the difference of the
+    tail means.  Points beyond a disk weigh exactly 0 in its sums, which are
+    taken in the order of :func:`_trial_sums`.
     """
     big = region.doubled()
-    _, idx, r = _disk_points(rng, density * big.area, big.radius, n_trials)
-    inner = r <= region.radius
-    vals = np.power(r, -alpha, out=r)
-    s_big = np.bincount(idx, weights=vals, minlength=n_trials).astype(float, copy=False)
-    # Annulus points weigh exactly 0, which leaves the sequential sums unchanged.
-    vals *= inner
-    s_base = np.bincount(idx, weights=vals, minlength=n_trials).astype(float, copy=False)
+    vals = np.power(r, -alpha)
+    if big.radius < drawn.radius:
+        vals *= r <= big.radius
+    s_big = _trial_sums(vals, counts)
+    vals *= r <= region.radius
+    s_base = _trial_sums(vals, counts)
     s_big += tail_mean(density, alpha, big.radius)
     s_base += tail_mean(density, alpha, region.radius)
     return s_base, s_big
 
 
-def window_doubling_probe(x: float, spec: RatioSpec, cfg: TrialConfig) -> tuple[Estimate, Estimate]:
+def window_doubling_probe(x: float, specs: Sequence[RatioSpec],
+                          cfg: TrialConfig) -> list[tuple[Estimate, Estimate]]:
     """Empirical ratio CCDF at ``x`` under the default windows and their doubling.
 
-    Both estimates come from the same realizations (coupled), so their
-    difference isolates the truncation effect of the window choice.  Both
-    count every trial, and every denominator holds its positive tail mean.
+    ``specs`` is a nonempty sequence of :class:`RatioSpec` sharing
+    ``lambda1`` and ``lambda2``; the result holds one ``(base, doubled)``
+    pair per spec.  Both estimates of a pair come from the same realizations
+    (coupled), so their difference isolates the truncation effect of the
+    window choice.  Every spec reads the same points too: each process is
+    drawn once per chunk, on the largest doubled window among the specs, and
+    each spec sums its points within its own windows, in the order of
+    :func:`_trial_sums`, and adds its own tail means.  Where the specs'
+    windows agree, a pair has the bits of the same spec probed alone.  Both
+    estimates count every trial, and every denominator holds its positive
+    tail mean.
     """
-    reg1, reg2 = ratio_regions(spec, cfg)
-    _check_chunk_points(cfg.trials, ((spec.lambda1, reg1.doubled()),
-                                     (spec.lambda2, reg2.doubled())))
+    (x,) = _ccdf_points([x])
+    specs = tuple(specs)
+    if not specs:
+        raise ParameterDomainError("window_doubling_probe needs at least one spec")
+    lam1, lam2 = specs[0].lambda1, specs[0].lambda2
+    if any((spec.lambda1, spec.lambda2) != (lam1, lam2) for spec in specs):
+        raise ParameterDomainError("the specs of one window_doubling_probe must share "
+                                   "lambda1 and lambda2")
+    regions = [ratio_regions(spec, cfg) for spec in specs]
+    drawn1, drawn2 = (max(regs, key=lambda reg: reg.radius).doubled()
+                      for regs in zip(*regions))
+    _check_chunk_points(cfg.trials, ((lam1, drawn1), (lam2, drawn2)))
 
     def chunk(rng, n):
-        b1, g1 = _coupled_shot_chunk(spec.lambda1, spec.alpha, reg1, rng, n)
-        b2, g2 = _coupled_shot_chunk(spec.lambda2, spec.alpha, reg2, rng, n)
-        return int((b1 > x * b2).sum()), int((g1 > x * g2).sum())
+        points1 = _disk_points(rng, lam1 * drawn1.area, drawn1.radius, n)
+        points2 = _disk_points(rng, lam2 * drawn2.area, drawn2.radius, n)
+        succ = []
+        for spec, (reg1, reg2) in zip(specs, regions):
+            b1, g1 = _coupled_shot_sums(lam1, spec.alpha, reg1, drawn1, *points1)
+            b2, g2 = _coupled_shot_sums(lam2, spec.alpha, reg2, drawn2, *points2)
+            succ += [int((b1 > x * b2).sum()), int((g1 > x * g2).sum())]
+        return tuple(succ)
 
-    base_succ, big_succ = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
-    return (bernoulli_estimate(base_succ, cfg.trials, cfg.seed),
-            bernoulli_estimate(big_succ, cfg.trials, cfg.seed))
+    succ = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
+    ests = [bernoulli_estimate(c, cfg.trials, cfg.seed) for c in succ]
+    return list(zip(ests[::2], ests[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +484,15 @@ class _Stratum:
         sig_tail = tail_mean(lam, self.alpha, np.maximum(r1, radius))
         if self.count_cells:
             # Counts over the (file, trial) grid: a point's cell index is its key.
-            counts, key, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
-                                          (self.n_files, n))
+            counts, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
+                                     (self.n_files, n))
+            key = np.repeat(np.arange(counts.size), counts.ravel())
             counts = counts.sum(axis=1)
             labels = None
         else:
-            counts, key, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
+            counts, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
             labels = rng.integers(0, n, size=r.size)
+            key = np.repeat(np.arange(self.n_files), counts)
             key *= n
             key += labels
         return _SirChunk(n, r1, sig_tail, sig_trial, sig_r,

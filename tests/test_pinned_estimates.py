@@ -5,10 +5,12 @@ the SHA-256 of its bytes.  A refactor that keeps the random-number streams
 must reproduce all of them exactly; a change that alters the streams on
 purpose records new pins and says so in CHANGES.md.  The first test pins the
 keyed substream itself, so a change of generator or of numpy's stream fails
-it by name before any estimate pin.
+it by name before any estimate pin; the second pins the per-trial summation
+order of the shot-noise kernels.
 """
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -41,7 +43,7 @@ from snratio import (
 from snratio import delivery
 from snratio.delivery import TOTAL_METHODS
 from snratio.mc import Estimate, substream
-from snratio.simulate import window_doubling_probe
+from snratio.simulate import _trial_sums, window_doubling_probe
 
 SCENARIOS = {
     1: Scenario.from_zipf(1, 0.0, 1.0, 4.0, 0.1),
@@ -124,7 +126,7 @@ def _simulator_cases(partitions):
             [0.05, 0.2, 1.0], SPEC, _cfg(9000, p), *SMALL_RATIO_REGIONS),
         "empirical_ratio_ccdf": lambda: empirical_ratio_ccdf(0.2, SPEC, _cfg(5000, p)),
         "window_doubling_probe": lambda: window_doubling_probe(
-            0.2, RatioSpec(0.02, 0.1, 3.5), _cfg(5000, p)),
+            0.2, [RatioSpec(0.02, 0.1, 3.5)], _cfg(5000, p))[0],
     })
     return cases
 
@@ -227,18 +229,18 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
                                             0)),
         'ratio_laplace_estimate': ('est',
                                    '0x1.bc471c569b73fp-1',
-                                   '0x1.9e19ff50af996p-9',
+                                   '0x1.9e19ff50af995p-9',
                                    5000,
                                    3,
                                    0),
         'ratio_samples': ('arr',
                           'float64',
                           (5000,),
-                          'f5b4b4433b7921bc3980656ff00bb745a0dcec59bc679fab76e1bcc364f8c147'),
+                          '96da1dcf6b5fa0222c95f7a84f8c40c586b1620ab05955a9c602688fd2989891'),
         'shot_noise_samples': ('arr',
                                'float64',
                                (5000,),
-                               '5c0e9b4d05e305f060674e110177565bdde4b4f76704cce4de2b8605ed98bf4e'),
+                               '8039184578e83f81bd70228033bf49a308719c164529983278f941b23931e13a'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
                                    '0x1.99ce075f6fd22p-2',
@@ -463,6 +465,22 @@ def test_substream_is_keyed_sfc64():
         ["0x1.41b9a3fe3c337p-1", "0x1.b5ed5d6d6798bp-1", "0x1.91843d42d6c21p-1"],
         ["0x1.48a7220673970p-4", "0x1.7cbbafd0264b8p-2", "0x1.3f0a61a7e94aep-2"],
     ]
+
+
+def test_trial_sums_are_segmented_pairwise_sums():
+    # Trials of 0, 5, 200 and 0 points: an empty trial, one under numpy's
+    # 8-way unrolled block and one over its 128-point pairwise block.  The
+    # 200-point sum differs in its last bits from a sequential one.
+    counts = np.array([0, 5, 200, 0])
+    values = 1.0 / np.arange(1.0, counts.sum() + 1.0)
+    sums = _trial_sums(values, counts)
+    assert sums.dtype == np.float64
+    assert [float(s).hex() for s in sums] == [
+        "0x0.0p+0", "0x1.2444444444444p+1", "0x1.cf462f287aa6bp+1", "0x0.0p+0"]
+    ends = np.cumsum(counts)
+    for s, lo, hi in zip(sums, ends - counts, ends):
+        assert s == pytest.approx(math.fsum(values[lo:hi]), rel=1e-14, abs=0.0)
+    assert np.array_equal(_trial_sums(np.zeros(0), np.zeros(3, dtype=np.int64)), np.zeros(3))
 
 
 @pytest.mark.parametrize("partitions", [1, 2])

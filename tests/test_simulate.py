@@ -44,17 +44,26 @@ from snratio.mc import CoMoments, Moments
 from snratio.popularity import decompose_densities
 from snratio.simulate import (
     _AlignedModel,
-    _coupled_shot_chunk,
+    _coupled_shot_sums,
     _disk_points,
     _NearestHelperModel,
     _on_geometry,
     _shot_chunk,
     _Stratum,
+    _trial_sums,
     aligned_regions,
+    ratio_regions,
     rule_radius,
     tail_mean,
     window_doubling_probe,
 )
+
+
+def _coupled_chunk(density, alpha, region, rng, n_trials):
+    """The coupled sums of ``n_trials`` trials, points drawn on the doubled disk."""
+    big = region.doubled()
+    points = _disk_points(rng, density * big.area, big.radius, n_trials)
+    return _coupled_shot_sums(density, alpha, region, big, *points)
 
 
 def _tail_sd(density, alpha, radius):
@@ -81,7 +90,7 @@ class TestRegions:
         # at R less the part beyond 2R: tol * sqrt(1 - 2**(2 - 2 alpha)).
         density, alpha, tol = 0.1, 3.0, 1e-2
         region = DiskRegion(rule_radius(density, alpha, tol))
-        base, big = _coupled_shot_chunk(density, alpha, region, substream(29, 0), 20_000)
+        base, big = _coupled_chunk(density, alpha, region, substream(29, 0), 20_000)
         sd = np.std(base - big, ddof=1)
         assert sd == pytest.approx(tol * math.sqrt(1.0 - 2.0 ** (2.0 - 2.0 * alpha)), rel=0.03)
 
@@ -94,7 +103,11 @@ class TestRegions:
                  lambda: simulate_totals(sc, cfg),
                  lambda: shot_noise_samples(0.1, 3.0, cfg),
                  lambda: ratio_ccdf_estimates([1.0], spec, cfg),
-                 lambda: window_doubling_probe(1.0, spec, cfg))
+                 lambda: window_doubling_probe(1.0, [spec], cfg),
+                 # Each window fits at alpha = 4 alone; the alpha = 3 spec's
+                 # larger windows, on which both are drawn, do not.
+                 lambda: window_doubling_probe(
+                     1.0, [replace(spec, alpha=4.0), spec], replace(cfg, tail_tol=1e-5)))
         tracemalloc.start()
         try:
             for call in calls:
@@ -127,14 +140,14 @@ class TestSamplePpp:
 
     def test_mean_count(self):
         region = DiskRegion(30.0)
-        counts, _, _ = _disk_points(substream(17, 0), 0.1 * region.area, region.radius, 2000)
+        counts, _ = _disk_points(substream(17, 0), 0.1 * region.area, region.radius, 2000)
         want = 0.1 * region.area
         se = math.sqrt(want / 2000)
         assert abs(np.mean(counts) - want) < 3.0 * se
 
     def test_void_probability(self):
         # lam * area = 0.01: empty windows show up with frequency e^-0.01.
-        counts, _, _ = _disk_points(substream(18, 0), 0.01, 1.0, 10_000)
+        counts, _ = _disk_points(substream(18, 0), 0.01, 1.0, 10_000)
         empty = int((counts == 0).sum())
         want = math.exp(-0.01)
         assert abs(empty / 10_000 - want) < 3.0 * math.sqrt(want * (1 - want) / 10_000)
@@ -142,12 +155,12 @@ class TestSamplePpp:
     def test_points_inside_region_and_deterministic(self):
         region = DiskRegion(7.0)
         mean = 0.5 * region.area
-        counts, cell, r = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
+        counts, r = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
+        assert counts.shape == (40, 3)
         assert r.size == counts.sum() > 0
         assert np.all((r >= 0.0) & (r <= region.radius))
-        np.testing.assert_array_equal(np.bincount(cell, minlength=counts.size), counts.ravel())
         again = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
-        for a, b in zip((counts, cell, r), again):
+        for a, b in zip((counts, r), again):
             np.testing.assert_array_equal(a, b)
 
 
@@ -194,8 +207,8 @@ class TestRatioCcdfEstimates:
 
     def test_window_doubling_within_one_stderr(self):
         cfg = TrialConfig(trials=20_000, seed=9, tail_tol=1e-2)
-        for alpha in (3.0, 4.0):
-            base, big = window_doubling_probe(2.0, RatioSpec(0.01, 0.02, alpha), cfg)
+        specs = [RatioSpec(0.01, 0.02, alpha) for alpha in (3.0, 4.0)]
+        for base, big in window_doubling_probe(2.0, specs, cfg):
             assert abs(base.mean - big.mean) < math.hypot(base.stderr, big.stderr)
 
     def test_tail_compensation_never_leaves_a_denominator_empty(self):
@@ -214,8 +227,8 @@ class TestRatioCcdfEstimates:
 
     def test_chunk_without_points_is_the_tail_mean_ratio(self):
         # One trial, both windows empty whatever the stream (about 4e-11
-        # expected points): the sums are the tail means alone (bincount over
-        # no points used to give an integer array).
+        # expected points): the sums are the tail means alone, in a float
+        # array although no point was summed.
         spec = RatioSpec(1e-12, 2e-12, 3.0)
         r1, r2 = DiskRegion(3.0), DiskRegion(1.5)
         vals = ratio_samples(spec, TrialConfig(trials=1, seed=0), r1, r2)
@@ -225,7 +238,7 @@ class TestRatioCcdfEstimates:
 
     def test_coupled_sums_of_an_empty_window_are_the_tail_means(self):
         region = DiskRegion(1.0)
-        base, big = _coupled_shot_chunk(1e-9, 3.0, region, substream(0, 0), 4)
+        base, big = _coupled_chunk(1e-9, 3.0, region, substream(0, 0), 4)
         assert base.dtype == big.dtype == float
         assert np.all(base == tail_mean(1e-9, 3.0, region.radius))
         assert np.all(big == tail_mean(1e-9, 3.0, 2.0 * region.radius))
@@ -236,6 +249,63 @@ class TestRatioCcdfEstimates:
                                                             tail_tol=1e-2))
         want = ratio_laplace(1.0, spec)
         assert abs(est.mean - want) < 3.0 * est.stderr
+
+    @pytest.mark.parametrize("x", [math.nan, -1.0])
+    def test_bad_point_is_rejected_before_drawing(self, monkeypatch, x):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("points were drawn")
+
+        monkeypatch.setattr(simulate, "_disk_points", no_draw)
+        spec, cfg = RatioSpec(0.01, 0.02, 3.0), TrialConfig(trials=100)
+        for call in (lambda: ratio_ccdf_estimates([0.5, x], spec, cfg),
+                     lambda: empirical_ratio_ccdf(x, spec, cfg),
+                     lambda: window_doubling_probe(x, [spec], cfg)):
+            with pytest.raises(ParameterDomainError, match="ccdf points"):
+                call()
+
+    def test_infinite_point_is_never_exceeded(self):
+        spec, cfg = RatioSpec(0.01, 0.02, 3.0), TrialConfig(trials=500, seed=4, tail_tol=1e-2)
+        (est,) = ratio_ccdf_estimates([math.inf], spec, cfg)
+        ((base, big),) = window_doubling_probe(math.inf, [spec], cfg)
+        assert est.mean == base.mean == big.mean == 0.0
+
+
+class TestWindowDoublingProbe:
+    """Several exponents probed on one draw of the two processes."""
+
+    SPECS = [RatioSpec(0.01, 0.02, alpha) for alpha in (3.0, 4.0)]
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_shared_draw_has_the_bits_of_single_spec_calls(self, partitions):
+        cfg = TrialConfig(trials=6000, seed=31, tail_tol=1e-2, partitions=partitions)
+        # Both exponents get the floor windows, 60 and 42.4.
+        assert len({ratio_regions(spec, cfg) for spec in self.SPECS}) == 1
+        together = window_doubling_probe(2.0, self.SPECS, cfg)
+        assert together == [window_doubling_probe(2.0, [spec], cfg)[0] for spec in self.SPECS]
+
+    @pytest.mark.parametrize("specs", [
+        [],
+        [RatioSpec(0.01, 0.02, 3.0), RatioSpec(0.01, 0.03, 4.0)],
+        [RatioSpec(0.01, 0.02, 3.0), RatioSpec(0.02, 0.02, 3.0)],
+    ])
+    def test_rejects_no_specs_and_unshared_densities(self, specs):
+        with pytest.raises(ParameterDomainError):
+            window_doubling_probe(2.0, specs, TrialConfig(trials=100))
+
+    def test_differing_windows_agree_with_single_spec_calls(self):
+        # At tail_tol 5e-5 the alpha = 3 denominator window rises above its
+        # floor (59.5 against 42.4), so the alpha = 4 spec is drawn on the
+        # larger disk: a new stream of the same process.  The alpha = 3 spec
+        # sets both drawn disks and keeps its bits.
+        cfg = TrialConfig(trials=10_000, seed=32, tail_tol=5e-5)
+        (_, den3), (_, den4) = (ratio_regions(spec, cfg) for spec in self.SPECS)
+        assert den3.radius > den4.radius
+        together = window_doubling_probe(2.0, self.SPECS, cfg)
+        alone = [window_doubling_probe(2.0, [spec], cfg)[0] for spec in self.SPECS]
+        assert together[0] == alone[0]
+        for pair, ref in zip(together, alone):
+            for a, b in zip(pair, ref):
+                assert abs(a.mean - b.mean) < 3.0 * math.hypot(a.stderr, b.stderr)
 
 
 class TestAlignedSir:
@@ -393,9 +463,8 @@ class TestAlignedGeometry:
         g0 = _AlignedModel(stratum, "exponential").signal_gain(
             stratum.geometry(substream(43, 0), n))
         rng = substream(44, 0)
-        counts, cell, r = _disk_points(rng, lam * math.pi * radius**2, radius, n)
-        ref = (np.bincount(cell, weights=r ** -sc.alpha, minlength=n)
-               + tail_mean(lam, sc.alpha, radius))
+        counts, r = _disk_points(rng, lam * math.pi * radius**2, radius, n)
+        ref = _trial_sums(r ** -sc.alpha, counts) + tail_mean(lam, sc.alpha, radius)
         empty = counts == 0
         assert 0.45 < empty.mean() < 0.55
         r_s = np.sqrt(radius**2 + rng.exponential(size=empty.sum()) / (math.pi * lam))
