@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
+from .mc import check_integer
 
 #: Allowed deviation of the weight sum from 1.
 _SUM_TOL = 1e-12
@@ -53,8 +54,7 @@ class ZipfSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.n_files < 1:
-            raise ParameterDomainError(f"n_files must be at least 1, got {self.n_files}")
+        check_integer("n_files", self.n_files, 1)
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise ParameterDomainError(f"gamma must be nonnegative, got {self.gamma}")
 

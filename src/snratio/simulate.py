@@ -92,11 +92,6 @@ _STREAM_STRIDE = 1_000_000
 #: a chunk's memory stays bounded as the file count N grows.
 _BLOCK_CELLS = 1 << 19
 
-#: Expected interferers per (trial, file) cell above which the aligned
-#: model draws one Poisson count per cell instead of a trial label per
-#: point; the two cost the same at about 7 points a cell.
-_CELL_COUNT_POINTS = 8.0
-
 
 @dataclass(frozen=True)
 class DiskRegion:
@@ -407,10 +402,8 @@ class _SirChunk(NamedTuple):
     and ``sig_tail`` that file's tail mean beyond max(R, r1) for the signal
     disk of radius R.  Its other points on the disk carry their trial
     ``sig_trial`` and radius ``sig_r``.  The interferers are file-major:
-    points ``ends[j]:ends[j + 1]`` belong to file ``j``, with cell key
-    ``j * n + trial`` and radius ``r``; ``labels`` holds their trials where
-    they were drawn as labels, and is ``None`` where counts were drawn per
-    cell.
+    points ``ends[j]:ends[j + 1]`` belong to file ``j``, with trial
+    ``labels``, cell key ``j * n + trial`` and radius ``r``.
     """
 
     n: int
@@ -420,12 +413,8 @@ class _SirChunk(NamedTuple):
     sig_r: np.ndarray
     ends: np.ndarray
     key: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
     r: np.ndarray
-
-    def interferer_trials(self) -> np.ndarray:
-        """Every interferer's trial."""
-        return self.key % self.n if self.labels is None else self.labels
 
 
 class _Stratum:
@@ -443,10 +432,8 @@ class _Stratum:
     Processes*, 1993): one Poisson count of mean ``n * lambda_j * area`` per
     file ``j`` (``lambda_k = 0``), each point with a uniform trial label and a
     uniform position on the interference disk.  So the random-number cost is
-    one draw per point and per trial, not per (trial, file) cell.  Where the
-    cells are crowded (``_CELL_COUNT_POINTS``), one Poisson count per cell
-    is the cheaper exact draw of the same process.  Both SIR models are
-    evaluated on this geometry.
+    one draw per point and per trial, not per (trial, file) cell.  Both SIR
+    models are evaluated on this geometry.
     """
 
     def __init__(self, scenario: Scenario, k: int, sig_region: DiskRegion,
@@ -462,7 +449,6 @@ class _Stratum:
         self.sig_region = sig_region
         self.int_means = dens_int * int_region.area
         self.int_radius = int_region.radius
-        self.count_cells = bool(self.int_means.sum() >= _CELL_COUNT_POINTS * self.n_files)
         self.tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
 
     def geometry(self, rng, n) -> _SirChunk:
@@ -482,19 +468,11 @@ class _Stratum:
         np.sqrt(sig_r, out=sig_r)
         r1 = np.sqrt(r1_sq)
         sig_tail = tail_mean(lam, self.alpha, np.maximum(r1, radius))
-        if self.count_cells:
-            # Counts over the (file, trial) grid: a point's cell index is its key.
-            counts, r = _disk_points(rng, self.int_means[:, None], self.int_radius,
-                                     (self.n_files, n))
-            key = np.repeat(np.arange(counts.size), counts.ravel())
-            counts = counts.sum(axis=1)
-            labels = None
-        else:
-            counts, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
-            labels = rng.integers(0, n, size=r.size)
-            key = np.repeat(np.arange(self.n_files), counts)
-            key *= n
-            key += labels
+        counts, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
+        labels = rng.integers(0, n, size=r.size)
+        key = np.repeat(np.arange(self.n_files), counts)
+        key *= n
+        key += labels
         return _SirChunk(n, r1, sig_tail, sig_trial, sig_r,
                          np.concatenate(([0], np.cumsum(counts))), key, labels, r)
 
@@ -640,8 +618,8 @@ class _NearestHelperModel:
         log_q = s.theta * chunk.r1 ** s.alpha * (chunk.sig_tail + s.tau_int.sum())
         log_q += np.bincount(chunk.sig_trial, weights=log_terms(chunk.sig_trial, chunk.sig_r),
                              minlength=n)
-        trial = chunk.interferer_trials()
-        log_q += np.bincount(trial, weights=log_terms(trial, chunk.r), minlength=n)
+        log_q += np.bincount(chunk.labels, weights=log_terms(chunk.labels, chunk.r),
+                             minlength=n)
         return np.exp(-log_q)
 
     def sir(self, rng, chunk: _SirChunk):
@@ -651,7 +629,7 @@ class _NearestHelperModel:
         sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** -s.alpha
         int_power = rng.exponential(size=chunk.r.size) * chunk.r ** -s.alpha
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
-                        + np.bincount(chunk.interferer_trials(), weights=int_power, minlength=n)
+                        + np.bincount(chunk.labels, weights=int_power, minlength=n)
                         + chunk.sig_tail + s.tau_int.sum())
         return signal / interference
 

@@ -50,6 +50,17 @@ class TestConfig:
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(trials=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_files", 2.5), ("n_files", 50.0), ("n_files", True),
+        ("fig4_n_files", (5, 2.5)), ("fig4_n_files", (5.0,)),
+        ("fig5_n_files", (True, 500)), ("fig5_n_files", (0,)),
+    ])
+    def test_file_counts_must_be_integers(self, field, value):
+        # A file count sizes every array and the profile, as trials and seed
+        # key the streams: integer-valued floats and bools are rejected too.
+        with pytest.raises(ParameterDomainError, match=field):
+            ExperimentConfig(**{field: value})
+
     @pytest.mark.parametrize("mc_tol", [math.inf, -math.inf, -0.01, 0.0])
     def test_mc_tol_is_positive_and_finite_or_nan(self, mc_tol):
         # An infinite or negative tolerance would pass or fail every Monte
@@ -444,6 +455,15 @@ class TestCli:
     def test_configuration_error_exits_two(self, tmp_path):
         code = main(["fig3", "--alpha", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+
+    def test_non_integer_file_count_exits_two(self, tmp_path, capsys):
+        code = main(["fig5", "--n-files-list", "5,2.5", "--gamma-grid", "1",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--n-files", "2.5", "--out-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["fig5", "--theta", "inf", "--n-files-list", "5"],

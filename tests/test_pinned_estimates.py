@@ -58,8 +58,8 @@ SCENARIOS = {
 SPEC = RatioSpec(0.02, 0.1, 3.0)
 SMALL_RATIO_REGIONS = (DiskRegion(3.0), DiskRegion(1.5))
 SMALL_SIR_REGIONS = (DiskRegion(2.0), DiskRegion(12.0))
-#: About 4 interferers per (trial, file) cell, too few to count per cell: the
-#: aligned model draws a trial label per point.
+#: About 4 interferers per (trial, file) cell, where the default windows hold
+#: about 30.
 SPARSE_INTERFERENCE_REGION = DiskRegion(8.0)
 #: Series converge at every file: without warnings at alpha = 4, with
 #: flagged inverse moments at alpha = 3.
@@ -243,15 +243,15 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
                                '8039184578e83f81bd70228033bf49a308719c164529983278f941b23931e13a'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
-                                   '0x1.99ce075f6fd22p-2',
-                                   '0x1.c62143bf20a68p-8',
+                                   '0x1.982a9930be0dfp-2',
+                                   '0x1.c5d3481627c9dp-8',
                                    5000,
                                    3,
                                    0),
         'sir_aligned_exponential_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_exponential_N5': ('est',
-                                       '0x1.9bdeaf0d8ba4dp-2',
-                                       '0x1.516ac47b04c89p-8',
+                                       '0x1.97ab88b0896eep-2',
+                                       '0x1.5070f778e4b38p-8',
                                        5000,
                                        3,
                                        0),
@@ -261,30 +261,30 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
                                                  5000,
                                                  3,
                                                  0),
-        'sir_aligned_regions': ('est', '0x1.ce075f6fd21ffp-4', '0x1.253a10594f3a4p-8', 5000, 3, 0),
+        'sir_aligned_regions': ('est', '0x1.d70a3d70a3d71p-4', '0x1.27b48606f6a2ep-8', 5000, 3, 0),
         'sir_aligned_signal_region_only': ('est',
-                                           '0x1.7a31222afe92ep-3',
-                                           '0x1.13536fa8ed8d0p-8',
+                                           '0x1.79a6a729a95bep-3',
+                                           '0x1.12b36960ea1e2p-8',
                                            5000,
                                            3,
                                            0),
         'sir_baseline_N1': ('est', '0x1.1d9b2d9b3743cp-1', '0x1.21e090784d752p-8', 5000, 3, 0),
-        'sir_baseline_N5': ('est', '0x1.0ab9613b64233p-2', '0x1.3798888dae27bp-8', 5000, 3, 0),
+        'sir_baseline_N5': ('est', '0x1.05c3df852dc19p-2', '0x1.3537b722ecacbp-8', 5000, 3, 0),
         'sir_baseline_interference_region_only': ('est',
                                                   '0x1.169effe1871a9p-3',
                                                   '0x1.feea90dfe9a00p-9',
                                                   5000,
                                                   3,
                                                   0),
-        'sir_baseline_regions': ('est', '0x1.1ce82579fadcap-4', '0x1.7d9a8c2479968p-9', 5000, 3, 0),
+        'sir_baseline_regions': ('est', '0x1.1cf715579c536p-4', '0x1.808eb3687e81fp-9', 5000, 3, 0),
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        '47ba223159b64f8945bdcfe23dd2761433094e719d3b44f2fa270ab8dc4f8e8b'),
+                                        '17bf32fcdca0aa53ec06ffbe085426a46c9325d3ce37c655f12badb1ea181723'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            'bac423771053874aad66f4b19c7ff6545ad44d340c235cf5cf318f99ed8ac032'),
+                                            'c36819c37d64b76e1e2ea92c34596074c7176bf917e69d5e2c6b8f75b1e2d4b6'),
         'sir_samples_aligned_interference_region_only': ('arr',
                                                          'float64',
                                                          (5000,),
@@ -292,52 +292,52 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 '1a4ba2595dcb15bb5f6e0a5bcf66c460d23b76e0e764faa98ecfc3a4a479fc43'),
+                                 'e9ebf9dbd20ec739a0213941f2a85478885a526c8dd46b876981e031f2c5e909'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '19aba661047ec6b0e1869d0f0127e25b13491c3fb5d9bbd4bb2403c32b30fd23'),
+                                         '2ba12005bf9a81c7b6f2718b1c329c2a4984005471e2d042e2ba0a42289737ff'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
         'total_aligned_complex_N5': (('est',
-                                      '0x1.f72015d867c40p-3',
-                                      '0x1.6c3f13f1915cbp-8',
+                                      '0x1.0057619f0fb39p-2',
+                                      '0x1.6e8cf47a1784dp-8',
                                       6000,
                                       3,
                                       0),
                                      ((0,
                                        ('est',
-                                        '0x1.8add99ad8ec38p-2',
-                                        '0x1.373e18e6897c5p-7',
+                                        '0x1.8dfbe838e9197p-2',
+                                        '0x1.37b19be542763p-7',
                                         2627,
                                         3,
                                         0)),
                                       (1,
                                        ('est',
-                                        '0x1.9555555555555p-3',
-                                        '0x1.6441ad4d8791cp-7',
+                                        '0x1.9cf3cf3cf3cf4p-3',
+                                        '0x1.66c11c92b9463p-7',
                                         1344,
                                         3,
                                         0)),
                                       (2,
                                        ('est',
-                                        '0x1.232f514a026d3p-3',
-                                        '0x1.8a248f1d45f2dp-7',
+                                        '0x1.0fc5c3562465fp-3',
+                                        '0x1.7ee047d215dc3p-7',
                                         844,
                                         3,
                                         0)),
                                       (3,
                                        ('est',
-                                        '0x1.2420a19a38b76p-4',
-                                        '0x1.48c206868fad0p-7',
+                                        '0x1.6eb6946500637p-4',
+                                        '0x1.6cb6f315065e2p-7',
                                         659,
                                         3,
                                         0)),
                                       (4,
                                        ('est',
-                                        '0x1.b41377b9ea95ep-5',
-                                        '0x1.410dd9c68b059p-7',
+                                        '0x1.2fb2211855a86p-4',
+                                        '0x1.76b2ad335dc56p-7',
                                         526,
                                         3,
                                         0)))),
@@ -350,43 +350,43 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
                                             3,
                                             0)),)),
         'total_aligned_exponential_N5': (('est',
-                                          '0x1.ffb94d166ca0fp-3',
-                                          '0x1.1ca98a492163bp-8',
+                                          '0x1.0116c02f95984p-2',
+                                          '0x1.1c470e1b6637fp-8',
                                           6000,
                                           3,
                                           0),
                                          ((0,
                                            ('est',
-                                            '0x1.965a47c08d8ffp-2',
-                                            '0x1.cccbb28514c75p-8',
+                                            '0x1.97c7ce0874d5bp-2',
+                                            '0x1.cb5c6fdf4daf0p-8',
                                             2627,
                                             3,
                                             0)),
                                           (1,
                                            ('est',
-                                            '0x1.8e88719997c14p-3',
-                                            '0x1.0c980445dca36p-7',
+                                            '0x1.89aba9db7486cp-3',
+                                            '0x1.0baed71f5c6a9p-7',
                                             1344,
                                             3,
                                             0)),
                                           (2,
                                            ('est',
-                                            '0x1.133156466c9e1p-3',
-                                            '0x1.30bfed9c58f5dp-7',
+                                            '0x1.112033776f792p-3',
+                                            '0x1.2eb002fb8c62cp-7',
                                             844,
                                             3,
                                             0)),
                                           (3,
                                            ('est',
-                                            '0x1.5da1e86dc91c6p-4',
-                                            '0x1.0ec0bd6015d4ep-7',
+                                            '0x1.68e1e86025b92p-4',
+                                            '0x1.127de83d5c67fp-7',
                                             659,
                                             3,
                                             0)),
                                           (4,
                                            ('est',
-                                            '0x1.8d80013f05cd8p-5',
-                                            '0x1.d8c74fba583cfp-8',
+                                            '0x1.e730da65d454dp-5',
+                                            '0x1.fda7836cb927ap-8',
                                             526,
                                             3,
                                             0)))),
@@ -400,29 +400,39 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
                                  6000,
                                  3,
                                  0)),)),
-        'total_baseline_N5': (('est', '0x1.5e46f7ea5fbc0p-3', '0x1.f7d1caad945d9p-9', 6000, 3, 0),
+        'total_baseline_N5': (('est', '0x1.5dd154c51ad33p-3', '0x1.f6651bf2da3afp-9', 6000, 3, 0),
                               ((0,
                                 ('est',
-                                 '0x1.08e5636298aa7p-2',
-                                 '0x1.acd07be69b028p-8',
+                                 '0x1.079deb9ae7779p-2',
+                                 '0x1.abb08545aedb5p-8',
                                  2627,
                                  3,
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.236360e35e0dbp-3',
-                                 '0x1.edacab3fe6f42p-8',
+                                 '0x1.208bfc410026bp-3',
+                                 '0x1.eba16f1492515p-8',
                                  1344,
                                  3,
                                  0)),
                                (2,
-                                ('est', '0x1.b8fa216909c88p-4', '0x1.1f6e8c4d449bbp-7', 844, 3, 0)),
+                                ('est',
+                                 '0x1.afe5076c78b8ep-4',
+                                 '0x1.1cd7d7da2ee23p-7',
+                                 844,
+                                 3,
+                                 0)),
                                (3,
-                                ('est', '0x1.1337b559b90dcp-4', '0x1.f9b0a179bae3dp-8', 659, 3, 0)),
+                                ('est',
+                                 '0x1.1cb4a07e9e6bap-4',
+                                 '0x1.f92fa8fe5c7bap-8',
+                                 659,
+                                 3,
+                                 0)),
                                (4,
                                 ('est',
-                                 '0x1.3b9177ff98baap-5',
-                                 '0x1.b81f664cd1f72p-8',
+                                 '0x1.7c1f7ff33c5c6p-5',
+                                 '0x1.da877cd64257dp-8',
                                  526,
                                  3,
                                  0)))),

@@ -57,6 +57,12 @@ class TestZipf:
         with pytest.raises(ParameterDomainError):
             ZipfSpec(5, -0.1)
 
+    @pytest.mark.parametrize("n_files", [2.5, 3.0, True, "3"])
+    def test_file_count_must_be_an_integer(self, n_files):
+        # np.arange(1, 3.5) has 3 entries, so 2.5 would build a 3-file profile.
+        with pytest.raises(ParameterDomainError, match="n_files"):
+            ZipfSpec(n_files, 1.0)
+
 
 class TestDecomposeDensities:
     def test_uniform_split(self):

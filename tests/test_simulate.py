@@ -403,19 +403,20 @@ def _aligned_model(sc, k, mode="exponential"):
 
 
 class TestAlignedGeometry:
-    @pytest.mark.parametrize("n_files, count_cells", [(5, True), (40, False)])
-    def test_interferer_counts_and_trial_labels(self, n_files, count_cells):
+    @pytest.mark.parametrize("n_files, alpha, tail_tol", [(5, 4.0, 1e-2), (40, 4.0, 1e-2),
+                                                          (5, 3.0, 1e-4)])
+    def test_interferer_counts_and_trial_labels(self, n_files, alpha, tail_tol):
         # Marking theorem: per (trial, file) the counts are Poisson with mean
         # lambda_j * area; the requested file has none; labels are uniform.
-        # Five files crowd the cells (a count per cell), 40 do not (a label
-        # per point).
-        sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, 4.0, 0.1), 2, 4096
-        stratum = _stratum(sc, k)
-        assert stratum.count_cells is count_cells
-        chunk = stratum.geometry(substream(29, 0), n)
+        # At alpha = 3 and tail_tol 1e-4 the interference disk has radius
+        # 62.9, about 250 points a cell.
+        sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, alpha, 0.1), 2, 4096
+        regions = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=tail_tol))
+        chunk = _Stratum(sc, k, *regions).geometry(substream(29, 0), n)
         file, trial = np.divmod(chunk.key, n)
         assert np.array_equal(file, np.repeat(np.arange(n_files), np.diff(chunk.ends)))
-        area = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2))[1].area
+        assert np.array_equal(trial, chunk.labels)
+        area = regions[1].area
         dens = decompose_densities(sc.profile, sc.helper_density)
         counts = np.bincount(chunk.key, minlength=n_files * n).reshape(n_files, n)
         assert not counts[k].any()
@@ -582,7 +583,6 @@ class TestBaselineSir:
 
     @pytest.mark.parametrize("n_files", [1, 5, 40])
     def test_product_form_from_raw_geometry(self, n_files):
-        # Five files crowd the cells (a count per cell), 40 do not (a label per point).
         sc, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), 300
         self._check_product_form(_stratum(sc, n_files // 2), n)
 
