@@ -59,7 +59,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="fading samples for the expectation forms")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--tail-tol", dest="tail_tol", type=float,
-                        help="tolerated standard deviation of the shot noise beyond each window")
+                        help="tolerated standard deviation of the shot noise beyond each "
+                             "window, as a fraction of the shot noise's stable scale")
     parser.add_argument("--mc-tol", dest="mc_tol", type=float,
                         help="absolute tolerance for the MC agreement check "
                              "(default: 3 standard errors)")
@@ -83,7 +84,8 @@ _FIGURES = {
              ("alpha", "n_files", "method"), "gamma", "p_total"),
     "fig5": ("alignment gain and its approximation", run_figure5, check_figure5,
              "the approximation is off the simulated gain by more than 10%% and 3 "
-             "standard errors, or the gain is within 3 standard errors of 0",
+             "standard errors, the gain is within 3 standard errors of 0, or it "
+             "falls by more than 3 standard errors as the skew grows",
              ("alpha", "n_files"), "gamma", "sim_gain"),
 }
 

@@ -15,7 +15,9 @@ conventional nearest-helper service without alignment, and the resulting
 alignment gain.
 
 All closed forms are independent of the helper density; the density is
-carried on the scenario only for the Monte Carlo simulator.
+carried on the scenario only for the Monte Carlo simulator, whose windows
+scale with it (:func:`snratio.simulate.default_region`), so no simulator
+estimate depends on it either, beyond rounding.
 """
 
 from __future__ import annotations

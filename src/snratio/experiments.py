@@ -50,25 +50,24 @@ class ExperimentConfig:
     trials: int = 20000
     batch_samples: int = 20000
     seed: int = 1
-    tail_tol: float = 1e-2
+    tail_tol: float = TrialConfig.tail_tol
     mc_tol: float = float("nan")  # nan: use 3 * stderr in the MC agreement check
     partitions: int = 1
     sim_mode: str = "exponential"
     out_dir: str = "out"
 
     def __post_init__(self):
-        if len(self.gamma_grid) == 0:
-            raise ParameterDomainError("gamma_grid must be nonempty")
+        for name in ("alphas", "gamma_grid", "fig4_n_files", "fig5_n_files"):
+            if len(getattr(self, name)) == 0:
+                raise ParameterDomainError(f"{name} must be nonempty")
         if not all(2.0 < a < math.inf for a in (*self.alphas, self.fig5_alpha)):
             raise ParameterDomainError("every alpha must exceed 2 and be finite")
         check_integer("n_files", self.n_files, 1)
         for name in ("fig4_n_files", "fig5_n_files"):
             for n in getattr(self, name):
                 check_integer(f"every entry of {name}", n, 1)
-        check_integer("trials", self.trials, 1)
+        self.trial_config()  # checks trials, seed, tail_tol and partitions
         check_integer("batch_samples", self.batch_samples, 1)
-        check_integer("seed", self.seed, 0)
-        check_integer("partitions", self.partitions, 1)
         if not 0.0 < self.helper_density < math.inf:
             raise ParameterDomainError("helper_density must be positive and finite")
         if not 0.0 < self.theta < math.inf:
@@ -341,10 +340,16 @@ def check_figure5(rows) -> list[str]:
     A row is flagged when |approx - gain| exceeds the larger of 10% of the
     gain and three standard errors of it, or when its gain is unresolved:
     nan because a model had no successes, or less than three standard
-    errors from zero.
+    errors from zero.  The paper's headline claim, a gain that grows with
+    the skew, is checked too: per (alpha, n_files), with nan rows skipped,
+    a gain more than three combined standard errors below the gain at the
+    next smaller skew is flagged.
     """
     problems = []
+    curves = {}
     for gamma, alpha, n_files, gain, gain_err, approx, rel_gap in rows:
+        if not math.isnan(gain):
+            curves.setdefault((alpha, n_files), []).append((gamma, gain, gain_err))
         where = f"gamma={gamma} alpha={alpha} n_files={n_files}"
         if not _GAIN_MIN_Z * gain_err <= gain:
             problems.append(f"{where}: simulated gain {gain:.4g} +- {gain_err:.4g} "
@@ -354,6 +359,14 @@ def check_figure5(rows) -> list[str]:
                 f"{where}: approximation "
                 f"{approx:.4f} vs simulated gain {gain:.4f} +- {gain_err:.4f} "
                 f"(off by {rel_gap:+.1%})")
+    for (alpha, n_files), points in sorted(curves.items()):
+        points.sort()
+        for (g0, gain0, err0), (g1, gain1, err1) in zip(points, points[1:]):
+            if gain1 < gain0 - 3.0 * math.hypot(err0, err1):
+                problems.append(
+                    f"alpha={alpha} n_files={n_files}: simulated gain falls from "
+                    f"{gain0:.4f} +- {err0:.4f} at gamma={g0} to "
+                    f"{gain1:.4f} +- {err1:.4f} at gamma={g1}")
     return problems
 
 

@@ -9,14 +9,20 @@ variance.  A shot-noise sum therefore always holds its positive tail mean,
 and no ratio denominator is ever zero.
 
 The disk radius for a process of density ``lam`` is therefore sized by that
-fluctuation, the larger of two rules:
+fluctuation, in the process's own length unit ``1 / sqrt(lam)``: scaling
+the plane by ``sqrt(lam)`` maps it onto a process of unit density and
+multiplies every shot noise by ``lam**(alpha/2)`` (Haenggi, *Stochastic
+Geometry for Wireless Networks*, 2012), so no ratio, SIR or success
+probability depends on ``lam``.  ``R * sqrt(lam)`` is the larger of:
 
-* the standard deviation of the shot noise beyond the disk,
-  ``sqrt(pi lam / (alpha - 1)) * R**(1-alpha)`` by Campbell's theorem
-  (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012, ch. 4),
-  stays below ``tail_tol``;
-* the expected in-disk point count stays at least ``pi * COVERAGE_FACTOR**2``,
-  so the near field of the process is resolved even at low densities.
+* the radius at which the standard deviation of the shot noise beyond the
+  disk, ``sqrt(pi lam / (alpha - 1)) * R**(1-alpha)`` by Campbell's theorem
+  (ibid., ch. 4), is ``tail_tol`` times the shot noise's stable scale
+  ``(pi lam Gamma(1 - 2/alpha))**(alpha/2)``;
+* ``COVERAGE_FACTOR``, so the disk expects at least ``pi * COVERAGE_FACTOR**2``
+  points and the near field of the process is resolved.
+
+Every estimate is thus the same at any density, up to rounding.
 
 A window whose chunk of trials would hold more than ``MAX_CHUNK_POINTS``
 expected points raises :class:`~snratio.errors.ParameterDomainError` before
@@ -115,6 +121,11 @@ class DiskRegion:
 class TrialConfig:
     """Trial count, master seed, window tolerance and worker threads of a simulation run.
 
+    ``tail_tol`` bounds the standard deviation of the shot noise beyond each
+    default window, as a fraction of the shot noise's stable scale (see
+    :func:`default_region`).  Its default here is also
+    :class:`~snratio.experiments.ExperimentConfig`'s.
+
     ``partitions`` sets the worker threads of the counting and moment runs
     only.  The four sample gatherers (``shot_noise_samples``,
     ``ratio_samples``, ``sir_samples_aligned`` and ``sir_samples_baseline``)
@@ -128,14 +139,14 @@ class TrialConfig:
 
     trials: int
     seed: int = 0
-    tail_tol: float = 1e-4
+    tail_tol: float = 1e-2
     partitions: int = 1
 
     def __post_init__(self):
         check_integer("trials", self.trials, 1)
         check_integer("seed", self.seed, 0)
         if not self.tail_tol > 0.0:
-            raise ParameterDomainError("tail_tol must be positive")
+            raise ParameterDomainError(f"tail_tol must be positive, got {self.tail_tol}")
         check_integer("partitions", self.partitions, 1)
 
 
@@ -144,24 +155,28 @@ def tail_mean(density: float, alpha: float, radius: float) -> float:
     return 2.0 * math.pi * density * radius ** (2.0 - alpha) / (alpha - 2.0)
 
 
-def rule_radius(density: float, alpha: float, tail_tol: float) -> float:
-    """Smallest radius whose beyond-window shot noise has standard deviation at most ``tail_tol``.
-
-    The tail's mean is added back to every truncated sum, so only its
-    fluctuation, of variance ``pi * density * R**(2 - 2 alpha) / (alpha - 1)``,
-    is lost to the window.
-    """
-    return (math.sqrt(math.pi * density / (alpha - 1.0)) / tail_tol) ** (1.0 / (alpha - 1.0))
+def _check_process(density: float, alpha: float) -> None:
+    """Raise :class:`ParameterDomainError` unless the shot noise of a density
+    ``density`` process with path-loss exponent ``alpha`` is finite."""
+    if not 0.0 < density < math.inf:
+        raise ParameterDomainError(f"density must be positive and finite, got {density}")
+    if not 2.0 < alpha < math.inf:
+        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
 
 
 def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
-    """Default disk: the tail-spread rule, floored so the near field is populated."""
-    if not density > 0.0:
-        raise ParameterDomainError(f"density must be positive, got {density}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
-    return DiskRegion(max(rule_radius(density, alpha, tail_tol),
-                          COVERAGE_FACTOR / math.sqrt(density)))
+    """Default disk: radius ``max(rho, COVERAGE_FACTOR) / sqrt(density)``.
+
+    ``rho`` is where the tail spread reaches ``tail_tol`` of the stable
+    scale: the tail's mean is added back to every truncated sum, so only its
+    fluctuation, of variance ``pi * density * R**(2 - 2 alpha) / (alpha - 1)``,
+    is lost to the window, and at ``R = rho / sqrt(density)`` its standard
+    deviation is ``tail_tol * (pi * density * Gamma(1 - 2/alpha))**(alpha/2)``.
+    """
+    _check_process(density, alpha)
+    scale = (math.pi * math.gamma(1.0 - 2.0 / alpha)) ** (alpha / 2.0)
+    rho = (math.sqrt(math.pi / (alpha - 1.0)) / (tail_tol * scale)) ** (1.0 / (alpha - 1.0))
+    return DiskRegion(max(rho, COVERAGE_FACTOR) / math.sqrt(density))
 
 
 def _check_chunk_points(trials: int, windows) -> None:
@@ -243,6 +258,7 @@ def _shot_chunk(density, alpha, region, rng, n_trials) -> np.ndarray:
 def shot_noise_samples(density: float, alpha: float, cfg: TrialConfig,
                        region: DiskRegion | None = None) -> np.ndarray:
     """Independent shot-noise samples, one per trial, in deterministic order."""
+    _check_process(density, alpha)
     if region is None:
         region = default_region(density, alpha, cfg.tail_tol)
     _check_chunk_points(cfg.trials, ((density, region),))

@@ -61,6 +61,25 @@ class TestConfig:
         with pytest.raises(ParameterDomainError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("tail_tol", [-1.0, 0.0, math.nan])
+    def test_tail_tol_is_positive(self, tail_tol):
+        # Rejected with the config, not later when a sweep builds its TrialConfig.
+        with pytest.raises(ParameterDomainError, match="tail_tol"):
+            ExperimentConfig(tail_tol=tail_tol)
+
+    def test_one_tail_tol_default(self):
+        assert ExperimentConfig().tail_tol == TrialConfig(trials=1).tail_tol == 1e-2
+
+    @pytest.mark.parametrize("field", ["alphas", "gamma_grid", "fig4_n_files", "fig5_n_files"])
+    def test_sweep_axes_are_nonempty(self, field, tmp_path):
+        # An empty axis gives an empty sweep, which --validate would pass on zero rows.
+        with pytest.raises(ParameterDomainError, match=f"{field} must be nonempty"):
+            ExperimentConfig(**{field: ()})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} =\n")
+        with pytest.raises(ParameterDomainError, match=f"{field} must be nonempty"):
+            ExperimentConfig(**parse_config_file(str(path)))
+
     @pytest.mark.parametrize("mc_tol", [math.inf, -math.inf, -0.01, 0.0])
     def test_mc_tol_is_positive_and_finite_or_nan(self, mc_tol):
         # An infinite or negative tolerance would pass or fail every Monte
@@ -233,6 +252,24 @@ class TestSweeps:
         assert check_figure5([noisy]) == []
         (problem,) = check_figure5([noisy, far_off])
         assert "gamma=3.0" in problem
+
+    def test_figure5_check_flags_a_gain_that_falls_with_skew(self):
+        # gamma, alpha, n_files, sim_gain, sim_gain_stderr, approx_gain, rel_gap;
+        # the rows come unsorted, and the nan row between the two N = 5
+        # points is skipped, so 1.3 is compared with 1.6.
+        nan = math.nan
+        rows = [(1.0, 4.0, 5, 1.30, 0.05, 1.35, 0.04),
+                (0.0, 4.0, 5, 1.60, 0.05, 1.62, 0.01),
+                (0.5, 4.0, 5, nan, nan, 1.50, nan),
+                (0.0, 4.0, 500, 1.00, 0.05, 1.01, 0.01),
+                (1.0, 4.0, 500, 0.90, 0.05, 0.92, 0.02)]
+        problems = [p for p in check_figure5(rows) if "falls" in p]
+        assert len(problems) == 1
+        assert "alpha=4.0 n_files=5" in problems[0] and "gamma=1.0" in problems[0]
+        # Within three combined standard errors (0.21) a fall is noise.
+        assert not [p for p in check_figure5(
+            [(0.0, 4.0, 5, 1.60, 0.05, 1.62, 0.01), (1.0, 4.0, 5, 1.40, 0.05, 1.41, 0.01)])
+            if "falls" in p]
 
     def test_figure4_database_size_effect(self):
         # Fewer files help at low skew; at high skew the curves merge.

@@ -53,7 +53,6 @@ from snratio.simulate import (
     _trial_sums,
     aligned_regions,
     ratio_regions,
-    rule_radius,
     tail_mean,
     window_doubling_probe,
 )
@@ -73,26 +72,50 @@ def _tail_sd(density, alpha, radius):
                      / (2.0 * alpha - 2.0))
 
 
+def _stable_scale(density, alpha):
+    """Scale (pi density Gamma(1 - 2/alpha))**(alpha/2) of the shot noise's stable law."""
+    return (math.pi * density * math.gamma(1.0 - 2.0 / alpha)) ** (alpha / 2.0)
+
+
 class TestRegions:
-    def test_rule_radius_meets_tail_tolerance(self):
-        for density, alpha, tol in ((0.1, 3.0, 1e-4), (0.5, 4.0, 1e-2)):
-            r = rule_radius(density, alpha, tol)
-            assert _tail_sd(density, alpha, r) == pytest.approx(tol, rel=1e-12)
+    def test_default_region_meets_relative_tail_tolerance(self):
+        # Where the rule binds, the tail spread is tol times the stable scale.
+        for density, alpha, tol in ((0.1, 3.0, 1e-4), (0.5, 4.0, 1e-5), (1e-3, 2.5, 1e-3),
+                                    (100.0, 3.0, 1e-4), (0.02, 6.0, 1e-6)):
+            r = default_region(density, alpha, tol).radius
+            assert r > simulate.COVERAGE_FACTOR / math.sqrt(density)
+            assert _tail_sd(density, alpha, r) == pytest.approx(
+                tol * _stable_scale(density, alpha), rel=1e-12)
 
     def test_default_region_never_below_rule(self):
-        region = default_region(0.1, 3.0, 1e-4)
-        assert region.radius >= rule_radius(0.1, 3.0, 1e-4)
-        assert _tail_sd(0.1, 3.0, region.radius) <= 1e-4 * (1 + 1e-12)
+        # Floor or rule, the tail spread never exceeds tol times the stable scale.
+        for density in (1e-3, 0.1, 10.0):
+            for alpha in (2.2, 3.0, 4.0):
+                for tol in (1e-2, 1e-3, 1e-4):
+                    r = default_region(density, alpha, tol).radius
+                    assert (_tail_sd(density, alpha, r)
+                            <= tol * _stable_scale(density, alpha) * (1 + 1e-12))
 
-    def test_rule_radius_tail_spread_matches_sampled_annulus(self):
+    @pytest.mark.parametrize("density", [1e-4, 0.1, 10.0])
+    def test_default_tail_tol_gives_the_coverage_floor(self, density):
+        # At the default tail_tol the floor binds for every alpha > 2, with
+        # the radius computed as COVERAGE_FACTOR / sqrt(density), bit for bit.
+        tol = TrialConfig(trials=1).tail_tol
+        for alpha in np.linspace(2.0, 8.0, 121)[1:]:
+            region = default_region(density, float(alpha), tol)
+            assert region.radius == simulate.COVERAGE_FACTOR / math.sqrt(density)
+
+    def test_default_region_tail_spread_matches_sampled_annulus(self):
         # The coupled sums differ by the points between R and 2R and the
         # difference of the tail means, so their spread is the tail's spread
-        # at R less the part beyond 2R: tol * sqrt(1 - 2**(2 - 2 alpha)).
-        density, alpha, tol = 0.1, 3.0, 1e-2
-        region = DiskRegion(rule_radius(density, alpha, tol))
-        base, big = _coupled_chunk(density, alpha, region, substream(29, 0), 20_000)
-        sd = np.std(base - big, ddof=1)
-        assert sd == pytest.approx(tol * math.sqrt(1.0 - 2.0 ** (2.0 - 2.0 * alpha)), rel=0.03)
+        # at R less the part beyond 2R: that at R times sqrt(1 - 2**(2 - 2 alpha)).
+        density, alpha, tol = 0.1, 3.0, 1e-3
+        region = default_region(density, alpha, tol)
+        diffs = np.concatenate([np.subtract(*_coupled_chunk(density, alpha, region,
+                                                            substream(29, i), 5000))
+                                for i in range(4)])
+        want = tol * _stable_scale(density, alpha) * math.sqrt(1.0 - 2.0 ** (2.0 - 2.0 * alpha))
+        assert np.std(diffs, ddof=1) == pytest.approx(want, rel=0.03)
 
     def test_window_that_cannot_be_held_raises_before_drawing(self):
         sc = Scenario.from_zipf(5, 1.0, 5.0, 3.0)
@@ -105,9 +128,10 @@ class TestRegions:
                  lambda: ratio_ccdf_estimates([1.0], spec, cfg),
                  lambda: window_doubling_probe(1.0, [spec], cfg),
                  # Each window fits at alpha = 4 alone; the alpha = 3 spec's
-                 # larger windows, on which both are drawn, do not.
+                 # larger windows, on which both are drawn, do not: at
+                 # tail_tol 1.3e-5 its denominator window has radius 198.7.
                  lambda: window_doubling_probe(
-                     1.0, [replace(spec, alpha=4.0), spec], replace(cfg, tail_tol=1e-5)))
+                     1.0, [replace(spec, alpha=4.0), spec], replace(cfg, tail_tol=1.3e-5)))
         tracemalloc.start()
         try:
             for call in calls:
@@ -119,10 +143,11 @@ class TestRegions:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_default_tail_tol_window_is_held(self):
-        # TrialConfig's default tail_tol at alpha = 3: about 1250 points a trial.
+    def test_crowded_window_is_held(self):
+        # tail_tol 1.3e-4 at alpha = 3 and density 0.1: an interference
+        # window of radius 62.9, about 1250 points a trial.
         sc = Scenario.from_zipf(5, 1.0, 5.0, 3.0)
-        sim = simulate_sir_aligned(sc, 0, TrialConfig(1000))
+        sim = simulate_sir_aligned(sc, 0, TrialConfig(1000, tail_tol=1.3e-4))
         want = conditional_delivery_prob(0, sc, FadingBatch(20_000, seed=5))
         assert abs(sim.mean - want.mean) < 3.0 * math.hypot(sim.stderr, want.stderr)
 
@@ -133,6 +158,58 @@ class TestRegions:
     def test_rejects_bad_radius(self):
         with pytest.raises(ParameterDomainError):
             DiskRegion(0.0)
+
+    @pytest.mark.parametrize("region", [None, DiskRegion(5.0)])
+    @pytest.mark.parametrize("density, alpha", [
+        (0.1, 2.0), (0.1, 1.5), (0.1, math.inf), (0.1, math.nan),
+        (-1.0, 3.0), (0.0, 3.0), (math.nan, 3.0), (math.inf, 3.0)])
+    def test_shot_noise_domain_is_checked_whatever_the_region(self, density, alpha, region):
+        # With an explicit region too: there alpha = 2 would divide by zero
+        # and alpha = 1.5 would give negative shot noise.
+        with pytest.raises(ParameterDomainError, match="density|alpha"):
+            shot_noise_samples(density, alpha, TrialConfig(trials=10), region)
+
+
+class TestDensityInvariance:
+    """Scaling the plane by sqrt(c) maps a density lam process onto one of
+    density c * lam, and the default windows scale with it: every estimate
+    is the same at both densities, the shot noise times c**(alpha/2)."""
+
+    @pytest.fixture(params=[(3.0, 1e-2), (3.0, 1e-4), (4.0, 1e-2), (4.0, 1e-4)],
+                    ids=lambda p: f"alpha{p[0]}-tol{p[1]}")
+    def alpha_tol(self, request):
+        return request.param
+
+    @staticmethod
+    def _close(a, b):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-2, 1e2])
+    def test_shot_noise_scales_as_the_stable_law(self, alpha_tol, c):
+        alpha, tol = alpha_tol
+        cfg = TrialConfig(trials=2000, seed=51, tail_tol=tol)
+        base = shot_noise_samples(0.1, alpha, cfg)
+        scaled = shot_noise_samples(0.1 * c, alpha, cfg) / c ** (alpha / 2.0)
+        np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("c", [1e-2, 1e2])
+    def test_ratio_ccdf_does_not_depend_on_density(self, alpha_tol, c):
+        alpha, tol = alpha_tol
+        cfg = TrialConfig(trials=1000, seed=52, tail_tol=tol)
+        xs = [0.25, 1.0, 4.0]
+        base = ratio_ccdf_estimates(xs, RatioSpec(0.05, 0.1, alpha), cfg)
+        scaled = ratio_ccdf_estimates(xs, RatioSpec(0.05 * c, 0.1 * c, alpha), cfg)
+        for a, b in zip(scaled, base):
+            self._close((a.mean, a.stderr), (b.mean, b.stderr))
+
+    @pytest.mark.parametrize("c", [1e-2, 1e2])
+    def test_totals_do_not_depend_on_density(self, alpha_tol, c):
+        alpha, tol = alpha_tol
+        cfg = TrialConfig(trials=600, seed=53, tail_tol=tol)
+        base = simulate_totals(Scenario.from_zipf(5, 1.0, 5.0, alpha, 0.1), cfg)
+        scaled = simulate_totals(Scenario.from_zipf(5, 1.0, 5.0, alpha, 0.1 * c), cfg)
+        for a, b in zip(scaled, base):
+            self._close((a.mean, a.stderr), (b.mean, b.stderr))
 
 
 class TestSamplePpp:
@@ -293,11 +370,11 @@ class TestWindowDoublingProbe:
             window_doubling_probe(2.0, specs, TrialConfig(trials=100))
 
     def test_differing_windows_agree_with_single_spec_calls(self):
-        # At tail_tol 5e-5 the alpha = 3 denominator window rises above its
-        # floor (59.5 against 42.4), so the alpha = 4 spec is drawn on the
-        # larger disk: a new stream of the same process.  The alpha = 3 spec
-        # sets both drawn disks and keeps its bits.
-        cfg = TrialConfig(trials=10_000, seed=32, tail_tol=5e-5)
+        # At tail_tol 7.2e-4 the alpha = 3 windows rise above their floors
+        # (84.4 against 60 and 59.7 against 42.4), so the alpha = 4 spec is
+        # drawn on the larger disks: a new stream of the same process.  The
+        # alpha = 3 spec sets both drawn disks and keeps its bits.
+        cfg = TrialConfig(trials=10_000, seed=32, tail_tol=7.2e-4)
         (_, den3), (_, den4) = (ratio_regions(spec, cfg) for spec in self.SPECS)
         assert den3.radius > den4.radius
         together = window_doubling_probe(2.0, self.SPECS, cfg)
@@ -404,11 +481,11 @@ def _aligned_model(sc, k, mode="exponential"):
 
 class TestAlignedGeometry:
     @pytest.mark.parametrize("n_files, alpha, tail_tol", [(5, 4.0, 1e-2), (40, 4.0, 1e-2),
-                                                          (5, 3.0, 1e-4)])
+                                                          (5, 3.0, 1.3e-4)])
     def test_interferer_counts_and_trial_labels(self, n_files, alpha, tail_tol):
         # Marking theorem: per (trial, file) the counts are Poisson with mean
         # lambda_j * area; the requested file has none; labels are uniform.
-        # At alpha = 3 and tail_tol 1e-4 the interference disk has radius
+        # At alpha = 3 and tail_tol 1.3e-4 the interference disk has radius
         # 62.9, about 250 points a cell.
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, alpha, 0.1), 2, 4096
         regions = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=tail_tol))
