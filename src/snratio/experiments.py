@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import special
 
 from . import delivery, shotnoise, simulate
 from .delivery import FadingBatch, Scenario
@@ -466,7 +465,13 @@ def _levy_pdf(x, scale: float):
 
 
 def _levy_cdf(x, scale: float):
-    """Distribution function of the one-sided stable (Levy) law: erfc(sqrt(c / 2x))."""
+    """Distribution function of the one-sided stable (Levy) law: erfc(sqrt(c / 2x)).
+
+    scipy's erfc, imported here so that only the validation suite loads
+    scipy: its KS distance is checked bit for bit against scipy.stats.
+    """
+    from scipy import special
+
     y = np.asarray(x, dtype=float) / scale
     return special.erfc(np.sqrt(0.5 / y))
 
@@ -487,7 +492,11 @@ def _ks_critical_1pct(n: int) -> float:
     The one-sided tail smirnov(n, D) falls as D grows, so D passes the test
     2 * smirnov(n, D) > 0.01 exactly when D <= smirnovi(n, 0.005), to one
     ulp of D.  Cached because the root search costs about 80 ms at n = 20000.
+    scipy is imported here, as in :func:`_levy_cdf`: no closed form of the
+    package needs it, and the pass/fail split must match scipy's smirnov.
     """
+    from scipy import special
+
     return float(special.smirnovi(n, 0.005))
 
 

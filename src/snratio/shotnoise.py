@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .errors import ContractError, ParameterDomainError, SeriesDivergenceError
 from .stable import FORM_A, FORM_B, StableParams, char_fn, convert, unit_scale, zero_crossing_prob
 
@@ -79,10 +77,19 @@ class SeriesControl:
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1 / Gamma(x), returning exactly 0.0 at the poles (nonpositive integers)."""
-    if x <= 0.0 and x == math.floor(x):
+    """1 / Gamma(x), returning exactly 0.0 at the poles (nonpositive integers).
+
+    Outside the double range of Gamma the value saturates: 0.0 where Gamma
+    overflows (x above about 171.62, and x = +-inf), and an infinity with
+    the sign of Gamma where Gamma underflows (x below about -171).
+    """
+    if x <= 0.0 and (math.isinf(x) or x == math.floor(x)):
         return 0.0
-    return float(special.rgamma(x))
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return 0.0
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 def diff_char_fn(t, x: float, spec: RatioSpec):
@@ -102,7 +109,7 @@ def diff_stable_params(x: float, spec: RatioSpec) -> StableParams:
     w2 = spec.lambda2 * x**d
     total = spec.lambda1 + w2
     beta_a = (spec.lambda1 - w2) / total
-    mu_a = total * math.pi * special.gamma(1.0 - d) * math.cos(math.pi / spec.alpha)
+    mu_a = total * math.pi * math.gamma(1.0 - d) * math.cos(math.pi / spec.alpha)
     return StableParams(FORM_A, d, beta_a, 0.0, mu_a)
 
 
@@ -240,7 +247,7 @@ def shot_noise_pdf(x: float, density: float, alpha: float,
     if not alpha > 2.0:
         raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
     d = 2.0 / alpha
-    z = density * math.pi * special.gamma(1.0 - d) / x**d
+    z = density * math.pi * math.gamma(1.0 - d) / x**d
     log_z = math.log(z)
 
     def terms():

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -513,6 +514,25 @@ class TestAlpha4Bounds:
         b = alpha4_bounds(1.0, 5.0)
         assert b == pytest.approx((1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("a_k", [1e-300, 1e-160])
+    def test_tiny_popularity_does_not_overflow(self, a_k):
+        # ((1 - a) / a) ** 2 overflows below a = 7e-155; its square root does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = alpha4_bounds(a_k, 5.0)
+        assert all(math.isfinite(v) for v in b)
+        assert 0.0 <= b.lower_b <= b.lower_a <= b.upper
+        assert b.lower_a == pytest.approx(2.0 * a_k / (math.pi * math.sqrt(5.0)), rel=1e-12)
+
+    def test_erfcx_against_50_digit_values(self):
+        # Includes both sides of the switch to the continued fraction at 4.
+        x = [0.0, 3.99, np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0), 4.01,
+             *np.geomspace(1e-8, 1e8, 161)]
+        with mpmath.workdps(50):
+            want = [float(mpmath.exp(mpmath.mpf(v) ** 2) * mpmath.erfc(mpmath.mpf(v)))
+                    for v in x]
+        np.testing.assert_allclose([delivery._erfcx(v) for v in x], want, rtol=2e-15, atol=0.0)
+
 
 class TestBaseline:
     def test_mu_frozen_value(self):
@@ -560,16 +580,37 @@ class TestBaseline:
         want = theta**d * math.pi * d / math.sin(math.pi * d) - 1.0 + 1.0 / (theta * (h + 1.0))
         assert mu_integral(theta, alpha) == pytest.approx(want, rel=1e-12)
 
-    def test_import_leaves_quadrature_and_optimizer_unloaded(self):
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 3.04, 4.0, 6.0, 10.0, 20.0, 50.0])
+    def test_mu_against_50_digit_values(self, alpha):
+        # mu = theta^d d B_x(1 - d, d) at x = theta / (1 + theta), d = 2 / alpha.
+        theta = np.concatenate([np.geomspace(1e-12, 1e12, 49), np.linspace(0.5, 3.0, 11),
+                                [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+        with mpmath.workdps(50):
+            d = 2 / mpmath.mpf(alpha)
+            want = [float(t**d * d * mpmath.betainc(1 - d, d, 0, t / (1 + t)))
+                    for t in map(mpmath.mpf, theta)]
+        np.testing.assert_allclose(mu_integral(theta, alpha), want, rtol=1e-14, atol=0.0)
+
+    def test_import_loads_no_scipy(self):
         # Neither the package nor its experiment runner and command line
-        # needs scipy.stats, whose import also loads the other two.
-        src = str(Path(delivery.__file__).resolve().parents[1])
-        code = ("import sys, snratio, snratio.experiments, snratio.cli; "
-                "print(sorted({'scipy.stats', 'scipy.integrate', 'scipy.optimize'}"
-                " & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert out.stdout.strip() == "[]"
+        # imports any part of scipy.
+        out = _run_isolated("import sys, snratio, snratio.experiments, snratio.cli")
+        assert out == "[]"
+
+    def test_closed_forms_and_figures_load_no_scipy(self):
+        # Tiny fig3, fig4 and fig5 runs and the ratio tail run every closed
+        # form without scipy; only the validation suite's KS check loads it.
+        out = _run_isolated(
+            "import sys\n"
+            "from snratio import RatioSpec, ratio_ccdf, ratio_ccdf_via_stable, ratio_laplace\n"
+            "from snratio.experiments import ExperimentConfig, run_figure3, run_figure4,"
+            " run_figure5\n"
+            "cfg = ExperimentConfig(n_files=5, gamma_grid=(1.0,), fig4_n_files=(5,),"
+            " fig5_n_files=(5,), trials=200, batch_samples=200)\n"
+            "run_figure3(cfg); run_figure4(cfg); run_figure5(cfg)\n"
+            "spec = RatioSpec(1.0, 0.1, 3.0)\n"
+            "ratio_ccdf(0.5, spec); ratio_ccdf_via_stable(0.5, spec); ratio_laplace(1.0, spec)")
+        assert out == "[]"
 
     def test_baseline_frozen_value(self):
         got = baseline_delivery_prob(1.0, 5.0, 4.0)
@@ -587,6 +628,15 @@ class TestBaseline:
                     relaxed = 1.0 / (1.0 + mu_integral(theta, alpha)
                                      + theta ** (2.0 / alpha) * (1.0 / a - 1.0))
                     assert baseline_delivery_prob(a, theta, alpha) <= relaxed + 1e-15
+
+
+def _run_isolated(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
+    src = str(Path(delivery.__file__).resolve().parents[1])
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return out.stdout.strip()
 
 
 class TestAlignmentGain:

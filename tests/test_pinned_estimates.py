@@ -442,10 +442,10 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fb6p-6', '0x1.41cc1f4633995
         'total_expectation_a3': ('est', '0x1.17edf461da86ep-6', '0x1.8381323282ad7p-17', 3000, 7, 0),
         'total_expectation_a4': ('est', '0x1.e9e993a7d176bp-6', '0x1.a7aa71499631cp-17', 3000, 7, 0),
         'total_expectation_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
-        'total_lower_a3': ('est', '0x1.088f26bd322e9p-6', '0x0.0p+0', 1, 7, 0),
+        'total_lower_a3': ('est', '0x1.088f26bd322e6p-6', '0x0.0p+0', 1, 7, 0),
         'total_lower_a4': ('est', '0x1.d6962e553e0b9p-6', '0x0.0p+0', 1, 7, 0),
         'total_lower_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 1, 7, 0),
-        'total_series_a3': ('est', '0x1.18d56dc4eb7fep-6', '0x1.3c0941647ab07p-14', 3000, 7, 0),
+        'total_series_a3': ('est', '0x1.18d56dc4eb7fep-6', '0x1.3c0941647ab08p-14', 3000, 7, 0),
         'total_series_a4': ('est', '0x1.eab53a63ffdc9p-6', '0x1.caf7ff063dedfp-14', 3000, 7, 0),
         'total_series_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
         'total_upper_a3': ('est', '0x1.2be54f6e825bcp-5', '0x0.0p+0', 1, 7, 0),

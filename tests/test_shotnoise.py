@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from snratio import (
     RatioSpec,
@@ -215,6 +216,26 @@ class TestRatioLaplace:
         assert reciprocal_gamma(0.0) == 0.0
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.gamma(0.5), rel=1e-14)
+
+    def test_reciprocal_gamma_matches_scipy(self):
+        # The finite range of 1/Gamma on a 0.1 grid, poles included, and a
+        # fine grid off the poles near 0.  The series reach 1 - m d down to
+        # -199; below about -171 the saturation test covers them.
+        x = np.concatenate([np.linspace(-170.5, 171.5, 3421),
+                            np.linspace(-6.0, 6.0, 1201) + 1e-3])
+        got = np.array([reciprocal_gamma(float(v)) for v in x])
+        np.testing.assert_allclose(got, special.rgamma(x), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -180.0, 171.7, 200.0, math.inf, -math.inf,
+                                   -175.5, -180.5, -200.5])
+    def test_reciprocal_gamma_saturates_like_scipy(self, x):
+        # Where Gamma leaves the double range, 1/Gamma is 0 or an infinity
+        # with Gamma's sign, as in scipy; nothing raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reciprocal_gamma(x)
+        assert got == special.rgamma(x)
+        assert got == 0.0 or math.isinf(got)
 
     def test_small_ratio_asymptote(self):
         # Leading term rho * s^{-2/alpha} / Gamma(1 - 2/alpha).
