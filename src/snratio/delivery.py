@@ -8,11 +8,14 @@ weighted by fading, and the conditional delivery probability P(SIR > theta)
 follows from the shot-noise ratio tail.
 
 This module provides the conditional probability in its expectation form,
-its alpha = 4 specialization, a series form driven by empirical inverse
-moments of the fading-weighted popularity of the competing files, upper and
+its alpha = 4 specialization and a series form driven by empirical inverse
+moments of the fading-weighted popularity of the competing files; upper and
 lower bounds, the high-threshold approximation, the closed form for the
 conventional nearest-helper service without alignment, and the resulting
-alignment gain.
+alignment gain.  The three sampled forms share one driver, which returns
+the coefficient-weighted sum of per-file conditional probabilities on one
+fading batch: the popularity-weighted total is the sum over every file, and
+a conditional probability is the one-file total with coefficient 1.
 
 All closed forms are independent of the helper density; the density is
 carried on the scenario only for the Monte Carlo simulator, whose windows
@@ -114,7 +117,8 @@ class FadingBatch:
 
 
 def _check_file_index(n_files: int, k: int):
-    if not 0 <= k < n_files:
+    check_integer("file index", k, 0)
+    if k >= n_files:
         raise ParameterDomainError(f"file index {k} out of range for {n_files} files")
 
 
@@ -216,26 +220,6 @@ def _alpha4_integrand(h_k, g, a_k, theta, alpha):
     return 1.0 - (2.0 / math.pi) * np.arctan((g / a_k) * np.sqrt(theta / h_k))
 
 
-def _fading_mean(scenario: Scenario, batch: FadingBatch, files: dict, integrand) -> Estimate:
-    """One weighting pass over the fading batch: the mean of sum_k c_k * integrand_k.
-
-    ``files`` maps file index ``k`` to its coefficient ``c_k``.  The mixed
-    per-sample value is gathered over the whole batch, so the standard error
-    reflects the correlation between per-file terms evaluated on common
-    draws, and the result does not depend on the chunking.
-    """
-    w = scenario.profile.weights
-    mix = []
-    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        part = np.zeros(h.shape[0])
-        for k, c_k in files.items():
-            g = totals - weighted[:, k]
-            part += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
-                                    scenario.alpha)
-        mix.append(part)
-    return Moments.of(np.concatenate(mix)).estimate(batch.seed)
-
-
 def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
     """Conditional delivery probability of file ``k``, expectation form.
 
@@ -244,19 +228,13 @@ def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) ->
     with probability 1 by convention (empty interference).
     """
     _check_file_index(scenario.n_files, k)
-    if scenario.n_files == 1:
-        return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    return _fading_mean(scenario, batch, {k: 1.0}, _tail_integrand)
+    return _sampled_total(scenario, "expectation", batch, range(k, k + 1), (1.0,))
 
 
 def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
     """The arctan specialization of the conditional probability at alpha = 4."""
-    if scenario.alpha != 4.0:
-        raise ContractError(f"this form requires alpha = 4, got {scenario.alpha}")
     _check_file_index(scenario.n_files, k)
-    if scenario.n_files == 1:
-        return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    return _fading_mean(scenario, batch, {k: 1.0}, _alpha4_integrand)
+    return _sampled_total(scenario, "alpha4", batch, range(k, k + 1), (1.0,))
 
 
 def _competing_g(profile: PopularityProfile, alpha: float, batch: FadingBatch,
@@ -299,8 +277,7 @@ def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
     if profile.n_files == 1:
         raise DegenerateScenarioError("no competing files to take moments over")
     _check_file_index(profile.n_files, k)
-    if m_max < 1:
-        raise ParameterDomainError("m_max must be at least 1")
+    check_integer("m_max", m_max, 1)
     g = _competing_g(profile, alpha, batch, range(k, k + 1))[0]
     means = np.empty(m_max)
     rses = np.empty(m_max)
@@ -335,7 +312,7 @@ def _series_mix(k: int, scenario: Scenario, g: np.ndarray, ctrl: SeriesControl):
             term = coef * moment
             if rse > _MOMENT_RSE_LIMIT and ctrl.tol <= abs(term) < math.inf:
                 # stacklevel 6: this generator, _series_sum, _series_mix,
-                # _series_mixes, the public entry point, its caller.
+                # _sampled_total, the public entry point, its caller.
                 warnings.warn(
                     f"inverse moment m={m} has relative standard error "
                     f"{rse:.1%}; series value may be unreliable",
@@ -348,21 +325,6 @@ def _series_mix(k: int, scenario: Scenario, g: np.ndarray, ctrl: SeriesControl):
     total = _series_sum(1, terms(), ctrl,
                         f"delivery series (popularity {a_k:g}, threshold {theta:g})", y)
     return total, mix
-
-
-def _series_mixes(scenario: Scenario, files: range, ctrl: SeriesControl,
-                  batch: FadingBatch):
-    """Yield the :func:`_series_mix` of each file in ``files``, in order.
-
-    One weighting pass serves a block of files sized so that their g
-    samples stay within a quarter of the fading chunk.
-    """
-    per_pass = max(1, _FADING_CHUNK_CELLS // (4 * batch.sample_count))
-    for start in range(files.start, files.stop, per_pass):
-        block = range(start, min(start + per_pass, files.stop))
-        g = _competing_g(scenario.profile, scenario.alpha, batch, block)
-        for k, g_k in zip(block, g):
-            yield _series_mix(k, scenario, g_k, ctrl)
 
 
 def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
@@ -378,11 +340,48 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     when the truncation loop reads its term.
     """
     _check_file_index(scenario.n_files, k)
+    return _sampled_total(scenario, "series", batch, range(k, k + 1), (1.0,), max_terms, tol)
+
+
+def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: range,
+                   coefs, max_terms: int | None = None, tol: float = _SERIES_TOL) -> Estimate:
+    """sum_i coefs[i] * P_(files[i]) by the ``expectation``, ``alpha4`` or ``series`` form.
+
+    Every file reads the batch's common draws, so the stderr is the sample
+    spread of one per-sample mix over every file (and series term), which
+    carries their correlation and does not depend on the chunking.  The
+    series form weights the batch once per block of files whose g samples
+    fit in a quarter of the fading chunk, and computes each file's moments
+    only as far as its truncation loop reads them.  Files accumulate in
+    order, so a conditional probability is exactly the one-file total.
+    """
+    if method == "alpha4" and scenario.alpha != 4.0:
+        raise ContractError(f"the alpha4 form requires alpha = 4, got {scenario.alpha}")
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    ctrl = SeriesControl(max_terms=max_terms, tol=tol)
-    mean, mix = next(_series_mixes(scenario, range(k, k + 1), ctrl, batch))
-    return replace(Moments.of(mix).estimate(batch.seed), mean=mean)
+    if method == "series":
+        ctrl = SeriesControl(max_terms, tol)
+        total, mix = 0.0, np.zeros(batch.sample_count)
+        per_pass = max(1, _FADING_CHUNK_CELLS // (4 * batch.sample_count))
+        for start in range(0, len(files), per_pass):
+            block = files[start:start + per_pass]
+            g = _competing_g(scenario.profile, scenario.alpha, batch, block)
+            for k, c_k, g_k in zip(block, coefs[start:start + per_pass], g):
+                mean_k, mix_k = _series_mix(k, scenario, g_k, ctrl)
+                total += c_k * mean_k
+                mix += c_k * mix_k
+        return replace(Moments.of(mix).estimate(batch.seed), mean=total)
+    integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
+    w = scenario.profile.weights
+    mix = []
+    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
+        part = np.zeros(h.shape[0])
+        for k, c_k in zip(files, coefs):
+            g = totals - weighted[:, k]
+            part += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
+                                    scenario.alpha)
+        mix.append(part)
+    return Moments.of(np.concatenate(mix)).estimate(batch.seed)
 
 
 def high_sir_approx(a_k, theta, alpha: float):
@@ -581,15 +580,13 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
     ``lower`` or ``baseline``.  The three closed forms (``upper``, ``lower``
     and ``baseline``) are exact: one dot product of the popularity with the
     form evaluated on every file, an Estimate with stderr 0 and ``trials``
-    1.  Series divergence propagates to the caller.  The sampled methods
-    draw the batch's fading once and memoize it, so totals on the same
-    seed, sample count and file count share one draw across methods and
-    scenarios; each call only weights it.  The series total weights it once
-    per block of files (all files at once when ``batch.sample_count *
-    n_files`` fits in a quarter of the fading chunk) and computes each
-    file's inverse moments only as far as its truncation loop reads them.
-    Its stderr is the sample spread of one per-sample mix over every file
-    and term, because they all read the same draws.
+    1.  The sampled methods are one call of the driver behind the
+    conditional probabilities, with every file and the popularity as
+    coefficients; their stderr is the sample spread of one per-sample mix
+    over every file, because all files read the same fading draws.  The
+    draws are memoized, so totals on the same seed, sample count and file
+    count share them across methods and scenarios.  Series divergence
+    propagates to the caller.
     """
     if method not in TOTAL_METHODS:
         raise ParameterDomainError(f"unknown method {method!r}; expected one of {TOTAL_METHODS}")
@@ -597,19 +594,4 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
     if method in _CLOSED_FORMS:
         form = _CLOSED_FORMS[method](w, scenario.thresholds, scenario.alpha)
         return Estimate(float(w @ form), 0.0, 1, batch.seed)
-    if method == "alpha4" and scenario.alpha != 4.0:
-        raise ContractError(f"method 'alpha4' requires alpha = 4, got {scenario.alpha}")
-    if scenario.n_files == 1:
-        return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    if method == "series":
-        ctrl = SeriesControl(max_terms, _SERIES_TOL)
-        total = 0.0
-        mix = np.zeros(batch.sample_count)
-        for w_k, (mean_k, mix_k) in zip(
-                w, _series_mixes(scenario, range(scenario.n_files), ctrl, batch)):
-            total += w_k * mean_k
-            mix += w_k * mix_k
-        return replace(Moments.of(mix).estimate(batch.seed), mean=total)
-    integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
-    return _fading_mean(scenario, batch, dict(enumerate(w)), integrand)
-
+    return _sampled_total(scenario, method, batch, range(scenario.n_files), w, max_terms)

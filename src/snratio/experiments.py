@@ -61,6 +61,8 @@ class ExperimentConfig:
                 raise ParameterDomainError(f"{name} must be nonempty")
         if not all(2.0 < a < math.inf for a in (*self.alphas, self.fig5_alpha)):
             raise ParameterDomainError("every alpha must exceed 2 and be finite")
+        if not all(0.0 <= g < math.inf for g in self.gamma_grid):
+            raise ParameterDomainError("every skew in gamma_grid must be nonnegative and finite")
         check_integer("n_files", self.n_files, 1)
         for name in ("fig4_n_files", "fig5_n_files"):
             for n in getattr(self, name):

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, ParameterDomainError, SeriesDivergenceError
+from .mc import check_integer
 from .stable import FORM_A, FORM_B, StableParams, char_fn, convert, unit_scale, zero_crossing_prob
 
 #: Consecutive growing terms after which a series is declared divergent.
@@ -70,8 +71,7 @@ class SeriesControl:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise ParameterDomainError("max_terms must be at least 1")
+        check_integer("max_terms", self.max_terms, 1)
         if not self.tol > 0.0:
             raise ParameterDomainError("tol must be positive")
 
@@ -103,8 +103,8 @@ def diff_char_fn(t, x: float, spec: RatioSpec):
 
 def diff_stable_params(x: float, spec: RatioSpec) -> StableParams:
     """Form-A stable parameters of the differential shot noise S1 - x * S2."""
-    if x < 0.0:
-        raise ParameterDomainError(f"x must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ParameterDomainError(f"x must be nonnegative and finite, got {x}")
     d = spec.delta
     w2 = spec.lambda2 * x**d
     total = spec.lambda1 + w2
@@ -133,12 +133,14 @@ def ratio_ccdf(x: float, spec: RatioSpec) -> float:
     """Tail probability P(S1 / S2 > x) of the shot-noise ratio.
 
     Depends on the densities only through ``lambda2 / lambda1``.  Defined as
-    1 at ``x = 0`` by continuity; decreases to 0 as ``x`` grows.
+    1 at ``x = 0`` by continuity, and exactly 0 at ``x = inf``; decreases to
+    0 as ``x`` grows.  NaN and negative ``x`` raise
+    :class:`ParameterDomainError`.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ParameterDomainError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
+    if x == 0.0 or x == math.inf:
+        return 1.0 if x == 0.0 else 0.0
     a = spec.alpha
     u = spec.density_ratio * x ** spec.delta
     return a / (2.0 * math.pi) * math.atan(
@@ -151,13 +153,13 @@ def ratio_ccdf_via_stable(x: float, spec: RatioSpec) -> float:
 
     Evaluates the sign probability of the differential process: the ratio
     exceeds ``x`` exactly when ``S1 - x * S2`` is positive.  Agrees with
-    :func:`ratio_ccdf` to near machine precision; kept as an independent
-    route for validation.
+    :func:`ratio_ccdf` to near machine precision, and equals it at the ends
+    of the support; kept as an independent route for validation.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ParameterDomainError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
+    if x == 0.0 or x == math.inf:
+        return 1.0 if x == 0.0 else 0.0
     normalized, _ = normalize_diff(diff_stable_params(x, spec))
     return 1.0 - zero_crossing_prob(normalized)
 
@@ -240,12 +242,12 @@ def shot_noise_pdf(x: float, density: float, alpha: float,
     """
     if ctrl is None:
         ctrl = SeriesControl()
-    if not x > 0.0:
-        raise ParameterDomainError(f"x must be positive, got {x}")
-    if not density > 0.0:
-        raise ParameterDomainError(f"density must be positive, got {density}")
-    if not alpha > 2.0:
-        raise ParameterDomainError(f"alpha must exceed 2, got {alpha}")
+    if not 0.0 < x < math.inf:
+        raise ParameterDomainError(f"x must be positive and finite, got {x}")
+    if not 0.0 < density < math.inf:
+        raise ParameterDomainError(f"density must be positive and finite, got {density}")
+    if not 2.0 < alpha < math.inf:
+        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
     d = 2.0 / alpha
     z = density * math.pi * math.gamma(1.0 - d) / x**d
     log_z = math.log(z)

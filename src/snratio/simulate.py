@@ -405,6 +405,7 @@ def window_doubling_probe(x: float, specs: Sequence[RatioSpec],
 
 def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
     """Disk for the requested file's process and disk for the interferers."""
+    _check_file_index(scenario.n_files, k)
     lam = scenario.helper_density
     lam_k = float(scenario.profile.weights[k]) * lam
     return (default_region(lam_k, scenario.alpha, cfg.tail_tol),

@@ -172,9 +172,24 @@ class TestSeriesForm:
         with pytest.raises(ParameterDomainError):
             inverse_g_moments(sc.profile, k, 3.0, batch, 4)
 
-    @pytest.mark.parametrize("m_max", [0, -1])
+    @pytest.mark.parametrize("k", [1.0, 1.5, True, np.float64(1.0)],
+                             ids=["1.0", "1.5", "True", "float64"])
+    def test_file_index_must_be_an_integer(self, k):
+        # A float or bool index is no file, even where it would index one.
+        sc = Scenario.from_zipf(10, 0.0, 5.0, 4.0)
+        batch = FadingBatch(300, 7)
+        for conditional in (conditional_delivery_prob, conditional_delivery_prob_alpha4):
+            with pytest.raises(ParameterDomainError, match="file index"):
+                conditional(k, sc, batch)
+        with pytest.raises(ParameterDomainError, match="file index"):
+            conditional_delivery_prob_series(k, sc, 60, batch)
+        with pytest.raises(ParameterDomainError, match="file index"):
+            inverse_g_moments(sc.profile, k, 4.0, batch, 4)
+
+    @pytest.mark.parametrize("m_max", [0, -1, 2.5, 2.0, True])
     def test_moment_count_below_one(self, m_max, monkeypatch):
-        # Rejected before the fading pass, which must not run at all.
+        # Rejected, as is a count that is not an integer, before the fading
+        # pass, which must not run at all.
         def no_pass(*args):
             raise AssertionError("fading pass ran")
 
@@ -664,12 +679,14 @@ class TestTotals:
             low = total_delivery_prob(sc, "lower", batch)
             assert up.mean >= low.mean - 3.0 * low.stderr
 
-    def test_total_is_weighted_sum_of_conditionals(self):
+    @pytest.mark.parametrize("method", ["expectation", "alpha4"])
+    def test_total_is_weighted_sum_of_conditionals(self, method):
+        conditional = (conditional_delivery_prob_alpha4 if method == "alpha4"
+                       else conditional_delivery_prob)
         sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0)
         batch = FadingBatch(30_000, 41)
-        total = total_delivery_prob(sc, "expectation", batch)
-        parts = sum(float(sc.profile.weights[k])
-                    * conditional_delivery_prob(k, sc, batch).mean
+        total = total_delivery_prob(sc, method, batch)
+        parts = sum(float(sc.profile.weights[k]) * conditional(k, sc, batch).mean
                     for k in range(5))
         assert total.mean == pytest.approx(parts, rel=1e-12)
 

@@ -45,6 +45,8 @@ class TestConfig:
     def test_rejects_invalid(self):
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(gamma_grid=())
+        with pytest.raises(ParameterDomainError, match="gamma_grid"):
+            ExperimentConfig(gamma_grid=(0.0, -1.0))
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(alphas=(1.5,))
         with pytest.raises(ParameterDomainError):
@@ -115,9 +117,9 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("field, match", [
         ("theta", "theta"), ("alphas", "alpha"), ("fig5_alpha", "alpha"),
-        ("helper_density", "helper_density")])
+        ("helper_density", "helper_density"), ("gamma_grid", "gamma_grid")])
     def test_rejects_nonfinite(self, field, match, bad):
-        value = (3.0, bad) if field == "alphas" else bad
+        value = (3.0, bad) if field in ("alphas", "gamma_grid") else bad
         with pytest.raises(ParameterDomainError, match=match):
             ExperimentConfig(**{field: value})
 
@@ -515,6 +517,15 @@ class TestCli:
                                 "--out-dir", str(tmp_path / "x")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0,-1", "0,nan", "1,inf"])
+    def test_bad_skew_exits_two_before_any_run(self, tmp_path, capsys, grid):
+        # "configuration error" is printed only for a config that fails its
+        # checks; an error raised inside a sweep reads "error".
+        code = main(["fig3", "--gamma-grid", grid, "--trials", "100",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "configuration error: every skew" in capsys.readouterr().err
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         code = main(["validate", "--seed", "-1", "--out-dir", str(tmp_path / "v")])

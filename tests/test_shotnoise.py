@@ -116,6 +116,11 @@ class TestDiffStableParams:
                 assert char_fn(p, t) == pytest.approx(
                     diff_char_fn(t, x, spec), rel=1e-10)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -0.5])
+    def test_rejects_nonfinite_or_negative_x(self, x):
+        with pytest.raises(ParameterDomainError, match="x must be nonnegative"):
+            diff_stable_params(x, RatioSpec(1.0, 1.0, 3.0))
+
 
 class TestNormalizeDiff:
     def test_symmetric_case_keeps_scale(self):
@@ -186,6 +191,18 @@ class TestRatioCcdf:
         rhos = np.geomspace(0.01, 100.0, 40)
         vals = [ratio_ccdf(2.0, RatioSpec(1.0, float(r), 3.4)) for r in rhos]
         assert np.all(np.diff(vals) < 0.0)
+
+    @pytest.mark.parametrize("ccdf", [ratio_ccdf, ratio_ccdf_via_stable])
+    def test_nan_is_rejected(self, ccdf):
+        with pytest.raises(ParameterDomainError, match="x must be nonnegative"):
+            ccdf(math.nan, RatioSpec(1.0, 1.0, 3.0))
+
+    @pytest.mark.parametrize("ccdf", [ratio_ccdf, ratio_ccdf_via_stable])
+    @pytest.mark.parametrize("alpha", [2.058, 2.5, 3.0, 4.0, 6.0])
+    def test_infinite_x_is_exactly_zero(self, ccdf, alpha):
+        # P(ratio > inf) = 0 on both routes, with no arctan rounding left
+        # over (the arctan form reads 5.6e-17 at alpha = 2.058).
+        assert ccdf(math.inf, RatioSpec(1.0, 0.7, alpha)) == 0.0
 
     def test_pipeline_equivalence_on_grid(self):
         for alpha in (2.5, 3.0, 4.0, 6.0):
@@ -298,3 +315,18 @@ class TestShotNoisePdf:
     def test_divergence_for_small_x(self):
         with pytest.raises(SeriesDivergenceError):
             shot_noise_pdf(0.01, 1.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["x", "density", "alpha"])
+    def test_rejects_nonfinite_inputs(self, field, bad):
+        args = {"x": 100.0, "density": 1.0, "alpha": 4.0, field: bad}
+        with pytest.raises(ParameterDomainError, match=field):
+            shot_noise_pdf(**args)
+
+
+class TestSeriesControl:
+    @pytest.mark.parametrize("max_terms", [2.5, 60.0, True, 0])
+    def test_term_count_must_be_a_positive_integer(self, max_terms):
+        with pytest.raises(ParameterDomainError, match="max_terms"):
+            SeriesControl(max_terms=max_terms)
+        SeriesControl(max_terms=np.int64(60))

@@ -386,6 +386,15 @@ class TestWindowDoublingProbe:
 
 
 class TestAlignedSir:
+    @pytest.mark.parametrize("k", [1.0, 1.5, True, -1, 10])
+    @pytest.mark.parametrize("entry", [simulate_sir_aligned, sir_samples_aligned,
+                                       simulate_sir_baseline, sir_samples_baseline,
+                                       aligned_regions])
+    def test_file_index_is_checked(self, entry, k):
+        sc = Scenario.from_zipf(10, 1.0, 5.0, 4.0, 0.1)
+        with pytest.raises(ParameterDomainError, match="file index"):
+            entry(sc, k, TrialConfig(trials=100, seed=1, tail_tol=1e-2))
+
     def test_doubled_windows_move_neither_model(self):
         # alpha = 3, where the tail decays slowest: the default windows hold
         # both models to within 3 combined stderr of windows twice as wide.
