@@ -47,6 +47,10 @@ from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 #: lower bound's quadrature blocks (files x nodes).
 _FADING_CHUNK_CELLS = 4_000_000
 
+#: Cells (samples x files) per row block of the sampled forms' kernel, so
+#: that its temporaries stay in cache whatever the file count.
+_KERNEL_BLOCK_CELLS = 1 << 15
+
 #: Largest fading batch (samples x files) whose draws are memoized; a larger
 #: batch is drawn again, one chunk at a time, by every form that reads it, so
 #: memory stays bounded as the file count grows.
@@ -76,6 +80,9 @@ class Scenario:
 
     def __init__(self, profile, alpha, thresholds, helper_density):
         th = np.atleast_1d(_threshold_domain(thresholds, alpha)).copy()
+        if th.ndim != 1:
+            raise ParameterDomainError(
+                f"thresholds must be a scalar or one-dimensional, got shape {th.shape}")
         if not 0.0 < helper_density < math.inf:
             raise ParameterDomainError(
                 f"helper_density must be positive and finite, got {helper_density}")
@@ -155,7 +162,7 @@ def _memo_exponentials(seed: int, sample_count: int, n_files: int, rows: int) ->
 
 
 def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch):
-    """Yield (h, weighted, row_total) fading chunks of the batch.
+    """Yield (weighted, row_total) chunks of the batch: weighted = a * h ** (2/alpha).
 
     The draws come from :func:`_memo_exponentials`, or are streamed chunk by
     chunk when the batch exceeds ``_FADING_MEMO_CELLS``; either way they are
@@ -166,21 +173,17 @@ def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch)
     memo = batch.sample_count * n <= _FADING_MEMO_CELLS
     d = 2.0 / alpha
     for h in (_memo_exponentials if memo else _draw_exponentials)(*key):
-        weighted = profile.weights * h**d
-        yield h, weighted, weighted.sum(axis=1)
-
-
-def _arctan_tail(ratio, alpha):
-    """Shot-noise-ratio tail at the weighted density ratio ``ratio``."""
-    arg = (1.0 - 2.0 / (1.0 + ratio)) * math.tan(math.pi / alpha)
-    return np.arctan(arg) * (alpha / (2.0 * math.pi)) + 0.5
+        weighted = h**d
+        weighted *= profile.weights
+        yield weighted, weighted.sum(axis=1)
 
 
 def _faded_tail(y, alpha):
-    """E_h[_arctan_tail(y * h ** (2/alpha), alpha)] over unit-mean exponential h.
+    """E_h[tail(y * h ** (2/alpha))] over unit-mean exponential h.
 
-    The tail is alpha / (2 pi) times an angle psi in (0, 2 pi / alpha) that
-    grows with the ratio r = sin(psi) / sin(2 pi / alpha - psi), so the mean
+    The shot-noise-ratio tail at weighted density ratio r, tail(r), is
+    alpha / (2 pi) times an angle psi in (0, 2 pi / alpha) that grows with
+    the ratio r = sin(psi) / sin(2 pi / alpha - psi), so the mean
     is exactly (alpha / 2 pi) * int_0^(2 pi / alpha) P(y h^(2/alpha) > r) dpsi
     = (alpha / 2 pi) * int exp(-(r / y) ** (alpha / 2)) dpsi; at alpha = 4 it
     is erfcx(1 / y).  With psi = (2 pi / alpha) * p, p = 1 / (1 + exp(-s))
@@ -210,14 +213,38 @@ def _faded_tail(y, alpha):
     return out.reshape(y.shape)
 
 
-def _tail_integrand(h_k, g, a_k, theta, alpha):
-    """Per-sample conditional success probability given (h_k, g_k)."""
-    return _arctan_tail((h_k / theta) ** (2.0 / alpha) * (a_k / g), alpha)
+def _tail_mix(weighted: np.ndarray, totals: np.ndarray, coefs: np.ndarray,
+              t: np.ndarray, span: float, cos_span: float) -> np.ndarray:
+    """Per row, sum_k coefs[k] * (shot-noise-ratio tail of file k given the fading).
 
-
-def _alpha4_integrand(h_k, g, a_k, theta, alpha):
-    """The arctan form of :func:`_tail_integrand` at alpha = 4."""
-    return 1.0 - (2.0 / math.pi) * np.arctan((g / a_k) * np.sqrt(theta / h_k))
+    ``weighted`` holds W_k = a_k * h_k ** (2/alpha) for the files summed,
+    ``totals`` the row sums of W over every file, so g_k = totals - W_k, and
+    ``t`` holds theta_k ** (2/alpha).  At r = W_k / (t_k * g_k) the tail
+    (alpha / 2 pi) * arctan(tan(pi / alpha) * (r - 1) / (r + 1)) + 1/2 is
+    psi / span, span = 2 pi / alpha, with psi in [0, span] the angle of the
+    point (t_k * g_k + W_k * cos(span), W_k * sin(span)): one arctan2 per
+    cell and no power or division, so the tail is exactly 0 where a_k = 0
+    and nothing divides by zero where a_k or g_k is 0.  At alpha = 4,
+    cos(span) = 0 and the tail is the arctan form 1 - (2/pi) *
+    arctan(sqrt(theta_k) * g_k / W_k).  Rows go in
+    blocks of about ``_KERNEL_BLOCK_CELLS`` cells, and each row is reduced
+    within itself, so neither the blocks nor the fading chunks change a bit.
+    """
+    c = coefs / span
+    sin_span = math.sin(span)
+    out = np.empty(totals.size)
+    rows = max(1, _KERNEL_BLOCK_CELLS // weighted.shape[1])
+    for i in range(0, totals.size, rows):
+        w = weighted[i:i + rows]
+        den = totals[i:i + rows, None] - w
+        den *= t
+        psi = np.multiply(w, cos_span)
+        den += psi
+        np.multiply(w, sin_span, out=psi)
+        np.arctan2(psi, den, out=psi)
+        psi *= c
+        out[i:i + rows] = psi.sum(axis=1)
+    return out
 
 
 def conditional_delivery_prob(k: int, scenario: Scenario, batch: FadingBatch) -> Estimate:
@@ -246,19 +273,27 @@ def _competing_g(profile: PopularityProfile, alpha: float, batch: FadingBatch,
     """
     g = np.empty((len(files), batch.sample_count))
     row = 0
-    for _, weighted, totals in _fading_chunks(profile, alpha, batch):
+    for weighted, totals in _fading_chunks(profile, alpha, batch):
         end = row + totals.size
         np.subtract(totals, weighted[:, files.start:files.stop].T, out=g[:, row:end])
         row = end
     return g
 
 
-def _inverse_moment(g: np.ndarray, m: int):
-    """Samples of g ** -m, their mean and its relative standard error."""
-    vals = g ** (-float(m))
+def _inverse_powers(g: np.ndarray):
+    """Yield the samples of g ** -m for m = 1, 2, ..., each the last times 1 / g."""
+    inv = 1.0 / g
+    vals = inv
+    while True:
+        yield vals
+        vals = vals * inv
+
+
+def _moment_stats(vals: np.ndarray):
+    """The mean of the samples ``vals`` and its relative standard error."""
     mu = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if g.size > 1 else 0.0
-    return vals, mu, sd / (math.sqrt(g.size) * mu) if mu > 0 else np.inf
+    sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+    return mu, sd / (math.sqrt(vals.size) * mu) if mu > 0 else np.inf
 
 
 def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
@@ -281,8 +316,8 @@ def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
     g = _competing_g(profile, alpha, batch, range(k, k + 1))[0]
     means = np.empty(m_max)
     rses = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        _, means[m - 1], rses[m - 1] = _inverse_moment(g, m)
+    for m, vals in zip(range(m_max), _inverse_powers(g)):
+        means[m], rses[m] = _moment_stats(vals)
     return means, rses
 
 
@@ -302,12 +337,12 @@ def _series_mix(k: int, scenario: Scenario, g: np.ndarray, ctrl: SeriesControl):
 
     def terms():
         nonlocal mix
-        for m in range(1, ctrl.max_terms + 1):
+        for m, vals in zip(range(1, ctrl.max_terms + 1), _inverse_powers(g)):
             rg = reciprocal_gamma(1.0 - m * d)
             if rg == 0.0:
                 yield 0.0, True
                 continue
-            vals, moment, rse = _inverse_moment(g, m)
+            moment, rse = _moment_stats(vals)
             coef = (1.0 if m % 2 == 1 else -1.0) * rg * y**m
             term = coef * moment
             if rse > _MOMENT_RSE_LIMIT and ctrl.tol <= abs(term) < math.inf:
@@ -347,20 +382,27 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
                    coefs, max_terms: int | None = None, tol: float = _SERIES_TOL) -> Estimate:
     """sum_i coefs[i] * P_(files[i]) by the ``expectation``, ``alpha4`` or ``series`` form.
 
-    Every file reads the batch's common draws, so the stderr is the sample
-    spread of one per-sample mix over every file (and series term), which
-    carries their correlation and does not depend on the chunking.  The
-    series form weights the batch once per block of files whose g samples
-    fit in a quarter of the fading chunk, and computes each file's moments
-    only as far as its truncation loop reads them.  Files accumulate in
-    order, so a conditional probability is exactly the one-file total.
+    ``files`` is a range of consecutive files.  Every file reads the
+    batch's common draws, so the stderr is the sample spread of one
+    per-sample mix over every file (and series term), which carries their
+    correlation and does not depend on the chunking.  The expectation and
+    alpha4 forms are one blocked pass: each fading chunk's weighting W =
+    a * h ** (2/alpha) and its row sums feed :func:`_tail_mix`, which takes
+    every file at once, in row blocks of about ``_KERNEL_BLOCK_CELLS``
+    cells, and sums each row over the files; the alpha4 form is the same
+    kernel with cos(2 pi / alpha) taken as exactly 0, its value at alpha =
+    4.  The series form weights the batch once per block of files whose g
+    samples fit in a quarter of the fading chunk, and takes each file's
+    inverse moments, a running product of 1 / g_k, only as far as its
+    truncation loop reads them.  A conditional probability is the one-file
+    total.
     """
     if method == "alpha4" and scenario.alpha != 4.0:
         raise ContractError(f"the alpha4 form requires alpha = 4, got {scenario.alpha}")
+    ctrl = SeriesControl(max_terms, tol) if method == "series" else None
     if scenario.n_files == 1:
         return Estimate(1.0, 0.0, batch.sample_count, batch.seed)
-    if method == "series":
-        ctrl = SeriesControl(max_terms, tol)
+    if ctrl is not None:
         total, mix = 0.0, np.zeros(batch.sample_count)
         per_pass = max(1, _FADING_CHUNK_CELLS // (4 * batch.sample_count))
         for start in range(0, len(files), per_pass):
@@ -371,16 +413,13 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
                 total += c_k * mean_k
                 mix += c_k * mix_k
         return replace(Moments.of(mix).estimate(batch.seed), mean=total)
-    integrand = _alpha4_integrand if method == "alpha4" else _tail_integrand
-    w = scenario.profile.weights
-    mix = []
-    for h, weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch):
-        part = np.zeros(h.shape[0])
-        for k, c_k in zip(files, coefs):
-            g = totals - weighted[:, k]
-            part += c_k * integrand(h[:, k], g, w[k], float(scenario.thresholds[k]),
-                                    scenario.alpha)
-        mix.append(part)
+    cols = slice(files.start, files.stop)
+    t = scenario.thresholds[cols] ** scenario.delta
+    span = 2.0 * math.pi / scenario.alpha
+    cos_span = 0.0 if method == "alpha4" else math.cos(span)
+    c = np.asarray(coefs, dtype=float)
+    mix = [_tail_mix(weighted[:, cols], totals, c, t, span, cos_span)
+           for weighted, totals in _fading_chunks(scenario.profile, scenario.alpha, batch)]
     return Moments.of(np.concatenate(mix)).estimate(batch.seed)
 
 

@@ -72,8 +72,8 @@ class SeriesControl:
 
     def __post_init__(self):
         check_integer("max_terms", self.max_terms, 1)
-        if not self.tol > 0.0:
-            raise ParameterDomainError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterDomainError(f"tol must be positive and finite, got {self.tol}")
 
 
 def reciprocal_gamma(x: float) -> float:

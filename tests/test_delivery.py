@@ -45,6 +45,21 @@ def scenario_with_top(a_top, n_files, theta, alpha, lam=0.1):
     return Scenario(zipf_remainder_profile(a_top, n_files), alpha, theta, lam)
 
 
+def _arctan_tail(ratio, alpha):
+    """P(S1 / S2 > 1 / ratio) in its arctan form, in the precision of ``ratio``.
+
+    (alpha / 2 pi) * arctan(tan(pi / alpha) * (1 - 2 / (1 + ratio))) + 1/2,
+    the per-file integrand the sampled forms once evaluated, kept as an
+    oracle.  Its final sum cancels where the tail is small, so its error is
+    about one unit of roundoff absolute, not relative.
+    """
+    ratio = np.asarray(ratio)
+    one = ratio.dtype.type(1) if ratio.dtype.kind == "f" else 1.0
+    pi, alpha = 4 * np.arctan(one), one * alpha
+    arg = (1 - 2 / (1 + ratio)) * np.tan(pi / alpha)
+    return np.arctan(arg) * (alpha / (2 * pi)) + one / 2
+
+
 class TestGSample:
     """Samples of g_k, the competing files' fading-weighted popularity, from one pass."""
 
@@ -52,7 +67,7 @@ class TestGSample:
         # With two files g_0 is the other file's term alone, whatever h_0 is.
         p = PopularityProfile([0.5, 0.5])
         batch = FadingBatch(2000, 21)
-        h = np.concatenate([c[0] for c in delivery._fading_chunks(p, 4.0, batch)])
+        h = substream(batch.seed, 0).exponential(size=(batch.sample_count, 2))
         g = delivery._competing_g(p, 4.0, batch, range(2))
         np.testing.assert_allclose(g, (0.5 * np.sqrt(h[:, ::-1])).T, rtol=1e-12, atol=1e-15)
 
@@ -110,6 +125,75 @@ class TestExpectationForm:
         batch = FadingBatch(5000, 11)
         assert conditional_delivery_prob(0, sc, batch) == conditional_delivery_prob(
             0, sc, batch)
+
+
+class TestSampledKernel:
+    """The blocked pass of the expectation and alpha4 forms against the per-file integrand.
+
+    The oracle evaluates :func:`_arctan_tail` file by file on the batch's
+    own draws, in long double: W_k = a_k * h_k ** (2/alpha), g_k = sum_j
+    W_j - W_k and the ratio (h_k / theta_k) ** (2/alpha) * a_k / g_k.
+    """
+
+    BATCH = FadingBatch(2000, 5)
+
+    @staticmethod
+    def _oracle(sc, batch):
+        """Per-file conditional probabilities and the popularity, in long double."""
+        ld = np.longdouble
+        h = substream(batch.seed, 0).exponential(size=(batch.sample_count, sc.n_files))
+        h = h.astype(ld)
+        a, d = sc.profile.weights.astype(ld), 2 / ld(sc.alpha)
+        w = a * h**d
+        g = w.sum(axis=1)[:, None] - w
+        ratio = (h / sc.thresholds.astype(ld)) ** d * (a / g)
+        return _arctan_tail(ratio, sc.alpha).mean(axis=0), a
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the oracle needs an extended-precision long double")
+    @pytest.mark.parametrize("n_files", [2, 80])
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    @pytest.mark.parametrize("theta", [1e-3, 5.0, 1e4])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_matches_per_file_integrand(self, alpha, theta, gamma, n_files):
+        sc = Scenario.from_zipf(n_files, gamma, theta, alpha)
+        want, a = self._oracle(sc, self.BATCH)
+        total = total_delivery_prob(sc, "expectation", self.BATCH).mean
+        assert total == pytest.approx(float(a @ want), rel=1e-11)
+        # The oracle's own cancellation, about 1e-19 absolute, floors the
+        # comparison for tails below 1e-8 (the last file at theta = 1e4).
+        for k in (0, n_files - 1):
+            got = conditional_delivery_prob(k, sc, self.BATCH).mean
+            assert got == pytest.approx(float(want[k]), rel=1e-11, abs=1e-19)
+        if alpha == 4.0:
+            alpha4 = total_delivery_prob(sc, "alpha4", self.BATCH).mean
+            assert alpha4 == pytest.approx(total, rel=1e-12)
+            for k in (0, n_files - 1):
+                expectation = conditional_delivery_prob(k, sc, self.BATCH).mean
+                got = conditional_delivery_prob_alpha4(k, sc, self.BATCH).mean
+                assert got == pytest.approx(expectation, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["expectation", "alpha4"])
+    def test_row_blocks_do_not_change_bits(self, method, monkeypatch):
+        sc = Scenario.from_zipf(80, 1.0, 5.0, 4.0)
+        whole = total_delivery_prob(sc, method, self.BATCH)
+        monkeypatch.setattr(delivery, "_KERNEL_BLOCK_CELLS", 777)
+        assert total_delivery_prob(sc, method, self.BATCH) == whole
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_zero_popularity_file_contributes_nothing(self, alpha):
+        sc = Scenario(PopularityProfile([0.5, 0.5, 0.0]), alpha, 5.0, 0.1)
+        batch = FadingBatch(2000, 3)
+        forms = {"expectation": conditional_delivery_prob}
+        if alpha == 4.0:
+            forms["alpha4"] = conditional_delivery_prob_alpha4
+        for method, conditional in forms.items():
+            zero = conditional(2, sc, batch)
+            assert (zero.mean, zero.stderr) == (0.0, 0.0)
+            parts = sum(0.5 * conditional(k, sc, batch).mean for k in (0, 1))
+            assert total_delivery_prob(sc, method, batch).mean == pytest.approx(parts,
+                                                                                rel=1e-12)
 
 
 class TestSeriesForm:
@@ -185,6 +269,15 @@ class TestSeriesForm:
             conditional_delivery_prob_series(k, sc, 60, batch)
         with pytest.raises(ParameterDomainError, match="file index"):
             inverse_g_moments(sc.profile, k, 4.0, batch, 4)
+
+    @pytest.mark.parametrize("n_files", [5, 1])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_positive_and_finite(self, tol, n_files):
+        # An infinite tolerance would stop every series after its first
+        # term; it is rejected at N = 1 too, where the answer is 1.
+        sc = Scenario.from_zipf(n_files, 1.0, 5.0, 4.0)
+        with pytest.raises(ParameterDomainError, match="tol"):
+            conditional_delivery_prob_series(0, sc, 60, FadingBatch(100, 0), tol=tol)
 
     @pytest.mark.parametrize("m_max", [0, -1, 2.5, 2.0, True])
     def test_moment_count_below_one(self, m_max, monkeypatch):
@@ -316,7 +409,9 @@ class TestFadingMemo:
 
     def test_memoized_draws_are_read_only(self):
         sc = self._scenario()
-        h, weighted, _ = next(delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+        weighted, _ = next(delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+        (h,) = delivery._memo_exponentials(self.BATCH.seed, self.BATCH.sample_count, 8,
+                                           delivery._fading_chunk_size(8))
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0] = 1.0
         weighted[0, 0] = 1.0  # the weighting is per call and stays writable
@@ -456,7 +551,7 @@ def _sampled_lower_bound(a_k, theta, alpha, batch):
     d = 2.0 / alpha
     eta = a_k / ((1.0 - a_k) * special.gamma(1.0 + d) * theta**d)
     h = substream(batch.seed, 0).exponential(size=batch.sample_count)
-    return Moments.of(delivery._arctan_tail(eta * h**d, alpha)).estimate(batch.seed)
+    return Moments.of(_arctan_tail(eta * h**d, alpha)).estimate(batch.seed)
 
 
 class TestFadedTail:
@@ -475,7 +570,7 @@ class TestFadedTail:
         # exponential weight is below 2e-22, so the breakpoint is capped there.
         for y in np.geomspace(1e-4, 1e4, 17):
             def f(h):
-                return delivery._arctan_tail(y * h ** (2.0 / alpha), alpha) * math.exp(-h)
+                return _arctan_tail(y * h ** (2.0 / alpha), alpha) * math.exp(-h)
 
             kink = min(y ** (-alpha / 2.0), 50.0)
             want = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
@@ -743,6 +838,12 @@ class TestTotals:
             warnings.simplefilter("error")
             with pytest.raises(ParameterDomainError, match="finite"):
                 Scenario(zipf_remainder_profile(0.5, 3), **args)
+
+    @pytest.mark.parametrize("thresholds", [[[5.0] * 5], [[5.0]], np.full((5, 1), 5.0)])
+    def test_scenario_rejects_thresholds_of_two_dimensions(self, thresholds):
+        profile = Scenario.from_zipf(5, 1.0, 5.0, 4.0).profile
+        with pytest.raises(ParameterDomainError, match="one-dimensional"):
+            Scenario(profile, 4.0, thresholds, 0.1)
 
     @pytest.mark.parametrize("call, error", [
         (lambda sc3, sc4, b: total_delivery_prob(sc3, "alpha4", b), ContractError),

@@ -544,6 +544,12 @@ class TestCli:
         _, _, rows = read_csv(os.path.join(out, "laplace.csv"))
         assert rows[0]["laplace"] == pytest.approx(0.056141, abs=1e-5)
 
+    def test_laplace_rejects_infinite_tolerance(self, tmp_path, capsys):
+        code = main(["laplace", "--tol", "inf", "--out-dir", str(tmp_path / "lp")])
+        assert code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "lp").exists()
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "snratio.cli", "--help"],
                               capture_output=True, text=True)

@@ -330,3 +330,8 @@ class TestSeriesControl:
         with pytest.raises(ParameterDomainError, match="max_terms"):
             SeriesControl(max_terms=max_terms)
         SeriesControl(max_terms=np.int64(60))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            SeriesControl(tol=tol)
