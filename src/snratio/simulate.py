@@ -34,22 +34,30 @@ Summation order: the shot-noise and ratio kernels store each chunk's
 points trial by trial and sum every trial's segment by ``np.add.reduceat``
 (:func:`_trial_sums`): its first point plus numpy's pairwise sum of the
 rest.  The SIR kernels, whose interferers need not be grouped by trial, add
-their points in point order with ``np.bincount``.
+each block's points in point order with ``np.bincount``; a trial lies in
+one block, so its sums never span two.
 
-SIR trials: both models, aligned transmission and nearest-helper service,
-are evaluated on one marked geometry per chunk of trials (``_Stratum``).
-The requested file's process is drawn nearest first: its nearest point,
-inside the signal disk or beyond it, then its other points on the disk.
-So every trial has a serving helper and no SIR trial is ever redrawn.
-Each trial contributes its success probability given the geometry, with
-the fading integrated out; complex mode keeps per-point fading and a 0/1
-indicator for the aligned model.  :func:`simulate_totals` runs both models
-on common trials, so the alignment gain's standard error includes their
-covariance.
+SIR trials: a chunk of trials is drawn and evaluated one block of trials at
+a time (``_Stratum.values``), each block expecting at most
+``_BLOCK_POINTS`` points and holding at most ``_BLOCK_CELLS`` (file, trial)
+cells, or one trial, so a chunk's memory is bounded in both the points per
+trial and the file count N.  Both models, aligned transmission and nearest-helper
+service, are evaluated on one marked geometry per block.  It stores every
+point as its path gain ``g = (r**2)**(-alpha/2)``, one power of its squared
+radius and no square root, which the aligned model sums and the
+nearest-helper model reads as ``log1p(x * g)``.  The requested file's
+process is drawn nearest first: its nearest point, inside the signal disk
+or beyond it, then its other points on the disk.  So every trial has a
+serving helper and no SIR trial is ever redrawn.  Each trial contributes
+its success probability given the geometry, with the fading integrated
+out; complex mode keeps per-point fading and a 0/1 indicator for the
+aligned model.  :func:`simulate_totals` runs both models on common trials,
+so the alignment gain's standard error includes their covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one keyed SFC64 substream per chunk (see
-:func:`snratio.mc.substream`).  Per-chunk aggregates (integer exceedance counts for the ratio sampler, the
+:func:`snratio.mc.substream`); an SIR chunk of several blocks draws its
+fades from one child of it (:meth:`_Stratum.values`).  Per-chunk aggregates (integer exceedance counts for the ratio sampler, the
 :class:`~snratio.mc.Moments` of per-trial SIR values, or their
 :class:`~snratio.mc.CoMoments` when both SIR models run together) are
 merged in chunk order, so estimates are bit-identical under any
@@ -86,16 +94,22 @@ from .shotnoise import RatioSpec
 COVERAGE_FACTOR = 6.0
 
 #: Expected points in one chunk of trials, summed over the processes drawn
-#: together, above which a window cannot be held: every point takes several
-#: 8-byte entries (radius, cell key, trial label, fades), so this is about
-#: 1 GB of working arrays.
+#: together, above which a window cannot be held: the shot-noise and ratio
+#: kernels draw a whole chunk at once, and every point takes several 8-byte
+#: entries, so this is about 1 GB of working arrays.  The SIR kernels hold one
+#: block of a chunk at a time; for them the cap bounds the work per chunk.
 MAX_CHUNK_POINTS = 1 << 24
 
 #: Stream-index stride separating the chunk grids of per-file sub-runs.
 _STREAM_STRIDE = 1_000_000
 
-#: Cells per block of the dense (file x trial) sums of the aligned model:
-#: a chunk's memory stays bounded as the file count N grows.
+#: Expected points per block of SIR trials.  A block's per-point arrays (a
+#: few 8-byte entries each) then stay about cache-sized and are reused from
+#: block to block, rather than taken fresh from the system per chunk.
+_BLOCK_POINTS = 1 << 16
+
+#: Cells per block of SIR trials in the dense (file x trial) sums of the
+#: aligned model: a block's memory stays bounded as the file count N grows.
 _BLOCK_CELLS = 1 << 19
 
 
@@ -412,33 +426,52 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
             default_region(lam, scenario.alpha, cfg.tail_tol))
 
 
-class _SirChunk(NamedTuple):
-    """The geometry of one chunk of ``n`` SIR trials.
+class _Interferers:
+    """The constants of a scenario's helpers on one interference disk.
 
-    ``r1`` is every trial's distance to the requested file's nearest point,
-    and ``sig_tail`` that file's tail mean beyond max(R, r1) for the signal
+    Per file ``j``: its helper density ``densities[j]``, its expected points
+    per trial on the disk ``means[j]``, and its tail mean beyond the disk
+    ``tails[j]``.  They are built once per scenario and disk, and every
+    request stratum reads them.
+    """
+
+    def __init__(self, scenario: Scenario, region: DiskRegion):
+        self.scenario = scenario
+        self.region = region
+        self.densities = decompose_densities(scenario.profile, scenario.helper_density)
+        self.means = self.densities * region.area
+        self.tails = tail_mean(1.0, scenario.alpha, region.radius) * self.densities
+
+
+class _SirChunk(NamedTuple):
+    """The geometry of one block of ``n`` SIR trials, as path gains.
+
+    Every point at distance r is stored as its path gain g = (r**2)**(-alpha/2),
+    formed from its squared radius.  ``g1`` is every trial's gain from the
+    requested file's nearest point (0 where that file has no helper), and
+    ``sig_tail`` that file's tail mean beyond max(R, r_1) for the signal
     disk of radius R.  Its other points on the disk carry their trial
-    ``sig_trial`` and radius ``sig_r``.  The interferers are file-major:
-    points ``ends[j]:ends[j + 1]`` belong to file ``j``, with trial
-    ``labels``, cell key ``j * n + trial`` and radius ``r``.
+    ``sig_trial`` and gain ``sig_g``.  The interferers carry their trial
+    ``labels``, cell key ``file * n + trial`` and gain ``g``.
     """
 
     n: int
-    r1: np.ndarray
+    g1: np.ndarray
     sig_tail: np.ndarray
     sig_trial: np.ndarray
-    sig_r: np.ndarray
-    ends: np.ndarray
+    sig_g: np.ndarray
     key: np.ndarray
     labels: np.ndarray
-    r: np.ndarray
+    g: np.ndarray
 
 
 class _Stratum:
     """The marked geometry of SIR trials whose request is file ``k``.
 
-    The stratum's constants (file densities, expected counts, tail means,
-    threshold) are set once.  Each chunk of ``n`` trials then draws the
+    The stratum's constants (the requested file's density, the interferers'
+    expected counts and tail means with file ``k``'s set to 0, the
+    threshold, the block size) are set once, from the scenario's
+    :class:`_Interferers`.  Each block of ``n`` trials then draws the
     requested file's process per trial nearest first: its nearest point at
     r_1 = sqrt(E / (pi lambda_k)), E ~ Exp(1), which is the law
     P(r_1 <= r) = 1 - exp(-lambda_k pi r**2) (Haenggi, IEEE Trans. IT 51,
@@ -449,49 +482,72 @@ class _Stratum:
     Processes*, 1993): one Poisson count of mean ``n * lambda_j * area`` per
     file ``j`` (``lambda_k = 0``), each point with a uniform trial label and a
     uniform position on the interference disk.  So the random-number cost is
-    one draw per point and per trial, not per (trial, file) cell.  Both SIR
-    models are evaluated on this geometry.
+    one draw per point and per trial, and one per file and block, not one per
+    (trial, file) cell.  Both SIR models are evaluated on this geometry.
     """
 
-    def __init__(self, scenario: Scenario, k: int, sig_region: DiskRegion,
-                 int_region: DiskRegion):
-        alpha = scenario.alpha
-        dens = decompose_densities(scenario.profile, scenario.helper_density)
-        dens_int = dens.copy()
-        dens_int[k] = 0.0
-        self.alpha = alpha
+    def __init__(self, interferers: _Interferers, k: int, sig_region: DiskRegion):
+        scenario = interferers.scenario
+        self.alpha = scenario.alpha
         self.theta = float(scenario.thresholds[k])
         self.n_files = scenario.n_files
-        self.sig_density = dens[k]
+        self.sig_density = interferers.densities[k]
         self.sig_region = sig_region
-        self.int_means = dens_int * int_region.area
-        self.int_radius = int_region.radius
-        self.tau_int = tail_mean(1.0, alpha, int_region.radius) * dens_int
+        self.int_region = interferers.region
+        self.int_means = interferers.means.copy()
+        self.int_means[k] = 0.0
+        self.tau_int = interferers.tails.copy()
+        self.tau_int[k] = 0.0
+        self.tau_int_total = self.tau_int.sum()
+        points = self.sig_density * sig_region.area + self.int_means.sum()
+        self.block_trials = max(1, min(int(_BLOCK_POINTS // max(points, 1.0)),
+                                       _BLOCK_CELLS // self.n_files))
 
     def geometry(self, rng, n) -> _SirChunk:
         """The points of ``n`` trials."""
-        lam, radius = self.sig_density, self.sig_region.radius
-        outer = radius**2
+        lam, alpha = self.sig_density, self.alpha
+        # Squared radii throughout, so a trial whose r_1 is beyond the disk
+        # has an annulus of area exactly 0, and a gain is one power.
+        outer = self.sig_region.radius**2
         # lambda_k = 0: no point anywhere, so r_1 = inf and no further points.
         r1_sq = rng.exponential(size=n) / (math.pi * lam) if lam else np.full(n, np.inf)
-        # Squared radii throughout, so a trial whose r_1 is beyond the disk
-        # has an annulus of area exactly 0.
         inner = np.minimum(r1_sq, outer)
         sig_trial = np.repeat(np.arange(n), rng.poisson(math.pi * lam * (outer - inner)))
         inner = inner[sig_trial]
-        sig_r = rng.random(sig_trial.size)
-        sig_r *= outer - inner
-        sig_r += inner
-        np.sqrt(sig_r, out=sig_r)
-        r1 = np.sqrt(r1_sq)
-        sig_tail = tail_mean(lam, self.alpha, np.maximum(r1, radius))
-        counts, r = _disk_points(rng, n * self.int_means, self.int_radius, self.n_files)
-        labels = rng.integers(0, n, size=r.size)
+        sig_g = rng.random(sig_trial.size)
+        sig_g *= outer - inner
+        sig_g += inner
+        np.power(sig_g, -alpha / 2.0, out=sig_g)
+        sig_tail = tail_mean(lam, alpha, np.sqrt(np.maximum(r1_sq, outer)))
+        counts = rng.poisson(n * self.int_means)
+        g = rng.random(int(counts.sum()))
+        g *= self.int_region.radius**2
+        np.power(g, -alpha / 2.0, out=g)
+        labels = rng.integers(0, n, size=g.size)
         key = np.repeat(np.arange(self.n_files), counts)
         key *= n
         key += labels
-        return _SirChunk(n, r1, sig_tail, sig_trial, sig_r,
-                         np.concatenate(([0], np.cumsum(counts))), key, labels, r)
+        return _SirChunk(n, r1_sq ** (-alpha / 2.0), sig_tail, sig_trial, sig_g, key, labels, g)
+
+    def values(self, rng, n, methods) -> np.ndarray:
+        """The per-trial values of ``methods`` on ``n`` fresh trials, one row per method.
+
+        The trials are drawn and evaluated one block of at most
+        ``block_trials`` at a time, which bounds memory in the points per
+        trial and in N.  Each block's geometry is drawn from ``rng``, and the
+        methods, ``(rng, chunk) -> values``, run on it in order.  So ``n``
+        trials that fit one block give ``method(rng, self.geometry(rng, n))``.
+        Over several blocks the methods draw their fades from one child of
+        ``rng``, spawned once, so that the geometry of a later block does
+        not depend on which methods ran on the earlier ones.
+        """
+        out = np.empty((len(methods), n))
+        fades = rng if n <= self.block_trials else rng.spawn(1)[0]
+        for start in range(0, n, self.block_trials):
+            chunk = self.geometry(rng, min(self.block_trials, n - start))
+            for row, method in zip(out, methods):
+                row[start:start + chunk.n] = method(fades, chunk)
+        return out
 
 
 class _AlignedModel:
@@ -502,11 +558,13 @@ class _AlignedModel:
     (Laplace transform of Rayleigh fading; Haenggi, *Stochastic Geometry
     for Wireless Networks*, 2012, ch. 5): P(SIR > theta) =
     prod_j 1 / (1 + theta * G_j / G_0), which is what :meth:`success` returns.
-    mode "complex": per-point circularly symmetric complex fading; signal
-    and per-file interference powers are squared magnitudes of coherent
-    sums, and :meth:`success` is the 0/1 indicator of SIR > theta.
-    Per-(trial, file) sums are formed one block of files at a time, which
-    bounds memory in N.  Both methods are ``(rng, chunk) -> values``.
+    mode "complex": per-point circularly symmetric complex fading of
+    amplitude sqrt(g); signal and per-file interference powers are squared
+    magnitudes of coherent sums, and :meth:`success` is the 0/1 indicator
+    of SIR > theta.  Complex mode draws a Gaussian per (file, trial) cell,
+    so its cost grows with N; it is the oracle for exponential mode's
+    fading integral.  Per-(file, trial) sums are formed for one block of
+    trials at once.  Both methods are ``(rng, chunk) -> values``.
     """
 
     def __init__(self, stratum: _Stratum, mode: str):
@@ -515,29 +573,16 @@ class _AlignedModel:
         self.stratum = stratum
         self.mode = mode
 
-    def blocks(self, chunk: _SirChunk, weights: np.ndarray):
-        """``(files, sums)`` per block of files, in file order.
-
-        ``sums[i, t]`` adds up the ``weights`` of trial ``t``'s points of
-        file ``files[i]``; a block holds at most about ``_BLOCK_CELLS`` cells.
-        """
-        n, n_files = chunk.n, self.stratum.n_files
-        step = max(1, _BLOCK_CELLS // n)
-        for f0 in range(0, n_files, step):
-            f1 = min(f0 + step, n_files)
-            lo, hi = chunk.ends[f0], chunk.ends[f1]
-            cells = chunk.key[lo:hi]
-            if f0:  # the first block, often the only one, needs no shifted copy
-                cells = cells - f0 * n
-            sums = np.bincount(cells, weights=weights[lo:hi], minlength=(f1 - f0) * n)
-            # bincount of no points is an integer array; the callers add floats in place.
-            yield slice(f0, f1), sums.astype(float, copy=False).reshape(f1 - f0, n)
+    def cells(self, chunk: _SirChunk, weights: np.ndarray) -> np.ndarray:
+        """``sums[j, t]``: the ``weights`` of trial ``t``'s points of file ``j``, summed."""
+        sums = np.bincount(chunk.key, weights=weights, minlength=self.stratum.n_files * chunk.n)
+        # bincount of no points is an integer array; the callers add floats in place.
+        return sums.astype(float, copy=False).reshape(-1, chunk.n)
 
     def signal_gain(self, chunk: _SirChunk) -> np.ndarray:
         """G_0 per trial: the requested file's path-loss sum and its tail mean."""
-        alpha = self.stratum.alpha
-        return (np.bincount(chunk.sig_trial, weights=chunk.sig_r ** -alpha, minlength=chunk.n)
-                + chunk.r1 ** -alpha + chunk.sig_tail)
+        return (np.bincount(chunk.sig_trial, weights=chunk.sig_g, minlength=chunk.n)
+                + chunk.g1 + chunk.sig_tail)
 
     def success(self, rng, chunk: _SirChunk):
         """Per-trial values whose mean estimates P(SIR > theta)."""
@@ -549,31 +594,24 @@ class _AlignedModel:
         g0 = self.signal_gain(chunk)
         # A requested file of zero popularity has G_0 = 0, signal and tail: SIR 0.
         live = g0 > 0.0
-        scale = s.theta / np.where(live, g0, 1.0)
-        log_q = np.zeros(n)
-        for files, gains in self.blocks(chunk, chunk.r ** (-s.alpha)):
-            gains += s.tau_int[files, None]
-            gains *= scale
-            log_q += np.log1p(gains, out=gains).sum(axis=0)
+        gains = self.cells(chunk, chunk.g)
+        gains += s.tau_int[:, None]
+        gains *= s.theta / np.where(live, g0, 1.0)
+        log_q = np.log1p(gains, out=gains).sum(axis=0)
         return np.where(live, np.exp(-log_q), 0.0)
 
     def sir(self, rng, chunk: _SirChunk):
-        """SIR samples, one per trial.
-
-        Complex mode turns ``chunk.r`` into amplitudes in place, so a model
-        that reads the radii runs on the chunk first.
-        """
+        """SIR samples, one per trial."""
         s, n = self.stratum, chunk.n
         if s.n_files == 1:
             return np.full(n, np.inf)
-        interference = np.zeros(n)
         if self.mode == "exponential":
             s0 = rng.exponential(size=n) * self.signal_gain(chunk)
-            for files, gains in self.blocks(chunk, chunk.r ** (-s.alpha)):
-                gains += s.tau_int[files, None]
-                interference += (rng.exponential(size=gains.shape) * gains).sum(axis=0)
+            gains = self.cells(chunk, chunk.g)
+            gains += s.tau_int[:, None]
+            interference = (rng.exponential(size=gains.shape) * gains).sum(axis=0)
         else:
-            amp_sig = chunk.sig_r ** (-s.alpha / 2.0)
+            amp_sig = np.sqrt(chunk.sig_g)
             z_sig = (np.bincount(chunk.sig_trial,
                                  weights=amp_sig * rng.standard_normal(amp_sig.size), minlength=n)
                      + 1j * np.bincount(chunk.sig_trial,
@@ -581,20 +619,16 @@ class _AlignedModel:
                                         minlength=n)) / math.sqrt(2.0)
             # The nearest point's faded amplitude and the tail's Gaussian are
             # independent circular Gaussians: one draw of their summed power.
-            near = np.sqrt((chunk.r1 ** -s.alpha + chunk.sig_tail) / 2.0)
+            near = np.sqrt((chunk.g1 + chunk.sig_tail) / 2.0)
             z_sig += near * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             s0 = np.abs(z_sig) ** 2
-            fade = rng.standard_normal((2, chunk.r.size))
-            # The radii are not read again: they become the amplitudes in place.
-            fade *= np.power(chunk.r, -s.alpha / 2.0, out=chunk.r)
-            for (files, re), (_, im) in zip(self.blocks(chunk, fade[0]),
-                                            self.blocks(chunk, fade[1])):
-                # Tail terms in (file, trial, part) order: the same draws for any blocking.
-                tail = (np.sqrt(s.tau_int[files, None, None] / 2.0)
-                        * rng.standard_normal(re.shape + (2,)))
-                re = re / math.sqrt(2.0) + tail[..., 0]
-                im = im / math.sqrt(2.0) + tail[..., 1]
-                interference += (re**2 + im**2).sum(axis=0)
+            fade = rng.standard_normal((2, chunk.g.size))
+            fade *= np.sqrt(chunk.g)
+            # Tail terms in (file, trial, part) order.
+            tail = np.sqrt(s.tau_int[:, None, None] / 2.0) * rng.standard_normal((s.n_files, n, 2))
+            re = self.cells(chunk, fade[0]) / math.sqrt(2.0) + tail[..., 0]
+            im = self.cells(chunk, fade[1]) / math.sqrt(2.0) + tail[..., 1]
+            interference = (re**2 + im**2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             return s0 / interference
 
@@ -603,13 +637,13 @@ class _NearestHelperModel:
     """Nearest-helper SIR trials (no alignment) on a stratum's geometry.
 
     The serving helper is the nearest point of the requested file's
-    process, at ``chunk.r1``; the stratum draws it first, inside the signal
-    disk or beyond it, so every trial has one.  Every other point, of the
+    process, at r_1; the stratum draws it first, inside the signal disk or
+    beyond it, so every trial has one.  Every other point, of the
     requested file or of the interferers, interferes with its own unit-mean
     exponential fade, and the tail means add unfaded.  A requested file of
-    zero popularity has no helper anywhere (r_1 = inf): success and SIR 0.
-    Both methods are ``(rng, chunk) -> values``; :meth:`success` draws
-    nothing.
+    zero popularity has no helper anywhere (gain ``g1 = 0``): success and
+    SIR 0.  Both methods are ``(rng, chunk) -> values``; :meth:`success`
+    draws nothing.
     """
 
     def __init__(self, stratum: _Stratum):
@@ -618,36 +652,29 @@ class _NearestHelperModel:
     def success(self, rng, chunk: _SirChunk):
         """Per-trial P(SIR > theta) given the geometry, the fades integrated out.
 
-        With ``x = theta * r1**alpha`` for the server at ``r1``, a point of
-        path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g), so a
-        trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
+        With ``x = theta * r1**alpha = theta / g1`` for the server at r_1, a
+        point of path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g),
+        so a trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
         """
         s, n = self.stratum, chunk.n
-
-        def log_terms(trial, r):
-            # log(1 + x g) = log1p(theta * (r1 / r)**alpha), formed in one buffer.
-            t = chunk.r1[trial]
-            t /= r
-            np.power(t, s.alpha, out=t)
-            t *= s.theta
-            return np.log1p(t, out=t)
-
-        log_q = s.theta * chunk.r1 ** s.alpha * (chunk.sig_tail + s.tau_int.sum())
-        log_q += np.bincount(chunk.sig_trial, weights=log_terms(chunk.sig_trial, chunk.sig_r),
-                             minlength=n)
-        log_q += np.bincount(chunk.labels, weights=log_terms(chunk.labels, chunk.r),
-                             minlength=n)
+        with np.errstate(divide="ignore"):
+            x = s.theta / chunk.g1
+        log_q = x * (chunk.sig_tail + s.tau_int_total)
+        for trial, g in ((chunk.sig_trial, chunk.sig_g), (chunk.labels, chunk.g)):
+            t = x[trial]
+            t *= g
+            log_q += np.bincount(trial, weights=np.log1p(t, out=t), minlength=n)
         return np.exp(-log_q)
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one exponential fade per point."""
         s, n = self.stratum, chunk.n
-        signal = rng.exponential(size=n) * chunk.r1 ** -s.alpha
-        sig_power = rng.exponential(size=chunk.sig_r.size) * chunk.sig_r ** -s.alpha
-        int_power = rng.exponential(size=chunk.r.size) * chunk.r ** -s.alpha
+        signal = rng.exponential(size=n) * chunk.g1
+        sig_power = rng.exponential(size=chunk.sig_g.size) * chunk.sig_g
+        int_power = rng.exponential(size=chunk.g.size) * chunk.g
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
                         + np.bincount(chunk.labels, weights=int_power, minlength=n)
-                        + chunk.sig_tail + s.tau_int.sum())
+                        + chunk.sig_tail + s.tau_int_total)
         return signal / interference
 
 
@@ -666,24 +693,24 @@ def _sir_regions(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, No
 
 def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
     """The stratum of request ``k`` on the windows of :func:`_sir_regions`."""
-    return _Stratum(scenario, k, *_sir_regions(scenario, k, cfg, regions))
+    sig_region, int_region = _sir_regions(scenario, k, cfg, regions)
+    return _Stratum(_Interferers(scenario, int_region), k, sig_region)
 
 
 def _on_geometry(stratum: _Stratum, method):
     """``(rng, n) -> values``: the values of ``method(rng, chunk)`` on ``n`` fresh trials."""
-    return lambda rng, n: method(rng, stratum.geometry(rng, n))
+    return lambda rng, n: stratum.values(rng, n, (method,))[0]
 
 
 def _sir_moments(cfg: TrialConfig, stratum: _Stratum, methods, stream_offset: int = 0):
-    """The per-trial values of ``methods``, run in order on one geometry per chunk.
+    """The per-trial values of ``methods``, run in order on one geometry per block.
 
     They are folded into their :class:`Moments` for one method, into the
     :class:`CoMoments` of the first (``x``) and second (``y``) for two.
     """
 
     def chunk(rng, n):
-        geometry = stratum.geometry(rng, n)
-        values = [method(rng, geometry) for method in methods]
+        values = stratum.values(rng, n, methods)
         return (Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values),)
 
     (record,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
@@ -763,14 +790,18 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, retur
     by :func:`_sir_moments` on their own chunk grid, at a disjoint stream
     offset.  The strata's records add up in file order, and ``finish``
     turns one into the result.  Every stratum's windows are checked before
-    the first one draws a point.
+    the first one draws a point, and the interferers' constants are built
+    once per interference disk, not once per stratum.
     """
     counts = _request_counts(scenario, cfg)
     subs = {k: replace(cfg, trials=int(t_k)) for k, t_k in enumerate(counts) if t_k}
     regions = {k: _sir_regions(scenario, k, sub) for k, sub in subs.items()}
+    interferers = {region: _Interferers(scenario, region)
+                   for region in {int_region for _, int_region in regions.values()}}
     runs = {}
     for k, sub in subs.items():
-        stratum = _Stratum(scenario, k, *regions[k])
+        sig_region, int_region = regions[k]
+        stratum = _Stratum(interferers[int_region], k, sig_region)
         runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
     total = finish(sum(runs.values()))
     if return_strata:
@@ -807,7 +838,8 @@ def simulate_totals(scenario: Scenario, cfg: TrialConfig,
     of :func:`simulate_total_aligned` and :func:`simulate_total_baseline`
     at the same arguments, in either mode: the nearest-helper half is
     evaluated first and draws nothing, so the aligned half reads the stream
-    it reads alone.  With ``return_strata`` the per-file :class:`Totals` are
+    it reads alone, and the aligned half's fades never move a later block's
+    geometry (:meth:`_Stratum.values`).  With ``return_strata`` the per-file :class:`Totals` are
     returned alongside.
     """
 

@@ -243,101 +243,101 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                '8039184578e83f81bd70228033bf49a308719c164529983278f941b23931e13a'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
-                                   '0x1.982a9930be0dfp-2',
-                                   '0x1.c5d3481627c9dp-8',
+                                   '0x1.9f212d77318fcp-2',
+                                   '0x1.c715cdf2f77dbp-8',
                                    5000,
                                    3,
                                    0),
         'sir_aligned_exponential_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_exponential_N5': ('est',
-                                       '0x1.97ab88b0896eep-2',
-                                       '0x1.5070f778e4b38p-8',
+                                       '0x1.9df3d8a076a54p-2',
+                                       '0x1.54f7174b55b31p-8',
                                        5000,
                                        3,
                                        0),
         'sir_aligned_interference_region_only': ('est',
-                                                 '0x1.6059839b1e04fp-4',
-                                                 '0x1.96acfcd078c6ap-9',
+                                                 '0x1.5a3b552f1501ep-4',
+                                                 '0x1.933d47843be19p-9',
                                                  5000,
                                                  3,
                                                  0),
-        'sir_aligned_regions': ('est', '0x1.d70a3d70a3d71p-4', '0x1.27b48606f6a2ep-8', 5000, 3, 0),
+        'sir_aligned_regions': ('est', '0x1.da5119ce075f7p-4', '0x1.289908298e537p-8', 5000, 3, 0),
         'sir_aligned_signal_region_only': ('est',
-                                           '0x1.79a6a729a95bep-3',
-                                           '0x1.12b36960ea1e2p-8',
+                                           '0x1.85c5fff404034p-3',
+                                           '0x1.16ffa3d82ea5ep-8',
                                            5000,
                                            3,
                                            0),
-        'sir_baseline_N1': ('est', '0x1.1d9b2d9b3743cp-1', '0x1.21e090784d752p-8', 5000, 3, 0),
-        'sir_baseline_N5': ('est', '0x1.05c3df852dc19p-2', '0x1.3537b722ecacbp-8', 5000, 3, 0),
+        'sir_baseline_N1': ('est', '0x1.1e802222723aep-1', '0x1.23eaf790ae514p-8', 5000, 3, 0),
+        'sir_baseline_N5': ('est', '0x1.12d1224cd5588p-2', '0x1.3da9ebe17e6d7p-8', 5000, 3, 0),
         'sir_baseline_interference_region_only': ('est',
-                                                  '0x1.169effe1871a9p-3',
-                                                  '0x1.feea90dfe9a00p-9',
+                                                  '0x1.0d695a5c0a881p-3',
+                                                  '0x1.f017eafd7b93bp-9',
                                                   5000,
                                                   3,
                                                   0),
-        'sir_baseline_regions': ('est', '0x1.1cf715579c536p-4', '0x1.808eb3687e81fp-9', 5000, 3, 0),
+        'sir_baseline_regions': ('est', '0x1.215c47299c46bp-4', '0x1.82c6fea0f2aa7p-9', 5000, 3, 0),
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        '17bf32fcdca0aa53ec06ffbe085426a46c9325d3ce37c655f12badb1ea181723'),
+                                        '9059bd69ec2043c02cf1d815d1bc50637a0876cbebdcd5fc14d246c18b1ffae5'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            'c36819c37d64b76e1e2ea92c34596074c7176bf917e69d5e2c6b8f75b1e2d4b6'),
+                                            'b92be1b84c0394ebb2c44f37c5607f9d63a190b26c68d1d0ae78d41df71bcae6'),
         'sir_samples_aligned_interference_region_only': ('arr',
                                                          'float64',
                                                          (5000,),
-                                                         '52e540585821ee6c74fb667ecc38ea0bd33dd5358be6fa2ba2bbc4947ef5c6fb'),
+                                                         'f49164d4304364a0785e5cc9a758674cdd5868033ba94ebc068a67a5f9868d8e'),
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 'e9ebf9dbd20ec739a0213941f2a85478885a526c8dd46b876981e031f2c5e909'),
+                                 'b9e1a84c2053b1e355b71a78228c52c35684103f2363e510bf3b74337bfbe650'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '2ba12005bf9a81c7b6f2718b1c329c2a4984005471e2d042e2ba0a42289737ff'),
+                                         '412c603b872de86dc64f93395c17948f27f0cae54c49d3a3987dbff2cae6c596'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
         'total_aligned_complex_N5': (('est',
-                                      '0x1.0057619f0fb39p-2',
-                                      '0x1.6e8cf47a1784dp-8',
+                                      '0x1.07ae147ae147bp-2',
+                                      '0x1.71faaee171de0p-8',
                                       6000,
                                       3,
                                       0),
                                      ((0,
                                        ('est',
-                                        '0x1.8dfbe838e9197p-2',
-                                        '0x1.37b19be542763p-7',
+                                        '0x1.9df73ac31811fp-2',
+                                        '0x1.39ce7692c4c2ep-7',
                                         2627,
                                         3,
                                         0)),
                                       (1,
                                        ('est',
-                                        '0x1.9cf3cf3cf3cf4p-3',
-                                        '0x1.66c11c92b9463p-7',
+                                        '0x1.b6db6db6db6dbp-3',
+                                        '0x1.6ee4eb35532f7p-7',
                                         1344,
                                         3,
                                         0)),
                                       (2,
                                        ('est',
-                                        '0x1.0fc5c3562465fp-3',
-                                        '0x1.7ee047d215dc3p-7',
+                                        '0x1.0610fc5c35624p-3',
+                                        '0x1.7900b26484366p-7',
                                         844,
                                         3,
                                         0)),
                                       (3,
                                        ('est',
-                                        '0x1.6eb6946500637p-4',
-                                        '0x1.6cb6f315065e2p-7',
+                                        '0x1.308ef4bc04a96p-4',
+                                        '0x1.4f21859b90755p-7',
                                         659,
                                         3,
                                         0)),
                                       (4,
                                        ('est',
-                                        '0x1.2fb2211855a86p-4',
-                                        '0x1.76b2ad335dc56p-7',
+                                        '0x1.27e8a3874ce5bp-4',
+                                        '0x1.723e13493e35cp-7',
                                         526,
                                         3,
                                         0)))),
@@ -350,89 +350,79 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                             3,
                                             0)),)),
         'total_aligned_exponential_N5': (('est',
-                                          '0x1.0116c02f95984p-2',
-                                          '0x1.1c470e1b6637fp-8',
+                                          '0x1.071527fb39e73p-2',
+                                          '0x1.229c969a7f740p-8',
                                           6000,
                                           3,
                                           0),
                                          ((0,
                                            ('est',
-                                            '0x1.97c7ce0874d5bp-2',
-                                            '0x1.cb5c6fdf4daf0p-8',
+                                            '0x1.a14c514dae782p-2',
+                                            '0x1.d5bba89ecf776p-8',
                                             2627,
                                             3,
                                             0)),
                                           (1,
                                            ('est',
-                                            '0x1.89aba9db7486cp-3',
-                                            '0x1.0baed71f5c6a9p-7',
+                                            '0x1.9d63b13873ea5p-3',
+                                            '0x1.11378122f397cp-7',
                                             1344,
                                             3,
                                             0)),
                                           (2,
                                            ('est',
-                                            '0x1.112033776f792p-3',
-                                            '0x1.2eb002fb8c62cp-7',
+                                            '0x1.0bbee54edc445p-3',
+                                            '0x1.3077766395f24p-7',
                                             844,
                                             3,
                                             0)),
                                           (3,
                                            ('est',
-                                            '0x1.68e1e86025b92p-4',
-                                            '0x1.127de83d5c67fp-7',
+                                            '0x1.6003f5caeda9bp-4',
+                                            '0x1.14175608530cep-7',
                                             659,
                                             3,
                                             0)),
                                           (4,
                                            ('est',
-                                            '0x1.e730da65d454dp-5',
-                                            '0x1.fda7836cb927ap-8',
+                                            '0x1.fd17782c87fc2p-5',
+                                            '0x1.126938010ae0ep-7',
                                             526,
                                             3,
                                             0)))),
         'total_alpha4_a4': ('est', '0x1.e9e993a7d1767p-6', '0x1.a7aa714996319p-17', 3000, 7, 0),
         'total_alpha4_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
-        'total_baseline_N1': (('est', '0x1.1d1fe7df1d4dfp-1', '0x1.0af3f34739446p-8', 6000, 3, 0),
+        'total_baseline_N1': (('est', '0x1.202b4c7725a24p-1', '0x1.08a0d1355a39fp-8', 6000, 3, 0),
                               ((0,
                                 ('est',
-                                 '0x1.1d1fe7df1d4dfp-1',
-                                 '0x1.0af3f34739446p-8',
+                                 '0x1.202b4c7725a24p-1',
+                                 '0x1.08a0d1355a39fp-8',
                                  6000,
                                  3,
                                  0)),)),
-        'total_baseline_N5': (('est', '0x1.5dd154c51ad33p-3', '0x1.f6651bf2da3afp-9', 6000, 3, 0),
+        'total_baseline_N5': (('est', '0x1.6d9074439a24bp-3', '0x1.02866c5581cadp-8', 6000, 3, 0),
                               ((0,
                                 ('est',
-                                 '0x1.079deb9ae7779p-2',
-                                 '0x1.abb08545aedb5p-8',
+                                 '0x1.1472da8b73866p-2',
+                                 '0x1.b650fa4061e12p-8',
                                  2627,
                                  3,
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.208bfc410026bp-3',
-                                 '0x1.eba16f1492515p-8',
+                                 '0x1.31114bb579a1fp-3',
+                                 '0x1.fb478634ee9eap-8',
                                  1344,
                                  3,
                                  0)),
                                (2,
-                                ('est',
-                                 '0x1.afe5076c78b8ep-4',
-                                 '0x1.1cd7d7da2ee23p-7',
-                                 844,
-                                 3,
-                                 0)),
+                                ('est', '0x1.b3f55338e78a7p-4', '0x1.2072658246007p-7', 844, 3, 0)),
                                (3,
-                                ('est',
-                                 '0x1.1cb4a07e9e6bap-4',
-                                 '0x1.f92fa8fe5c7bap-8',
-                                 659,
-                                 3,
-                                 0)),
+                                ('est', '0x1.17e67a8c4b146p-4', '0x1.025356444b82ap-7', 659, 3, 0)),
                                (4,
                                 ('est',
-                                 '0x1.7c1f7ff33c5c6p-5',
-                                 '0x1.da877cd64257dp-8',
+                                 '0x1.a00fc2351def1p-5',
+                                 '0x1.028c9cd0a1042p-7',
                                  526,
                                  3,
                                  0)))),

@@ -46,8 +46,8 @@ from snratio.simulate import (
     _AlignedModel,
     _coupled_shot_sums,
     _disk_points,
+    _Interferers,
     _NearestHelperModel,
-    _on_geometry,
     _shot_chunk,
     _Stratum,
     _trial_sums,
@@ -455,7 +455,7 @@ class TestAlignedSir:
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_empty_interference_window_without_compensation_succeeds(self, mode):
-        # Only the requested file has helpers: every block of other files is
+        # Only the requested file has helpers: every other file's cells are
         # empty and their tail means add nothing, so the interference is 0
         # and every trial succeeds (SIR = G_0 / 0 = inf, no warning).
         sc = Scenario(PopularityProfile([1.0, 0.0, 0.0]), 4.0, 5.0, 0.1)
@@ -467,7 +467,7 @@ class TestAlignedSir:
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_empty_interference_window_is_all_tail(self, mode):
-        # No file has an interferer in the window; every block of files is
+        # No file has an interferer in the window; every (file, trial) cell is
         # empty, and the interference is the tail mean alone.  Beyond a disk
         # of radius 1e-6 that is about 3e11 per unit density, so delivery
         # (almost) never succeeds, and nothing divides by zero.
@@ -480,8 +480,17 @@ class TestAlignedSir:
         assert 0.0 <= est.mean < 1e-20
 
 
+def _make_stratum(sc, k, sig_region, int_region):
+    return _Stratum(_Interferers(sc, int_region), k, sig_region)
+
+
 def _stratum(sc, k):
-    return _Stratum(sc, k, *aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2)))
+    return _make_stratum(sc, k, *aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2)))
+
+
+def _radii(gains, alpha):
+    """The distances r whose path gains r**-alpha are ``gains``."""
+    return gains ** (-1.0 / alpha)
 
 
 def _aligned_model(sc, k, mode="exponential"):
@@ -498,10 +507,11 @@ class TestAlignedGeometry:
         # 62.9, about 250 points a cell.
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, alpha, 0.1), 2, 4096
         regions = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=tail_tol))
-        chunk = _Stratum(sc, k, *regions).geometry(substream(29, 0), n)
+        chunk = _make_stratum(sc, k, *regions).geometry(substream(29, 0), n)
         file, trial = np.divmod(chunk.key, n)
-        assert np.array_equal(file, np.repeat(np.arange(n_files), np.diff(chunk.ends)))
         assert np.array_equal(trial, chunk.labels)
+        # Uniform on the disk: the gains r**-alpha lie beyond R**-alpha.
+        assert np.all(chunk.g >= regions[1].radius ** -alpha * (1.0 - 1e-12))
         area = regions[1].area
         dens = decompose_densities(sc.profile, sc.helper_density)
         counts = np.bincount(chunk.key, minlength=n_files * n).reshape(n_files, n)
@@ -522,12 +532,12 @@ class TestAlignedGeometry:
         p = model.success(None, chunk)
         file, trial = np.divmod(chunk.key, n)
         gains = np.zeros((5, n))
-        np.add.at(gains, (file, trial), chunk.r ** -sc.alpha)
+        np.add.at(gains, (file, trial), chunk.g)
         gains += stratum.tau_int[:, None]
         radius = stratum.sig_region.radius
-        g0 = (chunk.r1 ** -sc.alpha
-              + tail_mean(stratum.sig_density, sc.alpha, np.maximum(chunk.r1, radius)))
-        np.add.at(g0, chunk.sig_trial, chunk.sig_r ** -sc.alpha)
+        r1 = _radii(chunk.g1, sc.alpha)
+        g0 = chunk.g1 + tail_mean(stratum.sig_density, sc.alpha, np.maximum(r1, radius))
+        np.add.at(g0, chunk.sig_trial, chunk.sig_g)
         want = np.prod(1.0 / (1.0 + stratum.theta * gains / g0), axis=0)
         np.testing.assert_allclose(p, want, rtol=1e-12)
         assert np.all((0.0 < p) & (p < 1.0))
@@ -546,7 +556,7 @@ class TestAlignedGeometry:
         sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 20_000
         lam = decompose_densities(sc.profile, sc.helper_density)[k]
         radius = math.sqrt(math.log(2.0) / (math.pi * lam))
-        stratum = _Stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        stratum = _make_stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
         g0 = _AlignedModel(stratum, "exponential").signal_gain(
             stratum.geometry(substream(43, 0), n))
         rng = substream(44, 0)
@@ -559,16 +569,40 @@ class TestAlignedGeometry:
         assert stats.ks_2samp(g0, ref).pvalue > 0.01
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
-    def test_blocks_of_files_do_not_change_values(self, mode, monkeypatch):
-        sc = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1)
-        model = _aligned_model(sc, 3, mode=mode)
-        success = _on_geometry(model.stratum, model.success)
-        sir = _on_geometry(model.stratum, model.sir)
-        ref = success(substream(32, 0), 50)
-        ref_sir = sir(substream(33, 0), 50)
-        monkeypatch.setattr("snratio.simulate._BLOCK_CELLS", 120)  # 2 files a block
-        np.testing.assert_allclose(success(substream(32, 0), 50), ref, rtol=1e-12)
-        np.testing.assert_allclose(sir(substream(33, 0), 50), ref_sir, rtol=1e-12)
+    def test_chunk_of_one_block_is_one_geometry(self, mode):
+        # Trials that fit one block draw one geometry, and every method reads
+        # it and then draws from the same stream: both the moment runs and the
+        # sample gatherers give exactly method(rng, stratum.geometry(rng, n)).
+        sc, k, seed = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1), 3, 32
+        stratum = _stratum(sc, k)
+        n = stratum.block_trials
+        assert 100 < n < mc.CHUNK_TRIALS
+        cfg = TrialConfig(trials=n, seed=seed, tail_tol=1e-2)
+
+        def direct(method):
+            rng = substream(seed, 0)
+            return method(rng, stratum.geometry(rng, n))
+
+        aligned, nearest = _AlignedModel(stratum, mode), _NearestHelperModel(stratum)
+        assert simulate_sir_aligned(sc, k, cfg, mode) == Moments.of(
+            direct(aligned.success)).estimate(seed)
+        assert simulate_sir_baseline(sc, k, cfg) == Moments.of(
+            direct(nearest.success)).estimate(seed)
+        assert np.array_equal(sir_samples_aligned(sc, k, cfg, mode), direct(aligned.sir))
+        assert np.array_equal(sir_samples_baseline(sc, k, cfg), direct(nearest.sir))
+
+    def test_small_blocks_agree_with_the_default(self, monkeypatch):
+        # Blocks of 2 trials in place of 300 to 370 draw other streams, with
+        # the same law: both totals and the gain agree within 4 combined stderr.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1)
+        cfg = TrialConfig(trials=8000, seed=46, tail_tol=1e-2)
+        ref = simulate_totals(sc, cfg)
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", 500)
+        assert _stratum(sc, 0).block_trials == 2
+        small = simulate_totals(sc, cfg)
+        for a, b in zip(ref, small):
+            assert a.mean != b.mean
+            assert abs(a.mean - b.mean) < 4.0 * math.hypot(a.stderr, b.stderr)
 
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_chunk_memory_is_bounded_in_n_files(self, mode):
@@ -582,6 +616,21 @@ class TestAlignedGeometry:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_chunk_memory_is_bounded_in_points_per_trial(self, mode):
+        # alpha = 3 at tail_tol 1.3e-4: about 1250 points a trial on each
+        # disk, so about 10 M points and 80 MB of gains in a chunk of 4096
+        # trials, were it drawn at once.
+        sc = Scenario.from_zipf(5, 1.0, 5.0, 3.0, 0.1)
+        cfg = TrialConfig(trials=4096, seed=3, tail_tol=1.3e-4)
+        tracemalloc.start()
+        try:
+            simulate_totals(sc, cfg, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBaselineSir:
@@ -612,17 +661,19 @@ class TestBaselineSir:
         sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 4000
         lam = decompose_densities(sc.profile, sc.helper_density)[k]
         radius = math.sqrt(math.log(2.0) / (math.pi * lam))
-        stratum = _Stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        stratum = _make_stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
         chunk = stratum.geometry(substream(42, 0), n)
-        beyond = chunk.r1 > radius
+        r1, sig_r = _radii(chunk.g1, sc.alpha), _radii(chunk.sig_g, sc.alpha)
+        beyond = r1 > radius
         assert 0.45 < beyond.mean() < 0.55
-        assert stats.kstest(chunk.r1, lambda r: -np.expm1(-lam * math.pi * r**2)).pvalue > 0.01
+        assert stats.kstest(r1, lambda r: -np.expm1(-lam * math.pi * r**2)).pvalue > 0.01
         # The other points lie between the server and the edge of the disk.
-        assert np.all((chunk.r1[chunk.sig_trial] <= chunk.sig_r) & (chunk.sig_r <= radius))
+        assert np.all((chunk.g1[chunk.sig_trial] >= chunk.sig_g)
+                      & (sig_r <= radius * (1.0 + 1e-12)))
         assert not beyond[chunk.sig_trial].any()
         # The requested file's tail is taken beyond the server where it lies beyond the disk.
         np.testing.assert_allclose(chunk.sig_tail[beyond],
-                                   tail_mean(lam, sc.alpha, chunk.r1[beyond]), rtol=1e-12)
+                                   tail_mean(lam, sc.alpha, r1[beyond]), rtol=1e-12)
         assert np.all(chunk.sig_tail[~beyond] == tail_mean(lam, sc.alpha, radius))
 
     def test_every_signal_disk_empty(self):
@@ -659,12 +710,12 @@ class TestBaselineSir:
         int_trial = chunk.key % n
         want = np.empty(n)
         for t in range(n):
-            r_s = chunk.r1[t]
+            r_s = _radii(chunk.g1[t], alpha)
             tau_sig = tail_mean(lam, alpha, max(r_s, stratum.sig_region.radius))
             x = stratum.theta * r_s ** alpha
-            others = np.concatenate((chunk.sig_r[chunk.sig_trial == t], chunk.r[int_trial == t]))
+            others = np.concatenate((chunk.sig_g[chunk.sig_trial == t], chunk.g[int_trial == t]))
             want[t] = (math.exp(-x * (tau_sig + stratum.tau_int.sum()))
-                       * np.prod(1.0 / (1.0 + x * others ** -alpha)))
+                       * np.prod(1.0 / (1.0 + x * others)))
         return want
 
     @pytest.mark.parametrize("n_files", [1, 5, 40])
@@ -677,7 +728,7 @@ class TestBaselineSir:
         # A signal disk of radius 2 is empty for about 28% (N = 1) and 83%
         # (N = 5) of the trials.
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), n_files // 2, 300
-        stratum = _Stratum(sc, k, DiskRegion(2.0), DiskRegion(_stratum(sc, k).int_radius))
+        stratum = _make_stratum(sc, k, DiskRegion(2.0), _stratum(sc, k).int_region)
         self._check_product_form(stratum, n)
 
     def _check_product_form(self, stratum, n):
@@ -690,18 +741,17 @@ class TestBaselineSir:
         # On one chunk's geometry (small windows, so few points), the fraction
         # of exponential fades with h_s g_s > theta * (sum_i h_i g_i + tails).
         sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
-        stratum = _Stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
+        stratum = _make_stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
         chunk = stratum.geometry(substream(36, 0), 64)
         p = _NearestHelperModel(stratum).success(None, chunk)
         int_trial = chunk.key % chunk.n
         rng = np.random.default_rng(37)
         for t in range(4):
-            r_s = chunk.r1[t]
+            r_s = _radii(chunk.g1[t], sc.alpha)
             tails = (tail_mean(stratum.sig_density, sc.alpha, max(r_s, 8.0))
                      + stratum.tau_int.sum())
-            g = np.concatenate((chunk.sig_r[chunk.sig_trial == t],
-                                chunk.r[int_trial == t])) ** -sc.alpha
-            signal = rng.exponential(size=fades) * r_s ** -sc.alpha
+            g = np.concatenate((chunk.sig_g[chunk.sig_trial == t], chunk.g[int_trial == t]))
+            signal = rng.exponential(size=fades) * chunk.g1[t]
             interference = rng.exponential(size=(fades, g.size)) @ g + tails
             hit = np.mean(signal > stratum.theta * interference)
             assert 0.0 < p[t] < 1.0
