@@ -15,7 +15,8 @@ conventional nearest-helper service without alignment, and the resulting
 alignment gain.  The three sampled forms share one driver, which returns
 the coefficient-weighted sum of per-file conditional probabilities on one
 fading batch: the popularity-weighted total is the sum over every file, and
-a conditional probability is the one-file total with coefficient 1.
+a conditional probability is the one-file total with coefficient 1.  The
+batch is drawn and weighted once per scenario and shared by every form.
 
 All closed forms are independent of the helper density; the density is
 carried on the scenario only for the Monte Carlo simulator, whose windows
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -51,9 +53,11 @@ _FADING_CHUNK_CELLS = 4_000_000
 #: that its temporaries stay in cache whatever the file count.
 _KERNEL_BLOCK_CELLS = 1 << 15
 
-#: Largest fading batch (samples x files) whose draws are memoized; a larger
-#: batch is drawn again, one chunk at a time, by every form that reads it, so
-#: memory stays bounded as the file count grows.
+#: Largest fading batch (samples x files) whose draws, and whose weighting
+#: for the last (profile, alpha), are memoized; together they hold at most
+#: 2 * 2 ** 24 cells (256 MB).  A larger batch is drawn and weighted again,
+#: one chunk at a time, by every form that reads it, so memory stays bounded
+#: as the file count grows.
 _FADING_MEMO_CELLS = 1 << 24
 
 #: Unit roundoff of a double: the incomplete-beta series stops below it.
@@ -161,21 +165,73 @@ def _memo_exponentials(seed: int, sample_count: int, n_files: int, rows: int) ->
     return chunks
 
 
+def _weigh(h: np.ndarray, weights: np.ndarray, d: float, weighted=None, totals=None):
+    """One chunk's weighting W = a * h ** d and its row sums, into the arrays given.
+
+    The power is taken in row blocks of about ``_KERNEL_BLOCK_CELLS`` cells,
+    so its temporary stays in cache and the chunk needs no second buffer.
+    """
+    if weighted is None:
+        weighted = np.empty_like(h)
+    rows = max(1, _KERNEL_BLOCK_CELLS // h.shape[1])
+    for i in range(0, h.shape[0], rows):
+        np.multiply(h[i:i + rows] ** d, weights, out=weighted[i:i + rows])
+    return weighted, np.add.reduce(weighted, axis=1, out=totals)
+
+
+def _mapped_floats(count: int) -> np.ndarray:
+    """``count`` float cells in an anonymous memory mapping of their own.
+
+    The weighting memo lives across calls, often made from a pool thread.
+    Left to glibc's malloc it lands inside that thread's arena, where it
+    keeps the space around it from being reused or returned: a 1.6 MB
+    entry raised the peak RSS of three ``validate`` runs by about 15 MB.
+    A mapping of its own is unmapped whole when the entry is dropped.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=float, count=count)
+
+
+#: ``(key, chunks)`` of the last memoized weighting, or None; rebound as one
+#: tuple, so a thread never sees the key of one entry with the chunks of
+#: another.
+_weighted_memo = None
+
+
 def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch):
     """Yield (weighted, row_total) chunks of the batch: weighted = a * h ** (2/alpha).
 
-    The draws come from :func:`_memo_exponentials`, or are streamed chunk by
-    chunk when the batch exceeds ``_FADING_MEMO_CELLS``; either way they are
-    the same numbers.  Only the weighting is done per call.
+    Where the batch fits in ``_FADING_MEMO_CELLS``, the draws come from
+    :func:`_memo_exponentials` and the weighted chunks, read-only, from a
+    memo of the last (draws, alpha, profile weights) key, so every form on
+    one scenario and batch shares one weighting pass.  The old entry is
+    dropped before a new one is weighted, so the memo never holds two.  A
+    larger batch is drawn and weighted chunk by chunk on every call.
+    Either way the chunks hold the same numbers.
     """
+    global _weighted_memo
     n = profile.n_files
-    key = (batch.seed, batch.sample_count, n, _fading_chunk_size(n))
-    memo = batch.sample_count * n <= _FADING_MEMO_CELLS
+    rows = _fading_chunk_size(n)
+    draw_key = (batch.seed, batch.sample_count, n, rows)
     d = 2.0 / alpha
-    for h in (_memo_exponentials if memo else _draw_exponentials)(*key):
-        weighted = h**d
-        weighted *= profile.weights
-        yield weighted, weighted.sum(axis=1)
+    if batch.sample_count * n > _FADING_MEMO_CELLS:
+        for h in _draw_exponentials(*draw_key):
+            yield _weigh(h, profile.weights, d)
+        return
+    key = draw_key + (alpha, profile.weights.tobytes())
+    entry = _weighted_memo
+    if entry is None or entry[0] != key:
+        entry = _weighted_memo = None
+        cells = batch.sample_count * n
+        buf = _mapped_floats(cells + batch.sample_count)
+        weighted, totals = buf[:cells].reshape(-1, n), buf[cells:]
+        chunks = tuple(_weigh(h, profile.weights, d, weighted[i:i + rows], totals[i:i + rows])
+                       for i, h in zip(range(0, batch.sample_count, rows),
+                                       _memo_exponentials(*draw_key)))
+        for arrays in chunks:
+            for a in arrays:
+                a.setflags(write=False)
+        entry = _weighted_memo = (key, chunks)
+    yield from entry[1]
 
 
 def _faded_tail(y, alpha):
@@ -266,7 +322,7 @@ def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBa
 
 def _competing_g(profile: PopularityProfile, alpha: float, batch: FadingBatch,
                  files: range) -> np.ndarray:
-    """The batch's samples of g_k for each file k in ``files``, from one weighting pass.
+    """The batch's samples of g_k for each file k in ``files``, from its weighted chunks.
 
     Row i holds g for file ``files[i]``; each row is contiguous, so a
     reduction over it is the same whatever block of files it came in.
@@ -290,10 +346,20 @@ def _inverse_powers(g: np.ndarray):
 
 
 def _moment_stats(vals: np.ndarray):
-    """The mean of the samples ``vals`` and its relative standard error."""
-    mu = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return mu, sd / (math.sqrt(vals.size) * mu) if mu > 0 else np.inf
+    """The mean of the samples ``vals`` and its relative standard error.
+
+    The mean and the spread are formed as ``vals.mean()`` and
+    ``vals.std(ddof=1)`` form them, with the same operations in the same
+    order and so the same bits, without their per-call overhead.
+    """
+    n = vals.size
+    mu = float(np.add.reduce(vals) / n)
+    sd = 0.0
+    if n > 1:
+        dev = vals - mu
+        np.multiply(dev, dev, out=dev)
+        sd = math.sqrt(np.add.reduce(dev) / (n - 1))
+    return mu, sd / (math.sqrt(n) * mu) if mu > 0 else np.inf
 
 
 def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
@@ -302,12 +368,12 @@ def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
 
     Returns ``(means, rses)``; each relative standard error above 10%
     marks a moment whose Monte Carlo value should not be trusted (high
-    inverse moments can be heavy-tailed or outright infinite).  Weights the
-    batch's draws once; the draws themselves are memoized, so they are
-    shared with every other form evaluated on the same seed, sample count
-    and file count.  The series forms do not call this function but take
-    g_k from a weighting pass shared by a block of files, and compute only
-    the moments their truncation loop reads.
+    inverse moments can be heavy-tailed or outright infinite).  Reads the
+    batch's memoized weighting (:func:`_fading_chunks`), so it shares one
+    weighting pass with every other sampled form on the same profile,
+    path-loss exponent and batch.  The series forms do not call this
+    function but take g_k for a block of files from the same weighting, and
+    compute only the moments their truncation loop reads.
     """
     if profile.n_files == 1:
         raise DegenerateScenarioError("no competing files to take moments over")
@@ -371,7 +437,7 @@ def conditional_delivery_prob_series(k: int, scenario: Scenario, max_terms: int,
     zero.  Terms that grow for three consecutive orders raise
     :class:`SeriesDivergenceError`: the sufficient condition that the
     per-term root stays below 1 is violated at this popularity/threshold.
-    Weights the batch's memoized draws once, and computes each moment only
+    Reads the batch's memoized weighting, and computes each moment only
     when the truncation loop reads its term.
     """
     _check_file_index(scenario.n_files, k)
@@ -385,17 +451,18 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
     ``files`` is a range of consecutive files.  Every file reads the
     batch's common draws, so the stderr is the sample spread of one
     per-sample mix over every file (and series term), which carries their
-    correlation and does not depend on the chunking.  The expectation and
-    alpha4 forms are one blocked pass: each fading chunk's weighting W =
-    a * h ** (2/alpha) and its row sums feed :func:`_tail_mix`, which takes
-    every file at once, in row blocks of about ``_KERNEL_BLOCK_CELLS``
-    cells, and sums each row over the files; the alpha4 form is the same
-    kernel with cos(2 pi / alpha) taken as exactly 0, its value at alpha =
-    4.  The series form weights the batch once per block of files whose g
-    samples fit in a quarter of the fading chunk, and takes each file's
-    inverse moments, a running product of 1 / g_k, only as far as its
-    truncation loop reads them.  A conditional probability is the one-file
-    total.
+    correlation and does not depend on the chunking.  Every form reads the
+    weighting W = a * h ** (2/alpha) of :func:`_fading_chunks`, made once
+    per profile, path-loss exponent and batch where the batch is memoized.
+    The expectation and alpha4 forms are one blocked pass: each fading
+    chunk's W and its row sums feed :func:`_tail_mix`, which takes every
+    file at once, in row blocks of about ``_KERNEL_BLOCK_CELLS`` cells, and
+    sums each row over the files; the alpha4 form is the same kernel with
+    cos(2 pi / alpha) taken as exactly 0, its value at alpha = 4.  The
+    series form reads the chunks once per block of files whose g samples
+    fit in a quarter of the fading chunk, and takes each file's inverse
+    moments, a running product of 1 / g_k, only as far as its truncation
+    loop reads them.  A conditional probability is the one-file total.
     """
     if method == "alpha4" and scenario.alpha != 4.0:
         raise ContractError(f"the alpha4 form requires alpha = 4, got {scenario.alpha}")
@@ -461,7 +528,11 @@ def delivery_upper_bound(a_k, theta, alpha: float):
 
     Elementwise over array-valued ``a_k`` and ``theta``.
     """
-    a, th = _bound_domain(a_k, theta, alpha)
+    return _upper_bound(*_bound_domain(a_k, theta, alpha), alpha)
+
+
+def _upper_bound(a, th, alpha: float):
+    """The upper bound of :func:`delivery_upper_bound` on checked arrays."""
     return 1.0 / (1.0 + th ** (2.0 / alpha) * (1.0 / a - 1.0))
 
 
@@ -495,11 +566,24 @@ def _erfcx(x):
     would magnify the rounding of x ** 2, so the value is the continued
     fraction of DLMF 7.9.2.  Its truncation error falls with x: 5 + 90 / x
     levels keep it below 1e-18 relative at every x >= 4 (25 levels are
-    needed at x = 4, 4 at x = 100).  Elementwise over arrays; a scalar
-    takes a plain float path.
+    needed at x = 4, 4 at x = 100).  Elementwise over arrays, with the bits
+    of the scalar path: below 4 each element takes ``math``'s exp and erfc,
+    since numpy's exp may differ from libm in the last bit, and from 4 on
+    the continued fraction runs on the whole array, each element updated
+    only on its own levels.
     """
     if np.ndim(x):
-        return np.vectorize(_erfcx, otypes=[float])(x)
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        lo = x < 4.0
+        out[lo] = [math.exp(v * v) * math.erfc(v) for v in x[lo].tolist()]
+        hi = x[~lo]
+        levels = 5 + (90.0 / hi).astype(int)
+        t = hi
+        for k in range(int(levels.max(initial=0)), 0, -1):
+            t = np.where(k <= levels, hi + 0.5 * k / t, t)
+        out[~lo] = 1.0 / (math.sqrt(math.pi) * t)
+        return out
     x = float(x)
     if x < 4.0:
         return math.exp(x * x) * math.erfc(x)
@@ -526,7 +610,7 @@ def alpha4_bounds(a_k, theta) -> Alpha4Bounds:
     Elementwise over array-valued ``a_k`` and ``theta``.
     """
     a, th = _bound_domain(a_k, theta, 4.0)
-    upper = delivery_upper_bound(a, th, 4.0)
+    upper = _upper_bound(a, th, 4.0)
     root_th, odds = np.sqrt(th), 1.0 / a - 1.0
     lower_a = _erfcx((math.sqrt(math.pi) / 2.0) * root_th * odds)
     lower_b = 1.0 - (2.0 / math.pi) * np.arctan((math.pi * root_th / 2.0) * odds)
@@ -624,8 +708,10 @@ def total_delivery_prob(scenario: Scenario, method: str, batch: FadingBatch,
     coefficients; their stderr is the sample spread of one per-sample mix
     over every file, because all files read the same fading draws.  The
     draws are memoized, so totals on the same seed, sample count and file
-    count share them across methods and scenarios.  Series divergence
-    propagates to the caller.
+    count share them across methods and scenarios; so is their weighting
+    for the last profile and path-loss exponent, so the sampled methods on
+    one scenario share one weighting pass.  Series divergence propagates to
+    the caller.
     """
     if method not in TOTAL_METHODS:
         raise ParameterDomainError(f"unknown method {method!r}; expected one of {TOTAL_METHODS}")

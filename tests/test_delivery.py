@@ -1,10 +1,12 @@
 """Delivery probabilities: expectation forms, series, bounds, baseline, gain."""
 
 import math
+import mmap
 import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -358,13 +360,28 @@ class TestSeriesTotalBlocks:
 
 
 class TestFadingMemo:
-    """The memoized fading draw changes no result, whatever the memo holds."""
+    """The memoized fading draw and weighting change no result, whatever the memo holds."""
 
     BATCH = FadingBatch(3000, 5)
 
     @staticmethod
-    def _scenario(n_files=8, alpha=4.0):
-        return Scenario.from_zipf(n_files, 0.5, 50.0, alpha)
+    def _scenario(n_files=8, alpha=4.0, gamma=0.5):
+        return Scenario.from_zipf(n_files, gamma, 50.0, alpha)
+
+    @pytest.fixture
+    def weighings(self, monkeypatch):
+        """Empty both memos; the list grows by one entry per call of the weighting helper."""
+        calls = []
+        weigh = delivery._weigh
+
+        def counted(h, weights, d, *out):
+            calls.append(d)
+            return weigh(h, weights, d, *out)
+
+        monkeypatch.setattr(delivery, "_weigh", counted)
+        monkeypatch.setattr(delivery, "_weighted_memo", None)
+        delivery._memo_exponentials.cache_clear()
+        return calls
 
     def _all_forms(self):
         """Every fading-averaged form on one scenario and batch, as comparable values."""
@@ -379,44 +396,58 @@ class TestFadingMemo:
         means, rses = inverse_g_moments(sc.profile, 2, 4.0, b, 4)
         return out + [means.tolist(), rses.tolist()]
 
-    def test_one_draw_serves_every_form(self):
-        delivery._memo_exponentials.cache_clear()
+    def test_one_draw_and_one_weighting_serve_every_form(self, weighings):
         self._all_forms()
         assert delivery._memo_exponentials.cache_info().misses == 1
+        assert len(weighings) == 1
 
-    @pytest.mark.parametrize("n_files, alpha, batch", [
-        (8, 4.0, FadingBatch(3000, 6)),
-        (8, 4.0, FadingBatch(3001, 5)),
-        (9, 4.0, FadingBatch(3000, 5)),
-        (8, 3.0, FadingBatch(3000, 5)),
-    ], ids=["seed", "size", "n_files", "alpha"])
-    def test_cold_warm_and_refilled_memo_agree(self, n_files, alpha, batch):
-        delivery._memo_exponentials.cache_clear()
+    @pytest.mark.parametrize("n_files, alpha, gamma, batch", [
+        (8, 4.0, 0.5, FadingBatch(3000, 6)),
+        (8, 4.0, 0.5, FadingBatch(3001, 5)),
+        (9, 4.0, 0.5, FadingBatch(3000, 5)),
+        (8, 3.0, 0.5, FadingBatch(3000, 5)),
+        (8, 4.0, 1.5, FadingBatch(3000, 5)),
+    ], ids=["seed", "size", "n_files", "alpha", "profile"])
+    def test_cold_warm_and_refilled_memo_agree(self, weighings, n_files, alpha, gamma, batch):
         cold = self._all_forms()
         assert self._all_forms() == cold
-        total_delivery_prob(self._scenario(n_files, alpha), "expectation", batch)
-        # Only the path-loss exponent leaves the draws, and the memo, as they were.
+        assert len(weighings) == 1
+        total_delivery_prob(self._scenario(n_files, alpha, gamma), "expectation", batch)
+        assert len(weighings) == 2
+        # Only the path-loss exponent and the profile leave the draws as they were.
         refilled = batch != self.BATCH or n_files != 8
         assert delivery._memo_exponentials.cache_info().misses == 1 + refilled
         assert self._all_forms() == cold
+        assert len(weighings) == 3
 
-    def test_streamed_batch_matches_memoized(self, monkeypatch):
+    def test_streamed_batch_matches_memoized(self, weighings, monkeypatch):
         memoized = self._all_forms()
         monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
+        monkeypatch.setattr(delivery, "_weighted_memo", None)
         delivery._memo_exponentials.cache_clear()
         assert self._all_forms() == memoized
         assert delivery._memo_exponentials.cache_info().misses == 0
+        assert delivery._weighted_memo is None
+        # A streamed batch is weighted by each of the seven sampled calls.
+        assert len(weighings) == 1 + 7
 
-    def test_memoized_draws_are_read_only(self):
+    def test_weighted_chunks_are_read_only_and_shared(self, weighings):
         sc = self._scenario()
-        weighted, _ = next(delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+        (first,) = delivery._fading_chunks(sc.profile, 4.0, self.BATCH)
+        (again,) = delivery._fading_chunks(sc.profile, 4.0, self.BATCH)
+        assert all(a is b for a, b in zip(first, again))
+        assert len(weighings) == 1
         (h,) = delivery._memo_exponentials(self.BATCH.seed, self.BATCH.sample_count, 8,
                                            delivery._fading_chunk_size(8))
-        with pytest.raises(ValueError, match="read-only"):
-            h[0, 0] = 1.0
-        weighted[0, 0] = 1.0  # the weighting is per call and stays writable
+        for arr in (h, *first):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        base = first[0]
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)  # a memoryview of the mapping, outside malloc
 
-    def test_chunk_size_is_part_of_the_key(self, monkeypatch):
+    def test_chunk_size_is_part_of_the_key(self, weighings, monkeypatch):
         sc = self._scenario()
 
         def n_chunks():
@@ -425,8 +456,47 @@ class TestFadingMemo:
         assert n_chunks() == 1
         monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 1000)
         assert n_chunks() == 3
+        assert n_chunks() == 3
         monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 700)
         assert n_chunks() == 5
+        assert len(weighings) == 1 + 3 + 5
+
+    @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
+    def test_threads_alternating_scenarios_match_serial(self, weighings):
+        # Pool threads (as in validate) replace each other's memo entry on every call.
+        scenarios = (self._scenario(), self._scenario(alpha=3.0, gamma=1.0))
+
+        def totals(sc):
+            return [total_delivery_prob(sc, method, self.BATCH)
+                    for method in ("expectation", "series")]
+
+        serial = [totals(sc) for sc in scenarios]
+
+        def alternate(first):
+            return [(i % 2, totals(scenarios[i % 2])) for i in range(first, first + 12)]
+
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(alternate, (0, 1)))
+        assert all(got == serial[i] for run in runs for i, got in run)
+
+
+class TestMomentStats:
+    """The mean and rse of an inverse moment, against np.std(ddof=1) bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "g^-20"])
+    def test_spread_is_np_std(self, kind):
+        if kind == "uniform":
+            vals = substream(1, 0).random(5001)
+        else:
+            profile = Scenario.from_zipf(8, 0.5, 5.0, 3.0).profile
+            vals = delivery._competing_g(profile, 3.0, FadingBatch(5000, 3), range(1))[0] ** -20.0
+        mu, rse = delivery._moment_stats(vals)
+        assert mu == float(vals.mean())
+        want = float(vals.std(ddof=1)) / (math.sqrt(vals.size) * mu)
+        assert rse.hex() == want.hex()
+
+    def test_single_sample_has_zero_spread(self):
+        assert delivery._moment_stats(np.array([2.5])) == (2.5, 0.0)
 
 
 class TestHighSirApprox:
@@ -642,6 +712,16 @@ class TestAlpha4Bounds:
             want = [float(mpmath.exp(mpmath.mpf(v) ** 2) * mpmath.erfc(mpmath.mpf(v)))
                     for v in x]
         np.testing.assert_allclose([delivery._erfcx(v) for v in x], want, rtol=2e-15, atol=0.0)
+
+    def test_erfcx_on_arrays_is_the_scalar_path(self):
+        # Both sides of the switch at 4, where the array path changes method too.
+        edge = [0.0, 3.99, np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0), 4.01]
+        x = np.concatenate([edge, np.linspace(0.0, 8.0, 97), np.geomspace(1e-8, 1e8, 1897)])
+        grid = x.reshape(40, 50)
+        got = delivery._erfcx(grid)
+        assert got.shape == grid.shape
+        assert all(g == delivery._erfcx(float(v)) for g, v in zip(got.ravel(), grid.ravel()))
+        assert delivery._erfcx(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestBaseline:
