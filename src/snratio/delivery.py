@@ -373,12 +373,17 @@ def inverse_g_moments(profile: PopularityProfile, k: int, alpha: float,
     weighting pass with every other sampled form on the same profile,
     path-loss exponent and batch.  The series forms do not call this
     function but take g_k for a block of files from the same weighting, and
-    compute only the moments their truncation loop reads.
+    compute only the moments their truncation loop reads.  Where no other
+    file has positive popularity, g_k is 0 and the moments raise
+    :class:`DegenerateScenarioError`.
     """
     if profile.n_files == 1:
         raise DegenerateScenarioError("no competing files to take moments over")
     _check_file_index(profile.n_files, k)
     check_integer("m_max", m_max, 1)
+    if not np.any(np.delete(profile.weights, k)):
+        raise DegenerateScenarioError(
+            f"every file competing with file {k} has popularity 0, so g_{k} is 0")
     g = _competing_g(profile, alpha, batch, range(k, k + 1))[0]
     means = np.empty(m_max)
     rses = np.empty(m_max)
@@ -393,9 +398,13 @@ def _series_mix(k: int, scenario: Scenario, g: np.ndarray, ctrl: SeriesControl):
     Returns the series value, the sum of its terms c_m * E[g_k ** -m], and
     the per-sample mix sum_m c_m * g_k ** -m over the same terms, whose
     sample spread is the value's standard error: every term reads the same
-    draws, so the terms' errors are correlated, not independent.
+    draws, so the terms' errors are correlated, not independent.  A file
+    with a_k = 1 has no competitor (g_k = 0): its value is exactly 1 and
+    its mix 0, as the lower bound's at a_k = 1.
     """
     a_k = float(scenario.profile.weights[k])
+    if a_k == 1.0:
+        return 1.0, np.zeros(g.size)
     theta = float(scenario.thresholds[k])
     d = scenario.delta
     y = a_k / theta**d

@@ -90,6 +90,35 @@ class TestGSample:
             inverse_g_moments(PopularityProfile([1.0]), 0, 4.0, FadingBatch(10, 0), 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFileWithoutCompetitors:
+    """A profile with all its popularity on one file: that file has no
+    competitor, g_k = 0, and is delivered surely by every sampled form."""
+
+    BATCH = FadingBatch(2000, 3)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("weights, k", [([1.0, 0.0], 0), ([0.0, 0.0, 1.0, 0.0], 2)])
+    def test_sampled_forms_give_exactly_one(self, alpha, weights, k):
+        sc = Scenario(PopularityProfile(weights), alpha, 5.0, 0.1)
+        got = [conditional_delivery_prob(k, sc, self.BATCH),
+               conditional_delivery_prob_series(k, sc, 60, self.BATCH)]
+        methods = ["expectation", "series"] + (["alpha4"] if alpha == 4.0 else [])
+        got += [total_delivery_prob(sc, method, self.BATCH) for method in methods]
+        if alpha == 4.0:
+            got.append(conditional_delivery_prob_alpha4(k, sc, self.BATCH))
+        for est in got:
+            assert (est.mean, est.stderr) == (1.0, 0.0)
+
+    def test_inverse_moments_degenerate(self):
+        profile = PopularityProfile([0.0, 1.0, 0.0])
+        with pytest.raises(DegenerateScenarioError, match="popularity 0"):
+            inverse_g_moments(profile, 1, 4.0, self.BATCH, 3)
+        # A zero-popularity file still has a competitor.
+        means, _ = inverse_g_moments(profile, 0, 4.0, self.BATCH, 3)
+        assert np.all(np.isfinite(means))
+
+
 class TestExpectationForm:
     def test_near_total_popularity_approaches_one(self):
         sc = scenario_with_top(1.0 - 1e-9, 2, 5.0, 4.0)
@@ -789,7 +818,7 @@ class TestBaseline:
 
     def test_closed_forms_and_figures_load_no_scipy(self):
         # Tiny fig3, fig4 and fig5 runs and the ratio tail run every closed
-        # form without scipy; only the validation suite's KS check loads it.
+        # form without scipy.
         out = _run_isolated(
             "import sys\n"
             "from snratio import RatioSpec, ratio_ccdf, ratio_ccdf_via_stable, ratio_laplace\n"
@@ -800,6 +829,16 @@ class TestBaseline:
             "run_figure3(cfg); run_figure4(cfg); run_figure5(cfg)\n"
             "spec = RatioSpec(1.0, 0.1, 3.0)\n"
             "ratio_ccdf(0.5, spec); ratio_ccdf_via_stable(0.5, spec); ratio_laplace(1.0, spec)")
+        assert out == "[]"
+
+    def test_validate_loads_no_scipy(self):
+        # The validation suite, its Levy KS check included, runs on math and
+        # numpy alone.
+        out = _run_isolated(
+            "import sys, snratio.cli\n"
+            "from snratio import experiments\n"
+            "cfg = experiments.ExperimentConfig(trials=500, batch_samples=500, partitions=2)\n"
+            "assert experiments.validate(cfg)[0]")
         assert out == "[]"
 
     def test_baseline_frozen_value(self):

@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -360,17 +361,42 @@ class TestValidateSuite:
             assert threading.get_ident() not in threads
 
 
+def _birnbaum_tingey(n, d):
+    """P(D_n+ >= d) by the Birnbaum-Tingey sum, term by term in mpmath."""
+    d = mpmath.mpf(d)
+    total, binom, j = mpmath.mpf(0), mpmath.mpf(1), 0
+    while j < n and 1 - d - mpmath.mpf(j) / n > 0:
+        v = d + mpmath.mpf(j) / n
+        total += binom * (1 - v) ** (n - j) * v ** (j - 1)
+        binom = binom * (n - j) / (j + 1)
+        j += 1
+    return d * total
+
+
 class TestValidateHelpers:
-    """The Levy law and KS distances ``validate`` computes, against scipy.stats."""
+    """The Levy law and KS distances ``validate`` computes, against scipy.stats and mpmath."""
 
     SCALE = experiments._levy_scale(1.0 / math.pi)
+    #: Two ulps of 1.0: the Levy CDF lies in [0, 1], and math.erfc and
+    #: scipy's erfc round its values differently in their last bits.
+    KS_ATOL = 2.0 * np.finfo(float).eps
 
     def test_levy_pdf_and_cdf_match_scipy(self):
         x = np.geomspace(1e-2, 1e6, 400) * self.SCALE
-        for mine, ref in ((experiments._levy_pdf, stats.levy.pdf),
-                          (experiments._levy_cdf, stats.levy.cdf)):
-            np.testing.assert_allclose(mine(x, self.SCALE), ref(x, scale=self.SCALE),
-                                       rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(experiments._levy_pdf(x, self.SCALE),
+                                   stats.levy.pdf(x, scale=self.SCALE), rtol=1e-15, atol=0.0)
+        # math.erfc and scipy's erfc differ by up to about 3.7e-15 relative.
+        np.testing.assert_allclose(experiments._levy_cdf(x, self.SCALE),
+                                   stats.levy.cdf(x, scale=self.SCALE), rtol=1e-14, atol=0.0)
+
+    def test_levy_cdf_matches_mpmath(self):
+        # erfc taken exactly at the argument the function forms in doubles.
+        x = np.geomspace(1e-2, 1e6, 400) * self.SCALE
+        z = np.sqrt(0.5 / (x / self.SCALE))
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erfc(mpmath.mpf(v))) for v in z.tolist()])
+        np.testing.assert_allclose(experiments._levy_cdf(x, self.SCALE), want,
+                                   rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n", [150, 2000, 20000])
     def test_levy_ks_matches_scipy(self, n):
@@ -384,18 +410,35 @@ class TestValidateHelpers:
                 scale = self.SCALE * factor
                 ref = stats.kstest(samples, stats.levy(scale=scale).cdf)
                 d = experiments._ks_distance(experiments._levy_cdf(np.sort(samples), scale))
-                assert d == ref.statistic
+                assert abs(d - ref.statistic) <= self.KS_ATOL
                 passed = d <= experiments._ks_critical_1pct(n)
+                assert passed == (2.0 * experiments._smirnov(n, d) > 0.01)
                 assert passed == (2.0 * special.smirnov(n, d) > 0.01)
                 assert passed == (ref.pvalue > 0.01), (seed, factor, d, ref.pvalue)
                 verdicts.add(passed)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n", [150, 2000, 20000])
+    @pytest.mark.parametrize("n", [1, 2, 10, 150, 2000])
+    def test_smirnov_matches_scipy(self, n):
+        d = np.linspace(0.0, 1.0, 41)[1:-1]
+        got = np.array([experiments._smirnov(n, float(v)) for v in d])
+        want = special.smirnov(n, d)
+        keep = want > 1e-300
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-11, atol=0.0)
+        assert np.all(got[~keep] < 1e-290)
+
+    @pytest.mark.parametrize("n", [150, 2000, 4000, 20000])
     def test_critical_distance_splits_the_smirnov_rule(self, n):
         crit = experiments._ks_critical_1pct(n)
-        assert 2.0 * special.smirnov(n, crit) > 0.01
-        assert not 2.0 * special.smirnov(n, np.nextafter(crit, 1.0)) > 0.01
+        # The exact ulp boundary of the rule the suite applies.
+        assert 2.0 * experiments._smirnov(n, crit) > 0.01
+        assert not 2.0 * experiments._smirnov(n, np.nextafter(crit, 1.0)) > 0.01
+        assert crit == pytest.approx(special.smirnovi(n, 0.005), rel=1e-11, abs=0.0)
+        # The Birnbaum-Tingey tail falls as d grows, so the exact root lies
+        # within 1e-11 relative of crit when the tail straddles 0.005 there.
+        with mpmath.workdps(20):
+            assert 2 * _birnbaum_tingey(n, crit * (1.0 - 1e-11)) > 0.01
+            assert 2 * _birnbaum_tingey(n, crit * (1.0 + 1e-11)) < 0.01
 
     @pytest.mark.parametrize("sizes", [(500, 500), (300, 700), (1, 40), (999, 1000),
                                        (10000, 10000)])

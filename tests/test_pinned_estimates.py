@@ -40,7 +40,7 @@ from snratio import (
     sir_samples_baseline,
     total_delivery_prob,
 )
-from snratio import delivery
+from snratio import delivery, experiments
 from snratio.delivery import TOTAL_METHODS
 from snratio.mc import Estimate, substream
 from snratio.simulate import _trial_sums, window_doubling_probe
@@ -506,3 +506,21 @@ def test_delivery_estimate_is_pinned(name, chunk_cells, monkeypatch):
         warnings.simplefilter("ignore", delivery.MomentReliabilityWarning)
         result = _delivery_cases()[name]()
     assert _bits(result) == PINS[name]
+
+
+#: SHA-256 of the ``validate`` report at 4000 trials, by seed.  The report
+#: must not depend on the number of threads its jobs run on.
+VALIDATE_REPORT_PINS = {
+    1: "3f0d2d92fe56519f2820e63bab62f35469c57c7337c267458e2935aaaf700f26",
+    2: "52b90a134062f98fdc61aa87d0802621f79cfed56f9bd4a85bdfcf2c62c0846a",
+    3: "50f9888b453eb481234ba9323a1c5e49c84a993e651cfcfbc5d245c5f8f74365",
+}
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("seed", sorted(VALIDATE_REPORT_PINS))
+def test_validate_report_is_pinned(seed, partitions):
+    config = experiments.ExperimentConfig(trials=4000, seed=seed, partitions=partitions)
+    passed, report = experiments.validate(config)
+    assert passed
+    assert hashlib.sha256(report.encode()).hexdigest() == VALIDATE_REPORT_PINS[seed]
