@@ -37,38 +37,45 @@ rest.  The SIR kernels, whose interferers need not be grouped by trial, add
 each block's points in point order with ``np.bincount``; a trial lies in
 one block, so its sums never span two.
 
-SIR trials: a chunk of trials is drawn and evaluated one block of trials at
-a time (``_Stratum.values``), each block expecting at most
-``_BLOCK_POINTS`` points and holding at most ``_BLOCK_CELLS`` (file, trial)
-cells, or one trial, so a chunk's memory is bounded in both the points per
-trial and the file count N.  Both models, aligned transmission and nearest-helper
-service, are evaluated on one marked geometry per block.  It stores every
-point as its path gain ``g = (r**2)**(-alpha/2)``, one power of its squared
-radius and no square root, which the aligned model sums and the
-nearest-helper model reads as ``log1p(x * g)``.  The requested file's
-process is drawn nearest first: its nearest point, inside the signal disk
-or beyond it, then its other points on the disk.  So every trial has a
-serving helper and no SIR trial is ever redrawn.  Each trial contributes
-its success probability given the geometry, with the fading integrated
-out; complex mode keeps per-point fading and a 0/1 indicator for the
-aligned model.  :func:`simulate_totals` runs both models on common trials,
-so the alignment gain's standard error includes their covariance.
+SIR trials: every trial carries its requested file, and one geometry
+serves every request (:class:`_Geometry`).  A conditional run is the case
+where every trial requests the same file; a popularity-mixed total sorts
+the trials of one multinomial request split by file and runs them all over
+one chunk grid, so its cost carries no per-file loop.  A chunk of trials is
+drawn and evaluated one block of trials at a time (``_Geometry.values``),
+each block expecting at most ``_BLOCK_POINTS`` points and holding at most
+``_BLOCK_CELLS`` (file, trial) cells, or one trial, so a chunk's memory is
+bounded in both the points per trial and the file count N.  Both models,
+aligned transmission and nearest-helper service, are evaluated on one
+marked geometry per block.  It stores every point as its path gain
+``g = (r**2)**(-alpha/2)``, one power of its squared radius and no square
+root, which the aligned model sums and the nearest-helper model reads as
+``log1p(x * g)``.  Each trial's requested file is drawn nearest first: its
+nearest point, inside the signal disk or beyond it, then its other points
+on the disk.  So every trial has a serving helper and no SIR trial is ever
+redrawn.  The other files' points are thinned off the trials that request
+them, which is exact for a Poisson process.  Each trial contributes its
+success probability given the geometry, with the fading integrated out;
+complex mode keeps per-point fading and a 0/1 indicator for the aligned
+model.  :func:`simulate_totals` runs both models on common trials, so the
+alignment gain's standard error includes their covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one keyed SFC64 substream per chunk (see
 :func:`snratio.mc.substream`); an SIR chunk of several blocks draws its
-fades from one child of it (:meth:`_Stratum.values`).  Per-chunk aggregates (integer exceedance counts for the ratio sampler, the
+fades from one child of it (:meth:`_Geometry.values`).  Per-chunk
+aggregates (integer exceedance counts for the ratio sampler, the
 :class:`~snratio.mc.Moments` of per-trial SIR values, or their
-:class:`~snratio.mc.CoMoments` when both SIR models run together) are
-merged in chunk order, so estimates are bit-identical under any
-partitioning.
+:class:`~snratio.mc.CoMoments` when both SIR models run together, and a
+total's per-file records) are merged in chunk order, so estimates are
+bit-identical under any partitioning.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,9 +106,6 @@ COVERAGE_FACTOR = 6.0
 #: entries, so this is about 1 GB of working arrays.  The SIR kernels hold one
 #: block of a chunk at a time; for them the cap bounds the work per chunk.
 MAX_CHUNK_POINTS = 1 << 24
-
-#: Stream-index stride separating the chunk grids of per-file sub-runs.
-_STREAM_STRIDE = 1_000_000
 
 #: Expected points per block of SIR trials.  A block's per-point arrays (a
 #: few 8-byte entries each) then stay about cache-sized and are reused from
@@ -178,6 +182,13 @@ def _check_process(density: float, alpha: float) -> None:
         raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
 
 
+def _window_factor(alpha: float, tail_tol: float) -> float:
+    """``max(rho, COVERAGE_FACTOR)``: a default disk's radius times ``sqrt(density)``."""
+    scale = (math.pi * math.gamma(1.0 - 2.0 / alpha)) ** (alpha / 2.0)
+    rho = (math.sqrt(math.pi / (alpha - 1.0)) / (tail_tol * scale)) ** (1.0 / (alpha - 1.0))
+    return max(rho, COVERAGE_FACTOR)
+
+
 def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
     """Default disk: radius ``max(rho, COVERAGE_FACTOR) / sqrt(density)``.
 
@@ -188,9 +199,7 @@ def default_region(density: float, alpha: float, tail_tol: float) -> DiskRegion:
     deviation is ``tail_tol * (pi * density * Gamma(1 - 2/alpha))**(alpha/2)``.
     """
     _check_process(density, alpha)
-    scale = (math.pi * math.gamma(1.0 - 2.0 / alpha)) ** (alpha / 2.0)
-    rho = (math.sqrt(math.pi / (alpha - 1.0)) / (tail_tol * scale)) ** (1.0 / (alpha - 1.0))
-    return DiskRegion(max(rho, COVERAGE_FACTOR) / math.sqrt(density))
+    return DiskRegion(_window_factor(alpha, tail_tol) / math.sqrt(density))
 
 
 def _check_chunk_points(trials: int, windows) -> None:
@@ -426,36 +435,21 @@ def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
             default_region(lam, scenario.alpha, cfg.tail_tol))
 
 
-class _Interferers:
-    """The constants of a scenario's helpers on one interference disk.
-
-    Per file ``j``: its helper density ``densities[j]``, its expected points
-    per trial on the disk ``means[j]``, and its tail mean beyond the disk
-    ``tails[j]``.  They are built once per scenario and disk, and every
-    request stratum reads them.
-    """
-
-    def __init__(self, scenario: Scenario, region: DiskRegion):
-        self.scenario = scenario
-        self.region = region
-        self.densities = decompose_densities(scenario.profile, scenario.helper_density)
-        self.means = self.densities * region.area
-        self.tails = tail_mean(1.0, scenario.alpha, region.radius) * self.densities
-
-
 class _SirChunk(NamedTuple):
-    """The geometry of one block of ``n`` SIR trials, as path gains.
+    """The geometry of one block of SIR trials, as path gains.
 
-    Every point at distance r is stored as its path gain g = (r**2)**(-alpha/2),
-    formed from its squared radius.  ``g1`` is every trial's gain from the
-    requested file's nearest point (0 where that file has no helper), and
-    ``sig_tail`` that file's tail mean beyond max(R, r_1) for the signal
-    disk of radius R.  Its other points on the disk carry their trial
-    ``sig_trial`` and gain ``sig_g``.  The interferers carry their trial
-    ``labels``, cell key ``file * n + trial`` and gain ``g``.
+    ``req`` holds every trial's requested file, in nondecreasing order.
+    Every point at distance r is stored as its path gain
+    g = (r**2)**(-alpha/2), formed from its squared radius.  ``g1`` is every
+    trial's gain from its requested file's nearest point (0 where that file
+    has no helper), and ``sig_tail`` that file's tail mean beyond
+    max(R, r_1) for its signal disk of radius R.  Its other points on the
+    disk carry their trial ``sig_trial`` and gain ``sig_g``.  The
+    interferers carry their trial ``labels``, cell key ``file * n + trial``
+    and gain ``g``; no point of a file lies on a trial that requests it.
     """
 
-    n: int
+    req: np.ndarray
     g1: np.ndarray
     sig_tail: np.ndarray
     sig_trial: np.ndarray
@@ -464,120 +458,176 @@ class _SirChunk(NamedTuple):
     labels: np.ndarray
     g: np.ndarray
 
+    @property
+    def n(self) -> int:
+        return self.req.size
 
-class _Stratum:
-    """The marked geometry of SIR trials whose request is file ``k``.
 
-    The stratum's constants (the requested file's density, the interferers'
-    expected counts and tail means with file ``k``'s set to 0, the
-    threshold, the block size) are set once, from the scenario's
-    :class:`_Interferers`.  Each block of ``n`` trials then draws the
-    requested file's process per trial nearest first: its nearest point at
-    r_1 = sqrt(E / (pi lambda_k)), E ~ Exp(1), which is the law
-    P(r_1 <= r) = 1 - exp(-lambda_k pi r**2) (Haenggi, IEEE Trans. IT 51,
-    2005), then Poisson(lambda_k pi (R**2 - min(r_1, R)**2)) further points,
-    uniform on the annulus (min(r_1, R), R] of the signal disk.  That is
-    exact, since a Poisson process is independent over disjoint sets.  Every
-    other file's points are drawn by the marking theorem (Kingman, *Poisson
-    Processes*, 1993): one Poisson count of mean ``n * lambda_j * area`` per
-    file ``j`` (``lambda_k = 0``), each point with a uniform trial label and a
-    uniform position on the interference disk.  So the random-number cost is
-    one draw per point and per trial, and one per file and block, not one per
-    (trial, file) cell.  Both SIR models are evaluated on this geometry.
+def _sums_of_others(values: np.ndarray, files: np.ndarray) -> np.ndarray:
+    """Per file in ``files``, the sum of ``values`` over every other file.
+
+    For one file it is the sum with that file's entry set to 0, in the
+    order of a sum over all files; for several, the total less each file's
+    own entry.
+    """
+    if files.size == 1:
+        rest = values.copy()
+        rest[files] = 0.0
+        return np.full(1, rest.sum())
+    return values.sum() - values[files]
+
+
+class _Geometry:
+    """The marked geometry of SIR trials, each requesting a file of its own.
+
+    The constants are set once per run, from the scenario and its windows:
+    per file ``j`` its helper density ``lam[j]``, threshold ``theta[j]``,
+    expected points per trial on the interference disk ``int_means[j]`` and
+    tail mean beyond it ``tails[j]``; and for each file ``j`` the run
+    requests, its squared signal radius ``outer[j]`` and the tail mean
+    ``tau_rest[j]`` of every other file.  The block size holds the request
+    with the most expected points per trial.
+
+    A block of trials requesting ``req`` draws each trial's requested file
+    k_t nearest first: its nearest point at r_1 = sqrt(E / (pi lambda_k)),
+    E ~ Exp(1), which is the law P(r_1 <= r) = 1 - exp(-lambda_k pi r**2)
+    (Haenggi, IEEE Trans. IT 51, 2005), then Poisson(lambda_k pi (R**2 -
+    min(r_1, R)**2)) further points, uniform on the annulus (min(r_1, R), R]
+    of the signal disk.  That is exact, since a Poisson process is
+    independent over disjoint sets.  Every file's interferers are drawn by
+    the marking theorem (Kingman, *Poisson Processes*, 1993): file ``j``
+    gets one Poisson count of mean ``(n - n_j) * lambda_j * area``, where
+    ``n_j`` of the block's ``n`` trials request it, and each point a uniform
+    position on the interference disk and a uniform trial label among the
+    ``n - n_j`` trials that do not request ``j``.  So the random-number cost
+    is one draw per point and per trial, and one per file and block, not one
+    per (trial, file) cell.  Both SIR models are evaluated on this geometry.
     """
 
-    def __init__(self, interferers: _Interferers, k: int, sig_region: DiskRegion):
-        scenario = interferers.scenario
+    def __init__(self, scenario: Scenario, int_region: DiskRegion,
+                 files: np.ndarray, sig_radii: np.ndarray):
         self.alpha = scenario.alpha
-        self.theta = float(scenario.thresholds[k])
         self.n_files = scenario.n_files
-        self.sig_density = interferers.densities[k]
-        self.sig_region = sig_region
-        self.int_region = interferers.region
-        self.int_means = interferers.means.copy()
-        self.int_means[k] = 0.0
-        self.tau_int = interferers.tails.copy()
-        self.tau_int[k] = 0.0
-        self.tau_int_total = self.tau_int.sum()
-        points = self.sig_density * sig_region.area + self.int_means.sum()
-        self.block_trials = max(1, min(int(_BLOCK_POINTS // max(points, 1.0)),
+        self.lam = decompose_densities(scenario.profile, scenario.helper_density)
+        self.theta = scenario.thresholds
+        self.int_region = int_region
+        self.int_means = self.lam * int_region.area
+        self.tails = tail_mean(1.0, scenario.alpha, int_region.radius) * self.lam
+        self.outer = np.zeros(self.n_files)
+        self.outer[files] = np.square(sig_radii)
+        self.tau_rest = np.zeros(self.n_files)
+        self.tau_rest[files] = _sums_of_others(self.tails, files)
+        points = (self.lam[files] * (math.pi * self.outer[files])
+                  + _sums_of_others(self.int_means, files))
+        self.block_trials = max(1, min(int(_BLOCK_POINTS // max(points.max(), 1.0)),
                                        _BLOCK_CELLS // self.n_files))
 
-    def geometry(self, rng, n) -> _SirChunk:
-        """The points of ``n`` trials."""
-        lam, alpha = self.sig_density, self.alpha
+    def geometry(self, rng, req: np.ndarray) -> _SirChunk:
+        """The points of trials requesting ``req``, one file per trial, nondecreasing."""
+        n, alpha = req.size, self.alpha
+        lam, outer = self.lam[req], self.outer[req]
         # Squared radii throughout, so a trial whose r_1 is beyond the disk
-        # has an annulus of area exactly 0, and a gain is one power.
-        outer = self.sig_region.radius**2
-        # lambda_k = 0: no point anywhere, so r_1 = inf and no further points.
-        r1_sq = rng.exponential(size=n) / (math.pi * lam) if lam else np.full(n, np.inf)
+        # has an annulus of area exactly 0, and a gain is one power.  A file
+        # of popularity 0 has no point anywhere: r_1 = inf and no further points.
+        live = lam > 0.0
+        r1_sq = np.full(n, np.inf)
+        r1_sq[live] = rng.exponential(size=np.count_nonzero(live)) / (math.pi * lam[live])
         inner = np.minimum(r1_sq, outer)
-        sig_trial = np.repeat(np.arange(n), rng.poisson(math.pi * lam * (outer - inner)))
-        inner = inner[sig_trial]
+        width = outer - inner
+        sig_counts = rng.poisson(math.pi * lam * width)
+        sig_trial = np.repeat(np.arange(n), sig_counts)
         sig_g = rng.random(sig_trial.size)
-        sig_g *= outer - inner
-        sig_g += inner
+        sig_g *= np.repeat(width, sig_counts)
+        sig_g += np.repeat(inner, sig_counts)
         np.power(sig_g, -alpha / 2.0, out=sig_g)
         sig_tail = tail_mean(lam, alpha, np.sqrt(np.maximum(r1_sq, outer)))
-        counts = rng.poisson(n * self.int_means)
+        own = np.bincount(req, minlength=self.n_files)
+        counts = rng.poisson((n - own) * self.int_means)
         g = rng.random(int(counts.sum()))
         g *= self.int_region.radius**2
         np.power(g, -alpha / 2.0, out=g)
         labels = rng.integers(0, n, size=g.size)
-        key = np.repeat(np.arange(self.n_files), counts)
-        key *= n
+        # The points of the files from the block's first request to its last
+        # are one contiguous run; each is relabelled uniformly among the
+        # trials that do not request its file, which lie before and after
+        # that file's own run of trials.
+        ends = np.cumsum(counts)
+        first, last = req[0], req[-1]
+        start, stop = ends[first] - counts[first], ends[last]
+        if stop > start:
+            files = np.repeat(np.arange(first, last + 1), counts[first:last + 1])
+            n_own = own[files]
+            u = rng.integers(0, n - n_own)
+            u += n_own * (u >= np.searchsorted(req, files))
+            labels[start:stop] = u
+        key = np.repeat(np.arange(0, self.n_files * n, n), counts)
         key += labels
-        return _SirChunk(n, r1_sq ** (-alpha / 2.0), sig_tail, sig_trial, sig_g, key, labels, g)
+        return _SirChunk(req, r1_sq ** (-alpha / 2.0), sig_tail, sig_trial, sig_g, key, labels, g)
 
-    def values(self, rng, n, methods) -> np.ndarray:
-        """The per-trial values of ``methods`` on ``n`` fresh trials, one row per method.
+    def values(self, rng, req: np.ndarray, methods) -> np.ndarray:
+        """The values of ``methods`` on fresh trials requesting ``req``, one row per method.
 
         The trials are drawn and evaluated one block of at most
         ``block_trials`` at a time, which bounds memory in the points per
         trial and in N.  Each block's geometry is drawn from ``rng``, and the
-        methods, ``(rng, chunk) -> values``, run on it in order.  So ``n``
-        trials that fit one block give ``method(rng, self.geometry(rng, n))``.
+        methods, ``(rng, chunk) -> values``, run on it in order.  So trials
+        that fit one block give ``method(rng, self.geometry(rng, req))``.
         Over several blocks the methods draw their fades from one child of
         ``rng``, spawned once, so that the geometry of a later block does
         not depend on which methods ran on the earlier ones.
         """
+        n = req.size
         out = np.empty((len(methods), n))
         fades = rng if n <= self.block_trials else rng.spawn(1)[0]
         for start in range(0, n, self.block_trials):
-            chunk = self.geometry(rng, min(self.block_trials, n - start))
+            chunk = self.geometry(rng, req[start:start + self.block_trials])
             for row, method in zip(out, methods):
                 row[start:start + chunk.n] = method(fades, chunk)
         return out
 
 
+def _without_own_cells(cells: np.ndarray, chunk: _SirChunk) -> np.ndarray:
+    """``cells`` (file, trial, ...) with every trial's cell of its own request set to 0."""
+    cells[chunk.req, np.arange(chunk.n)] = 0.0
+    return cells
+
+
 class _AlignedModel:
-    """Aligned-transmission SIR trials on a stratum's geometry.
+    """Aligned-transmission SIR trials on a geometry.
 
     mode "exponential": unit-mean exponential fading per file on plain
     path-loss sums G_j.  Given the geometry the fading integrates out
     (Laplace transform of Rayleigh fading; Haenggi, *Stochastic Geometry
     for Wireless Networks*, 2012, ch. 5): P(SIR > theta) =
-    prod_j 1 / (1 + theta * G_j / G_0), which is what :meth:`success` returns.
+    prod_{j != k} 1 / (1 + theta * G_j / G_0) for a request of file k, which
+    is what :meth:`success` returns.
     mode "complex": per-point circularly symmetric complex fading of
     amplitude sqrt(g); signal and per-file interference powers are squared
     magnitudes of coherent sums, and :meth:`success` is the 0/1 indicator
     of SIR > theta.  Complex mode draws a Gaussian per (file, trial) cell,
     so its cost grows with N; it is the oracle for exponential mode's
     fading integral.  Per-(file, trial) sums are formed for one block of
-    trials at once.  Both methods are ``(rng, chunk) -> values``.
+    trials at once, and each trial's cell of its own request is 0, tail
+    included.  Both methods are ``(rng, chunk) -> values``.
     """
 
-    def __init__(self, stratum: _Stratum, mode: str):
+    def __init__(self, geometry: _Geometry, mode: str):
         if mode not in ("exponential", "complex"):
             raise ParameterDomainError(f"unknown mode {mode!r}")
-        self.stratum = stratum
+        self.geometry = geometry
         self.mode = mode
 
     def cells(self, chunk: _SirChunk, weights: np.ndarray) -> np.ndarray:
         """``sums[j, t]``: the ``weights`` of trial ``t``'s points of file ``j``, summed."""
-        sums = np.bincount(chunk.key, weights=weights, minlength=self.stratum.n_files * chunk.n)
+        sums = np.bincount(chunk.key, weights=weights, minlength=self.geometry.n_files * chunk.n)
         # bincount of no points is an integer array; the callers add floats in place.
         return sums.astype(float, copy=False).reshape(-1, chunk.n)
+
+    def gains(self, chunk: _SirChunk) -> np.ndarray:
+        """G_j per (file, trial) cell: the path-loss sum and the tail mean, 0 for the request."""
+        gains = self.cells(chunk, chunk.g)
+        gains += self.geometry.tails[:, None]
+        return _without_own_cells(gains, chunk)
 
     def signal_gain(self, chunk: _SirChunk) -> np.ndarray:
         """G_0 per trial: the requested file's path-loss sum and its tail mean."""
@@ -586,29 +636,27 @@ class _AlignedModel:
 
     def success(self, rng, chunk: _SirChunk):
         """Per-trial values whose mean estimates P(SIR > theta)."""
-        s, n = self.stratum, chunk.n
+        s, n = self.geometry, chunk.n
         if self.mode == "complex":
-            return (self.sir(rng, chunk) > s.theta).astype(float)
+            return (self.sir(rng, chunk) > s.theta[chunk.req]).astype(float)
         if s.n_files == 1:
             return np.ones(n)
         g0 = self.signal_gain(chunk)
         # A requested file of zero popularity has G_0 = 0, signal and tail: SIR 0.
         live = g0 > 0.0
-        gains = self.cells(chunk, chunk.g)
-        gains += s.tau_int[:, None]
-        gains *= s.theta / np.where(live, g0, 1.0)
+        gains = self.gains(chunk)
+        gains *= s.theta[chunk.req] / np.where(live, g0, 1.0)
         log_q = np.log1p(gains, out=gains).sum(axis=0)
         return np.where(live, np.exp(-log_q), 0.0)
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one per trial."""
-        s, n = self.stratum, chunk.n
+        s, n = self.geometry, chunk.n
         if s.n_files == 1:
             return np.full(n, np.inf)
         if self.mode == "exponential":
             s0 = rng.exponential(size=n) * self.signal_gain(chunk)
-            gains = self.cells(chunk, chunk.g)
-            gains += s.tau_int[:, None]
+            gains = self.gains(chunk)
             interference = (rng.exponential(size=gains.shape) * gains).sum(axis=0)
         else:
             amp_sig = np.sqrt(chunk.sig_g)
@@ -625,7 +673,9 @@ class _AlignedModel:
             fade = rng.standard_normal((2, chunk.g.size))
             fade *= np.sqrt(chunk.g)
             # Tail terms in (file, trial, part) order.
-            tail = np.sqrt(s.tau_int[:, None, None] / 2.0) * rng.standard_normal((s.n_files, n, 2))
+            tail = _without_own_cells(
+                np.sqrt(s.tails[:, None, None] / 2.0) * rng.standard_normal((s.n_files, n, 2)),
+                chunk)
             re = self.cells(chunk, fade[0]) / math.sqrt(2.0) + tail[..., 0]
             im = self.cells(chunk, fade[1]) / math.sqrt(2.0) + tail[..., 1]
             interference = (re**2 + im**2).sum(axis=0)
@@ -634,10 +684,10 @@ class _AlignedModel:
 
 
 class _NearestHelperModel:
-    """Nearest-helper SIR trials (no alignment) on a stratum's geometry.
+    """Nearest-helper SIR trials (no alignment) on a geometry.
 
     The serving helper is the nearest point of the requested file's
-    process, at r_1; the stratum draws it first, inside the signal disk or
+    process, at r_1; the geometry draws it first, inside the signal disk or
     beyond it, so every trial has one.  Every other point, of the
     requested file or of the interferers, interferes with its own unit-mean
     exponential fade, and the tail means add unfaded.  A requested file of
@@ -646,8 +696,8 @@ class _NearestHelperModel:
     draws nothing.
     """
 
-    def __init__(self, stratum: _Stratum):
-        self.stratum = stratum
+    def __init__(self, geometry: _Geometry):
+        self.geometry = geometry
 
     def success(self, rng, chunk: _SirChunk):
         """Per-trial P(SIR > theta) given the geometry, the fades integrated out.
@@ -656,10 +706,10 @@ class _NearestHelperModel:
         point of path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g),
         so a trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
         """
-        s, n = self.stratum, chunk.n
+        s, n = self.geometry, chunk.n
         with np.errstate(divide="ignore"):
-            x = s.theta / chunk.g1
-        log_q = x * (chunk.sig_tail + s.tau_int_total)
+            x = s.theta[chunk.req] / chunk.g1
+        log_q = x * (chunk.sig_tail + s.tau_rest[chunk.req])
         for trial, g in ((chunk.sig_trial, chunk.sig_g), (chunk.labels, chunk.g)):
             t = x[trial]
             t *= g
@@ -668,13 +718,13 @@ class _NearestHelperModel:
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one exponential fade per point."""
-        s, n = self.stratum, chunk.n
+        s, n = self.geometry, chunk.n
         signal = rng.exponential(size=n) * chunk.g1
         sig_power = rng.exponential(size=chunk.sig_g.size) * chunk.sig_g
         int_power = rng.exponential(size=chunk.g.size) * chunk.g
         interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
                         + np.bincount(chunk.labels, weights=int_power, minlength=n)
-                        + chunk.sig_tail + s.tau_int_total)
+                        + chunk.sig_tail + s.tau_rest[chunk.req])
         return signal / interference
 
 
@@ -691,30 +741,32 @@ def _sir_regions(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, No
     return regions
 
 
-def _stratum(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Stratum:
-    """The stratum of request ``k`` on the windows of :func:`_sir_regions`."""
+def _conditional(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Geometry:
+    """The geometry of trials that all request ``k``, on the windows of :func:`_sir_regions`."""
     sig_region, int_region = _sir_regions(scenario, k, cfg, regions)
-    return _Stratum(_Interferers(scenario, int_region), k, sig_region)
+    return _Geometry(scenario, int_region, np.array([k]), np.array([sig_region.radius]))
 
 
-def _on_geometry(stratum: _Stratum, method):
-    """``(rng, n) -> values``: the values of ``method(rng, chunk)`` on ``n`` fresh trials."""
-    return lambda rng, n: stratum.values(rng, n, (method,))[0]
+def _fold(values: np.ndarray):
+    """The :class:`Moments` of one row of per-trial values, the :class:`CoMoments` of two."""
+    return Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values)
 
 
-def _sir_moments(cfg: TrialConfig, stratum: _Stratum, methods, stream_offset: int = 0):
-    """The per-trial values of ``methods``, run in order on one geometry per block.
+def _on_geometry(geometry: _Geometry, k: int, method):
+    """``(rng, n) -> values``: ``method(rng, chunk)`` on ``n`` fresh trials of request ``k``."""
+    return lambda rng, n: geometry.values(rng, np.full(n, k), (method,))[0]
 
-    They are folded into their :class:`Moments` for one method, into the
-    :class:`CoMoments` of the first (``x``) and second (``y``) for two.
+
+def _sir_moments(cfg: TrialConfig, geometry: _Geometry, k: int, methods):
+    """The per-trial values of ``methods`` on trials of request ``k``, folded by :func:`_fold`.
+
+    The methods run in order on one geometry per block.
     """
 
     def chunk(rng, n):
-        values = stratum.values(rng, n, methods)
-        return (Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values),)
+        return (_fold(geometry.values(rng, np.full(n, k), methods)),)
 
-    (record,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                                    stream_offset=stream_offset)
+    (record,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
     return record
 
 
@@ -723,9 +775,9 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         signal_region: DiskRegion | None = None,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
-    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
     return gather_chunked_samples(cfg.trials, cfg.seed,
-                                  _on_geometry(stratum, _AlignedModel(stratum, mode).sir))
+                                  _on_geometry(geometry, k, _AlignedModel(geometry, mode).sir))
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -738,8 +790,9 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
     probabilities given the geometry in exponential mode, success
     indicators in complex mode.
     """
-    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    return _sir_moments(cfg, stratum, (_AlignedModel(stratum, mode).success,)).estimate(cfg.seed)
+    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
+    return _sir_moments(cfg, geometry, k,
+                        (_AlignedModel(geometry, mode).success,)).estimate(cfg.seed)
 
 
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -750,9 +803,9 @@ def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     One exponential fade is drawn per point of the same geometry that
     :func:`simulate_sir_baseline` averages over.
     """
-    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
+    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
     return gather_chunked_samples(cfg.trials, cfg.seed,
-                                  _on_geometry(stratum, _NearestHelperModel(stratum).sir))
+                                  _on_geometry(geometry, k, _NearestHelperModel(geometry).sir))
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -764,8 +817,9 @@ def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     geometry.  Every trial's serving helper is drawn first, inside the signal
     disk or beyond it, so no trial is redrawn.
     """
-    stratum = _stratum(scenario, k, cfg, (signal_region, interference_region))
-    return _sir_moments(cfg, stratum, (_NearestHelperModel(stratum).success,)).estimate(cfg.seed)
+    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
+    return _sir_moments(cfg, geometry, k,
+                        (_NearestHelperModel(geometry).success,)).estimate(cfg.seed)
 
 
 class Totals(NamedTuple):
@@ -776,36 +830,115 @@ class Totals(NamedTuple):
     gain: Estimate
 
 
+class _FileRecords(dict):
+    """A total's per-file records, ``{file: Moments}``, or ``CoMoments`` for two values.
+
+    ``a + b`` pools each file's records, ``a``'s first, and keeps the files
+    of both.
+    """
+
+    @classmethod
+    def of(cls, req: np.ndarray, values: np.ndarray) -> "_FileRecords":
+        """The records of ``values`` (one row per value) over trials requesting ``req``.
+
+        ``req`` is nondecreasing, so each file's trials are one segment, and
+        every file is reduced at once over its segment.
+        """
+        starts = np.flatnonzero(np.diff(req, prepend=-1))
+        counts = np.diff(starts, append=req.size)
+        means = np.add.reduceat(values, starts, axis=1) / counts
+        dev = values - np.repeat(means, counts, axis=1)
+        rows = [[Moments(count, mean, m2) for count, mean, m2 in
+                 zip(counts.tolist(), row.tolist(), row_m2.tolist())]
+                for row, row_m2 in zip(means, np.add.reduceat(dev * dev, starts, axis=1))]
+        if len(rows) == 2:
+            cross = np.add.reduceat(dev[0] * dev[1], starts).tolist()
+            rows = [[CoMoments(*pair) for pair in zip(*rows, cross)]]
+        return cls(zip(req[starts].tolist(), rows[0]))
+
+    def __add__(self, other):
+        if not isinstance(other, _FileRecords):
+            return NotImplemented
+        pooled = _FileRecords(self)
+        for k, record in other.items():
+            pooled[k] = pooled[k] + record if k in pooled else record
+        return pooled
+
+    def __radd__(self, other):
+        return self if other == 0 else NotImplemented
+
+
+#: Stream offset of a total's chunk grid: its chunk ``i`` draws from
+#: ``substream(seed, _TOTAL_STREAM + i)``, apart from ``substream(seed, 0)``,
+#: which draws the requests.
+_TOTAL_STREAM = 1
+
+
 def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
     """Multinomial split of the trials over the files, by popularity."""
     rng = substream(cfg.seed, 0)
     return rng.multinomial(cfg.trials, scenario.profile.weights)
 
 
+def _total_geometry(scenario: Scenario, cfg: TrialConfig, files: np.ndarray) -> _Geometry:
+    """The geometry of trials requesting ``files``, on the default windows.
+
+    Each file's signal radius is that of :func:`aligned_regions`, taken for
+    every file at once.  The request with the most expected points per
+    trial is checked to fit a chunk before a point is drawn.
+    """
+    lam = scenario.helper_density
+    int_region = default_region(lam, scenario.alpha, cfg.tail_tol)
+    lam_k = decompose_densities(scenario.profile, lam)[files]
+    sig_radii = _window_factor(scenario.alpha, cfg.tail_tol) / np.sqrt(lam_k)
+    worst = int(np.argmax(lam_k * sig_radii**2 + (lam - lam_k) * int_region.radius**2))
+    _check_chunk_points(cfg.trials, ((lam_k[worst], DiskRegion(float(sig_radii[worst]))),
+                                     (lam - lam_k[worst], int_region)))
+    return _Geometry(scenario, int_region, files, sig_radii)
+
+
+def _chunk_start(rng) -> int:
+    """The first trial, in request order, of the total's chunk that draws from ``rng``.
+
+    Chunk ``i`` of a run is keyed ``SeedSequence((seed, offset + i))``
+    (:func:`snratio.mc.run_counting_chunks`), so its key gives its place on
+    the chunk grid.
+    """
+    return (rng.bit_generator.seed_seq.entropy[1] - _TOTAL_STREAM) * CHUNK_TRIALS
+
+
 def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, return_strata):
     """Popularity-mixed success probabilities over randomized requests.
 
     Requests are split over the files by one multinomial draw (equivalent to
-    drawing them one by one).  File ``k``'s trials then run ``methods(stratum)``
-    by :func:`_sir_moments` on their own chunk grid, at a disjoint stream
-    offset.  The strata's records add up in file order, and ``finish``
-    turns one into the result.  Every stratum's windows are checked before
-    the first one draws a point, and the interferers' constants are built
-    once per interference disk, not once per stratum.
+    drawing them one by one).  The trials, sorted by request, run over one
+    chunk grid at stream offset ``_TOTAL_STREAM``, and every block of a
+    chunk draws one geometry of its mixed requests, on which
+    ``methods(geometry)`` run in order.  Their per-trial values fold into
+    one record per chunk and, with ``return_strata``, into per-file records
+    by one reduction over the chunk's file segments.  The records add up in
+    chunk order, and ``finish`` turns one into the result.  Every requested
+    file's windows are checked before a point is drawn.
     """
     counts = _request_counts(scenario, cfg)
-    subs = {k: replace(cfg, trials=int(t_k)) for k, t_k in enumerate(counts) if t_k}
-    regions = {k: _sir_regions(scenario, k, sub) for k, sub in subs.items()}
-    interferers = {region: _Interferers(scenario, region)
-                   for region in {int_region for _, int_region in regions.values()}}
-    runs = {}
-    for k, sub in subs.items():
-        sig_region, int_region = regions[k]
-        stratum = _Stratum(interferers[int_region], k, sig_region)
-        runs[k] = _sir_moments(sub, stratum, methods(stratum), (k + 1) * _STREAM_STRIDE)
-    total = finish(sum(runs.values()))
+    geometry = _total_geometry(scenario, cfg, np.flatnonzero(counts))
+    run = methods(geometry)
+    ends = np.cumsum(counts)
+
+    def chunk(rng, n):
+        start = _chunk_start(rng)
+        req = np.repeat(np.arange(scenario.n_files),
+                        np.diff(np.clip(ends, start, start + n), prepend=start))
+        values = geometry.values(rng, req, run)
+        if return_strata:
+            return _fold(values), _FileRecords.of(req, values)
+        return (_fold(values),)
+
+    records = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
+                                  stream_offset=_TOTAL_STREAM)
+    total = finish(records[0])
     if return_strata:
-        return total, {k: finish(record) for k, record in runs.items()}
+        return total, {k: finish(record) for k, record in records[1].items()}
     return total
 
 
@@ -814,17 +947,20 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     """Total delivery probability under aligned transmission, requests randomized.
 
     With ``return_strata`` the per-file conditional estimates (at their
-    random request counts) are returned alongside the total.  Every
-    estimate is a mean of per-trial values, as in :func:`simulate_sir_aligned`.
+    random request counts) are returned alongside the total, as a dict
+    over the requested files.  Every estimate is a mean of per-trial
+    values, as in :func:`simulate_sir_aligned`.
     """
-    return _simulate_total(scenario, cfg, lambda s: (_AlignedModel(s, mode).success,),
+    return _simulate_total(scenario, cfg,
+                           lambda geometry: (_AlignedModel(geometry, mode).success,),
                            lambda record: record.estimate(cfg.seed), return_strata)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
-    return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,),
+    return _simulate_total(scenario, cfg,
+                           lambda geometry: (_NearestHelperModel(geometry).success,),
                            lambda record: record.estimate(cfg.seed), return_strata)
 
 
@@ -839,14 +975,15 @@ def simulate_totals(scenario: Scenario, cfg: TrialConfig,
     at the same arguments, in either mode: the nearest-helper half is
     evaluated first and draws nothing, so the aligned half reads the stream
     it reads alone, and the aligned half's fades never move a later block's
-    geometry (:meth:`_Stratum.values`).  With ``return_strata`` the per-file :class:`Totals` are
-    returned alongside.
+    geometry (:meth:`_Geometry.values`).  With ``return_strata`` the
+    per-file :class:`Totals` are returned alongside.
     """
 
     def finish(record):
         return Totals(record.y.estimate(cfg.seed), record.x.estimate(cfg.seed),
                       record.ratio(cfg.seed))
 
-    return _simulate_total(scenario, cfg, lambda s: (_NearestHelperModel(s).success,
-                                                     _AlignedModel(s, mode).success),
+    return _simulate_total(scenario, cfg,
+                           lambda geometry: (_NearestHelperModel(geometry).success,
+                                             _AlignedModel(geometry, mode).success),
                            finish, return_strata)

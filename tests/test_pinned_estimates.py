@@ -301,43 +301,43 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
         'total_aligned_complex_N5': (('est',
-                                      '0x1.07ae147ae147bp-2',
-                                      '0x1.71faaee171de0p-8',
+                                      '0x1.ed3a06d3a06d3p-3',
+                                      '0x1.69cc8b560e867p-8',
                                       6000,
                                       3,
                                       0),
                                      ((0,
                                        ('est',
-                                        '0x1.9df73ac31811fp-2',
-                                        '0x1.39ce7692c4c2ep-7',
+                                        '0x1.9052a3216cd9ep-2',
+                                        '0x1.3806176ae3942p-7',
                                         2627,
                                         3,
                                         0)),
                                       (1,
                                        ('est',
-                                        '0x1.b6db6db6db6dbp-3',
-                                        '0x1.6ee4eb35532f7p-7',
+                                        '0x1.70c30c30c30c3p-3',
+                                        '0x1.5791173a34e82p-7',
                                         1344,
                                         3,
                                         0)),
                                       (2,
                                        ('est',
-                                        '0x1.0610fc5c35624p-3',
-                                        '0x1.7900b26484366p-7',
+                                        '0x1.c83087e2e1ab2p-4',
+                                        '0x1.630c896d7f2dfp-7',
                                         844,
                                         3,
                                         0)),
                                       (3,
                                        ('est',
-                                        '0x1.308ef4bc04a96p-4',
-                                        '0x1.4f21859b90755p-7',
+                                        '0x1.4fa2c49082867p-4',
+                                        '0x1.5e5e8f7bebaf5p-7',
                                         659,
                                         3,
                                         0)),
                                       (4,
                                        ('est',
-                                        '0x1.27e8a3874ce5bp-4',
-                                        '0x1.723e13493e35cp-7',
+                                        '0x1.b41377b9ea95ep-5',
+                                        '0x1.410dd9c68b059p-7',
                                         526,
                                         3,
                                         0)))),
@@ -350,79 +350,99 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                             3,
                                             0)),)),
         'total_aligned_exponential_N5': (('est',
-                                          '0x1.071527fb39e73p-2',
-                                          '0x1.229c969a7f740p-8',
+                                          '0x1.faed40f15ecefp-3',
+                                          '0x1.1c924a2a4df86p-8',
                                           6000,
                                           3,
                                           0),
                                          ((0,
                                            ('est',
-                                            '0x1.a14c514dae782p-2',
-                                            '0x1.d5bba89ecf776p-8',
+                                            '0x1.9855d89341a16p-2',
+                                            '0x1.cf8fae3045ec2p-8',
                                             2627,
                                             3,
                                             0)),
                                           (1,
                                            ('est',
-                                            '0x1.9d63b13873ea5p-3',
-                                            '0x1.11378122f397cp-7',
+                                            '0x1.83ac5c2556e12p-3',
+                                            '0x1.08860ff42fe76p-7',
                                             1344,
                                             3,
                                             0)),
                                           (2,
                                            ('est',
-                                            '0x1.0bbee54edc445p-3',
-                                            '0x1.3077766395f24p-7',
+                                            '0x1.d3993a0b132e9p-4',
+                                            '0x1.16df8472cac39p-7',
                                             844,
                                             3,
                                             0)),
                                           (3,
                                            ('est',
-                                            '0x1.6003f5caeda9bp-4',
-                                            '0x1.14175608530cep-7',
+                                            '0x1.51550a5bfb2a2p-4',
+                                            '0x1.0fab01c552983p-7',
                                             659,
                                             3,
                                             0)),
                                           (4,
                                            ('est',
-                                            '0x1.fd17782c87fc2p-5',
-                                            '0x1.126938010ae0ep-7',
+                                            '0x1.fae472c32145fp-5',
+                                            '0x1.0e3c35a2d71c7p-7',
                                             526,
                                             3,
                                             0)))),
         'total_alpha4_a4': ('est', '0x1.e9e993a7d1767p-6', '0x1.a7aa714996319p-17', 3000, 7, 0),
         'total_alpha4_n1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 3000, 7, 0),
-        'total_baseline_N1': (('est', '0x1.202b4c7725a24p-1', '0x1.08a0d1355a39fp-8', 6000, 3, 0),
+        'total_baseline_N1': (('est',
+                               '0x1.1bb953444a1b8p-1',
+                               '0x1.09fa754057890p-8',
+                               6000,
+                               3,
+                               0),
                               ((0,
                                 ('est',
-                                 '0x1.202b4c7725a24p-1',
-                                 '0x1.08a0d1355a39fp-8',
+                                 '0x1.1bb953444a1b7p-1',
+                                 '0x1.09fa754057890p-8',
                                  6000,
                                  3,
                                  0)),)),
-        'total_baseline_N5': (('est', '0x1.6d9074439a24bp-3', '0x1.02866c5581cadp-8', 6000, 3, 0),
+        'total_baseline_N5': (('est',
+                               '0x1.5462a435e2407p-3',
+                               '0x1.f093a2808e8d7p-9',
+                               6000,
+                               3,
+                               0),
                               ((0,
                                 ('est',
-                                 '0x1.1472da8b73866p-2',
-                                 '0x1.b650fa4061e12p-8',
+                                 '0x1.03c5cb11a3a32p-2',
+                                 '0x1.a7a5fb4d1b738p-8',
                                  2627,
                                  3,
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.31114bb579a1fp-3',
-                                 '0x1.fb478634ee9eap-8',
+                                 '0x1.1984adca59af6p-3',
+                                 '0x1.e880ff554a96bp-8',
                                  1344,
                                  3,
                                  0)),
                                (2,
-                                ('est', '0x1.b3f55338e78a7p-4', '0x1.2072658246007p-7', 844, 3, 0)),
+                                ('est',
+                                 '0x1.65ea54f63ae05p-4',
+                                 '0x1.01dcd770119dfp-7',
+                                 844,
+                                 3,
+                                 0)),
                                (3,
-                                ('est', '0x1.17e67a8c4b146p-4', '0x1.025356444b82ap-7', 659, 3, 0)),
+                                ('est',
+                                 '0x1.15d336d57e3f4p-4',
+                                 '0x1.03a838ed76184p-7',
+                                 659,
+                                 3,
+                                 0)),
                                (4,
                                 ('est',
-                                 '0x1.a00fc2351def1p-5',
-                                 '0x1.028c9cd0a1042p-7',
+                                 '0x1.add3d4289caf4p-5',
+                                 '0x1.022e244cfcdb3p-7',
                                  526,
                                  3,
                                  0)))),

@@ -46,10 +46,10 @@ from snratio.simulate import (
     _AlignedModel,
     _coupled_shot_sums,
     _disk_points,
-    _Interferers,
+    _FileRecords,
+    _Geometry,
     _NearestHelperModel,
     _shot_chunk,
-    _Stratum,
     _trial_sums,
     aligned_regions,
     ratio_regions,
@@ -480,12 +480,25 @@ class TestAlignedSir:
         assert 0.0 <= est.mean < 1e-20
 
 
-def _make_stratum(sc, k, sig_region, int_region):
-    return _Stratum(_Interferers(sc, int_region), k, sig_region)
+def _make_geometry(sc, k, sig_region, int_region):
+    """The geometry of trials that all request file ``k``, on the given windows."""
+    return _Geometry(sc, int_region, np.array([k]), np.array([sig_region.radius]))
 
 
-def _stratum(sc, k):
-    return _make_stratum(sc, k, *aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2)))
+def _geometry(sc, k):
+    return _make_geometry(sc, k, *aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=1e-2)))
+
+
+def _block(geometry, k, rng, n):
+    """One block of ``n`` trials that all request file ``k``."""
+    return geometry.geometry(rng, np.full(n, k))
+
+
+def _other_tails(geometry, k):
+    """Per file, its tail mean beyond the interference disk; 0 for the request ``k``."""
+    tails = geometry.tails.copy()
+    tails[k] = 0.0
+    return tails
 
 
 def _radii(gains, alpha):
@@ -494,7 +507,7 @@ def _radii(gains, alpha):
 
 
 def _aligned_model(sc, k, mode="exponential"):
-    return _AlignedModel(_stratum(sc, k), mode)
+    return _AlignedModel(_geometry(sc, k), mode)
 
 
 class TestAlignedGeometry:
@@ -507,7 +520,7 @@ class TestAlignedGeometry:
         # 62.9, about 250 points a cell.
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, alpha, 0.1), 2, 4096
         regions = aligned_regions(sc, k, TrialConfig(trials=1, tail_tol=tail_tol))
-        chunk = _make_stratum(sc, k, *regions).geometry(substream(29, 0), n)
+        chunk = _block(_make_geometry(sc, k, *regions), k, substream(29, 0), n)
         file, trial = np.divmod(chunk.key, n)
         assert np.array_equal(trial, chunk.labels)
         # Uniform on the disk: the gains r**-alpha lie beyond R**-alpha.
@@ -527,25 +540,25 @@ class TestAlignedGeometry:
         # the fraction of exponential fades with S > theta * I.
         sc, n, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 4, 200_000
         model = _aligned_model(sc, 1)
-        stratum = model.stratum
-        chunk = stratum.geometry(substream(30, 0), n)
+        geometry, theta = model.geometry, sc.thresholds[1]
+        chunk = _block(geometry, 1, substream(30, 0), n)
         p = model.success(None, chunk)
         file, trial = np.divmod(chunk.key, n)
         gains = np.zeros((5, n))
         np.add.at(gains, (file, trial), chunk.g)
-        gains += stratum.tau_int[:, None]
-        radius = stratum.sig_region.radius
+        gains += _other_tails(geometry, 1)[:, None]
+        radius = aligned_regions(sc, 1, TrialConfig(trials=1, tail_tol=1e-2))[0].radius
         r1 = _radii(chunk.g1, sc.alpha)
-        g0 = chunk.g1 + tail_mean(stratum.sig_density, sc.alpha, np.maximum(r1, radius))
+        g0 = chunk.g1 + tail_mean(geometry.lam[1], sc.alpha, np.maximum(r1, radius))
         np.add.at(g0, chunk.sig_trial, chunk.sig_g)
-        want = np.prod(1.0 / (1.0 + stratum.theta * gains / g0), axis=0)
+        want = np.prod(1.0 / (1.0 + theta * gains / g0), axis=0)
         np.testing.assert_allclose(p, want, rtol=1e-12)
         assert np.all((0.0 < p) & (p < 1.0))
         rng = np.random.default_rng(31)
         for t in range(n):
             signal = rng.exponential(size=fades) * g0[t]
             interference = rng.exponential(size=(fades, 5)) @ gains[:, t]
-            hit = np.mean(signal > stratum.theta * interference)
+            hit = np.mean(signal > theta * interference)
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
 
     def test_nearest_first_signal_gain_matches_the_disk_draw(self):
@@ -556,9 +569,9 @@ class TestAlignedGeometry:
         sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 20_000
         lam = decompose_densities(sc.profile, sc.helper_density)[k]
         radius = math.sqrt(math.log(2.0) / (math.pi * lam))
-        stratum = _make_stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
-        g0 = _AlignedModel(stratum, "exponential").signal_gain(
-            stratum.geometry(substream(43, 0), n))
+        geometry = _make_geometry(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        g0 = _AlignedModel(geometry, "exponential").signal_gain(
+            _block(geometry, k, substream(43, 0), n))
         rng = substream(44, 0)
         counts, r = _disk_points(rng, lam * math.pi * radius**2, radius, n)
         ref = _trial_sums(r ** -sc.alpha, counts) + tail_mean(lam, sc.alpha, radius)
@@ -572,18 +585,18 @@ class TestAlignedGeometry:
     def test_chunk_of_one_block_is_one_geometry(self, mode):
         # Trials that fit one block draw one geometry, and every method reads
         # it and then draws from the same stream: both the moment runs and the
-        # sample gatherers give exactly method(rng, stratum.geometry(rng, n)).
+        # sample gatherers give exactly method(rng, geometry.geometry(rng, req)).
         sc, k, seed = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1), 3, 32
-        stratum = _stratum(sc, k)
-        n = stratum.block_trials
+        geometry = _geometry(sc, k)
+        n = geometry.block_trials
         assert 100 < n < mc.CHUNK_TRIALS
         cfg = TrialConfig(trials=n, seed=seed, tail_tol=1e-2)
 
         def direct(method):
             rng = substream(seed, 0)
-            return method(rng, stratum.geometry(rng, n))
+            return method(rng, _block(geometry, k, rng, n))
 
-        aligned, nearest = _AlignedModel(stratum, mode), _NearestHelperModel(stratum)
+        aligned, nearest = _AlignedModel(geometry, mode), _NearestHelperModel(geometry)
         assert simulate_sir_aligned(sc, k, cfg, mode) == Moments.of(
             direct(aligned.success)).estimate(seed)
         assert simulate_sir_baseline(sc, k, cfg) == Moments.of(
@@ -598,7 +611,7 @@ class TestAlignedGeometry:
         cfg = TrialConfig(trials=8000, seed=46, tail_tol=1e-2)
         ref = simulate_totals(sc, cfg)
         monkeypatch.setattr(simulate, "_BLOCK_POINTS", 500)
-        assert _stratum(sc, 0).block_trials == 2
+        assert _geometry(sc, 0).block_trials == 2
         small = simulate_totals(sc, cfg)
         for a, b in zip(ref, small):
             assert a.mean != b.mean
@@ -633,6 +646,60 @@ class TestAlignedGeometry:
         assert peak < 16 * 2**20
 
 
+def _total_geometry(sc, trials=1):
+    """The geometry a total of ``sc`` runs on: every file requested, on its default windows."""
+    return simulate._total_geometry(sc, TrialConfig(trials=trials, tail_tol=1e-2),
+                                    np.arange(sc.n_files))
+
+
+class TestMixedGeometry:
+    """Blocks of trials whose requests differ, as the totals draw them."""
+
+    def test_no_point_of_a_file_lies_on_a_trial_that_requests_it(self):
+        # Marking and thinning: per (file, trial) cell the count is Poisson of
+        # mean lambda_j * area unless the trial requests j, where it is 0; a
+        # file's points are uniform over the trials that do not request it.
+        sc, n = Scenario.from_zipf(6, 1.0, 5.0, 4.0, 0.1), 4096
+        geometry = _total_geometry(sc)
+        req = np.repeat(np.arange(1, 5), [1500, 1200, 896, 500])
+        chunk = geometry.geometry(substream(47, 0), req)
+        file, trial = np.divmod(chunk.key, n)
+        assert np.array_equal(trial, chunk.labels)
+        assert not np.any(file == req[trial])
+        counts = np.bincount(chunk.key, minlength=6 * n).reshape(6, n)
+        for j in range(6):
+            others = req != j
+            mu = geometry.int_means[j]
+            cells = counts[j, others]
+            assert abs(cells.mean() - mu) < 4.0 * math.sqrt(mu / cells.size)
+            assert stats.chisquare(cells).pvalue > 0.01 or cells.sum() < 5 * cells.size
+        # A requested file's labels are uniform over the trials before and
+        # after its own run.
+        for j in (1, 4):
+            hits = np.bincount(trial[file == j], minlength=n)[req != j]
+            assert stats.chisquare(hits).pvalue > 0.01
+
+    def test_one_request_block_is_the_conditional_geometry(self):
+        # A block of a total whose trials all request k draws the bits of
+        # the conditional geometry of k, and the aligned model reads them
+        # with the same bits.  The nearest-helper model takes the other files'
+        # tails as a difference, within rounding of the conditional sum; a
+        # success of 1e-98 is exp(-225), so that rounding grows about 225-fold.
+        sc, n = Scenario.from_zipf(7, 1.0, 5.0, 4.0, 0.1), 250
+        total = _total_geometry(sc)
+        for k in (0, 3, 6):
+            alone = _geometry(sc, k)
+            a = total.geometry(substream(48, k), np.full(n, k))
+            b = alone.geometry(substream(48, k), np.full(n, k))
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+            assert np.array_equal(_AlignedModel(total, "exponential").success(None, a),
+                                  _AlignedModel(alone, "exponential").success(None, b))
+            np.testing.assert_allclose(_NearestHelperModel(total).success(None, a),
+                                       _NearestHelperModel(alone).success(None, b),
+                                       rtol=1e-12)
+
+
 class TestBaselineSir:
     def test_matches_closed_form(self):
         for a_k in (0.5, 1.0):
@@ -661,8 +728,8 @@ class TestBaselineSir:
         sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 1, 4000
         lam = decompose_densities(sc.profile, sc.helper_density)[k]
         radius = math.sqrt(math.log(2.0) / (math.pi * lam))
-        stratum = _make_stratum(sc, k, DiskRegion(radius), DiskRegion(5.0))
-        chunk = stratum.geometry(substream(42, 0), n)
+        geometry = _make_geometry(sc, k, DiskRegion(radius), DiskRegion(5.0))
+        chunk = _block(geometry, k, substream(42, 0), n)
         r1, sig_r = _radii(chunk.g1, sc.alpha), _radii(chunk.sig_g, sc.alpha)
         beyond = r1 > radius
         assert 0.45 < beyond.mean() < 0.55
@@ -700,60 +767,71 @@ class TestBaselineSir:
         assert np.all(sir == 0.0)
 
     @staticmethod
-    def _product_form(stratum, chunk):
+    def _product_form(geometry, chunk):
         """Per-trial product form, trial by trial from the raw geometry.
 
         A trial is served at its ``r1``, inside the signal disk of radius R
-        or beyond it, and its own file's tail is taken beyond max(R, r1).
+        or beyond it, and its own file's tail is taken beyond max(R, r1);
+        every other file's tail adds in full.
         """
-        n, alpha, lam = chunk.n, stratum.alpha, stratum.sig_density
+        n, alpha = chunk.n, geometry.alpha
         int_trial = chunk.key % n
         want = np.empty(n)
         for t in range(n):
+            k = chunk.req[t]
             r_s = _radii(chunk.g1[t], alpha)
-            tau_sig = tail_mean(lam, alpha, max(r_s, stratum.sig_region.radius))
-            x = stratum.theta * r_s ** alpha
+            tau_sig = tail_mean(geometry.lam[k], alpha, max(r_s, math.sqrt(geometry.outer[k])))
+            x = geometry.theta[k] * r_s ** alpha
             others = np.concatenate((chunk.sig_g[chunk.sig_trial == t], chunk.g[int_trial == t]))
-            want[t] = (math.exp(-x * (tau_sig + stratum.tau_int.sum()))
+            want[t] = (math.exp(-x * (tau_sig + _other_tails(geometry, k).sum()))
                        * np.prod(1.0 / (1.0 + x * others)))
         return want
 
     @pytest.mark.parametrize("n_files", [1, 5, 40])
     def test_product_form_from_raw_geometry(self, n_files):
         sc, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), 300
-        self._check_product_form(_stratum(sc, n_files // 2), n)
+        self._check_product_form(_geometry(sc, n_files // 2), np.full(n, n_files // 2))
 
     @pytest.mark.parametrize("n_files", [1, 5])
     def test_product_form_with_empty_signal_disks(self, n_files):
         # A signal disk of radius 2 is empty for about 28% (N = 1) and 83%
         # (N = 5) of the trials.
         sc, k, n = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1), n_files // 2, 300
-        stratum = _make_stratum(sc, k, DiskRegion(2.0), _stratum(sc, k).int_region)
-        self._check_product_form(stratum, n)
+        geometry = _make_geometry(sc, k, DiskRegion(2.0), _geometry(sc, k).int_region)
+        self._check_product_form(geometry, np.full(n, k))
 
-    def _check_product_form(self, stratum, n):
-        chunk = stratum.geometry(substream(35, 0), n)
-        p = _NearestHelperModel(stratum).success(None, chunk)  # it draws nothing
-        want = self._product_form(stratum, chunk)
+    def test_product_form_on_mixed_requests(self):
+        # Trials of five requests in one block, each on its own signal disk.
+        sc = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1)
+        files = np.arange(5)
+        radii = np.array([aligned_regions(sc, k, TrialConfig(trials=1))[0].radius
+                          for k in files])
+        geometry = _Geometry(sc, _geometry(sc, 0).int_region, files, radii)
+        self._check_product_form(geometry, np.repeat(files, [90, 70, 60, 50, 30]))
+
+    def _check_product_form(self, geometry, req):
+        chunk = geometry.geometry(substream(35, 0), req)
+        p = _NearestHelperModel(geometry).success(None, chunk)  # it draws nothing
+        want = self._product_form(geometry, chunk)
         np.testing.assert_allclose(p, want, rtol=1e-12)
 
     def test_product_form_is_the_fading_average(self):
         # On one chunk's geometry (small windows, so few points), the fraction
         # of exponential fades with h_s g_s > theta * (sum_i h_i g_i + tails).
         sc, fades = Scenario.from_zipf(5, 1.0, 1.0, 4.0, 0.1), 100_000
-        stratum = _make_stratum(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
-        chunk = stratum.geometry(substream(36, 0), 64)
-        p = _NearestHelperModel(stratum).success(None, chunk)
+        geometry = _make_geometry(sc, 1, DiskRegion(8.0), DiskRegion(8.0))
+        chunk = _block(geometry, 1, substream(36, 0), 64)
+        p = _NearestHelperModel(geometry).success(None, chunk)
         int_trial = chunk.key % chunk.n
         rng = np.random.default_rng(37)
         for t in range(4):
             r_s = _radii(chunk.g1[t], sc.alpha)
-            tails = (tail_mean(stratum.sig_density, sc.alpha, max(r_s, 8.0))
-                     + stratum.tau_int.sum())
+            tails = (tail_mean(geometry.lam[1], sc.alpha, max(r_s, 8.0))
+                     + _other_tails(geometry, 1).sum())
             g = np.concatenate((chunk.sig_g[chunk.sig_trial == t], chunk.g[int_trial == t]))
             signal = rng.exponential(size=fades) * chunk.g1[t]
             interference = rng.exponential(size=(fades, g.size)) @ g + tails
-            hit = np.mean(signal > stratum.theta * interference)
+            hit = np.mean(signal > sc.thresholds[1] * interference)
             assert 0.0 < p[t] < 1.0
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
 
@@ -793,9 +871,13 @@ class TestTotals:
         sc = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1)
         cfg = TrialConfig(trials=6000, seed=39, tail_tol=1e-2)
         self._check_joint_halves(sc, cfg, mode)
-        default_regions = simulate.aligned_regions
-        monkeypatch.setattr(simulate, "aligned_regions",
-                            lambda *args: (DiskRegion(2.0), default_regions(*args)[1]))
+        default_geometry = simulate._total_geometry
+
+        def small_signal_disks(scenario, cfg, files):
+            int_region = default_geometry(scenario, cfg, files).int_region
+            return _Geometry(scenario, int_region, files, np.full(files.size, 2.0))
+
+        monkeypatch.setattr(simulate, "_total_geometry", small_signal_disks)
         self._check_joint_halves(sc, cfg, mode)
 
     @staticmethod
@@ -808,6 +890,41 @@ class TestTotals:
             k: (strata_a[k], strata_b[k]) for k in strata_a}
         assert joint.gain.mean == aligned.mean / baseline.mean
         assert joint.gain.trials == cfg.trials
+
+    @pytest.mark.parametrize("mode", ["exponential", "complex"])
+    def test_merged_strata_match_the_conditional_runs(self, mode):
+        # Each file's trials are drawn in blocks of mixed requests, spread
+        # over the chunks of the total and merge into one record: against the
+        # conditional runs of the same file, on another seed, within 4
+        # combined stderr.  File 0 holds about a third of the trials, file 4
+        # about 7%.
+        sc = Scenario.from_zipf(10, 1.0, 5.0, 4.0, 0.1)
+        _, strata = simulate_totals(sc, TrialConfig(trials=60_000, seed=54, tail_tol=1e-2),
+                                    mode=mode, return_strata=True)
+        cfg = TrialConfig(trials=40_000, seed=55, tail_tol=1e-2)
+        for k in (0, 4):
+            for merged, alone in ((strata[k].aligned, simulate_sir_aligned(sc, k, cfg, mode)),
+                                  (strata[k].baseline, simulate_sir_baseline(sc, k, cfg))):
+                assert abs(merged.mean - alone.mean) < 4.0 * math.hypot(merged.stderr,
+                                                                        alone.stderr)
+
+    def test_file_records_pool_to_one_pass_moments(self):
+        # Per-file records of three chunks, pooled in order, against the
+        # one-pass moments of each file's values; a file absent from a chunk
+        # adds nothing, and one absent from all has no record.
+        rng = np.random.default_rng(56)
+        reqs = [np.repeat([0, 1], [30, 5]), np.repeat([1, 2, 4], [1, 20, 9]), np.full(12, 4)]
+        values = [rng.random((2, r.size)) for r in reqs]
+        pooled = sum(_FileRecords.of(r, v) for r, v in zip(reqs, values))
+        assert sorted(pooled) == [0, 1, 2, 4]
+        req, vals = np.concatenate(reqs), np.concatenate(values, axis=1)
+        for k, record in pooled.items():
+            want = CoMoments.of(*vals[:, req == k])
+            for got, ref in ((record.x, want.x), (record.y, want.y)):
+                assert got.count == ref.count
+                assert got.mean == pytest.approx(ref.mean, rel=1e-13)
+                assert got.m2 == pytest.approx(ref.m2, rel=1e-12, abs=1e-15)
+            assert record.cross == pytest.approx(want.cross, rel=1e-12, abs=1e-15)
 
     def test_gain_stderr_is_calibrated(self):
         # Spread of the gain over 40 seeds against its reported (delta-method,
@@ -888,10 +1005,11 @@ class TestSharedDriverProperties:
         assert run(3) == ref
 
     def test_single_chunk_runs_start_no_pool(self, monkeypatch):
-        # At N = 500 and gamma = 0 every request stratum is one chunk, so a
-        # run at partitions=2 stays on the calling thread with the same bits.
+        # A total of at most CHUNK_TRIALS trials is one chunk, whatever the
+        # file count, so a run at partitions=2 stays on the calling thread
+        # with the same bits.
         sc = Scenario.from_zipf(500, 0.0, 5.0, 4.0, 0.1)
-        cfg = TrialConfig(trials=20_000, seed=41, tail_tol=1e-2)
+        cfg = TrialConfig(trials=mc.CHUNK_TRIALS, seed=41, tail_tol=1e-2)
         ref = simulate_totals(sc, cfg, return_strata=True)
 
         def no_pool(*args, **kwargs):
