@@ -161,6 +161,25 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _curve_grid(args: argparse.Namespace):
+    """The x grid of ``ccdf`` or the s grid of ``laplace``; ``None`` for the other subcommands.
+
+    Raises ``ValueError`` for a given grid that does not parse or holds no value.
+    """
+    if args.command == "ccdf":
+        text, name, default = args.x_grid, "x_grid", np.geomspace(0.01, 100.0, 41)
+    elif args.command == "laplace":
+        text, name, default = args.s_grid, "s_grid", np.geomspace(0.1, 1e6, 36)
+    else:
+        return None
+    if not text:
+        return tuple(default)
+    grid = _parse_number_list(text)
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    return grid
+
+
 def _emit(config: ExperimentConfig, name: str, header, rows, group_cols, x_col, y_col) -> str:
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, f"{name}.csv")
@@ -174,6 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        grid = _curve_grid(args)
     except (ParameterDomainError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
@@ -200,17 +220,13 @@ def main(argv=None) -> int:
             print(f"wrote {report_path}")
             return 0 if ok else _VALIDATION_ERROR
         elif args.command == "ccdf":
-            xs = (_parse_number_list(args.x_grid) if args.x_grid
-                  else tuple(np.geomspace(0.01, 100.0, 41)))
             alpha = (args.alpha or [4.0])[0]
-            header, rows = run_ccdf_dump(alpha, args.ratio, xs)
+            header, rows = run_ccdf_dump(alpha, args.ratio, grid)
             path = _emit(config, "ccdf", header, rows, (), "x", "ccdf")
             print(f"wrote {path} ({len(rows)} rows)")
         elif args.command == "laplace":
-            ss = (_parse_number_list(args.s_grid) if args.s_grid
-                  else tuple(np.geomspace(0.1, 1e6, 36)))
             alpha = (args.alpha or [4.0])[0]
-            header, rows = run_laplace_dump(alpha, args.ratio, ss,
+            header, rows = run_laplace_dump(alpha, args.ratio, grid,
                                             max_terms=args.max_terms, tol=args.tol)
             path = _emit(config, "laplace", header, rows, (), "s", "laplace")
             print(f"wrote {path} ({len(rows)} rows)")

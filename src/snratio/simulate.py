@@ -30,12 +30,13 @@ anything is drawn.  Doubling the disk radius must leave every reported
 estimate within one combined standard error; the validation suite checks
 exactly that.
 
-Summation order: the shot-noise and ratio kernels store each chunk's
-points trial by trial and sum every trial's segment by ``np.add.reduceat``
+Summation order: points stored trial by trial (the points of the
+shot-noise and ratio kernels, and the requested file's points of an SIR
+block) are summed over every trial's segment by ``np.add.reduceat``
 (:func:`_trial_sums`): its first point plus numpy's pairwise sum of the
-rest.  The SIR kernels, whose interferers need not be grouped by trial, add
-each block's points in point order with ``np.bincount``; a trial lies in
-one block, so its sums never span two.
+rest.  The SIR interferers carry random trial labels and are added in point
+order with ``np.bincount``; a trial lies in one block, so its sums never
+span two.
 
 SIR trials: every trial carries its requested file, and one geometry
 serves every request (:class:`_Geometry`).  A conditional run is the case
@@ -444,7 +445,8 @@ class _SirChunk(NamedTuple):
     trial's gain from its requested file's nearest point (0 where that file
     has no helper), and ``sig_tail`` that file's tail mean beyond
     max(R, r_1) for its signal disk of radius R.  Its other points on the
-    disk carry their trial ``sig_trial`` and gain ``sig_g``.  The
+    disk are stored trial by trial, ``sig_counts[t]`` of them for trial
+    ``t``, with gains ``sig_g``, and summed by :func:`_trial_sums`.  The
     interferers carry their trial ``labels``, cell key ``file * n + trial``
     and gain ``g``; no point of a file lies on a trial that requests it.
     """
@@ -452,7 +454,7 @@ class _SirChunk(NamedTuple):
     req: np.ndarray
     g1: np.ndarray
     sig_tail: np.ndarray
-    sig_trial: np.ndarray
+    sig_counts: np.ndarray
     sig_g: np.ndarray
     key: np.ndarray
     labels: np.ndarray
@@ -461,6 +463,11 @@ class _SirChunk(NamedTuple):
     @property
     def n(self) -> int:
         return self.req.size
+
+    @property
+    def sig_trial(self) -> np.ndarray:
+        """The trial of every point in ``sig_g``, formed when read."""
+        return np.repeat(np.arange(self.n), self.sig_counts)
 
 
 def _sums_of_others(values: np.ndarray, files: np.ndarray) -> np.ndarray:
@@ -535,8 +542,7 @@ class _Geometry:
         inner = np.minimum(r1_sq, outer)
         width = outer - inner
         sig_counts = rng.poisson(math.pi * lam * width)
-        sig_trial = np.repeat(np.arange(n), sig_counts)
-        sig_g = rng.random(sig_trial.size)
+        sig_g = rng.random(int(sig_counts.sum()))
         sig_g *= np.repeat(width, sig_counts)
         sig_g += np.repeat(inner, sig_counts)
         np.power(sig_g, -alpha / 2.0, out=sig_g)
@@ -562,7 +568,7 @@ class _Geometry:
             labels[start:stop] = u
         key = np.repeat(np.arange(0, self.n_files * n, n), counts)
         key += labels
-        return _SirChunk(req, r1_sq ** (-alpha / 2.0), sig_tail, sig_trial, sig_g, key, labels, g)
+        return _SirChunk(req, r1_sq ** (-alpha / 2.0), sig_tail, sig_counts, sig_g, key, labels, g)
 
     def values(self, rng, req: np.ndarray, methods) -> np.ndarray:
         """The values of ``methods`` on fresh trials requesting ``req``, one row per method.
@@ -631,8 +637,7 @@ class _AlignedModel:
 
     def signal_gain(self, chunk: _SirChunk) -> np.ndarray:
         """G_0 per trial: the requested file's path-loss sum and its tail mean."""
-        return (np.bincount(chunk.sig_trial, weights=chunk.sig_g, minlength=chunk.n)
-                + chunk.g1 + chunk.sig_tail)
+        return _trial_sums(chunk.sig_g, chunk.sig_counts) + chunk.g1 + chunk.sig_tail
 
     def success(self, rng, chunk: _SirChunk):
         """Per-trial values whose mean estimates P(SIR > theta)."""
@@ -659,12 +664,10 @@ class _AlignedModel:
             gains = self.gains(chunk)
             interference = (rng.exponential(size=gains.shape) * gains).sum(axis=0)
         else:
-            amp_sig = np.sqrt(chunk.sig_g)
-            z_sig = (np.bincount(chunk.sig_trial,
-                                 weights=amp_sig * rng.standard_normal(amp_sig.size), minlength=n)
-                     + 1j * np.bincount(chunk.sig_trial,
-                                        weights=amp_sig * rng.standard_normal(amp_sig.size),
-                                        minlength=n)) / math.sqrt(2.0)
+            amp_sig, counts = np.sqrt(chunk.sig_g), chunk.sig_counts
+            z_sig = (_trial_sums(amp_sig * rng.standard_normal(amp_sig.size), counts)
+                     + 1j * _trial_sums(amp_sig * rng.standard_normal(amp_sig.size), counts)
+                     ) / math.sqrt(2.0)
             # The nearest point's faded amplitude and the tail's Gaussian are
             # independent circular Gaussians: one draw of their summed power.
             near = np.sqrt((chunk.g1 + chunk.sig_tail) / 2.0)
@@ -710,10 +713,13 @@ class _NearestHelperModel:
         with np.errstate(divide="ignore"):
             x = s.theta[chunk.req] / chunk.g1
         log_q = x * (chunk.sig_tail + s.tau_rest[chunk.req])
-        for trial, g in ((chunk.sig_trial, chunk.sig_g), (chunk.labels, chunk.g)):
-            t = x[trial]
-            t *= g
-            log_q += np.bincount(trial, weights=np.log1p(t, out=t), minlength=n)
+        # The requested file's points lie trial by trial, the interferers' at random labels.
+        t = np.repeat(x, chunk.sig_counts)
+        t *= chunk.sig_g
+        log_q += _trial_sums(np.log1p(t, out=t), chunk.sig_counts)
+        t = x[chunk.labels]
+        t *= chunk.g
+        log_q += np.bincount(chunk.labels, weights=np.log1p(t, out=t), minlength=n)
         return np.exp(-log_q)
 
     def sir(self, rng, chunk: _SirChunk):
@@ -722,7 +728,7 @@ class _NearestHelperModel:
         signal = rng.exponential(size=n) * chunk.g1
         sig_power = rng.exponential(size=chunk.sig_g.size) * chunk.sig_g
         int_power = rng.exponential(size=chunk.g.size) * chunk.g
-        interference = (np.bincount(chunk.sig_trial, weights=sig_power, minlength=n)
+        interference = (_trial_sums(sig_power, chunk.sig_counts)
                         + np.bincount(chunk.labels, weights=int_power, minlength=n)
                         + chunk.sig_tail + s.tau_rest[chunk.req])
         return signal / interference

@@ -538,6 +538,17 @@ class TestCli:
         code = main(["fig3", "--alpha", "1.5", "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ccdf", "--x-grid", "abc"],
+        ["ccdf", "--x-grid", ","],
+        ["laplace", "--s-grid", "1,x"],
+    ])
+    def test_unparsable_curve_grid_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_file_count_exits_two(self, tmp_path, capsys):
         code = main(["fig5", "--n-files-list", "5,2.5", "--gamma-grid", "1",
                      "--out-dir", str(tmp_path / "x")])

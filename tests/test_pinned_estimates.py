@@ -6,7 +6,7 @@ must reproduce all of them exactly; a change that alters the streams on
 purpose records new pins and says so in CHANGES.md.  The first test pins the
 keyed substream itself, so a change of generator or of numpy's stream fails
 it by name before any estimate pin; the second pins the per-trial summation
-order of the shot-noise kernels.
+order of the shot-noise kernels and of the SIR signal sums.
 """
 
 import hashlib
@@ -256,7 +256,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                        3,
                                        0),
         'sir_aligned_interference_region_only': ('est',
-                                                 '0x1.5a3b552f1501ep-4',
+                                                 '0x1.5a3b552f1501dp-4',
                                                  '0x1.933d47843be19p-9',
                                                  5000,
                                                  3,
@@ -280,19 +280,19 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        '9059bd69ec2043c02cf1d815d1bc50637a0876cbebdcd5fc14d246c18b1ffae5'),
+                                        '62a8ba04867cd7f64def0fec35fd90e980a7821b3b68992fab9deb1d50705b47'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            'b92be1b84c0394ebb2c44f37c5607f9d63a190b26c68d1d0ae78d41df71bcae6'),
+                                            '8e5dbecdb70e19109d2b05e7a9009f98791d5407eee801cc3e2fdf11f21e7d5f'),
         'sir_samples_aligned_interference_region_only': ('arr',
                                                          'float64',
                                                          (5000,),
-                                                         'f49164d4304364a0785e5cc9a758674cdd5868033ba94ebc068a67a5f9868d8e'),
+                                                         '2e459a472447be46f12097708cc9bf39ac6c22a107b0331f356e2ec12ffc426d'),
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 'b9e1a84c2053b1e355b71a78228c52c35684103f2363e510bf3b74337bfbe650'),
+                                 '4038ff3806da46f45eac02983d5192bd3ce5170f759c0a2b2955d7d80328ab12'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),

@@ -581,6 +581,59 @@ class TestAlignedGeometry:
         ref[empty] = r_s ** -sc.alpha + tail_mean(lam, sc.alpha, r_s)
         assert stats.ks_2samp(g0, ref).pvalue > 0.01
 
+    @pytest.mark.parametrize("points", [math.log(2.0), None, 600.0])
+    def test_signal_gain_is_the_exact_sum_of_each_trial(self, points):
+        # G_0 summed by trial segment against math.fsum of each trial's
+        # points, nearest point and tail.  Signal disks of ln 2 expected
+        # points (about half of them empty, and many trials served within
+        # them with an empty annulus), the default (about 113 points, under
+        # numpy's 128-point pairwise block) and 600 (over it).  A trial with
+        # no point on its annulus is g1 + tail exactly.
+        sc, k, n = Scenario.from_zipf(5, 1.0, 5.0, 4.0, 0.1), 2, 400
+        geometry = _geometry(sc, k)
+        if points is not None:
+            radius = math.sqrt(points / (math.pi * geometry.lam[k]))
+            geometry = _make_geometry(sc, k, DiskRegion(radius), geometry.int_region)
+        chunk = _block(geometry, k, substream(49, 0), n)
+        g0 = _AlignedModel(geometry, "exponential").signal_gain(chunk)
+        ends = np.cumsum(chunk.sig_counts)
+        want = np.array([math.fsum([*chunk.sig_g[end - count:end], g1, tail]) for end, count, g1, tail
+                         in zip(ends, chunk.sig_counts, chunk.g1, chunk.sig_tail)])
+        np.testing.assert_allclose(g0, want, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+        empty = chunk.sig_counts == 0
+        assert np.array_equal(g0[empty], chunk.g1[empty] + chunk.sig_tail[empty])
+        if points is None:
+            assert np.all((50 < chunk.sig_counts) & (chunk.sig_counts < 200))
+        elif points > 1.0:
+            assert np.all(chunk.sig_counts > 128)
+        else:
+            assert 0.3 < empty.mean() < 0.9
+
+    def test_zero_popularity_request_has_no_signal(self):
+        # A block whose middle trials request file 1, of popularity 0: they
+        # have no point anywhere, so G_0 = 0 and both models give success
+        # exactly 0, while the trials around them keep their exact sums.
+        sc = Scenario(PopularityProfile([0.5, 0.0, 0.5]), 4.0, 5.0, 0.1)
+        files = np.arange(3)
+        geometry = _Geometry(sc, DiskRegion(20.0), files, np.full(3, 10.0))
+        req = np.repeat(files, [100, 50, 100])
+        chunk = geometry.geometry(substream(50, 0), req)
+        g0 = _AlignedModel(geometry, "exponential").signal_gain(chunk)
+        zero = req == 1
+        assert not chunk.sig_counts[zero].any()
+        assert np.all(g0[zero] == 0.0) and np.all(g0[~zero] > 0.0)
+        ends = np.cumsum(chunk.sig_counts)
+        for t in np.flatnonzero(~zero):
+            points = chunk.sig_g[ends[t] - chunk.sig_counts[t]:ends[t]]
+            want = math.fsum([*points, chunk.g1[t], chunk.sig_tail[t]])
+            assert g0[t] == pytest.approx(want, rel=4.0 * np.finfo(float).eps, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aligned = _AlignedModel(geometry, "exponential").success(None, chunk)
+            nearest = _NearestHelperModel(geometry).success(None, chunk)
+        for p in (aligned, nearest):
+            assert np.all(p[zero] == 0.0) and np.all(p[~zero] > 0.0)
+
     @pytest.mark.parametrize("mode", ["exponential", "complex"])
     def test_chunk_of_one_block_is_one_geometry(self, mode):
         # Trials that fit one block draw one geometry, and every method reads
