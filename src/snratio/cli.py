@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .experiments import (
     check_figure4,
     check_figure5,
     parse_config_file,
+    parse_number_list,
     run_ccdf_dump,
     run_figure3,
     run_figure4,
@@ -126,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_number_list(text: str, elem=float) -> tuple:
-    return tuple(elem(v) for v in text.replace(",", " ").split() if v)
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the config file, then explicit flags."""
     values = {}
@@ -152,12 +148,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["alphas"] = tuple(args.alpha)
         overrides["fig5_alpha"] = args.alpha[0]
     if args.gamma_grid:
-        overrides["gamma_grid"] = _parse_number_list(args.gamma_grid)
+        overrides["gamma_grid"] = parse_number_list(args.gamma_grid)
     if getattr(args, "n_files_list", None):
-        overrides[f"{args.command}_n_files"] = _parse_number_list(args.n_files_list, int)
+        overrides[f"{args.command}_n_files"] = parse_number_list(args.n_files_list, int)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(ExperimentConfig)}
-    values = {k: v for k, v in values.items() if k in known}
     return ExperimentConfig(**values)
 
 
@@ -174,7 +168,7 @@ def _curve_grid(args: argparse.Namespace):
         return None
     if not text:
         return tuple(default)
-    grid = _parse_number_list(text)
+    grid = parse_number_list(text)
     if not grid:
         raise ValueError(f"{name} must be nonempty")
     return grid

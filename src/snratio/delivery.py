@@ -45,8 +45,9 @@ from .mc import Estimate, Moments, check_integer, substream
 from .popularity import PopularityProfile, ZipfSpec, zipf
 from .shotnoise import SeriesControl, _series_sum, reciprocal_gamma
 
-#: Target size of the per-chunk fading matrix (samples x files) and of the
-#: lower bound's quadrature blocks (files x nodes).
+#: Target size of a streamed fading batch's chunks (samples x files), of
+#: the series form's blocks of g samples (a quarter of it), and of the lower
+#: bound's quadrature blocks (files x nodes).
 _FADING_CHUNK_CELLS = 4_000_000
 
 #: Cells (samples x files) per row block of the sampled forms' kernel, so
@@ -54,10 +55,10 @@ _FADING_CHUNK_CELLS = 4_000_000
 _KERNEL_BLOCK_CELLS = 1 << 15
 
 #: Largest fading batch (samples x files) whose draws, and whose weighting
-#: for the last (profile, alpha), are memoized; together they hold at most
-#: 2 * 2 ** 24 cells (256 MB).  A larger batch is drawn and weighted again,
-#: one chunk at a time, by every form that reads it, so memory stays bounded
-#: as the file count grows.
+#: for the last (profile, alpha), are memoized, each as one array; together
+#: they hold at most 2 * 2 ** 24 cells (256 MB).  A larger batch is drawn
+#: and weighted again, one chunk at a time, by every form that reads it, so
+#: memory stays bounded as the file count grows.
 _FADING_MEMO_CELLS = 1 << 24
 
 #: Unit roundoff of a double: the incomplete-beta series stops below it.
@@ -133,46 +134,28 @@ def _check_file_index(n_files: int, k: int):
         raise ParameterDomainError(f"file index {k} out of range for {n_files} files")
 
 
-def _fading_chunk_size(n_files: int) -> int:
-    return max(1, _FADING_CHUNK_CELLS // max(1, n_files))
-
-
-def _draw_exponentials(seed: int, sample_count: int, n_files: int, rows: int):
-    """Yield a batch's unit-mean exponential draws, ``rows`` samples per chunk.
-
-    One keyed SFC64 substream (:func:`mc.substream`) drives the whole
-    batch, so different consumers of the same batch see the same draws
-    (common random numbers).
-    """
-    rng = substream(seed, 0)
-    for start in range(0, sample_count, rows):
-        yield rng.exponential(size=(min(rows, sample_count - start), n_files))
-
-
 @functools.lru_cache(maxsize=1)
-def _memo_exponentials(seed: int, sample_count: int, n_files: int, rows: int) -> tuple:
-    """All chunks of :func:`_draw_exponentials`, read-only, for the last key only.
+def _memo_exponentials(seed: int, sample_count: int, n_files: int) -> np.ndarray:
+    """The batch's (sample_count, n_files) unit-mean exponential draws, read-only.
 
-    Every fading-averaged form that agrees on the seed, sample count and
-    file count, whatever its method, thresholds or path-loss exponent,
-    reuses this one draw.  The memo holds 8 * sample_count * n_files bytes
-    (6.4 MB at S = 10 000, N = 80; 80 MB at S = 20 000, N = 500) until a
-    batch with another key replaces it.
+    One call on the keyed SFC64 substream ``substream(seed, 0)``
+    (:func:`mc.substream`) draws the whole batch, row after row, so every
+    form that agrees on the seed, sample count and file count, whatever its
+    method, thresholds or path-loss exponent, reads the same draws (common
+    random numbers).  Only the last key is held: 8 * sample_count * n_files
+    bytes (6.4 MB at S = 10 000, N = 80; 80 MB at S = 20 000, N = 500).
     """
-    chunks = tuple(_draw_exponentials(seed, sample_count, n_files, rows))
-    for h in chunks:
-        h.setflags(write=False)
-    return chunks
+    h = substream(seed, 0).exponential(size=(sample_count, n_files))
+    h.setflags(write=False)
+    return h
 
 
-def _weigh(h: np.ndarray, weights: np.ndarray, d: float, weighted=None, totals=None):
-    """One chunk's weighting W = a * h ** d and its row sums, into the arrays given.
+def _weigh(h: np.ndarray, weights: np.ndarray, d: float, weighted: np.ndarray, totals=None):
+    """The weighting W = a * h ** d of the draws ``h`` into ``weighted``, and its row sums.
 
     The power is taken in row blocks of about ``_KERNEL_BLOCK_CELLS`` cells,
-    so its temporary stays in cache and the chunk needs no second buffer.
+    so its temporary stays in cache; ``weighted`` may be ``h`` itself.
     """
-    if weighted is None:
-        weighted = np.empty_like(h)
     rows = max(1, _KERNEL_BLOCK_CELLS // h.shape[1])
     for i in range(0, h.shape[0], rows):
         np.multiply(h[i:i + rows] ** d, weights, out=weighted[i:i + rows])
@@ -191,47 +174,45 @@ def _mapped_floats(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=float, count=count)
 
 
-#: ``(key, chunks)`` of the last memoized weighting, or None; rebound as one
-#: tuple, so a thread never sees the key of one entry with the chunks of
-#: another.
+#: ``(key, (weighted, totals))`` of the last memoized weighting, or None;
+#: rebound as one tuple, so a thread never sees the key of one entry with
+#: the arrays of another.
 _weighted_memo = None
 
 
 def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch):
     """Yield (weighted, row_total) chunks of the batch: weighted = a * h ** (2/alpha).
 
-    Where the batch fits in ``_FADING_MEMO_CELLS``, the draws come from
-    :func:`_memo_exponentials` and the weighted chunks, read-only, from a
-    memo of the last (draws, alpha, profile weights) key, so every form on
-    one scenario and batch shares one weighting pass.  The old entry is
-    dropped before a new one is weighted, so the memo never holds two.  A
-    larger batch is drawn and weighted chunk by chunk on every call.
-    Either way the chunks hold the same numbers.
+    Where the batch fits in ``_FADING_MEMO_CELLS`` it is one chunk: the
+    draws of :func:`_memo_exponentials`, weighted once per (draws, alpha,
+    profile weights) key into one read-only (S, N) matrix and its row
+    totals in a mapping of their own, so every form on one scenario and
+    batch shares one weighting pass.  The old entry is dropped before a new
+    one is weighted, so the memo never holds two.  A larger batch is drawn
+    and weighted on every call, in place, in chunks of about
+    ``_FADING_CHUNK_CELLS`` cells, from the same stream.  The draws fill the
+    rows in order either way, so the chunks stacked hold the same numbers.
     """
     global _weighted_memo
-    n = profile.n_files
-    rows = _fading_chunk_size(n)
-    draw_key = (batch.seed, batch.sample_count, n, rows)
+    n, s = profile.n_files, batch.sample_count
     d = 2.0 / alpha
-    if batch.sample_count * n > _FADING_MEMO_CELLS:
-        for h in _draw_exponentials(*draw_key):
-            yield _weigh(h, profile.weights, d)
+    if s * n > _FADING_MEMO_CELLS:
+        rng, rows = substream(batch.seed, 0), max(1, _FADING_CHUNK_CELLS // n)
+        for start in range(0, s, rows):
+            h = rng.exponential(size=(min(rows, s - start), n))
+            yield _weigh(h, profile.weights, d, h)
         return
-    key = draw_key + (alpha, profile.weights.tobytes())
+    key = (batch.seed, s, n, alpha, profile.weights.tobytes())
     entry = _weighted_memo
     if entry is None or entry[0] != key:
         entry = _weighted_memo = None
-        cells = batch.sample_count * n
-        buf = _mapped_floats(cells + batch.sample_count)
-        weighted, totals = buf[:cells].reshape(-1, n), buf[cells:]
-        chunks = tuple(_weigh(h, profile.weights, d, weighted[i:i + rows], totals[i:i + rows])
-                       for i, h in zip(range(0, batch.sample_count, rows),
-                                       _memo_exponentials(*draw_key)))
-        for arrays in chunks:
-            for a in arrays:
-                a.setflags(write=False)
-        entry = _weighted_memo = (key, chunks)
-    yield from entry[1]
+        buf = _mapped_floats(s * n + s)
+        chunk = _weigh(_memo_exponentials(batch.seed, s, n), profile.weights, d,
+                       buf[:s * n].reshape(s, n), buf[s * n:])
+        for a in chunk:
+            a.setflags(write=False)
+        entry = _weighted_memo = (key, chunk)
+    yield entry[1]
 
 
 def _faded_tail(y, alpha):
@@ -469,7 +450,7 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
     sums each row over the files; the alpha4 form is the same kernel with
     cos(2 pi / alpha) taken as exactly 0, its value at alpha = 4.  The
     series form reads the chunks once per block of files whose g samples
-    fit in a quarter of the fading chunk, and takes each file's inverse
+    fit in a quarter of ``_FADING_CHUNK_CELLS``, and takes each file's inverse
     moments, a running product of 1 / g_k, only as far as its truncation
     loop reads them.  A conditional probability is the one-file total.
     """

@@ -119,17 +119,19 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def parse_number_list(text: str, elem=float) -> tuple:
+    """The numbers of a comma- or space-separated list, as ``elem``s."""
+    return tuple(elem(v) for v in text.replace(",", " ").split())
+
+
 def _coerce_config_value(key: str, value: str):
-    defaults = ExperimentConfig()
-    current = getattr(defaults, key)
+    current = getattr(ExperimentConfig(), key)
     if isinstance(current, int):
         return int(value)
     if isinstance(current, float):
         return float(value)
     if isinstance(current, tuple):
-        items = [v for v in value.replace(",", " ").split() if v]
-        elem = float if (current and isinstance(current[0], float)) else int
-        return tuple(elem(v) for v in items)
+        return parse_number_list(value, type(current[0]))
     return value
 
 

@@ -13,8 +13,10 @@ chunks are partitioned across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,9 +77,8 @@ class Moments:
     """Count, mean and sum of squared deviations of a sample of real values.
 
     ``a + b`` is the moments of the two samples pooled (the pairwise update
-    of Chan, Golub & LeVeque, 1983), and ``0 + m`` is ``m``, so ``sum()``
-    folds per-chunk moments; folded in a fixed order, the result has fixed
-    bits.
+    of Chan, Golub & LeVeque, 1983); folded in a fixed order, per-chunk
+    moments pool to fixed bits.
     """
 
     count: int
@@ -99,9 +100,6 @@ class Moments:
         delta = other.mean - self.mean
         return Moments(count, self.mean + delta * (other.count / count),
                        self.m2 + other.m2 + delta * delta * (self.count * other.count / count))
-
-    def __radd__(self, other):
-        return self if other == 0 else NotImplemented
 
     def estimate(self, seed: int) -> Estimate:
         """The sample mean with its standard error."""
@@ -135,9 +133,6 @@ class CoMoments:
         cross = (self.cross + other.cross
                  + (other.x.mean - self.x.mean) * (other.y.mean - self.y.mean) * weight)
         return CoMoments(self.x + other.x, self.y + other.y, cross)
-
-    def __radd__(self, other):
-        return self if other == 0 else NotImplemented
 
     def ratio(self, seed: int) -> Estimate:
         """``mean(y) / mean(x)`` with its delta-method standard error.
@@ -196,7 +191,10 @@ def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
     ``partitions`` only controls how many worker threads evaluate the chunks
     (a single-chunk run stays on the calling thread); the per-chunk
     substreams and the summation in chunk order make the result independent
-    of the partitioning.  Returns the elementwise sum of the per-chunk tuples.
+    of the partitioning.  Returns the elementwise sum of the per-chunk tuples,
+    each column folded left to right with ``+``.  Chunk ``i`` draws from
+    ``substream(seed, stream_offset + i)``; :func:`chunk_start` inverts that
+    keying.
     """
     check_integer("partitions", partitions, 1)
 
@@ -205,7 +203,18 @@ def run_counting_chunks(total_trials: int, seed: int, chunk_fn,
         return chunk_fn(substream(seed, stream_offset + index), n)
 
     results = ordered_map(one, enumerate(chunk_sizes(total_trials)), partitions)
-    return tuple(sum(col) for col in zip(*results))
+    return tuple(functools.reduce(operator.add, col) for col in zip(*results))
+
+
+def chunk_start(rng: np.random.Generator, stream_offset: int) -> int:
+    """The first trial of the :func:`run_counting_chunks` chunk that draws from ``rng``.
+
+    Chunk ``i`` of a run at ``stream_offset`` draws from
+    ``substream(seed, stream_offset + i)``, keyed ``SeedSequence((seed,
+    stream_offset + i))``, and starts at trial ``i * CHUNK_TRIALS``, so the
+    key of its stream gives its place on the chunk grid.
+    """
+    return (rng.bit_generator.seed_seq.entropy[1] - stream_offset) * CHUNK_TRIALS
 
 
 def gather_chunked_samples(total_trials: int, seed: int, sample_fn) -> np.ndarray:

@@ -231,6 +231,15 @@ def ratio_laplace(s: float, spec: RatioSpec, ctrl: SeriesControl | None = None) 
     return _series_sum(1, terms(), ctrl, "shot-noise ratio Laplace series", z)
 
 
+def _check_process(density: float, alpha: float) -> None:
+    """Raise :class:`ParameterDomainError` unless the shot noise of a density
+    ``density`` process with path-loss exponent ``alpha`` is finite."""
+    if not 0.0 < density < math.inf:
+        raise ParameterDomainError(f"density must be positive and finite, got {density}")
+    if not 2.0 < alpha < math.inf:
+        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
+
+
 def shot_noise_pdf(x: float, density: float, alpha: float,
                    ctrl: SeriesControl | None = None) -> float:
     """Density of a single shot-noise sum at ``x``, by series expansion.
@@ -244,10 +253,7 @@ def shot_noise_pdf(x: float, density: float, alpha: float,
         ctrl = SeriesControl()
     if not 0.0 < x < math.inf:
         raise ParameterDomainError(f"x must be positive and finite, got {x}")
-    if not 0.0 < density < math.inf:
-        raise ParameterDomainError(f"density must be positive and finite, got {density}")
-    if not 2.0 < alpha < math.inf:
-        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
+    _check_process(density, alpha)
     d = 2.0 / alpha
     z = density * math.pi * math.gamma(1.0 - d) / x**d
     log_z = math.log(z)

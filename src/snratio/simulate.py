@@ -90,12 +90,13 @@ from .mc import (
     Moments,
     bernoulli_estimate,
     check_integer,
+    chunk_start,
     gather_chunked_samples,
     run_counting_chunks,
     substream,
 )
 from .popularity import decompose_densities
-from .shotnoise import RatioSpec
+from .shotnoise import RatioSpec, _check_process
 
 #: Disk radii keep the expected in-window point count above
 #: ``pi * COVERAGE_FACTOR ** 2`` (about 113 points).
@@ -172,15 +173,6 @@ class TrialConfig:
 def tail_mean(density: float, alpha: float, radius: float) -> float:
     """Expected shot-noise contribution of the process beyond ``radius``."""
     return 2.0 * math.pi * density * radius ** (2.0 - alpha) / (alpha - 2.0)
-
-
-def _check_process(density: float, alpha: float) -> None:
-    """Raise :class:`ParameterDomainError` unless the shot noise of a density
-    ``density`` process with path-loss exponent ``alpha`` is finite."""
-    if not 0.0 < density < math.inf:
-        raise ParameterDomainError(f"density must be positive and finite, got {density}")
-    if not 2.0 < alpha < math.inf:
-        raise ParameterDomainError(f"alpha must exceed 2 and be finite, got {alpha}")
 
 
 def _window_factor(alpha: float, tail_tol: float) -> float:
@@ -870,9 +862,6 @@ class _FileRecords(dict):
             pooled[k] = pooled[k] + record if k in pooled else record
         return pooled
 
-    def __radd__(self, other):
-        return self if other == 0 else NotImplemented
-
 
 #: Stream offset of a total's chunk grid: its chunk ``i`` draws from
 #: ``substream(seed, _TOTAL_STREAM + i)``, apart from ``substream(seed, 0)``,
@@ -903,16 +892,6 @@ def _total_geometry(scenario: Scenario, cfg: TrialConfig, files: np.ndarray) -> 
     return _Geometry(scenario, int_region, files, sig_radii)
 
 
-def _chunk_start(rng) -> int:
-    """The first trial, in request order, of the total's chunk that draws from ``rng``.
-
-    Chunk ``i`` of a run is keyed ``SeedSequence((seed, offset + i))``
-    (:func:`snratio.mc.run_counting_chunks`), so its key gives its place on
-    the chunk grid.
-    """
-    return (rng.bit_generator.seed_seq.entropy[1] - _TOTAL_STREAM) * CHUNK_TRIALS
-
-
 def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, return_strata):
     """Popularity-mixed success probabilities over randomized requests.
 
@@ -932,7 +911,7 @@ def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, retur
     ends = np.cumsum(counts)
 
     def chunk(rng, n):
-        start = _chunk_start(rng)
+        start = chunk_start(rng, _TOTAL_STREAM)
         req = np.repeat(np.arange(scenario.n_files),
                         np.diff(np.clip(ends, start, start + n), prepend=start))
         values = geometry.values(rng, req, run)

@@ -334,8 +334,8 @@ class TestSeriesForm:
 class TestSeriesTotalBlocks:
     """The series total against the file-by-file loop over the conditional form.
 
-    The fading chunk is shrunk so that 1000 samples span 3 row chunks and
-    29 files span 10 blocks of at most 3 files.
+    ``_FADING_CHUNK_CELLS`` is shrunk so that 29 files at 1000 samples span
+    10 blocks of at most 3 files.
     """
 
     N = 29
@@ -461,34 +461,47 @@ class TestFadingMemo:
         assert len(weighings) == 1 + 7
 
     def test_weighted_chunks_are_read_only_and_shared(self, weighings):
-        sc = self._scenario()
-        (first,) = delivery._fading_chunks(sc.profile, 4.0, self.BATCH)
-        (again,) = delivery._fading_chunks(sc.profile, 4.0, self.BATCH)
+        sc, batch = self._scenario(), self.BATCH
+        (first,) = delivery._fading_chunks(sc.profile, 4.0, batch)
+        (again,) = delivery._fading_chunks(sc.profile, 4.0, batch)
         assert all(a is b for a, b in zip(first, again))
         assert len(weighings) == 1
-        (h,) = delivery._memo_exponentials(self.BATCH.seed, self.BATCH.sample_count, 8,
-                                           delivery._fading_chunk_size(8))
-        for arr in (h, *first):
+        h = delivery._memo_exponentials(batch.seed, batch.sample_count, 8)
+        weighted, totals = first
+        assert h.shape == weighted.shape == (batch.sample_count, 8)
+        assert totals.shape == (batch.sample_count,)
+        for arr in (h, weighted, totals):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
-        base = first[0]
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base.obj, mmap.mmap)  # a memoryview of the mapping, outside malloc
+        for arr in first:
+            base = arr
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)  # a memoryview of the mapping, outside malloc
 
-    def test_chunk_size_is_part_of_the_key(self, weighings, monkeypatch):
-        sc = self._scenario()
+    def test_memoized_batch_is_one_chunk(self, weighings, monkeypatch):
+        sc, batch = self._scenario(), self.BATCH
 
-        def n_chunks():
-            return sum(1 for _ in delivery._fading_chunks(sc.profile, 4.0, self.BATCH))
+        def chunks():
+            return list(delivery._fading_chunks(sc.profile, 4.0, batch))
 
-        assert n_chunks() == 1
-        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 1000)
-        assert n_chunks() == 3
-        assert n_chunks() == 3
-        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * 700)
-        assert n_chunks() == 5
+        forms = self._all_forms()
+        (memo,) = chunks()
+        for cells in (8 * 1000, 8 * 700, 8):
+            monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", cells)
+            (again,) = chunks()
+            assert all(x is y for x, y in zip(memo, again))
+        assert len(weighings) == 1  # the chunk size is no part of the key
+        monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
+        for rows in (1000, 700):
+            monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * rows)
+            streamed = chunks()
+            assert len(streamed) == math.ceil(batch.sample_count / rows)
+            assert np.vstack([w for w, _ in streamed]).tobytes() == memo[0].tobytes()
+            assert np.concatenate([t for _, t in streamed]).tobytes() == memo[1].tobytes()
         assert len(weighings) == 1 + 3 + 5
+        # Every form reads the five streamed chunks as it read the one memoized chunk.
+        assert self._all_forms() == forms
 
     @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
     def test_threads_alternating_scenarios_match_serial(self, weighings):

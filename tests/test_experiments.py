@@ -14,7 +14,7 @@ import pytest
 from scipy import special, stats
 
 from snratio import experiments, simulate
-from snratio.cli import main
+from snratio.cli import build_parser, main, resolve_config
 from snratio.delivery import FadingBatch
 from snratio.errors import ParameterDomainError
 from snratio.experiments import (
@@ -512,6 +512,16 @@ class TestCli:
         assert meta["seed"] == "9"       # flag wins
         assert meta["trials"] == "1000"  # file wins over default
         assert meta["n_files"] == "4"
+
+    def test_list_flag_and_config_file_line_parse_alike(self, tmp_path):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("gamma_grid = 0, 1.5 3\nfig4_n_files = 5,50\n")
+        from_file = resolve_config(build_parser().parse_args(["fig4", "--config", str(cfg_file)]))
+        from_flags = resolve_config(build_parser().parse_args(
+            ["fig4", "--gamma-grid", "0, 1.5 3", "--n-files-list", "5,50"]))
+        assert from_file == from_flags
+        assert from_file.gamma_grid == (0.0, 1.5, 3.0)
+        assert from_file.fig4_n_files == (5, 50)
 
     def test_validate_seed_42_reports_byte_identical(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,6 +1,8 @@
 """The Monte Carlo oracle: point sampling, shot noise, and SIR trials."""
 
+import functools
 import math
+import operator
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -968,7 +970,8 @@ class TestTotals:
         rng = np.random.default_rng(56)
         reqs = [np.repeat([0, 1], [30, 5]), np.repeat([1, 2, 4], [1, 20, 9]), np.full(12, 4)]
         values = [rng.random((2, r.size)) for r in reqs]
-        pooled = sum(_FileRecords.of(r, v) for r, v in zip(reqs, values))
+        pooled = functools.reduce(operator.add, (_FileRecords.of(r, v)
+                                                 for r, v in zip(reqs, values)))
         assert sorted(pooled) == [0, 1, 2, 4]
         req, vals = np.concatenate(reqs), np.concatenate(values, axis=1)
         for k, record in pooled.items():
@@ -1023,18 +1026,33 @@ class TestSharedDriverProperties:
         # Folding per-chunk moments in order gives the one-pass estimate.
         bounds = sorted({c for c in cuts if c < len(values)})
         parts = np.split(np.array(values), bounds)
-        folded = sum(Moments.of(p) for p in parts)
+
+        def fold(records):
+            return functools.reduce(operator.add, records)
+
+        folded = fold(Moments.of(p) for p in parts)
         got = folded.estimate(seed=1)
         want = Moments.of(np.array(values)).estimate(seed=1)
         assert got.trials == want.trials
         assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
         # Paired with y = sqrt(x): the marginals keep the bits of the fold above.
-        co = sum(CoMoments.of(p, np.sqrt(p)) for p in parts)
-        assert co.x == folded and co.y == sum(Moments.of(np.sqrt(p)) for p in parts)
+        co = fold(CoMoments.of(p, np.sqrt(p)) for p in parts)
+        assert co.x == folded and co.y == fold(Moments.of(np.sqrt(p)) for p in parts)
         x, y = np.array(values), np.sqrt(values)
         assert co.cross == pytest.approx(np.sum((x - x.mean()) * (y - y.mean())),
                                          rel=1e-9, abs=1e-12)
+
+    def test_chunk_start_inverts_the_chunk_keying(self):
+        # Each chunk learns its first trial from its substream's key; the
+        # one-item lists concatenate in chunk order, on either thread.
+        def chunk(rng, n):
+            return ([(mc.chunk_start(rng, 1), n)],)
+
+        (got,) = mc.run_counting_chunks(2 * mc.CHUNK_TRIALS + 5, 9, chunk, partitions=2,
+                                        stream_offset=1)
+        assert got == [(0, 4096), (4096, 4096), (8192, 5)]
+        assert mc.chunk_start(substream(9, 3), 0) == 3 * mc.CHUNK_TRIALS
 
     @_DRIVER_PROPERTY
     @given(k=st.integers(0, 4), seed=st.integers(0, 2**16))
