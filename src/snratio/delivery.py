@@ -302,13 +302,15 @@ def conditional_delivery_prob_alpha4(k: int, scenario: Scenario, batch: FadingBa
 
 
 def _competing_g(profile: PopularityProfile, alpha: float, batch: FadingBatch,
-                 files: range) -> np.ndarray:
+                 files: range, out: np.ndarray | None = None) -> np.ndarray:
     """The batch's samples of g_k for each file k in ``files``, from its weighted chunks.
 
     Row i holds g for file ``files[i]``; each row is contiguous, so a
-    reduction over it is the same whatever block of files it came in.
+    reduction over it is the same whatever block of files it came in.  The
+    samples are written into ``out``, of shape (len(files), sample_count),
+    where it is given.
     """
-    g = np.empty((len(files), batch.sample_count))
+    g = np.empty((len(files), batch.sample_count)) if out is None else out
     row = 0
     for weighted, totals in _fading_chunks(profile, alpha, batch):
         end = row + totals.size
@@ -450,9 +452,11 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
     sums each row over the files; the alpha4 form is the same kernel with
     cos(2 pi / alpha) taken as exactly 0, its value at alpha = 4.  The
     series form reads the chunks once per block of files whose g samples
-    fit in a quarter of ``_FADING_CHUNK_CELLS``, and takes each file's inverse
-    moments, a running product of 1 / g_k, only as far as its truncation
-    loop reads them.  A conditional probability is the one-file total.
+    fit in a quarter of ``_FADING_CHUNK_CELLS``, into one buffer that every
+    block reuses, so that one block of g is held at a time.  It takes each
+    file's inverse moments, a running product of 1 / g_k, only as far as
+    its truncation loop reads them.  A conditional probability is the
+    one-file total.
     """
     if method == "alpha4" and scenario.alpha != 4.0:
         raise ContractError(f"the alpha4 form requires alpha = 4, got {scenario.alpha}")
@@ -462,9 +466,10 @@ def _sampled_total(scenario: Scenario, method: str, batch: FadingBatch, files: r
     if ctrl is not None:
         total, mix = 0.0, np.zeros(batch.sample_count)
         per_pass = max(1, _FADING_CHUNK_CELLS // (4 * batch.sample_count))
+        buf = np.empty((min(per_pass, len(files)), batch.sample_count))
         for start in range(0, len(files), per_pass):
             block = files[start:start + per_pass]
-            g = _competing_g(scenario.profile, scenario.alpha, batch, block)
+            g = _competing_g(scenario.profile, scenario.alpha, batch, block, buf[:len(block)])
             for k, c_k, g_k in zip(block, coefs[start:start + per_pass], g):
                 mean_k, mix_k = _series_mix(k, scenario, g_k, ctrl)
                 total += c_k * mean_k

@@ -36,7 +36,9 @@ block) are summed over every trial's segment by ``np.add.reduceat``
 (:func:`_trial_sums`): its first point plus numpy's pairwise sum of the
 rest.  The SIR interferers carry random trial labels and are added in point
 order with ``np.bincount``; a trial lies in one block, so its sums never
-span two.
+span two.  The aligned model's exponential-mode success multiplies each
+trial's factors ``1 + c * G_j`` in file order (``np.multiply.reduce`` over
+the files) and takes one reciprocal, with no logarithm per cell.
 
 SIR trials: every trial carries its requested file, and one geometry
 serves every request (:class:`_Geometry`).  A conditional run is the case
@@ -49,8 +51,9 @@ each block expecting at most ``_BLOCK_POINTS`` points and holding at most
 bounded in both the points per trial and the file count N.  Both models,
 aligned transmission and nearest-helper service, are evaluated on one
 marked geometry per block.  It stores every point as its path gain
-``g = (r**2)**(-alpha/2)``, one power of its squared radius and no square
-root, which the aligned model sums and the nearest-helper model reads as
+``g = (r**2)**(-alpha/2)``, taken from its squared radius with no square
+root (:func:`_path_gains`: at even alpha a reciprocal and products, no
+power), which the aligned model sums and the nearest-helper model reads as
 ``log1p(x * g)``.  Each trial's requested file is drawn nearest first: its
 nearest point, inside the signal disk or beyond it, then its other points
 on the disk.  So every trial has a serving helper and no SIR trial is ever
@@ -226,6 +229,24 @@ def _disk_points(rng, mean, radius, size):
     np.sqrt(r, out=r)
     r *= radius
     return counts, r
+
+
+def _path_gains(sq: np.ndarray, alpha: float) -> np.ndarray:
+    """The path gains ``g = sq**(-alpha/2)`` of squared radii ``sq``, in place.
+
+    Where ``alpha / 2`` is an integer m (alpha = 4, 6, ...), ``g`` is one
+    reciprocal times itself m - 1 times, within about m ulps of the power
+    and without a transcendental per point; every other alpha takes
+    ``np.power``.  ``sq = inf`` gives 0 either way, and ``sq = 0`` inf.
+    """
+    m = alpha / 2.0
+    if not m.is_integer():
+        return np.power(sq, -m, out=sq)
+    np.reciprocal(sq, out=sq)
+    inv = sq.copy() if m > 2 else sq
+    for _ in range(int(m) - 1):
+        sq *= inv
+    return sq
 
 
 def _trial_sums(values, counts) -> np.ndarray:
@@ -433,14 +454,15 @@ class _SirChunk(NamedTuple):
 
     ``req`` holds every trial's requested file, in nondecreasing order.
     Every point at distance r is stored as its path gain
-    g = (r**2)**(-alpha/2), formed from its squared radius.  ``g1`` is every
-    trial's gain from its requested file's nearest point (0 where that file
-    has no helper), and ``sig_tail`` that file's tail mean beyond
-    max(R, r_1) for its signal disk of radius R.  Its other points on the
-    disk are stored trial by trial, ``sig_counts[t]`` of them for trial
-    ``t``, with gains ``sig_g``, and summed by :func:`_trial_sums`.  The
-    interferers carry their trial ``labels``, cell key ``file * n + trial``
-    and gain ``g``; no point of a file lies on a trial that requests it.
+    g = (r**2)**(-alpha/2), formed from its squared radius by
+    :func:`_path_gains`.  ``g1`` is every trial's gain from its requested
+    file's nearest point (0 where that file has no helper), and
+    ``sig_tail`` that file's tail mean beyond max(R, r_1) for its signal
+    disk of radius R.  Its other points on the disk are stored trial by
+    trial, ``sig_counts[t]`` of them for trial ``t``, with gains ``sig_g``,
+    and summed by :func:`_trial_sums`.  The interferers carry their trial
+    ``labels``, cell key ``file * n + trial`` and gain ``g``; no point of a
+    file lies on a trial that requests it.
     """
 
     req: np.ndarray
@@ -500,7 +522,10 @@ class _Geometry:
     position on the interference disk and a uniform trial label among the
     ``n - n_j`` trials that do not request ``j``.  So the random-number cost
     is one draw per point and per trial, and one per file and block, not one
-    per (trial, file) cell.  Both SIR models are evaluated on this geometry.
+    per (trial, file) cell.  The signal points, the interferers and the
+    nearest points are drawn as squared radii, and each becomes its path
+    gain in place by :func:`_path_gains`: at alpha = 4, one reciprocal and
+    one product per point.  Both SIR models are evaluated on this geometry.
     """
 
     def __init__(self, scenario: Scenario, int_region: DiskRegion,
@@ -537,13 +562,13 @@ class _Geometry:
         sig_g = rng.random(int(sig_counts.sum()))
         sig_g *= np.repeat(width, sig_counts)
         sig_g += np.repeat(inner, sig_counts)
-        np.power(sig_g, -alpha / 2.0, out=sig_g)
+        _path_gains(sig_g, alpha)
         sig_tail = tail_mean(lam, alpha, np.sqrt(np.maximum(r1_sq, outer)))
         own = np.bincount(req, minlength=self.n_files)
         counts = rng.poisson((n - own) * self.int_means)
         g = rng.random(int(counts.sum()))
         g *= self.int_region.radius**2
-        np.power(g, -alpha / 2.0, out=g)
+        _path_gains(g, alpha)
         labels = rng.integers(0, n, size=g.size)
         # The points of the files from the block's first request to its last
         # are one contiguous run; each is relabelled uniformly among the
@@ -560,7 +585,8 @@ class _Geometry:
             labels[start:stop] = u
         key = np.repeat(np.arange(0, self.n_files * n, n), counts)
         key += labels
-        return _SirChunk(req, r1_sq ** (-alpha / 2.0), sig_tail, sig_counts, sig_g, key, labels, g)
+        return _SirChunk(req, _path_gains(r1_sq, alpha), sig_tail, sig_counts, sig_g, key,
+                         labels, g)
 
     def values(self, rng, req: np.ndarray, methods) -> np.ndarray:
         """The values of ``methods`` on fresh trials requesting ``req``, one row per method.
@@ -598,7 +624,10 @@ class _AlignedModel:
     (Laplace transform of Rayleigh fading; Haenggi, *Stochastic Geometry
     for Wireless Networks*, 2012, ch. 5): P(SIR > theta) =
     prod_{j != k} 1 / (1 + theta * G_j / G_0) for a request of file k, which
-    is what :meth:`success` returns.
+    is what :meth:`success` returns: the product q of the factors over every
+    file, the request's factor being 1, then 1 / q, with no transcendental
+    per cell.  q overflows to inf only where the log-sum of the factors
+    exceeds about 709, where the success is below 1e-308; it is 0 there.
     mode "complex": per-point circularly symmetric complex fading of
     amplitude sqrt(g); signal and per-file interference powers are squared
     magnitudes of coherent sums, and :meth:`success` is the 0/1 indicator
@@ -643,8 +672,11 @@ class _AlignedModel:
         live = g0 > 0.0
         gains = self.gains(chunk)
         gains *= s.theta[chunk.req] / np.where(live, g0, 1.0)
-        log_q = np.log1p(gains, out=gains).sum(axis=0)
-        return np.where(live, np.exp(-log_q), 0.0)
+        gains += 1.0
+        # An overflow to inf gives success 0 (class docstring).
+        with np.errstate(over="ignore"):
+            q = np.multiply.reduce(gains, axis=0)
+        return np.where(live, np.reciprocal(q, out=q), 0.0)
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one per trial."""

@@ -239,14 +239,19 @@ class TestSweeps:
     def test_figure3_check_flags_nearest_helper_simulation_off_closed_form(self):
         _, rows = run_figure3(tiny_config(gamma_grid=(3.0,), alphas=(4.0,)))
         assert check_figure3(rows) == []
+        (closed,) = [r[4] for r in rows if r[2] == "baseline_closed"]
 
-        def shifted(z):
-            return [r[:4] + (r[4] + z * r[5],) + r[5:] if r[2] == "sim_baseline" else r
+        def placed(z):
+            # The simulated row at z of its standard errors from the closed
+            # form, whatever the draw.
+            return [r[:4] + (closed + z * r[5],) + r[5:] if r[2] == "sim_baseline" else r
                     for r in rows]
 
-        assert check_figure3(shifted(2.5)) == []
-        (problem,) = check_figure3(shifted(-3.5))
-        assert "nearest-helper" in problem
+        for z in (2.5, -2.5):
+            assert check_figure3(placed(z)) == []
+        for z in (3.5, -3.5):
+            (problem,) = check_figure3(placed(z))
+            assert "nearest-helper" in problem
 
     def test_figure5_check_allows_noise_but_not_a_far_off_row(self):
         # gamma, alpha, n_files, sim_gain, sim_gain_stderr, approx_gain, rel_gap

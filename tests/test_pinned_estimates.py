@@ -256,7 +256,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                        3,
                                        0),
         'sir_aligned_interference_region_only': ('est',
-                                                 '0x1.5a3b552f1501dp-4',
+                                                 '0x1.5a3b552f1501ep-4',
                                                  '0x1.933d47843be19p-9',
                                                  5000,
                                                  3,
@@ -264,7 +264,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
         'sir_aligned_regions': ('est', '0x1.da5119ce075f7p-4', '0x1.289908298e537p-8', 5000, 3, 0),
         'sir_aligned_signal_region_only': ('est',
                                            '0x1.85c5fff404034p-3',
-                                           '0x1.16ffa3d82ea5ep-8',
+                                           '0x1.16ffa3d82ea5dp-8',
                                            5000,
                                            3,
                                            0),
@@ -280,23 +280,23 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
         'sir_samples_aligned_complex': ('arr',
                                         'float64',
                                         (5000,),
-                                        '62a8ba04867cd7f64def0fec35fd90e980a7821b3b68992fab9deb1d50705b47'),
+                                        '63cf5977e792f30db716914fc7a923adfe21b249f2af9cd720c499f99cbed940'),
         'sir_samples_aligned_exponential': ('arr',
                                             'float64',
                                             (5000,),
-                                            '8e5dbecdb70e19109d2b05e7a9009f98791d5407eee801cc3e2fdf11f21e7d5f'),
+                                            '8306d818d224eee180fa6a819967d199b969f354b16d560404e57c303bb95141'),
         'sir_samples_aligned_interference_region_only': ('arr',
                                                          'float64',
                                                          (5000,),
-                                                         '2e459a472447be46f12097708cc9bf39ac6c22a107b0331f356e2ec12ffc426d'),
+                                                         'c81c8ac8a028280a9872d6bdea1ff1f1b2f1e0975f044ede85a79118432481d7'),
         'sir_samples_baseline': ('arr',
                                  'float64',
                                  (5000,),
-                                 '4038ff3806da46f45eac02983d5192bd3ce5170f759c0a2b2955d7d80328ab12'),
+                                 'fd5f2c8b3e6955195c5664137f8a28a54e9dc830a799bff63b1d732bbb36de9d'),
         'sir_samples_baseline_regions': ('arr',
                                          'float64',
                                          (5000,),
-                                         '412c603b872de86dc64f93395c17948f27f0cae54c49d3a3987dbff2cae6c596'),
+                                         '8e9debe0d1609390e53fb8717c00544ed304492415d0b201aee79f73738a49ff'),
         'total_aligned_complex_N1': (('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0),
                                      ((0,
                                        ('est', '0x1.0000000000000p+0', '0x0.0p+0', 6000, 3, 0)),)),
@@ -372,7 +372,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                           (2,
                                            ('est',
                                             '0x1.d3993a0b132e9p-4',
-                                            '0x1.16df8472cac39p-7',
+                                            '0x1.16df8472cac3ap-7',
                                             844,
                                             3,
                                             0)),
@@ -420,7 +420,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                  0)),
                                (1,
                                 ('est',
-                                 '0x1.1984adca59af6p-3',
+                                 '0x1.1984adca59af7p-3',
                                  '0x1.e880ff554a96bp-8',
                                  1344,
                                  3,
@@ -441,7 +441,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                  0)),
                                (4,
                                 ('est',
-                                 '0x1.add3d4289caf4p-5',
+                                 '0x1.add3d4289caf3p-5',
                                  '0x1.022e244cfcdb3p-7',
                                  526,
                                  3,
@@ -514,14 +514,25 @@ def test_samples_are_pinned(name):
     assert _bits(_sample_cases()[name]()) == PINS[name]
 
 
-@pytest.mark.parametrize("chunk_cells", [None, 4000, 777])
+@pytest.mark.parametrize("chunk_cells, memo_cells", [
+    pytest.param(None, None, id="None"),
+    pytest.param(4000, None, id="4000"),
+    pytest.param(777, None, id="777"),
+    pytest.param(4000, 0, id="streamed-4000"),
+    pytest.param(777, 0, id="streamed-777"),
+])
 @pytest.mark.parametrize("name", sorted(_delivery_cases()))
-def test_delivery_estimate_is_pinned(name, chunk_cells, monkeypatch):
-    # 4000 cells splits the fading batch into several chunks per pass, and
-    # 777 into chunks of 77 or 97 rows, shorter than one of the kernel's row
-    # blocks; neither may change a bit.
+def test_delivery_estimate_is_pinned(name, chunk_cells, memo_cells, monkeypatch):
+    # 4000 cells makes the series form take its g samples one file per
+    # pass.  With no batch memoized, the batch streams: 4000 cells splits it
+    # into several chunks per pass, and 777 into chunks of 77 or 97 rows,
+    # shorter than one of the kernel's row blocks.  A streamed batch draws
+    # and weighs the memoized numbers, chunk by chunk, and no split may
+    # change a bit.
     if chunk_cells is not None:
         monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", chunk_cells)
+    if memo_cells is not None:
+        monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", memo_cells)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", delivery.MomentReliabilityWarning)
         result = _delivery_cases()[name]()

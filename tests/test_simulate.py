@@ -51,7 +51,9 @@ from snratio.simulate import (
     _FileRecords,
     _Geometry,
     _NearestHelperModel,
+    _path_gains,
     _shot_chunk,
+    _SirChunk,
     _trial_sums,
     aligned_regions,
     ratio_regions,
@@ -562,6 +564,52 @@ class TestAlignedGeometry:
             interference = rng.exponential(size=(fades, 5)) @ gains[:, t]
             hit = np.mean(signal > theta * interference)
             assert abs(hit - p[t]) < 4.0 * math.sqrt(p[t] * (1.0 - p[t]) / fades)
+
+    @pytest.mark.parametrize("alpha", [2.0, 4.0, 6.0, 2.5, 3.0])
+    def test_path_gains_of_squared_radii(self, alpha):
+        # Where alpha / 2 is an integer m, a reciprocal times itself m - 1
+        # times is within m ulps of the power; elsewhere it is the power, bit
+        # for bit.  Squared radii over twelve decades, an infinite one (a
+        # file with no helper) among them, and the result in place.
+        sq = 10.0 ** substream(51, 0).uniform(-6.0, 6.0, 10_000)
+        sq[7] = np.inf
+        want = np.power(sq, -alpha / 2.0)
+        got = _path_gains(sq, alpha)
+        assert got is sq and got[7] == 0.0
+        m = alpha / 2.0
+        if m.is_integer():
+            np.testing.assert_allclose(got, want, rtol=m * np.finfo(float).eps, atol=0.0)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_files", [5, 500])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_success_product_matches_the_log_sum(self, n_files, alpha):
+        # P(SIR > theta) = 1 / prod_j (1 + c G_j) against exp(-sum_j log1p(c G_j)),
+        # its log-sum taken exactly by math.fsum.  At N = 500 the values reach
+        # 1e-104, and a log-sum near 240 is within 1e-13 relative only if it
+        # is summed exactly: numpy's running sum over the files is 3e-13 off.
+        sc, k, n = Scenario.from_zipf(n_files, 1.0, 5.0, alpha, 0.1), 2, 300
+        model = _aligned_model(sc, k)
+        chunk = _block(model.geometry, k, substream(52, 0), n)
+        c = sc.thresholds[k] / model.signal_gain(chunk)
+        want = np.exp([-math.fsum(cells) for cells in np.log1p(c * model.gains(chunk)).T])
+        got = model.success(None, chunk)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.all(got > 0.0)
+
+    def test_success_is_zero_where_the_product_overflows(self):
+        # One trial with no point of its own but a nearest one of gain 1e-30
+        # and a tail-only interference: its log-sum is far above 745, where
+        # exp(-log_q) is 0, so the product overflows and the value is 0.
+        sc, k = Scenario.from_zipf(500, 1.0, 5.0, 4.0, 0.1), 0
+        model = _aligned_model(sc, k)
+        no_points, no_labels = np.zeros(0), np.zeros(0, dtype=np.int64)
+        chunk = _SirChunk(np.array([k]), np.array([1e-30]), np.zeros(1),
+                          np.zeros(1, dtype=np.int64), no_points, no_labels, no_labels, no_points)
+        c = sc.thresholds[k] / model.signal_gain(chunk)
+        assert np.log1p(c * model.gains(chunk)).sum() > 745.0
+        assert model.success(None, chunk).tolist() == [0.0]
 
     def test_nearest_first_signal_gain_matches_the_disk_draw(self):
         # G_0 on the nearest-first geometry against a reference drawn by
