@@ -40,20 +40,27 @@ span two.  The aligned model's exponential-mode success multiplies each
 trial's factors ``1 + c * G_j`` in file order (``np.multiply.reduce`` over
 the files) and takes one reciprocal, with no logarithm per cell.
 
-SIR trials: every trial carries its requested file, and one geometry
-serves every request (:class:`_Geometry`).  A conditional run is the case
-where every trial requests the same file; a popularity-mixed total sorts
-the trials of one multinomial request split by file and runs them all over
-one chunk grid, so its cost carries no per-file loop.  A chunk of trials is
-drawn and evaluated one block of trials at a time (``_Geometry.values``),
-each block expecting at most ``_BLOCK_POINTS`` points and holding at most
+Points: a point uniform on a disk of radius R is drawn as its squared
+radius, one uniform draw times R**2 (:func:`_disk_points`).  Its path gain
+``g = (r**2)**(-alpha/2)`` is taken from that with no square root
+(:func:`_path_gains`: at even alpha a reciprocal and products, no power),
+and windows mask on squared radii.
+
+SIR trials: every SIR estimate runs through one driver, :func:`_sir_run`,
+on one geometry built by :func:`_sir_geometry`, whose windows left
+``None`` each take their default.  Every trial carries its requested file,
+and one geometry serves every request (:class:`_Geometry`).  A conditional
+run is the request split with every trial on one file, over the chunk grid
+at stream offset 0; a popularity-mixed total sorts the trials of one
+multinomial split by file and runs them over one chunk grid at offset
+``_TOTAL_STREAM``, with no per-file loop.  A chunk of trials is drawn and
+evaluated one block of trials at a time (``_Geometry.values``), each block
+expecting at most ``_BLOCK_POINTS`` points and holding at most
 ``_BLOCK_CELLS`` (file, trial) cells, or one trial, so a chunk's memory is
 bounded in both the points per trial and the file count N.  Both models,
 aligned transmission and nearest-helper service, are evaluated on one
-marked geometry per block.  It stores every point as its path gain
-``g = (r**2)**(-alpha/2)``, taken from its squared radius with no square
-root (:func:`_path_gains`: at even alpha a reciprocal and products, no
-power), which the aligned model sums and the nearest-helper model reads as
+marked geometry per block, which stores every point as its path gain: the
+aligned model sums the gains, and the nearest-helper model reads them as
 ``log1p(x * g)``.  Each trial's requested file is drawn nearest first: its
 nearest point, inside the signal disk or beyond it, then its other points
 on the disk.  So every trial has a serving helper and no SIR trial is ever
@@ -217,18 +224,18 @@ def _check_chunk_points(trials: int, windows) -> None:
             f"raise tail_tol or pass a smaller region")
 
 
-def _disk_points(rng, mean, radius, size):
-    """Poisson point counts per cell and the points' radii on a disk.
+def _disk_points(rng, mean, radius, size=None):
+    """Poisson point counts per cell and the points' squared radii on a disk.
 
     ``mean`` (scalar, or broadcastable to ``size``) is the expected count per
-    cell.  Returns ``(counts, r)``: the points are stored cell by cell in
-    flat cell order, and ``r`` is uniform over the disk of ``radius``.
+    cell.  Returns ``(counts, sq)``: the points are stored cell by cell in
+    flat cell order, each uniform over the disk of ``radius``, so ``sq`` is
+    one uniform draw times ``radius**2``, with no square root.
     """
     counts = rng.poisson(mean, size=size)
-    r = rng.random(int(counts.sum()))
-    np.sqrt(r, out=r)
-    r *= radius
-    return counts, r
+    sq = rng.random(int(counts.sum()))
+    sq *= radius**2
+    return counts, sq
 
 
 def _path_gains(sq: np.ndarray, alpha: float) -> np.ndarray:
@@ -264,13 +271,6 @@ def _trial_sums(values, counts) -> np.ndarray:
     return sums
 
 
-def _fill_regions(regions, defaults):
-    """The given regions, with ``defaults()`` filling any that are ``None``."""
-    if None not in regions:
-        return regions
-    return tuple(given or default for given, default in zip(regions, defaults()))
-
-
 def _exceedances(cfg: TrialConfig, kernel, xs):
     """Per threshold in ``xs``, the number of trials whose value exceeds it."""
 
@@ -286,8 +286,8 @@ def _shot_chunk(density, alpha, region, rng, n_trials) -> np.ndarray:
 
     The points are summed per trial in the order of :func:`_trial_sums`.
     """
-    counts, r = _disk_points(rng, density * region.area, region.radius, n_trials)
-    s = _trial_sums(np.power(r, -alpha, out=r), counts)
+    counts, sq = _disk_points(rng, density * region.area, region.radius, n_trials)
+    s = _trial_sums(_path_gains(sq, alpha), counts)
     s += tail_mean(density, alpha, region.radius)
     return s
 
@@ -316,7 +316,9 @@ def ratio_regions(spec: RatioSpec, cfg: TrialConfig) -> tuple[DiskRegion, DiskRe
 
 def _ratio_kernel(spec: RatioSpec, cfg: TrialConfig, regions):
     """``(rng, n) -> ratio`` on the given or the default windows."""
-    regions = _fill_regions(regions, lambda: ratio_regions(spec, cfg))
+    if None in regions:
+        defaults = ratio_regions(spec, cfg)
+        regions = tuple(given or default for given, default in zip(regions, defaults))
     _check_chunk_points(cfg.trials, zip((spec.lambda1, spec.lambda2), regions))
     return lambda rng, n: _ratio_chunk(rng, n, spec, *regions)
 
@@ -370,22 +372,23 @@ def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estim
     return Moments.of(np.exp(-s * ratio_samples(spec, cfg))).estimate(cfg.seed)
 
 
-def _coupled_shot_sums(density, alpha, region, drawn, counts, r):
+def _coupled_shot_sums(density, alpha, region, drawn, counts, sq):
     """Shot-noise sums on ``region`` and on its doubling, from one realization.
 
-    ``counts`` and ``r`` are the process's points by trial on the disk
-    ``drawn``, which contains the doubled disk.  Restricting them to a
-    smaller disk is an exact realization of the process there, so the two
-    sums differ only by the annulus contribution and the difference of the
-    tail means.  Points beyond a disk weigh exactly 0 in its sums, which are
-    taken in the order of :func:`_trial_sums`.
+    ``counts`` and ``sq`` are the process's points by trial, as squared
+    radii, on the disk ``drawn``, which contains the doubled disk.
+    Restricting them to a smaller disk is an exact realization of the
+    process there, so the two sums differ only by the annulus contribution
+    and the difference of the tail means.  Points beyond a disk weigh
+    exactly 0 in its sums, which are taken in the order of
+    :func:`_trial_sums`.
     """
     big = region.doubled()
-    vals = np.power(r, -alpha)
+    vals = _path_gains(sq.copy(), alpha)
     if big.radius < drawn.radius:
-        vals *= r <= big.radius
+        vals *= sq <= big.radius**2
     s_big = _trial_sums(vals, counts)
-    vals *= r <= region.radius
+    vals *= sq <= region.radius**2
     s_base = _trial_sums(vals, counts)
     s_big += tail_mean(density, alpha, big.radius)
     s_base += tail_mean(density, alpha, region.radius)
@@ -522,10 +525,11 @@ class _Geometry:
     position on the interference disk and a uniform trial label among the
     ``n - n_j`` trials that do not request ``j``.  So the random-number cost
     is one draw per point and per trial, and one per file and block, not one
-    per (trial, file) cell.  The signal points, the interferers and the
-    nearest points are drawn as squared radii, and each becomes its path
-    gain in place by :func:`_path_gains`: at alpha = 4, one reciprocal and
-    one product per point.  Both SIR models are evaluated on this geometry.
+    per (trial, file) cell.  The signal points, the interferers (by
+    :func:`_disk_points`) and the nearest points are drawn as squared radii,
+    and each becomes its path gain in place by :func:`_path_gains`: at
+    alpha = 4, one reciprocal and one product per point.  Both SIR models
+    are evaluated on this geometry.
     """
 
     def __init__(self, scenario: Scenario, int_region: DiskRegion,
@@ -551,8 +555,9 @@ class _Geometry:
         n, alpha = req.size, self.alpha
         lam, outer = self.lam[req], self.outer[req]
         # Squared radii throughout, so a trial whose r_1 is beyond the disk
-        # has an annulus of area exactly 0, and a gain is one power.  A file
-        # of popularity 0 has no point anywhere: r_1 = inf and no further points.
+        # has an annulus of area exactly 0, and a gain takes no square root.
+        # A file of popularity 0 has no point anywhere: r_1 = inf and no
+        # further points.
         live = lam > 0.0
         r1_sq = np.full(n, np.inf)
         r1_sq[live] = rng.exponential(size=np.count_nonzero(live)) / (math.pi * lam[live])
@@ -565,9 +570,7 @@ class _Geometry:
         _path_gains(sig_g, alpha)
         sig_tail = tail_mean(lam, alpha, np.sqrt(np.maximum(r1_sq, outer)))
         own = np.bincount(req, minlength=self.n_files)
-        counts = rng.poisson((n - own) * self.int_means)
-        g = rng.random(int(counts.sum()))
-        g *= self.int_region.radius**2
+        counts, g = _disk_points(rng, (n - own) * self.int_means, self.int_region.radius)
         _path_gains(g, alpha)
         labels = rng.integers(0, n, size=g.size)
         # The points of the files from the block's first request to its last
@@ -758,23 +761,32 @@ class _NearestHelperModel:
         return signal / interference
 
 
-def _sir_regions(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)):
-    """The signal and interference disks of request ``k``, checked to fit a chunk.
+def _sir_geometry(scenario: Scenario, cfg: TrialConfig, files: np.ndarray,
+                  regions=(None, None)) -> _Geometry:
+    """The geometry of trials requesting ``files``, on ``regions = (signal, interference)``.
 
-    Windows left ``None`` are the defaults of :func:`aligned_regions`.
+    A window left ``None`` takes its default on its own, that of
+    :func:`aligned_regions`, for every file at once; a file of popularity 0
+    has no default signal disk.  That, and a request whose expected points
+    do not fit a chunk, raise :class:`ParameterDomainError` before any draw.
     """
-    _check_file_index(scenario.n_files, k)
-    regions = _fill_regions(regions, lambda: aligned_regions(scenario, k, cfg))
+    sig_region, int_region = regions
     lam = scenario.helper_density
-    lam_k = float(scenario.profile.weights[k]) * lam
-    _check_chunk_points(cfg.trials, zip((lam_k, lam - lam_k), regions))
-    return regions
-
-
-def _conditional(scenario: Scenario, k: int, cfg: TrialConfig, regions=(None, None)) -> _Geometry:
-    """The geometry of trials that all request ``k``, on the windows of :func:`_sir_regions`."""
-    sig_region, int_region = _sir_regions(scenario, k, cfg, regions)
-    return _Geometry(scenario, int_region, np.array([k]), np.array([sig_region.radius]))
+    lam_k = decompose_densities(scenario.profile, lam)[files]
+    if int_region is None:
+        int_region = default_region(lam, scenario.alpha, cfg.tail_tol)
+    if sig_region is not None:
+        sig_radii = np.full(files.size, sig_region.radius)
+    elif np.all(lam_k > 0.0):
+        sig_radii = _window_factor(scenario.alpha, cfg.tail_tol) / np.sqrt(lam_k)
+    else:
+        raise ParameterDomainError(
+            f"file {files[np.argmin(lam_k > 0.0)]} has popularity 0 and no default signal "
+            f"window; pass a signal_region")
+    worst = int(np.argmax(lam_k * sig_radii**2 + (lam - lam_k) * int_region.radius**2))
+    _check_chunk_points(cfg.trials, ((lam_k[worst], DiskRegion(float(sig_radii[worst]))),
+                                     (lam - lam_k[worst], int_region)))
+    return _Geometry(scenario, int_region, files, sig_radii)
 
 
 def _fold(values: np.ndarray):
@@ -782,22 +794,17 @@ def _fold(values: np.ndarray):
     return Moments.of(values[0]) if len(values) == 1 else CoMoments.of(*values)
 
 
-def _on_geometry(geometry: _Geometry, k: int, method):
-    """``(rng, n) -> values``: ``method(rng, chunk)`` on ``n`` fresh trials of request ``k``."""
-    return lambda rng, n: geometry.values(rng, np.full(n, k), (method,))[0]
+def _sir_samples(scenario: Scenario, k: int, cfg: TrialConfig, regions, model) -> np.ndarray:
+    """Per-trial values of the method ``model(geometry)`` on trials requesting ``k``.
 
-
-def _sir_moments(cfg: TrialConfig, geometry: _Geometry, k: int, methods):
-    """The per-trial values of ``methods`` on trials of request ``k``, folded by :func:`_fold`.
-
-    The methods run in order on one geometry per block.
+    The trials and their geometry are those of the conditional
+    :func:`_sir_run`, gathered on the calling thread.
     """
-
-    def chunk(rng, n):
-        return (_fold(geometry.values(rng, np.full(n, k), methods)),)
-
-    (record,) = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
-    return record
+    _check_file_index(scenario.n_files, k)
+    geometry = _sir_geometry(scenario, cfg, np.array([k]), regions)
+    method = model(geometry)
+    return gather_chunked_samples(
+        cfg.trials, cfg.seed, lambda rng, n: geometry.values(rng, np.full(n, k), (method,))[0])
 
 
 def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -805,9 +812,8 @@ def sir_samples_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
                         signal_region: DiskRegion | None = None,
                         interference_region: DiskRegion | None = None) -> np.ndarray:
     """Per-trial SIR samples under aligned transmission, request fixed to ``k``."""
-    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
-    return gather_chunked_samples(cfg.trials, cfg.seed,
-                                  _on_geometry(geometry, k, _AlignedModel(geometry, mode).sir))
+    return _sir_samples(scenario, k, cfg, (signal_region, interference_region),
+                        lambda geometry: _AlignedModel(geometry, mode).sir)
 
 
 def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -820,9 +826,8 @@ def simulate_sir_aligned(scenario: Scenario, k: int, cfg: TrialConfig,
     probabilities given the geometry in exponential mode, success
     indicators in complex mode.
     """
-    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
-    return _sir_moments(cfg, geometry, k,
-                        (_AlignedModel(geometry, mode).success,)).estimate(cfg.seed)
+    return _sir_run(scenario, cfg, k, lambda geometry: (_AlignedModel(geometry, mode).success,),
+                    (signal_region, interference_region))
 
 
 def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -833,9 +838,8 @@ def sir_samples_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     One exponential fade is drawn per point of the same geometry that
     :func:`simulate_sir_baseline` averages over.
     """
-    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
-    return gather_chunked_samples(cfg.trials, cfg.seed,
-                                  _on_geometry(geometry, k, _NearestHelperModel(geometry).sir))
+    return _sir_samples(scenario, k, cfg, (signal_region, interference_region),
+                        lambda geometry: _NearestHelperModel(geometry).sir)
 
 
 def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
@@ -847,9 +851,8 @@ def simulate_sir_baseline(scenario: Scenario, k: int, cfg: TrialConfig,
     geometry.  Every trial's serving helper is drawn first, inside the signal
     disk or beyond it, so no trial is redrawn.
     """
-    geometry = _conditional(scenario, k, cfg, (signal_region, interference_region))
-    return _sir_moments(cfg, geometry, k,
-                        (_NearestHelperModel(geometry).success,)).estimate(cfg.seed)
+    return _sir_run(scenario, cfg, k, lambda geometry: (_NearestHelperModel(geometry).success,),
+                    (signal_region, interference_region))
 
 
 class Totals(NamedTuple):
@@ -907,55 +910,51 @@ def _request_counts(scenario: Scenario, cfg: TrialConfig) -> np.ndarray:
     return rng.multinomial(cfg.trials, scenario.profile.weights)
 
 
-def _total_geometry(scenario: Scenario, cfg: TrialConfig, files: np.ndarray) -> _Geometry:
-    """The geometry of trials requesting ``files``, on the default windows.
+def _result(record, seed: int):
+    """The :class:`Estimate` of one model's :class:`Moments`, or the :class:`Totals`
+    of the nearest-helper and aligned models' :class:`CoMoments`."""
+    if isinstance(record, Moments):
+        return record.estimate(seed)
+    return Totals(record.y.estimate(seed), record.x.estimate(seed), record.ratio(seed))
 
-    Each file's signal radius is that of :func:`aligned_regions`, taken for
-    every file at once.  The request with the most expected points per
-    trial is checked to fit a chunk before a point is drawn.
+
+def _sir_run(scenario: Scenario, cfg: TrialConfig, k, models, regions=(None, None),
+             return_strata: bool = False):
+    """Success probabilities of SIR trials requesting file ``k``, or randomized for ``k=None``.
+
+    A total splits its requests by one multinomial draw (equivalent to
+    drawing them one by one) over the chunk grid at ``_TOTAL_STREAM``; a
+    conditional run puts every trial on file ``k``, over the grid at offset
+    0.  The trials, sorted by request, run on the windows of
+    :func:`_sir_geometry`, and ``models(geometry)`` on each block of them in
+    order (:meth:`_Geometry.values`).  Their values fold into one record per
+    chunk and, with ``return_strata``, into per-file records; the records
+    add up in chunk order, and :func:`_result` finishes each one.
     """
-    lam = scenario.helper_density
-    int_region = default_region(lam, scenario.alpha, cfg.tail_tol)
-    lam_k = decompose_densities(scenario.profile, lam)[files]
-    sig_radii = _window_factor(scenario.alpha, cfg.tail_tol) / np.sqrt(lam_k)
-    worst = int(np.argmax(lam_k * sig_radii**2 + (lam - lam_k) * int_region.radius**2))
-    _check_chunk_points(cfg.trials, ((lam_k[worst], DiskRegion(float(sig_radii[worst]))),
-                                     (lam - lam_k[worst], int_region)))
-    return _Geometry(scenario, int_region, files, sig_radii)
-
-
-def _simulate_total(scenario: Scenario, cfg: TrialConfig, methods, finish, return_strata):
-    """Popularity-mixed success probabilities over randomized requests.
-
-    Requests are split over the files by one multinomial draw (equivalent to
-    drawing them one by one).  The trials, sorted by request, run over one
-    chunk grid at stream offset ``_TOTAL_STREAM``, and every block of a
-    chunk draws one geometry of its mixed requests, on which
-    ``methods(geometry)`` run in order.  Their per-trial values fold into
-    one record per chunk and, with ``return_strata``, into per-file records
-    by one reduction over the chunk's file segments.  The records add up in
-    chunk order, and ``finish`` turns one into the result.  Every requested
-    file's windows are checked before a point is drawn.
-    """
-    counts = _request_counts(scenario, cfg)
-    geometry = _total_geometry(scenario, cfg, np.flatnonzero(counts))
-    run = methods(geometry)
+    if k is None:
+        counts, offset = _request_counts(scenario, cfg), _TOTAL_STREAM
+    else:
+        _check_file_index(scenario.n_files, k)
+        counts, offset = np.zeros(scenario.n_files, dtype=np.int64), 0
+        counts[k] = cfg.trials
+    geometry = _sir_geometry(scenario, cfg, np.flatnonzero(counts), regions)
+    methods = models(geometry)
     ends = np.cumsum(counts)
 
     def chunk(rng, n):
-        start = chunk_start(rng, _TOTAL_STREAM)
+        start = chunk_start(rng, offset)
         req = np.repeat(np.arange(scenario.n_files),
                         np.diff(np.clip(ends, start, start + n), prepend=start))
-        values = geometry.values(rng, req, run)
+        values = geometry.values(rng, req, methods)
         if return_strata:
             return _fold(values), _FileRecords.of(req, values)
         return (_fold(values),)
 
     records = run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions,
-                                  stream_offset=_TOTAL_STREAM)
-    total = finish(records[0])
+                                  stream_offset=offset)
+    total = _result(records[0], cfg.seed)
     if return_strata:
-        return total, {k: finish(record) for k, record in records[1].items()}
+        return total, {f: _result(record, cfg.seed) for f, record in records[1].items()}
     return total
 
 
@@ -968,17 +967,17 @@ def simulate_total_aligned(scenario: Scenario, cfg: TrialConfig,
     over the requested files.  Every estimate is a mean of per-trial
     values, as in :func:`simulate_sir_aligned`.
     """
-    return _simulate_total(scenario, cfg,
-                           lambda geometry: (_AlignedModel(geometry, mode).success,),
-                           lambda record: record.estimate(cfg.seed), return_strata)
+    return _sir_run(scenario, cfg, None,
+                    lambda geometry: (_AlignedModel(geometry, mode).success,),
+                    return_strata=return_strata)
 
 
 def simulate_total_baseline(scenario: Scenario, cfg: TrialConfig,
                             return_strata: bool = False):
     """Total delivery probability for nearest-helper service, requests randomized."""
-    return _simulate_total(scenario, cfg,
-                           lambda geometry: (_NearestHelperModel(geometry).success,),
-                           lambda record: record.estimate(cfg.seed), return_strata)
+    return _sir_run(scenario, cfg, None,
+                    lambda geometry: (_NearestHelperModel(geometry).success,),
+                    return_strata=return_strata)
 
 
 def simulate_totals(scenario: Scenario, cfg: TrialConfig,
@@ -995,12 +994,7 @@ def simulate_totals(scenario: Scenario, cfg: TrialConfig,
     geometry (:meth:`_Geometry.values`).  With ``return_strata`` the
     per-file :class:`Totals` are returned alongside.
     """
-
-    def finish(record):
-        return Totals(record.y.estimate(cfg.seed), record.x.estimate(cfg.seed),
-                      record.ratio(cfg.seed))
-
-    return _simulate_total(scenario, cfg,
-                           lambda geometry: (_NearestHelperModel(geometry).success,
-                                             _AlignedModel(geometry, mode).success),
-                           finish, return_strata)
+    return _sir_run(scenario, cfg, None,
+                    lambda geometry: (_NearestHelperModel(geometry).success,
+                                      _AlignedModel(geometry, mode).success),
+                    return_strata=return_strata)

@@ -326,6 +326,19 @@ class TestValidateSuite:
         for partitions in (2, 3):
             assert validate(tiny_config(trials=5000, partitions=partitions))[1] == ref
 
+    @pytest.mark.parametrize("gap, stderr, passed", [(0.0, 0.0, True), (0.1, 0.0, False),
+                                                     (0.25, 0.25, False)])
+    def test_window_doubling_passes_an_equal_pair(self, monkeypatch, gap, stderr, passed):
+        # A pair whose coupled estimates are equal passes even at stderr 0;
+        # any other gap must stay strictly below the combined stderr.
+        def probe(x, specs, cfg):
+            base = Estimate(0.5, stderr, cfg.trials, cfg.seed)
+            return [(base, Estimate(0.5 + gap, 0.0, cfg.trials, cfg.seed)) for _ in specs]
+
+        monkeypatch.setattr(simulate, "window_doubling_probe", probe)
+        ok, detail = experiments._window_job(tiny_config())
+        assert ok is passed, detail
+
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_earliest_failing_job_in_report_order_propagates(self, monkeypatch, partitions):
         # On a pool the fading job starts first and fails at once; the MC

@@ -229,18 +229,18 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                             0)),
         'ratio_laplace_estimate': ('est',
                                    '0x1.bc471c569b73fp-1',
-                                   '0x1.9e19ff50af995p-9',
+                                   '0x1.9e19ff50af996p-9',
                                    5000,
                                    3,
                                    0),
         'ratio_samples': ('arr',
                           'float64',
                           (5000,),
-                          '96da1dcf6b5fa0222c95f7a84f8c40c586b1620ab05955a9c602688fd2989891'),
+                          '81ba9dc4d78a91ff86c3106bc0996d24c596635766fe1e9feef6b8fdf04667c0'),
         'shot_noise_samples': ('arr',
                                'float64',
                                (5000,),
-                               '8039184578e83f81bd70228033bf49a308719c164529983278f941b23931e13a'),
+                               '74dd67d5835944645f95d88badb5694df631990d2985c552bf1431df7338aff0'),
         'sir_aligned_complex_N1': ('est', '0x1.0000000000000p+0', '0x0.0p+0', 5000, 3, 0),
         'sir_aligned_complex_N5': ('est',
                                    '0x1.9f212d77318fcp-2',

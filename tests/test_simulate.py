@@ -217,7 +217,8 @@ class TestDensityInvariance:
 
 
 class TestSamplePpp:
-    """Poisson points on a disk as the simulator draws them, one count per cell."""
+    """Poisson points on a disk as the simulator draws them, one count per cell,
+    each stored as its squared radius."""
 
     def test_mean_count(self):
         region = DiskRegion(30.0)
@@ -236,13 +237,27 @@ class TestSamplePpp:
     def test_points_inside_region_and_deterministic(self):
         region = DiskRegion(7.0)
         mean = 0.5 * region.area
-        counts, r = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
+        counts, sq = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
         assert counts.shape == (40, 3)
-        assert r.size == counts.sum() > 0
-        assert np.all((r >= 0.0) & (r <= region.radius))
+        assert sq.size == counts.sum() > 0
+        assert np.all((sq >= 0.0) & (sq <= region.radius**2))
         again = _disk_points(substream(19, 0), mean, region.radius, (40, 3))
-        for a, b in zip((counts, r), again):
+        for a, b in zip((counts, sq), again):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_shot_noise_matches_the_radius_form(self, alpha):
+        # Path gains of squared radii against the radius form of the same
+        # draws: r = R * sqrt(u), summed as r**-alpha by trial, plus the tail
+        # mean.  One chunk, so the samples draw from substream(seed, 0).
+        density, cfg = 0.1, TrialConfig(trials=3000, seed=57, tail_tol=1e-2)
+        region = default_region(density, alpha, cfg.tail_tol)
+        got = shot_noise_samples(density, alpha, cfg)
+        rng = substream(cfg.seed, 0)
+        counts = rng.poisson(density * region.area, size=cfg.trials)
+        r = region.radius * np.sqrt(rng.random(int(counts.sum())))
+        want = _trial_sums(r**-alpha, counts) + tail_mean(density, alpha, region.radius)
+        np.testing.assert_allclose(got, want, rtol=8.0 * np.finfo(float).eps, atol=0.0)
 
 
 class TestShotNoiseValue:
@@ -623,8 +638,8 @@ class TestAlignedGeometry:
         g0 = _AlignedModel(geometry, "exponential").signal_gain(
             _block(geometry, k, substream(43, 0), n))
         rng = substream(44, 0)
-        counts, r = _disk_points(rng, lam * math.pi * radius**2, radius, n)
-        ref = _trial_sums(r ** -sc.alpha, counts) + tail_mean(lam, sc.alpha, radius)
+        counts, sq = _disk_points(rng, lam * math.pi * radius**2, radius, n)
+        ref = _trial_sums(sq ** (-sc.alpha / 2.0), counts) + tail_mean(lam, sc.alpha, radius)
         empty = counts == 0
         assert 0.45 < empty.mean() < 0.55
         r_s = np.sqrt(radius**2 + rng.exponential(size=empty.sum()) / (math.pi * lam))
@@ -751,8 +766,8 @@ class TestAlignedGeometry:
 
 def _total_geometry(sc, trials=1):
     """The geometry a total of ``sc`` runs on: every file requested, on its default windows."""
-    return simulate._total_geometry(sc, TrialConfig(trials=trials, tail_tol=1e-2),
-                                    np.arange(sc.n_files))
+    return simulate._sir_geometry(sc, TrialConfig(trials=trials, tail_tol=1e-2),
+                                  np.arange(sc.n_files))
 
 
 class TestMixedGeometry:
@@ -801,6 +816,59 @@ class TestMixedGeometry:
             np.testing.assert_allclose(_NearestHelperModel(total).success(None, a),
                                        _NearestHelperModel(alone).success(None, b),
                                        rtol=1e-12)
+
+
+_CONDITIONAL_ENTRIES = [simulate_sir_aligned, sir_samples_aligned, simulate_sir_baseline,
+                        sir_samples_baseline]
+
+
+class TestSirGeometry:
+    """The one geometry builder of every SIR run, and its default windows."""
+
+    #: File 2 has popularity 0: it has no helper, and no default signal window.
+    ZERO = Scenario(PopularityProfile([0.5, 0.5, 0.0]), 4.0, 5.0, 0.1)
+
+    @pytest.mark.parametrize("tail_tol", [1e-2, 1e-4])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_default_windows_are_the_aligned_regions(self, monkeypatch, alpha, tail_tol):
+        # The radii handed to the geometry, for all files at once (a total)
+        # and for each alone (a conditional run), bit for bit.
+        sc = Scenario.from_zipf(7, 1.2, 5.0, alpha, 0.1)
+        cfg = TrialConfig(trials=1, tail_tol=tail_tol)
+        monkeypatch.setattr(simulate, "_Geometry",
+                            lambda scenario, int_region, files, sig_radii: (int_region, sig_radii))
+        files = np.arange(sc.n_files)
+        int_region, radii = simulate._sir_geometry(sc, cfg, files)
+        for k in files.tolist():
+            sig, inter = aligned_regions(sc, k, cfg)
+            alone = simulate._sir_geometry(sc, cfg, np.array([k]))
+            assert int_region == inter == alone[0]
+            assert radii[k] == sig.radius == alone[1][0]
+
+    @pytest.mark.parametrize("entry", _CONDITIONAL_ENTRIES)
+    def test_zero_popularity_request_runs_on_a_given_signal_window(self, entry):
+        # Only the interference window takes its default, at the helper
+        # density; no trial of file 2 finds a helper, so each one fails.
+        cfg = TrialConfig(trials=5000, seed=27, tail_tol=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entry(self.ZERO, 2, cfg, signal_region=DiskRegion(10.0))
+        if isinstance(result, np.ndarray):
+            assert result.shape == (cfg.trials,) and np.all(result == 0.0)
+        else:
+            assert (result.mean, result.stderr, result.trials) == (0.0, 0.0, cfg.trials)
+
+    @pytest.mark.parametrize("entry", _CONDITIONAL_ENTRIES)
+    def test_zero_popularity_request_has_no_default_signal_window(self, monkeypatch, entry):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials were run")
+
+        monkeypatch.setattr(simulate, "run_counting_chunks", no_trials)
+        monkeypatch.setattr(simulate, "gather_chunked_samples", no_trials)
+        cfg = TrialConfig(trials=100, seed=27, tail_tol=1e-2)
+        for int_region in (None, DiskRegion(20.0)):
+            with pytest.raises(ParameterDomainError, match="file 2 has popularity 0"):
+                entry(self.ZERO, 2, cfg, interference_region=int_region)
 
 
 class TestBaselineSir:
@@ -974,13 +1042,12 @@ class TestTotals:
         sc = Scenario.from_zipf(n_files, 1.0, 1.0, 4.0, 0.1)
         cfg = TrialConfig(trials=6000, seed=39, tail_tol=1e-2)
         self._check_joint_halves(sc, cfg, mode)
-        default_geometry = simulate._total_geometry
+        default_geometry = simulate._sir_geometry
 
-        def small_signal_disks(scenario, cfg, files):
-            int_region = default_geometry(scenario, cfg, files).int_region
-            return _Geometry(scenario, int_region, files, np.full(files.size, 2.0))
+        def small_signal_disks(scenario, cfg, files, regions=(None, None)):
+            return default_geometry(scenario, cfg, files, (DiskRegion(2.0), regions[1]))
 
-        monkeypatch.setattr(simulate, "_total_geometry", small_signal_disks)
+        monkeypatch.setattr(simulate, "_sir_geometry", small_signal_disks)
         self._check_joint_halves(sc, cfg, mode)
 
     @staticmethod
