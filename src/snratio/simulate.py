@@ -24,27 +24,34 @@ probability depends on ``lam``.  ``R * sqrt(lam)`` is the larger of:
 
 Every estimate is thus the same at any density, up to rounding.
 
-A window whose chunk of trials would hold more than ``MAX_CHUNK_POINTS``
-expected points raises :class:`~snratio.errors.ParameterDomainError` before
-anything is drawn.  Doubling the disk radius must leave every reported
-estimate within one combined standard error; the validation suite checks
-exactly that.
+Every point kernel draws and evaluates a chunk of trials one block at a
+time, each block expecting at most ``_BLOCK_POINTS`` points
+(:func:`_block_trials`), so a chunk's memory does not grow with the points
+per trial.  A window whose chunk of trials would expect more than
+``MAX_CHUNK_POINTS`` points, which bounds the work per chunk, raises
+:class:`~snratio.errors.ParameterDomainError` before anything is drawn.
+Doubling the disk radius must leave every reported estimate within one
+combined standard error; the validation suite checks exactly that.
 
 Summation order: points stored trial by trial (the points of the
 shot-noise and ratio kernels, and the requested file's points of an SIR
 block) are summed over every trial's segment by ``np.add.reduceat``
 (:func:`_trial_sums`): its first point plus numpy's pairwise sum of the
-rest.  The SIR interferers carry random trial labels and are added in point
-order with ``np.bincount``; a trial lies in one block, so its sums never
-span two.  The aligned model's exponential-mode success multiplies each
-trial's factors ``1 + c * G_j`` in file order (``np.multiply.reduce`` over
-the files) and takes one reciprocal, with no logarithm per cell.
+rest.  A block ends on a trial boundary, so no sum spans two.  The SIR
+interferers carry random trial labels and are added in point order with
+``np.bincount``.  The aligned model's exponential-mode success multiplies
+each trial's factors ``1 + c * G_j`` in file order (``np.multiply.reduce``
+over the files) and takes one reciprocal, with no logarithm per cell.  The
+nearest-helper success multiplies one factor ``1 / (1 + x * g)`` per
+point: by trial segment (``np.multiply.reduceat``) for the requested file's
+points, then in point order at their labels (``np.multiply.at``) for the
+interferers.
 
 Points: a point uniform on a disk of radius R is drawn as its squared
-radius, one uniform draw times R**2 (:func:`_disk_points`).  Its path gain
-``g = (r**2)**(-alpha/2)`` is taken from that with no square root
-(:func:`_path_gains`: at even alpha a reciprocal and products, no power),
-and windows mask on squared radii.
+radius, one uniform draw times R**2 (:func:`_disk_points`, and block by
+block :func:`_point_blocks`).  Its path gain ``g = (r**2)**(-alpha/2)`` is
+taken from that with no square root (:func:`_path_gains`: at even alpha a
+reciprocal and products, no power), and windows mask on squared radii.
 
 SIR trials: every SIR estimate runs through one driver, :func:`_sir_run`,
 on one geometry built by :func:`_sir_geometry`, whose windows left
@@ -61,15 +68,15 @@ bounded in both the points per trial and the file count N.  Both models,
 aligned transmission and nearest-helper service, are evaluated on one
 marked geometry per block, which stores every point as its path gain: the
 aligned model sums the gains, and the nearest-helper model reads them as
-``log1p(x * g)``.  Each trial's requested file is drawn nearest first: its
-nearest point, inside the signal disk or beyond it, then its other points
-on the disk.  So every trial has a serving helper and no SIR trial is ever
-redrawn.  The other files' points are thinned off the trials that request
-them, which is exact for a Poisson process.  Each trial contributes its
-success probability given the geometry, with the fading integrated out;
-complex mode keeps per-point fading and a 0/1 indicator for the aligned
-model.  :func:`simulate_totals` runs both models on common trials, so the
-alignment gain's standard error includes their covariance.
+factors ``1 / (1 + x * g)``.  Each trial's requested file is drawn nearest
+first: its nearest point, inside the signal disk or beyond it, then its
+other points on the disk.  So every trial has a serving helper and no SIR
+trial is ever redrawn.  The other files' points are thinned off the trials
+that request them, which is exact for a Poisson process.  Each trial
+contributes its success probability given the geometry, with the fading
+integrated out; complex mode keeps per-point fading and a 0/1 indicator
+for the aligned model.  :func:`simulate_totals` runs both models on common
+trials, so the alignment gain's standard error includes their covariance.
 
 Reproducibility: all trial loops run over the fixed chunk grid of
 :mod:`snratio.mc`, with one keyed SFC64 substream per chunk (see
@@ -113,15 +120,15 @@ from .shotnoise import RatioSpec, _check_process
 COVERAGE_FACTOR = 6.0
 
 #: Expected points in one chunk of trials, summed over the processes drawn
-#: together, above which a window cannot be held: the shot-noise and ratio
-#: kernels draw a whole chunk at once, and every point takes several 8-byte
-#: entries, so this is about 1 GB of working arrays.  The SIR kernels hold one
-#: block of a chunk at a time; for them the cap bounds the work per chunk.
+#: together, above which a window is refused.  Every point kernel holds one
+#: block of a chunk at a time, so the cap bounds the work per chunk, not its
+#: memory.
 MAX_CHUNK_POINTS = 1 << 24
 
-#: Expected points per block of SIR trials.  A block's per-point arrays (a
-#: few 8-byte entries each) then stay about cache-sized and are reused from
-#: block to block, rather than taken fresh from the system per chunk.
+#: Expected points per block of trials, in every point kernel.  A block's
+#: per-point arrays (a few 8-byte entries each) then stay about cache-sized
+#: and are reused from block to block, rather than taken fresh from the
+#: system per chunk.
 _BLOCK_POINTS = 1 << 16
 
 #: Cells per block of SIR trials in the dense (file x trial) sums of the
@@ -159,12 +166,12 @@ class TrialConfig:
     ``partitions`` sets the worker threads of the counting and moment runs
     only.  The four sample gatherers (``shot_noise_samples``,
     ``ratio_samples``, ``sir_samples_aligned`` and ``sir_samples_baseline``)
-    run on the calling thread whatever it is: on a thread pool, each worker
-    would hold a complex-mode chunk's four point-sized arrays at once, and
-    the validation suite's peak memory was about 17% higher that way.  The
-    validation suite spreads whole gatherers and runs over its ``partitions``
-    threads instead (:func:`snratio.experiments.validate`).  No estimate or
-    sample depends on ``partitions``.
+    run on the calling thread whatever it is.  The validation suite spreads
+    whole gatherers and runs over its ``partitions`` threads instead
+    (:func:`snratio.experiments.validate`); a pool inside each gatherer
+    gained it no memory (peak RSS 50.5–52.9 MB against 50.8–51.4 MB on the
+    calling thread, at partitions 2).  No estimate or sample depends on
+    ``partitions``.
     """
 
     trials: int
@@ -210,8 +217,8 @@ def _check_chunk_points(trials: int, windows) -> None:
     ``MAX_CHUNK_POINTS``.
 
     ``windows`` holds the ``(density, region)`` of every process a trial
-    draws; a run of ``trials`` draws them for up to ``CHUNK_TRIALS`` trials
-    at once.
+    draws; a run of ``trials`` draws them in chunks of up to
+    ``CHUNK_TRIALS`` trials.
     """
     windows = tuple(windows)
     n = min(trials, CHUNK_TRIALS)
@@ -220,7 +227,7 @@ def _check_chunk_points(trials: int, windows) -> None:
         radius = max(region.radius for _, region in windows)
         raise ParameterDomainError(
             f"window of radius {radius:.4g} expects {count:.4g} points per chunk of "
-            f"{n} trials, more than the {MAX_CHUNK_POINTS} that can be held; "
+            f"{n} trials, more than the {MAX_CHUNK_POINTS} allowed; "
             f"raise tail_tol or pass a smaller region")
 
 
@@ -256,18 +263,20 @@ def _path_gains(sq: np.ndarray, alpha: float) -> np.ndarray:
     return sq
 
 
-def _trial_sums(values, counts) -> np.ndarray:
+def _trial_sums(values, counts, op=np.add) -> np.ndarray:
     """Per-trial sums of ``values`` stored contiguously by trial, ``counts[t]`` for trial ``t``.
 
-    Each nonempty trial's sum is ``np.add.reduceat`` over its segment: its
-    first value plus numpy's pairwise sum of the rest (eight accumulators
-    over blocks of at most 128 values, split in halves above that).  An empty
-    trial sums to 0.0, and the result is always a float array.
+    Each nonempty trial's sum is ``op.reduceat`` over its segment: with the
+    default ``np.add``, its first value plus numpy's pairwise sum of the
+    rest (eight accumulators over blocks of at most 128 values, split in
+    halves above that).  An empty trial takes ``op``'s identity: it sums to
+    0.0, and its product (``op=np.multiply``) is 1.0.  The result is always
+    a float array.
     """
-    sums = np.zeros(counts.size)
+    sums = np.full(counts.size, float(op.identity))
     nonempty = counts > 0
     starts = np.cumsum(counts) - counts
-    sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    sums[nonempty] = op.reduceat(values, starts[nonempty])
     return sums
 
 
@@ -281,13 +290,51 @@ def _exceedances(cfg: TrialConfig, kernel, xs):
     return run_counting_chunks(cfg.trials, cfg.seed, chunk, cfg.partitions)
 
 
+def _block_trials(points_per_trial: float) -> int:
+    """Trials per block at ``points_per_trial`` expected points a trial.
+
+    A block expects at most ``_BLOCK_POINTS`` points, and holds at least one
+    trial.  Every point kernel cuts its chunks into blocks by this rule.
+    """
+    return max(1, int(_BLOCK_POINTS // max(points_per_trial, 1.0)))
+
+
+def _point_blocks(rng, mean, radius, n_trials):
+    """The points of ``n_trials`` trials on a disk, drawn one block of trials at a time.
+
+    Every trial's Poisson count, of mean ``mean``, is drawn in one call.
+    Then, per block of :func:`_block_trials` trials, the points' squared
+    radii are drawn, uniform on the disk of ``radius``, and
+    ``(trials, counts, sq, work)`` is yielded: the block's slice of trials,
+    their counts, their points' squared radii stored trial by trial, and a
+    scratch array of the same length.  ``sq`` and ``work`` are views of two
+    buffers sized once, for the largest block, so each is overwritten when
+    the next block is drawn.  ``Generator.random`` fills the same values in
+    pieces as in one call, so every point has the bits that
+    :func:`_disk_points` gives it.
+    """
+    counts = rng.poisson(mean, size=n_trials)
+    step = _block_trials(mean)
+    starts = np.arange(0, n_trials, step)
+    sizes = np.add.reduceat(counts, starts).tolist()
+    buffers = np.empty((2, max(sizes)))
+    for start, k in zip(starts.tolist(), sizes):
+        sq, work = buffers[:, :k]
+        rng.random(out=sq)
+        sq *= radius**2
+        yield slice(start, start + step), counts[start:start + step], sq, work
+
+
 def _shot_chunk(density, alpha, region, rng, n_trials) -> np.ndarray:
     """Vectorized shot-noise sums for ``n_trials`` trials, tail mean added.
 
-    The points are summed per trial in the order of :func:`_trial_sums`.
+    The points are drawn and summed one block of trials at a time
+    (:func:`_point_blocks`), per trial in the order of :func:`_trial_sums`.
     """
-    counts, sq = _disk_points(rng, density * region.area, region.radius, n_trials)
-    s = _trial_sums(_path_gains(sq, alpha), counts)
+    s = np.empty(n_trials)
+    for trials, counts, sq, _ in _point_blocks(rng, density * region.area, region.radius,
+                                               n_trials):
+        s[trials] = _trial_sums(_path_gains(sq, alpha), counts)
     s += tail_mean(density, alpha, region.radius)
     return s
 
@@ -372,7 +419,7 @@ def ratio_laplace_estimate(s: float, spec: RatioSpec, cfg: TrialConfig) -> Estim
     return Moments.of(np.exp(-s * ratio_samples(spec, cfg))).estimate(cfg.seed)
 
 
-def _coupled_shot_sums(density, alpha, region, drawn, counts, sq):
+def _coupled_shot_sums(density, alpha, region, drawn, counts, sq, work):
     """Shot-noise sums on ``region`` and on its doubling, from one realization.
 
     ``counts`` and ``sq`` are the process's points by trial, as squared
@@ -381,10 +428,12 @@ def _coupled_shot_sums(density, alpha, region, drawn, counts, sq):
     process there, so the two sums differ only by the annulus contribution
     and the difference of the tail means.  Points beyond a disk weigh
     exactly 0 in its sums, which are taken in the order of
-    :func:`_trial_sums`.
+    :func:`_trial_sums`.  The gains are formed in ``work``, an array of
+    ``sq``'s length, so ``sq`` is left as it is.
     """
     big = region.doubled()
-    vals = _path_gains(sq.copy(), alpha)
+    np.copyto(work, sq)
+    vals = _path_gains(work, alpha)
     if big.radius < drawn.radius:
         vals *= sq <= big.radius**2
     s_big = _trial_sums(vals, counts)
@@ -406,10 +455,11 @@ def window_doubling_probe(x: float, specs: Sequence[RatioSpec],
     window choice.  Every spec reads the same points too: each process is
     drawn once per chunk, on the largest doubled window among the specs, and
     each spec sums its points within its own windows, in the order of
-    :func:`_trial_sums`, and adds its own tail means.  Where the specs'
-    windows agree, a pair has the bits of the same spec probed alone.  Both
-    estimates count every trial, and every denominator holds its positive
-    tail mean.
+    :func:`_trial_sums`, and adds its own tail means.  Each process is
+    drawn and summed one block of trials at a time (:func:`_point_blocks`).
+    Where the specs' windows agree, a pair has the bits of the same spec
+    probed alone.  Both estimates count every trial, and every denominator
+    holds its positive tail mean.
     """
     (x,) = _ccdf_points([x])
     specs = tuple(specs)
@@ -425,12 +475,15 @@ def window_doubling_probe(x: float, specs: Sequence[RatioSpec],
     _check_chunk_points(cfg.trials, ((lam1, drawn1), (lam2, drawn2)))
 
     def chunk(rng, n):
-        points1 = _disk_points(rng, lam1 * drawn1.area, drawn1.radius, n)
-        points2 = _disk_points(rng, lam2 * drawn2.area, drawn2.radius, n)
+        # sums[process, spec] holds the (base, doubled) sums of every trial.
+        sums = np.empty((2, len(specs), 2, n))
+        for out, lam, drawn, regs in zip(sums, (lam1, lam2), (drawn1, drawn2), zip(*regions)):
+            for trials, counts, sq, work in _point_blocks(rng, lam * drawn.area, drawn.radius, n):
+                for row, spec, reg in zip(out, specs, regs):
+                    row[:, trials] = _coupled_shot_sums(lam, spec.alpha, reg, drawn, counts,
+                                                        sq, work)
         succ = []
-        for spec, (reg1, reg2) in zip(specs, regions):
-            b1, g1 = _coupled_shot_sums(lam1, spec.alpha, reg1, drawn1, *points1)
-            b2, g2 = _coupled_shot_sums(lam2, spec.alpha, reg2, drawn2, *points2)
+        for (b1, g1), (b2, g2) in zip(*sums):
             succ += [int((b1 > x * b2).sum()), int((g1 > x * g2).sum())]
         return tuple(succ)
 
@@ -443,13 +496,26 @@ def window_doubling_probe(x: float, specs: Sequence[RatioSpec],
 # SIR trials
 # ---------------------------------------------------------------------------
 
+def _signal_radii(scenario: Scenario, cfg: TrialConfig, files: np.ndarray) -> np.ndarray:
+    """The default signal-disk radii of ``files``, each that of :func:`default_region`.
+
+    A file of popularity 0 has no helper and no default signal disk: it
+    raises :class:`ParameterDomainError`, naming the file.
+    """
+    lam_k = decompose_densities(scenario.profile, scenario.helper_density)[files]
+    if not np.all(lam_k > 0.0):
+        raise ParameterDomainError(
+            f"file {files[np.argmin(lam_k > 0.0)]} has popularity 0 and no default signal "
+            f"window; pass a signal_region")
+    return _window_factor(scenario.alpha, cfg.tail_tol) / np.sqrt(lam_k)
+
+
 def aligned_regions(scenario: Scenario, k: int, cfg: TrialConfig):
     """Disk for the requested file's process and disk for the interferers."""
     _check_file_index(scenario.n_files, k)
-    lam = scenario.helper_density
-    lam_k = float(scenario.profile.weights[k]) * lam
-    return (default_region(lam_k, scenario.alpha, cfg.tail_tol),
-            default_region(lam, scenario.alpha, cfg.tail_tol))
+    (radius,) = _signal_radii(scenario, cfg, np.array([k])).tolist()
+    return DiskRegion(radius), default_region(scenario.helper_density, scenario.alpha,
+                                              cfg.tail_tol)
 
 
 class _SirChunk(NamedTuple):
@@ -547,8 +613,8 @@ class _Geometry:
         self.tau_rest[files] = _sums_of_others(self.tails, files)
         points = (self.lam[files] * (math.pi * self.outer[files])
                   + _sums_of_others(self.int_means, files))
-        self.block_trials = max(1, min(int(_BLOCK_POINTS // max(points.max(), 1.0)),
-                                       _BLOCK_CELLS // self.n_files))
+        self.block_trials = min(_block_trials(points.max()),
+                                max(1, _BLOCK_CELLS // self.n_files))
 
     def geometry(self, rng, req: np.ndarray) -> _SirChunk:
         """The points of trials requesting ``req``, one file per trial, nondecreasing."""
@@ -735,19 +801,25 @@ class _NearestHelperModel:
         With ``x = theta * r1**alpha = theta / g1`` for the server at r_1, a
         point of path gain ``g`` passes with E[exp(-x h g)] = 1 / (1 + x g),
         so a trial's value is exp(-x * tails) * prod_{i != server} 1 / (1 + x g_i).
+        Each factor is taken by one reciprocal, with no logarithm per point,
+        and is at most 1: a product can underflow, gradually, but never
+        overflow, as a product of the terms 1 + x g would where the success
+        is below about 1e-308.
         """
-        s, n = self.geometry, chunk.n
+        s = self.geometry
         with np.errstate(divide="ignore"):
             x = s.theta[chunk.req] / chunk.g1
-        log_q = x * (chunk.sig_tail + s.tau_rest[chunk.req])
         # The requested file's points lie trial by trial, the interferers' at random labels.
-        t = np.repeat(x, chunk.sig_counts)
-        t *= chunk.sig_g
-        log_q += _trial_sums(np.log1p(t, out=t), chunk.sig_counts)
-        t = x[chunk.labels]
-        t *= chunk.g
-        log_q += np.bincount(chunk.labels, weights=np.log1p(t, out=t), minlength=n)
-        return np.exp(-log_q)
+        f = np.repeat(x, chunk.sig_counts)
+        f *= chunk.sig_g
+        f += 1.0
+        p = _trial_sums(np.reciprocal(f, out=f), chunk.sig_counts, np.multiply)
+        f = x[chunk.labels]
+        f *= chunk.g
+        f += 1.0
+        np.multiply.at(p, chunk.labels, np.reciprocal(f, out=f))
+        p *= np.exp(-x * (chunk.sig_tail + s.tau_rest[chunk.req]))
+        return p
 
     def sir(self, rng, chunk: _SirChunk):
         """SIR samples, one exponential fade per point."""
@@ -775,14 +847,10 @@ def _sir_geometry(scenario: Scenario, cfg: TrialConfig, files: np.ndarray,
     lam_k = decompose_densities(scenario.profile, lam)[files]
     if int_region is None:
         int_region = default_region(lam, scenario.alpha, cfg.tail_tol)
-    if sig_region is not None:
-        sig_radii = np.full(files.size, sig_region.radius)
-    elif np.all(lam_k > 0.0):
-        sig_radii = _window_factor(scenario.alpha, cfg.tail_tol) / np.sqrt(lam_k)
+    if sig_region is None:
+        sig_radii = _signal_radii(scenario, cfg, files)
     else:
-        raise ParameterDomainError(
-            f"file {files[np.argmin(lam_k > 0.0)]} has popularity 0 and no default signal "
-            f"window; pass a signal_region")
+        sig_radii = np.full(files.size, sig_region.radius)
     worst = int(np.argmax(lam_k * sig_radii**2 + (lam - lam_k) * int_region.radius**2))
     _check_chunk_points(cfg.trials, ((lam_k[worst], DiskRegion(float(sig_radii[worst]))),
                                      (lam - lam_k[worst], int_region)))

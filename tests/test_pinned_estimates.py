@@ -413,8 +413,8 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                0),
                               ((0,
                                 ('est',
-                                 '0x1.03c5cb11a3a32p-2',
-                                 '0x1.a7a5fb4d1b738p-8',
+                                 '0x1.03c5cb11a3a31p-2',
+                                 '0x1.a7a5fb4d1b736p-8',
                                  2627,
                                  3,
                                  0)),
@@ -434,7 +434,7 @@ PINS = {'conditional_alpha4': ('est', '0x1.e99a3915c7fc9p-6', '0x1.41cc1f4633995
                                  0)),
                                (3,
                                 ('est',
-                                 '0x1.15d336d57e3f4p-4',
+                                 '0x1.15d336d57e3f3p-4',
                                  '0x1.03a838ed76184p-7',
                                  659,
                                  3,

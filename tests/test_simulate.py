@@ -65,8 +65,8 @@ from snratio.simulate import (
 def _coupled_chunk(density, alpha, region, rng, n_trials):
     """The coupled sums of ``n_trials`` trials, points drawn on the doubled disk."""
     big = region.doubled()
-    points = _disk_points(rng, density * big.area, big.radius, n_trials)
-    return _coupled_shot_sums(density, alpha, region, big, *points)
+    counts, sq = _disk_points(rng, density * big.area, big.radius, n_trials)
+    return _coupled_shot_sums(density, alpha, region, big, counts, sq, np.empty_like(sq))
 
 
 def _tail_sd(density, alpha, radius):
@@ -364,6 +364,74 @@ class TestRatioCcdfEstimates:
         (est,) = ratio_ccdf_estimates([math.inf], spec, cfg)
         ((base, big),) = window_doubling_probe(math.inf, [spec], cfg)
         assert est.mean == base.mean == big.mean == 0.0
+
+
+class TestPointBlocks:
+    """The shot-noise, ratio and window-probe kernels draw and sum their points
+    one block of trials at a time; no block size may change a bit."""
+
+    SPECS = [RatioSpec(0.01, 0.02, 3.0), RatioSpec(0.01, 0.02, 4.0)]
+    #: Two chunks, the second one short.
+    CFG = TrialConfig(trials=5000, seed=61, tail_tol=1e-2)
+
+    @classmethod
+    def _outputs(cls):
+        cfg, spec = cls.CFG, cls.SPECS[0]
+        return (shot_noise_samples(0.1, 4.0, cfg),
+                shot_noise_samples(0.1, 3.0, cfg, DiskRegion(25.0)),
+                ratio_samples(cls.SPECS[1], cfg),
+                ratio_ccdf_estimates([0.25, 1.0, 4.0], spec, cfg),
+                ratio_ccdf_estimates([0.5], spec, replace(cfg, tail_tol=7.2e-4)),
+                window_doubling_probe(2.0, cls.SPECS, cfg),
+                window_doubling_probe(2.0, cls.SPECS, replace(cfg, tail_tol=7.2e-4, partitions=2)))
+
+    @pytest.mark.parametrize("block_points", [1, 777, 4000])
+    def test_block_size_keeps_the_bits(self, monkeypatch, block_points):
+        ref = self._outputs()
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", block_points)
+        for got, want in zip(self._outputs(), ref):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("block_points", [1, 777, 4000, simulate._BLOCK_POINTS])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 6.0])
+    def test_shot_chunk_is_the_whole_chunk_draw(self, monkeypatch, alpha, block_points):
+        # About 283 points a trial: the whole chunk's points drawn by one
+        # call, their gains summed by trial, against the blocked kernel.
+        density, region, n = 0.1, DiskRegion(30.0), 3000
+        counts, sq = _disk_points(substream(62, 0), density * region.area, region.radius, n)
+        want = _trial_sums(_path_gains(sq, alpha), counts)
+        want += tail_mean(density, alpha, region.radius)
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", block_points)
+        got = _shot_chunk(density, alpha, region, substream(62, 0), n)
+        assert np.array_equal(got, want)
+
+
+class TestPointBlockMemory:
+    """A chunk of the shot-noise kernels holds one block of points at a time."""
+
+    @pytest.mark.parametrize("probe", [True, False], ids=["window_doubling_probe",
+                                                          "ratio_ccdf_estimates"])
+    def test_chunk_memory_is_bounded_in_points_per_trial(self, probe):
+        # alpha = 3 at tail_tol 1.3e-4: about 1250 points a trial on each
+        # default disk and 5000 on its doubling.  Drawn at once, a probe
+        # chunk of 1500 trials (under the cap, which allows about 1690)
+        # would hold about 7.5 M points, 60 MB of squared radii, per
+        # process, and a ratio chunk of 4096 trials 5.1 M, 41 MB.
+        spec = RatioSpec(0.05, 0.1, 3.0)
+        cfg = TrialConfig(trials=1500, seed=63, tail_tol=1.3e-4)
+        tracemalloc.start()
+        try:
+            if probe:
+                window_doubling_probe(1.0, [spec], cfg)
+            else:
+                ratio_ccdf_estimates([0.5, 1.0], spec, replace(cfg, trials=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestWindowDoublingProbe:
@@ -869,6 +937,16 @@ class TestSirGeometry:
         for int_region in (None, DiskRegion(20.0)):
             with pytest.raises(ParameterDomainError, match="file 2 has popularity 0"):
                 entry(self.ZERO, 2, cfg, interference_region=int_region)
+
+    def test_aligned_regions_of_a_zero_popularity_file(self):
+        # The public helper names the file, as the SIR entry points do.
+        cfg = TrialConfig(trials=1, tail_tol=1e-2)
+        with pytest.raises(ParameterDomainError,
+                           match="file 2 has popularity 0 and no default signal window"):
+            aligned_regions(self.ZERO, 2, cfg)
+        sig, inter = aligned_regions(self.ZERO, 0, cfg)
+        assert sig.radius == default_region(0.05, 4.0, 1e-2).radius
+        assert inter.radius == default_region(0.1, 4.0, 1e-2).radius
 
 
 class TestBaselineSir:
