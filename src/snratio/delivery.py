@@ -16,7 +16,11 @@ alignment gain.  The three sampled forms share one driver, which returns
 the coefficient-weighted sum of per-file conditional probabilities on one
 fading batch: the popularity-weighted total is the sum over every file, and
 a conditional probability is the one-file total with coefficient 1.  The
-batch is drawn and weighted once per scenario and shared by every form.
+batch is drawn and weighted once per scenario and shared by every form; a
+new scenario on a batch of the same size is weighted into the last one's
+memory, so a sweep over scenarios faults in no fresh pages.  The memoized
+arrays are valid while the generator that yielded them is open, and every
+form reads them inside its loop.
 
 All closed forms are independent of the helper density; the density is
 carried on the scenario only for the Monte Carlo simulator, whose windows
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -56,9 +61,12 @@ _KERNEL_BLOCK_CELLS = 1 << 15
 
 #: Largest fading batch (samples x files) whose draws, and whose weighting
 #: for the last (profile, alpha), are memoized, each as one array; together
-#: they hold at most 2 * 2 ** 24 cells (256 MB).  A larger batch is drawn
-#: and weighted again, one chunk at a time, by every form that reads it, so
-#: memory stays bounded as the file count grows.
+#: they hold at most 2 * 2 ** 24 cells (256 MB), plus the mapping of an old
+#: weighting that a reader still holds.  A new (profile, alpha) of the same
+#: batch size is weighted into the old weighting's mapping.  A larger batch
+#: is drawn and weighted again, one chunk at a time into one reused buffer,
+#: by every form that reads it, so memory stays bounded as the file count
+#: grows.
 _FADING_MEMO_CELLS = 1 << 24
 
 #: Unit roundoff of a double: the incomplete-beta series stops below it.
@@ -163,21 +171,42 @@ def _weigh(h: np.ndarray, weights: np.ndarray, d: float, weighted: np.ndarray, t
 
 
 def _mapped_floats(count: int) -> np.ndarray:
-    """``count`` float cells in an anonymous memory mapping of their own.
+    """``count`` writable float cells in an anonymous memory mapping of their own.
 
     The weighting memo lives across calls, often made from a pool thread.
     Left to glibc's malloc it lands inside that thread's arena, where it
     keeps the space around it from being reused or returned: a 1.6 MB
     entry raised the peak RSS of three ``validate`` runs by about 15 MB.
-    A mapping of its own is unmapped whole when the entry is dropped.
+    A mapping of its own is unmapped whole once its entry and every view
+    of it are dropped.  The memo maps one only for a batch of a new size,
+    or while a reader holds the old entry (:func:`_fading_chunks`): a new
+    key of the same size is weighted into the old mapping, whose pages
+    are already faulted in.
     """
     return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=float, count=count)
 
 
-#: ``(key, (weighted, totals))`` of the last memoized weighting, or None;
-#: rebound as one tuple, so a thread never sees the key of one entry with
-#: the arrays of another.
+class _MemoEntry:
+    """One memoized weighting: its key, its mapping and the views handed out.
+
+    ``buf`` is the writable mapping of S * N + S cells, ``chunk`` the
+    read-only (weighted, totals) views of it for ``key``, and ``readers``
+    the number of :func:`_fading_chunks` generators open on it.
+    """
+
+    __slots__ = ("key", "buf", "chunk", "readers")
+
+    def __init__(self, key, buf, chunk):
+        self.key, self.buf, self.chunk, self.readers = key, buf, chunk, 0
+
+
+#: The last memoized weighting, a :class:`_MemoEntry`, or None.  It is
+#: read, replaced or reweighted, and its reader count moved, only under
+#: ``_memo_lock``.  The lock is reentrant: a generator that the garbage
+#: collector finalizes inside the locked section, on the same thread,
+#: takes it again to drop its reader.
 _weighted_memo = None
+_memo_lock = threading.RLock()
 
 
 def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch):
@@ -187,32 +216,54 @@ def _fading_chunks(profile: PopularityProfile, alpha: float, batch: FadingBatch)
     draws of :func:`_memo_exponentials`, weighted once per (draws, alpha,
     profile weights) key into one read-only (S, N) matrix and its row
     totals in a mapping of their own, so every form on one scenario and
-    batch shares one weighting pass.  The old entry is dropped before a new
-    one is weighted, so the memo never holds two.  A larger batch is drawn
-    and weighted on every call, in place, in chunks of about
-    ``_FADING_CHUNK_CELLS`` cells, from the same stream.  The draws fill the
-    rows in order either way, so the chunks stacked hold the same numbers.
+    batch shares one weighting pass.  A new key is weighted under the
+    lock into the old entry's mapping where it has the same size (S * N +
+    S cells) and no generator is open on the old entry, and into a fresh
+    mapping otherwise; either way the old entry leaves the memo, so the
+    memo never holds two.  The views yielded are valid while their
+    generator is open: once it is closed, the next key may overwrite them,
+    so a caller reads them inside its loop.
+
+    A larger batch is drawn and weighted on every call, in chunks of about
+    ``_FADING_CHUNK_CELLS`` cells, from the same stream, into one draw
+    buffer and one row-total buffer that every chunk reuses, so a chunk is
+    valid only until the next one is drawn.  The draws fill the rows in
+    order either way, so the chunks stacked hold the same numbers.
     """
     global _weighted_memo
     n, s = profile.n_files, batch.sample_count
     d = 2.0 / alpha
     if s * n > _FADING_MEMO_CELLS:
-        rng, rows = substream(batch.seed, 0), max(1, _FADING_CHUNK_CELLS // n)
+        rng, rows = substream(batch.seed, 0), min(s, max(1, _FADING_CHUNK_CELLS // n))
+        h, totals = np.empty((rows, n)), np.empty(rows)
         for start in range(0, s, rows):
-            h = rng.exponential(size=(min(rows, s - start), n))
-            yield _weigh(h, profile.weights, d, h)
+            m = min(rows, s - start)
+            w = rng.standard_exponential(out=h[:m])
+            yield _weigh(w, profile.weights, d, w, totals[:m])
         return
     key = (batch.seed, s, n, alpha, profile.weights.tobytes())
-    entry = _weighted_memo
-    if entry is None or entry[0] != key:
-        entry = _weighted_memo = None
-        buf = _mapped_floats(s * n + s)
-        chunk = _weigh(_memo_exponentials(batch.seed, s, n), profile.weights, d,
-                       buf[:s * n].reshape(s, n), buf[s * n:])
-        for a in chunk:
-            a.setflags(write=False)
-        entry = _weighted_memo = (key, chunk)
-    yield entry[1]
+    with _memo_lock:
+        entry = _weighted_memo
+        if entry is None or entry.key != key:
+            buf = None
+            if entry is not None and entry.readers == 0 and entry.buf.size == s * n + s:
+                buf = entry.buf
+            # The old entry goes first: a mapping that no reader holds is freed
+            # before a new one is made, and a failed weighting leaves no stale key.
+            entry = _weighted_memo = None
+            if buf is None:
+                buf = _mapped_floats(s * n + s)
+            chunk = _weigh(_memo_exponentials(batch.seed, s, n), profile.weights, d,
+                           buf[:s * n].reshape(s, n), buf[s * n:])
+            for a in chunk:
+                a.setflags(write=False)
+            entry = _weighted_memo = _MemoEntry(key, buf, chunk)
+        entry.readers += 1
+    try:
+        yield entry.chunk
+    finally:
+        with _memo_lock:
+            entry.readers -= 1
 
 
 def _faded_tail(y, alpha):

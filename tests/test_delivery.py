@@ -5,6 +5,7 @@ import mmap
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -495,7 +496,9 @@ class TestFadingMemo:
         monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
         for rows in (1000, 700):
             monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", 8 * rows)
-            streamed = chunks()
+            # A streamed chunk is valid until the next is drawn into its buffer.
+            streamed = [(w.copy(), t.copy())
+                        for w, t in delivery._fading_chunks(sc.profile, 4.0, batch)]
             assert len(streamed) == math.ceil(batch.sample_count / rows)
             assert np.vstack([w for w, _ in streamed]).tobytes() == memo[0].tobytes()
             assert np.concatenate([t for _, t in streamed]).tobytes() == memo[1].tobytes()
@@ -520,6 +523,110 @@ class TestFadingMemo:
         with ThreadPoolExecutor(2) as pool:
             runs = list(pool.map(alternate, (0, 1)))
         assert all(got == serial[i] for run in runs for i, got in run)
+
+    @pytest.fixture
+    def mappings(self, weighings, monkeypatch):
+        """Empty both memos; the list grows by the cell count of each mapping the memo makes."""
+        cells = []
+        mapped = delivery._mapped_floats
+
+        def counted(count):
+            cells.append(count)
+            return mapped(count)
+
+        monkeypatch.setattr(delivery, "_mapped_floats", counted)
+        return cells
+
+    @staticmethod
+    def _totals(sc, batch):
+        return [total_delivery_prob(sc, method, batch) for method in ("expectation", "series")]
+
+    def _same_size_cases(self):
+        """Three (scenario, batch) pairs whose weightings all take 27 000 cells.
+
+        A (3000, 8) and a (2700, 9) batch both take 3000 * 8 + 3000 = 2700 * 9 + 2700.
+        """
+        return [(self._scenario(), self.BATCH),
+                (self._scenario(alpha=3.0, gamma=1.0), self.BATCH),
+                (self._scenario(n_files=9), FadingBatch(2700, 5))]
+
+    @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
+    def test_same_size_scenarios_share_one_mapping(self, mappings):
+        cases = self._same_size_cases()
+        cold = []
+        for sc, batch in cases:
+            delivery._weighted_memo = None
+            cold.append(self._totals(sc, batch))
+        delivery._weighted_memo = None
+        mappings.clear()
+        for i in (0, 1, 0, 2, 1, 2, 0):
+            assert self._totals(*cases[i]) == cold[i]
+        assert mappings == [27_000]
+
+    @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
+    @pytest.mark.parametrize("where", ["same thread", "pool thread"])
+    def test_open_generator_keeps_its_views(self, mappings, where):
+        a, b = self._scenario(), self._scenario(alpha=3.0, gamma=1.0)
+        serial = self._totals(b, self.BATCH)
+        chunks = delivery._fading_chunks(a.profile, 4.0, self.BATCH)
+        held = next(chunks)  # A is weighted into B's mapping, which no reader holds
+        before = [x.tobytes() for x in held]
+        if where == "same thread":
+            got = self._totals(b, self.BATCH)
+        else:
+            with ThreadPoolExecutor(1) as pool:
+                got = pool.submit(self._totals, b, self.BATCH).result(timeout=60)
+        assert got == serial
+        assert [x.tobytes() for x in held] == before
+        assert mappings == [27_000, 27_000]  # B went into a mapping of its own
+        chunks.close()
+        assert delivery._weighted_memo.readers == 0
+
+    @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
+    def test_stress_more_threads_than_cores(self, weighings):
+        # Three same-size scenarios, four threads and a short switch interval: a
+        # reader-count update lost to a race would leave the count off zero, and a
+        # reuse under a reader would change a total.
+        cases = self._same_size_cases()
+        serial = [self._totals(*case) for case in cases]
+
+        def alternate(first):
+            return [(i % 3, self._totals(*cases[i % 3])) for i in range(first, first + 9)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(alternate, first) for first in range(4)]
+                runs = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == serial[i] for run in runs for i, got in run)
+        assert delivery._weighted_memo.readers == 0
+
+    def test_batch_of_another_size_maps_afresh(self, mappings):
+        cases = [(self._scenario(), self.BATCH),
+                 (self._scenario(), FadingBatch(3001, 5)),
+                 (self._scenario(n_files=9), self.BATCH),
+                 (self._scenario(), self.BATCH)]
+        for sc, batch in cases:
+            total_delivery_prob(sc, "expectation", batch)
+        assert mappings == [27_000, 27_009, 30_000, 27_000]
+
+    @pytest.mark.parametrize("method", ["expectation", "series"])
+    def test_streamed_total_holds_one_chunk(self, monkeypatch, method):
+        cells = 1 << 20
+        monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
+        monkeypatch.setattr(delivery, "_FADING_CHUNK_CELLS", cells)
+        sc = Scenario.from_zipf(100, 0.5, 5.0, 4.0)
+        tracemalloc.start()
+        try:
+            total_delivery_prob(sc, method, FadingBatch(40_000, 3))  # 32 MB in four chunks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A chunk is 8 MB; drawing each one into a fresh array held two (18-20 MB).
+        assert peak < 1.6 * 8 * cells
 
 
 class TestMomentStats:

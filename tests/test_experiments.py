@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from snratio import experiments, simulate
+from snratio import delivery, experiments, simulate
 from snratio.cli import build_parser, main, resolve_config
 from snratio.delivery import FadingBatch
 from snratio.errors import ParameterDomainError
@@ -291,6 +291,16 @@ class TestSweeps:
         assert low_small[0] > low_large[0] + 3.0 * math.hypot(low_small[1], low_large[1])
         hi_small, hi_large = sims[(3.0, 20)], sims[(3.0, 50)]
         assert abs(hi_small[0] - hi_large[0]) <= 3.0 * math.hypot(hi_small[1], hi_large[1])
+
+    @pytest.mark.filterwarnings("ignore::snratio.errors.MomentReliabilityWarning")
+    def test_figure4_rows_do_not_depend_on_the_fading_memo(self, monkeypatch):
+        # Each scenario of the loop is weighted into the last one's mapping; a
+        # stale reuse anywhere would differ from batches drawn afresh per call.
+        cfg = tiny_config(batch_samples=3000, gamma_grid=(0.5, 2.0), fig4_n_files=(5, 50))
+        _, memoized = run_figure4(cfg)
+        monkeypatch.setattr(delivery, "_FADING_MEMO_CELLS", 0)
+        _, streamed = run_figure4(cfg)
+        assert repr(streamed) == repr(memoized)
 
     def test_ccdf_dump_consistent(self):
         header, rows = run_ccdf_dump(4.0, 1.0, [0.5, 1.0, 4.0])
